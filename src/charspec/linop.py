@@ -1,19 +1,21 @@
 """Dense complex linear algebra kernel.
 
 Everything downstream (characteristic determinants, contour counts, kernel
-extraction) funnels through the factorizations in this module, so the
-routines are written for predictable failure modes rather than raw speed:
-partial pivoting everywhere, an explicit singularity threshold, and
-determinants accumulated in mantissa/exponent form so long products cannot
-overflow before the final collapse to a complex scalar.
+extraction) funnels through the factorizations in this module.  LU and
+triangular solves run in LAPACK through scipy; on top of that the module
+keeps an explicit singularity threshold with a typed error, and determinants
+accumulated in mantissa/exponent form so long products cannot overflow
+before the final collapse to a complex scalar.
 """
 
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg
 
 from .errors import DimensionError, SingularMatrixError
 
@@ -56,17 +58,30 @@ class LUFactors:
     """Partially pivoted LU factorization ``A[perm] = L @ U``.
 
     ``combined`` stores U on and above the diagonal and the unit-lower
-    multipliers strictly below it.  ``perm`` is the row order applied to A,
-    ``parity`` the sign of that permutation.
+    multipliers strictly below it; ``piv`` holds LAPACK's row interchanges
+    (row i was swapped with row ``piv[i]``, in order).  ``perm`` is the
+    resulting row order applied to A, ``parity`` the sign of that
+    permutation.
     """
 
     combined: np.ndarray
-    perm: np.ndarray
-    parity: int
+    piv: np.ndarray
 
     @property
     def size(self):
         return self.combined.shape[0]
+
+    @property
+    def perm(self):
+        perm = np.arange(self.size)
+        for i, p in enumerate(self.piv):
+            perm[[i, p]] = perm[[p, i]]
+        return perm
+
+    @property
+    def parity(self):
+        swaps = np.count_nonzero(self.piv != np.arange(self.size))
+        return -1 if swaps % 2 else 1
 
     @property
     def lower(self):
@@ -102,21 +117,12 @@ def lu_decompose(m):
     a zero (or tiny) diagonal entry in the upper factor, which callers can
     inspect via ``is_singular``/``smallest_pivot``.
     """
-    a = as_matrix(m, square=True).copy()
-    n = a.shape[0]
-    perm = np.arange(n)
-    parity = 1
-    for k in range(n - 1):
-        p = k + int(np.argmax(np.abs(a[k:, k])))
-        if p != k:
-            a[[k, p], :] = a[[p, k], :]
-            perm[[k, p]] = perm[[p, k]]
-            parity = -parity
-        akk = a[k, k]
-        if akk != 0:
-            a[k + 1:, k] /= akk
-            a[k + 1:, k + 1:] -= np.outer(a[k + 1:, k], a[k, k + 1:])
-    return LUFactors(combined=a, perm=perm, parity=parity)
+    a = as_matrix(m, square=True)
+    with warnings.catch_warnings():
+        # LAPACK reports an exactly zero pivot; here that is a result
+        warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
+        combined, piv = scipy.linalg.lu_factor(a, check_finite=False)
+    return LUFactors(combined=combined, piv=piv)
 
 
 def _determinant_scaled(fac):
@@ -125,21 +131,18 @@ def _determinant_scaled(fac):
     |mantissa| is kept in [0.5, 1) so arbitrarily long diagonal products
     stay representable; the pair collapses to a scalar only at the interface.
     """
-    mant = complex(fac.parity)
+    d = np.append(np.diag(fac.combined), fac.parity)
+    if not d.all():
+        return 0j, 0
     expo = 0
-    for d in np.diag(fac.combined):
-        a = abs(d)
-        if a == 0.0:
-            return 0j, 0
-        m, e = math.frexp(a)
-        mant *= (d / a) * m
-        expo += e
-        am = abs(mant)
-        if am > 0.0:
-            _, e2 = math.frexp(am)
-            mant = mant * math.ldexp(1.0, -e2)
-            expo += e2
-    return mant, expo
+    while True:
+        _, e = np.frexp(np.abs(d))
+        d = np.ldexp(d.real, -e) + 1j * np.ldexp(d.imag, -e)
+        expo += int(e.sum())
+        if d.size == 1:
+            return complex(d[0]), expo
+        # products of 1000 mantissas stay above 0.5**1000, a normal double
+        d = np.multiply.reduceat(d, np.arange(0, d.size, 1000))
 
 
 def _collapse(part, expo):
@@ -171,19 +174,9 @@ def solve(m, rhs):
             smallest_pivot=fac.smallest_pivot,
         )
     b = np.asarray(rhs, dtype=complex)
-    vector = b.ndim == 1
-    if vector:
-        b = b[:, None]
     if b.shape[0] != fac.size:
         raise DimensionError(f"rhs has {b.shape[0]} rows, matrix has {fac.size}")
-    x = b[fac.perm].copy()
-    a = fac.combined
-    n = fac.size
-    for i in range(1, n):
-        x[i] -= a[i, :i] @ x[:i]
-    for i in range(n - 1, -1, -1):
-        x[i] = (x[i] - a[i, i + 1:] @ x[i + 1:]) / a[i, i]
-    return x[:, 0] if vector else x
+    return scipy.linalg.lu_solve((fac.combined, fac.piv), b, check_finite=False)
 
 
 def inverse(m):

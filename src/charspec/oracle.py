@@ -186,25 +186,29 @@ def fd_discretize(kind, psi, n):
     )
 
 
-def _inverse_iteration(matrix, lam, sweeps=3):
-    n = matrix.shape[0]
-    scale = float(np.max(np.abs(matrix))) or 1.0
-    shift = complex(lam)
-    eye = np.eye(n, dtype=complex)
-    fac = None
+def _inverse_iteration(matrix, lam, start, scale, sweeps=3):
+    """Approximate eigenvector for the computed eigenvalue ``lam``.
+
+    The shift is ``lam`` itself: a nearly singular factor is what makes the
+    iteration converge in a few sweeps.  Only an exactly zero pivot, which
+    the triangular solves cannot divide by, moves the shift off ``lam``.
+    """
     for bump in (0.0, 1e-12, 1e-10, 1e-8):
-        cand = linop.lu_decompose(matrix - (shift + bump * scale) * eye)
-        if not cand.is_singular():
-            fac = cand
+        shifted = matrix.copy()
+        shifted.flat[:: matrix.shape[0] + 1] -= lam + bump * scale
+        fac = linop.lu_decompose(shifted)
+        if fac.smallest_pivot > 0.0:
             break
-    if fac is None:
+    else:
         raise ConvergenceError(f"could not factor shifted matrix at {lam}")
-    rng = np.random.default_rng(12345)
-    v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-    v /= np.max(np.abs(v))
+    v = start
     for _ in range(sweeps):
-        v = linop.solve(fac, v)
-        v /= np.max(np.abs(v))
+        # not linop.solve: its singularity gate would refuse this factor
+        v = scipy.linalg.lu_solve((fac.combined, fac.piv), v, check_finite=False)
+        peak = np.max(np.abs(v))
+        if not np.isfinite(peak):
+            raise ConvergenceError(f"inverse iteration overflowed at {lam}")
+        v = v / peak
     return v
 
 
@@ -217,21 +221,26 @@ def dense_eigenvalues(matrix, window=None):
     ||(M - lam Id) v||_inf < 1e-8 ||M||_inf for a unit-max vector v.
     """
     m = linop.as_matrix(matrix, square=True)
-    if m.shape[0] > _MAX_DENSE_DIM:
-        raise DimensionError(f"matrix dimension {m.shape[0]} exceeds {_MAX_DENSE_DIM}")
-    if m.shape[0] == 0:
+    n = m.shape[0]
+    if n > _MAX_DENSE_DIM:
+        raise DimensionError(f"matrix dimension {n} exceeds {_MAX_DENSE_DIM}")
+    if n == 0:
         return []
     try:
         vals = scipy.linalg.eigvals(np.asarray(matrix))
     except np.linalg.LinAlgError as exc:
         raise ConvergenceError(f"dense eigensolver failed: {exc}") from exc
     norm = float(np.max(np.sum(np.abs(m), axis=1))) or 1.0
+    scale = float(np.max(np.abs(m))) or 1.0
+    rng = np.random.default_rng(12345)
+    start = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    start /= np.max(np.abs(start))
     out = []
     for lam in vals:
         lam = complex(lam)
         if window is not None and not window.contains(lam):
             continue
-        v = _inverse_iteration(m, lam)
+        v = _inverse_iteration(m, lam, start, scale)
         residual = float(np.max(np.abs(m @ v - lam * v)))
         if residual >= 1e-8 * norm:
             raise ConvergenceError(

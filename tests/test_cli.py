@@ -1,7 +1,9 @@
 import json
 import math
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -30,6 +32,13 @@ from charspec.cli import (
     serialize_config,
 )
 from charspec.errors import ConfigError
+
+# child interpreters import charspec from this checkout, installed or not
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+CHILD_ENV = {
+    **os.environ,
+    "PYTHONPATH": os.pathsep.join(filter(None, (SRC, os.environ.get("PYTHONPATH")))),
+}
 
 PERIODIC_JOB = """
 {
@@ -358,6 +367,22 @@ def test_module_entry_point(tmp_path):
         [sys.executable, "-m", "charspec.cli", "run", str(cfg_path), "--out", str(tmp_path / "out")],
         capture_output=True,
         text=True,
+        env=CHILD_ENV,
     )
     assert proc.returncode == 0
     assert proc.stdout.startswith(CSV_HEADER)
+
+
+def test_package_entry_point_runs_without_warnings():
+    # running the cli module through -m after the package import has
+    # already loaded it draws a RuntimeWarning from runpy; the package's
+    # own __main__ must not
+    proc = subprocess.run(
+        [sys.executable, "-W", "default", "-m", "charspec", "--help"],
+        capture_output=True,
+        text=True,
+        env=CHILD_ENV,
+    )
+    assert proc.returncode == 0
+    assert proc.stdout.startswith("usage: charspec")
+    assert "RuntimeWarning" not in proc.stderr

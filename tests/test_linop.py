@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -25,8 +27,25 @@ def test_lu_reconstructs_permuted_matrix():
         assert_allclose(fac.lower @ fac.upper, a[fac.perm], atol=1e-12)
 
 
+def test_lu_pivot_ties_in_one_norm():
+    # LAPACK picks the pivot by |Re| + |Im|, not by modulus: in the first
+    # column 1+1j and 2 tie under that measure although |2| > |1+1j|, so a
+    # multiplier of modulus above 1 may land in L; the row bookkeeping
+    # must hold either way
+    a = np.array([
+        [1.0 + 1.0j, 2.0, 0.5],
+        [2.0, 1.0 - 1.0j, 3.0j],
+        [-1.0j, 2.0 - 2.0j, 1.0],
+    ])
+    fac = lu_decompose(a)
+    assert_allclose(fac.lower @ fac.upper, a[fac.perm], atol=1e-14)
+    assert_allclose(determinant(fac), np.linalg.det(a), rtol=1e-13)
+
+
 def test_lu_never_raises_on_singular():
-    fac = lu_decompose(np.ones((3, 3)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        fac = lu_decompose(np.ones((3, 3)))
     assert fac.is_singular()
     assert fac.smallest_pivot < 1e-14
 
@@ -41,6 +60,32 @@ def test_determinant_hand_values():
         determinant([[1 + 1j, 2.0], [3.0, 4 - 1j]]), -1 + 3j, atol=1e-13
     )
     assert determinant(np.zeros((0, 0))) == 1.0 + 0j
+
+
+def permutation_sign(perm):
+    # (-1)^(n - cycles): a cycle of length k is k - 1 transpositions
+    seen = np.zeros(len(perm), dtype=bool)
+    cycles = 0
+    for start in range(len(perm)):
+        if not seen[start]:
+            cycles += 1
+            i = start
+            while not seen[i]:
+                seen[i] = True
+                i = perm[i]
+    return -1 if (len(perm) - cycles) % 2 else 1
+
+
+def test_determinant_of_permutation_matrices():
+    rng = np.random.default_rng(3)
+    signs = set()
+    for n in (2, 3, 5, 8, 17, 33, 64):
+        for _ in range(4):
+            perm = rng.permutation(n)
+            sign = permutation_sign(perm)
+            signs.add(sign)
+            assert determinant(np.eye(n)[perm]) == sign
+    assert signs == {-1, 1}
 
 
 def test_determinant_matches_numpy_on_random():

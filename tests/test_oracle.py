@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 from numpy.testing import assert_allclose
 
 from charspec import (
@@ -22,7 +23,8 @@ from charspec import (
     kernel_vectors,
     point_functional,
 )
-from charspec.errors import DimensionError, UnsupportedKindError
+from charspec import linop
+from charspec.errors import ConvergenceError, DimensionError, UnsupportedKindError
 
 PERIODIC = (point_functional(0.0) - point_functional(1.0),)
 WENTZELL = (
@@ -160,6 +162,31 @@ def test_dense_eigenvalues_window():
     m = np.diag([1.0, 2.0, 5.0])
     window = Rectangle(0.5 - 0.5j, 2.5 + 0.5j)
     assert dense_eigenvalues(m, window=window) == [1.0, 2.0]
+
+
+def test_dense_eigenvalues_factor_each_shift_once(monkeypatch):
+    d = fd_discretize(FirstDerivative(), PERIODIC, 256)
+    calls = []
+    factor = linop.lu_decompose
+
+    def counting(m):
+        calls.append(m.shape)
+        return factor(m)
+
+    monkeypatch.setattr(linop, "lu_decompose", counting)
+    eigs = dense_eigenvalues(d.matrix, window=Rectangle(-1.0 - 20.0j, 1.0 + 20.0j))
+    assert len(eigs) == 7
+    assert calls == [(256, 256)] * len(eigs)
+
+
+def test_dense_eigenvalues_rejects_inaccurate_eigenvalues(monkeypatch):
+    # the certificate, not the eigensolver, decides: a solver answer off by
+    # 1e-3 leaves a residual far above 1e-8 ||M|| and must be refused
+    d = fd_discretize(FirstDerivative(), PERIODIC, 256)
+    exact = scipy.linalg.eigvals
+    monkeypatch.setattr(scipy.linalg, "eigvals", lambda a: exact(a) + 1e-3)
+    with pytest.raises(ConvergenceError, match="failed certification"):
+        dense_eigenvalues(d.matrix, window=Rectangle(-1.0 - 20.0j, 1.0 + 20.0j))
 
 
 def test_dense_eigenvalues_dimension_cap():
