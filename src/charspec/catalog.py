@@ -21,7 +21,7 @@ from functools import lru_cache
 import numpy as np
 from scipy.integrate import cumulative_simpson, simpson
 
-from .errors import DimensionError, UnsupportedKindError
+from .errors import DimensionError, QuadratureFailureError, UnsupportedKindError
 
 __all__ = [
     "FirstDerivative",
@@ -110,6 +110,44 @@ def sinhc_sqrt(lam, u):
             acc = acc * z + 1.0 / math.factorial(2 * n + 1)
         out[small] = acc * u_b[small]
     return _restore(out, shape)
+
+
+def _sinhc_sqrt_dlam(lam, u, ch, sc):
+    """d/dlam sinhc_sqrt(lam, u) = (u cosh(u sqrt lam) - sinhc)/(2 lam), entire.
+
+    ``ch`` and ``sc`` are cosh_sqrt(lam, u) and sinhc_sqrt(lam, u); near
+    lam = 0 the even power series replaces the quotient.
+    """
+    lam_b, u_b, shape = _broadcast(lam, u)
+    ch = np.broadcast_to(ch, shape).reshape(-1)
+    sc = np.broadcast_to(sc, shape).reshape(-1)
+    out = np.empty(lam_b.shape, dtype=complex)
+    small = np.abs(lam_b) < _SERIES_RADIUS
+    big = ~small
+    if big.any():
+        out[big] = (u_b[big] * ch[big] - sc[big]) / (2.0 * lam_b[big])
+    if small.any():
+        z = lam_b[small] * u_b[small] ** 2
+        top = _SERIES_TERMS - 1
+        acc = np.full(z.shape, top / math.factorial(2 * top + 1), dtype=complex)
+        for n in range(top - 1, 0, -1):
+            acc = acc * z + n / math.factorial(2 * n + 1)
+        out[small] = acc * u_b[small] ** 3
+    return _restore(out, shape)
+
+
+def _sqrt_curve(lam, u, lam_power, use_cosh, dlam):
+    """lam^p cosh_sqrt(lam, u) or lam^p sinhc_sqrt(lam, u), p in {0, 1},
+    with its lambda-derivative when ``dlam`` (else None)."""
+    x = cosh_sqrt(lam, u) if use_cosh else sinhc_sqrt(lam, u)
+    val = _mul(lam, x) if lam_power else x
+    if not dlam:
+        return val, None
+    if use_cosh:
+        dx = _mul(0.5 * np.asarray(u), sinhc_sqrt(lam, u))
+    else:
+        dx = _sinhc_sqrt_dlam(lam, u, cosh_sqrt(lam, u), x)
+    return val, (x + _mul(lam, dx) if lam_power else dx)
 
 
 # ---------------------------------------------------------------------------
@@ -392,7 +430,9 @@ def _adaptive_quadrature(sample):
         if np.max(np.abs(cur - prev)) <= _QUAD_RTOL * (1.0 + np.max(np.abs(cur))):
             return cur
         prev = cur
-    return prev
+    raise QuadratureFailureError(
+        f"functional quadrature did not converge with {_QUAD_MAX} Gauss-Legendre nodes"
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -436,52 +476,71 @@ def basis_eval(kind, index, lam, s, order=0):
     this is the single evaluation path shared by scalar curve objects and
     the vectorized characteristic-function assembly.
     """
+    return _curve_jet(kind, index, lam, s, order, False)[0]
+
+
+# d^order/ds^order of cosh(u sqrt lam) and of sinh(u sqrt lam)/sqrt lam, as
+# (power of lam, cosh or sinhc) pairs; u is s, or s - 1 for the heat curve
+_SQRT_CURVES = (
+    ((0, True), (1, False), (1, True)),
+    ((0, False), (0, True), (1, False)),
+)
+
+
+def _curve_jet(kind, index, lam, s, order, dlam):
+    """basis_eval's value and, when ``dlam``, its lambda-derivative (else None)."""
     if order not in (0, 1, 2):
         raise ValueError(f"derivative order {order} not in {{0, 1, 2}}")
     if isinstance(kind, FirstDerivative):
         if index != 0:
             raise DimensionError("first-derivative kind has a single curve")
         lam = np.asarray(lam, dtype=complex)
-        val = lam ** order * np.exp(lam * np.asarray(s))
-        return complex(val) if val.shape == () else val
+        s = np.asarray(s)
+        e = np.exp(lam * s)
+        val = e if order == 0 else lam ** order * e
+        if not dlam:
+            d = None
+        elif order == 0:
+            d = s * e  # the integrand's case: skip two full-size temporaries
+        else:
+            d = (order * lam ** (order - 1) + s * lam ** order) * e
+        return _scalar(val), _scalar(d)
     if isinstance(kind, SecondDerivative):
-        if index == 0:
-            if order == 0:
-                return cosh_sqrt(lam, s)
-            if order == 1:
-                return _mul(lam, sinhc_sqrt(lam, s))
-            return _mul(lam, cosh_sqrt(lam, s))
-        if index == 1:
-            if order == 0:
-                return sinhc_sqrt(lam, s)
-            if order == 1:
-                return cosh_sqrt(lam, s)
-            return _mul(lam, sinhc_sqrt(lam, s))
-        raise DimensionError("second-derivative kind has two curves")
+        if index not in (0, 1):
+            raise DimensionError("second-derivative kind has two curves")
+        return _sqrt_curve(lam, s, *_SQRT_CURVES[index][order], dlam)
     if isinstance(kind, ConvectionDiffusion):
         if index != 0:
             raise DimensionError("convection-diffusion kind has a single curve")
         c = kind.c
         mu = np.asarray(lam, dtype=complex) + c * c - kind.k
         u = np.asarray(s, dtype=complex) - 1.0
-        g0 = cosh_sqrt(mu, u) - c * sinhc_sqrt(mu, u)
-        if order == 0:
-            return _mul(np.exp(c * u), g0)
-        g1 = _mul(mu, sinhc_sqrt(mu, u)) - c * cosh_sqrt(mu, u)
-        if order == 1:
-            return _mul(np.exp(c * u), c * g0 + g1)
-        g2 = _mul(mu, cosh_sqrt(mu, u) - c * sinhc_sqrt(mu, u))
-        return _mul(np.exp(c * u), c * c * g0 + 2 * c * g1 + g2)
+        ch, sh = cosh_sqrt(mu, u), sinhc_sqrt(mu, u)
+        # f = e^{cu} g with g = cosh - c sinhc; g' = mu sinhc - c cosh, g'' = mu g
+        form = (
+            lambda g0, g1, g2: g0,
+            lambda g0, g1, g2: c * g0 + g1,
+            lambda g0, g1, g2: c * c * g0 + 2 * c * g1 + g2,
+        )[order]
+        scale = np.exp(c * u)
+        g0 = ch - c * sh
+        val = _mul(scale, form(g0, _mul(mu, sh) - c * ch, _mul(mu, g0)))
+        if not dlam:
+            return val, None
+        dch, dsh = _mul(0.5 * u, sh), _sinhc_sqrt_dlam(mu, u, ch, sh)
+        dg0 = dch - c * dsh
+        d = _mul(scale, form(dg0, sh + _mul(mu, dsh) - c * dch, g0 + _mul(mu, dg0)))
+        return val, d
     if isinstance(kind, BoundaryDelayHeat):
         if index != 0:
             raise DimensionError("boundary-delay heat kind has a single curve")
         u = np.asarray(s, dtype=complex) - 1.0
-        if order == 0:
-            return sinhc_sqrt(lam, u)
-        if order == 1:
-            return cosh_sqrt(lam, u)
-        return _mul(lam, sinhc_sqrt(lam, u))
+        return _sqrt_curve(lam, u, *_SQRT_CURVES[1][order], dlam)
     raise UnsupportedKindError(f"{type(kind).__name__} has no Dirichlet curves")
+
+
+def _scalar(x):
+    return complex(x) if isinstance(x, np.ndarray) and x.shape == () else x
 
 
 def _mul(a, b):
@@ -555,17 +614,42 @@ def apply_functional(psi, f):
 
 def functional_on_basis(kind, psi, index, lams):
     """Vectorized ``psi`` applied to Dirichlet curve ``index`` over ``lams``."""
+    return _functional_jet(kind, psi, index, lams, False)[0]
+
+
+def _functional_jet(kind, psi, index, lams, dlam):
+    """functional_on_basis and, when ``dlam``, its lambda-derivative (else None).
+
+    An integral term's value and derivative share one adaptive quadrature:
+    the sampler stacks both integrands, so they settle on the same nodes.
+    """
     lams = np.asarray(lams, dtype=complex)
     out = np.zeros(lams.shape, dtype=complex)
+    d_out = np.zeros(lams.shape, dtype=complex) if dlam else None
     for t in psi.points:
-        out += t.weight * np.asarray(basis_eval(kind, index, lams, t.location, t.order))
+        val, d = _curve_jet(kind, index, lams, t.location, t.order, dlam)
+        out += t.weight * np.asarray(val)
+        if dlam:
+            d_out += t.weight * np.asarray(d)
     for t in psi.integrals:
-        vals = _adaptive_quadrature(
-            lambda nodes: t.kernel_values(nodes)
-            * np.asarray(basis_eval(kind, index, lams[..., None], nodes, 0))
-        )
-        out += t.weight * vals
-    return out
+
+        def sample(nodes):
+            val, d = _curve_jet(kind, index, lams[..., None], nodes, 0, dlam)
+            k = t.kernel_values(nodes)
+            if not dlam:
+                return k * np.asarray(val)
+            both = np.empty((2,) + np.shape(val), dtype=complex)
+            np.multiply(k, val, out=both[0])
+            np.multiply(k, d, out=both[1])
+            return both
+
+        vals = _adaptive_quadrature(sample)
+        if dlam:
+            out += t.weight * vals[0]
+            d_out += t.weight * vals[1]
+        else:
+            out += t.weight * vals
+    return out, d_out
 
 
 # ---------------------------------------------------------------------------

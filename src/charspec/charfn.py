@@ -4,7 +4,9 @@ For a boundary perturbation the point spectrum of the perturbed generator
 consists of those lambda where Id - Phi L_lambda drops rank on the boundary
 space, i.e. where F(lambda) = det(Id - Delta(lambda)) vanishes; delay
 systems and quadratic pencils contribute their own entire matrix families.
-``char_values`` is the vectorized closed-form route used by the scanner;
+``char_values`` is the vectorized closed-form route, and
+``CharFunction.values_and_derivatives`` returns F together with its
+analytic F' from the same per-kind formulas for the scanner;
 ``char_matrix``/``delta_matrix`` assemble the same objects entry by entry
 through the generic functional machinery, which the tests play against the
 closed forms.
@@ -29,9 +31,10 @@ from .catalog import (
     PointTerm,
     QuadraticPencil,
     SecondDerivative,
+    _curve_jet,
+    _functional_jet,
     apply_functional,
     apply_functional_to_samples,
-    basis_eval,
     boundary_dimension,
     cosh_sqrt,
     dirichlet_basis,
@@ -39,6 +42,7 @@ from .catalog import (
     is_dirichlet,
     phi_from_psi,
     resolvent_apply,
+    sinhc_sqrt,
 )
 from .errors import (
     DimensionError,
@@ -192,10 +196,12 @@ def char_matrix(spec, lam):
     return lam * lam * np.eye(kind.dim, dtype=complex) - lam * p - q
 
 
-def _bdh_mean(lams):
+def _bdh_mean(lams, dlam):
     """(1 - cosh(sqrt(lam)))/lam, entire; value -1/2 at lam = 0.
 
-    This is the exact mean of the Dirichlet curve over [0,1].
+    This is the exact mean of the Dirichlet curve over [0,1].  Returns the
+    mean and, when ``dlam``, its derivative -(sinhc(lam, 1)/2 + mean)/lam
+    (else None); both switch to even power series near 0.
     """
     lams = np.asarray(lams, dtype=complex)
     out = np.empty(lams.shape, dtype=complex)
@@ -210,52 +216,127 @@ def _bdh_mean(lams):
         for n in range(7, 0, -1):
             acc = acc * z - 1.0 / math.factorial(2 * n)
         out[small] = acc
+    if not dlam:
+        return out, None
+    # the quotient subtracts O(1) terms to an O(lam) result and divides by
+    # lam again, so the mean's rounding (eps/|lam|) grows to eps/|lam|^2;
+    # the eight-term series holds double precision out to |lam| = 1e-2
+    d_out = np.empty(lams.shape, dtype=complex)
+    near = np.abs(lams) < 1e-2
+    far = ~near
+    if far.any():
+        z = lams[far]
+        w = np.sqrt(z)
+        d_out[far] = -(0.5 * np.sinh(w) / w + out[far]) / z
+    if near.any():
+        z = lams[near]
+        acc = np.full(z.shape, -7.0 / math.factorial(16), dtype=complex)
+        for n in range(7, 1, -1):
+            acc = acc * z - (n - 1) / math.factorial(2 * n)
+        d_out[near] = acc
+    return out, d_out
+
+
+def _det_derivative(stack, dstack, det):
+    """d det(M)/dlam for each matrix of the stack, given dM/dlam and det(M).
+
+    Jacobi's formula det(M) tr(M^-1 dM) where det(M) != 0; at an exactly
+    singular M (reachable: a root hit to the last bit) that product reads
+    0 * inf, so there the derivative is summed row by row instead: det(M)
+    is linear in each row, so det' = sum_i det(M with row i replaced by dM's).
+    """
+    out = np.zeros(det.shape, dtype=complex)
+    ok = det != 0
+    if ok.any():
+        trace = np.trace(np.linalg.solve(stack[ok], dstack[ok]), axis1=1, axis2=2)
+        out[ok] = det[ok] * trace
+    if not ok.all():
+        singular, d_singular = stack[~ok], dstack[~ok]
+        for i in range(stack.shape[-1]):
+            rows = singular.copy()
+            rows[:, i, :] = d_singular[:, i, :]
+            out[~ok] += np.linalg.det(rows)
     return out
 
 
-def char_values(spec, lams):
-    """Vectorized characteristic values over an array of lambdas."""
+def _char_jet(spec, lams, dlam):
+    """F over an array of lambdas and, when ``dlam``, F' (else None).
+
+    The one per-kind formula set: char_values takes its F part and the
+    scanner's CharFunction.values_and_derivatives takes both.
+    """
     kind = spec.kind
     lams = np.asarray(lams, dtype=complex)
+    d = None
     if isinstance(kind, (FirstDerivative, SecondDerivative)) or (
         isinstance(kind, ConvectionDiffusion) and spec.psi
     ):
         # det[psi_i(curve_j)]: equals det(Id - Delta) because the curves are
         # normalized exactly against the traces.
+        # F alone keeps going through the public functional_on_basis, the
+        # name the benchmark's tracer times catalog quadrature under
         psis = spec.psi
         m = boundary_dimension(kind)
         e = [
-            [functional_on_basis(kind, psis[i], j, lams) for j in range(m)]
+            [
+                _functional_jet(kind, psis[i], j, lams, True)
+                if dlam
+                else (functional_on_basis(kind, psis[i], j, lams), None)
+                for j in range(m)
+            ]
             for i in range(m)
         ]
         if m == 1:
-            out = e[0][0]
+            out, d = e[0][0]
         else:
-            out = e[0][0] * e[1][1] - e[0][1] * e[1][0]
+            (a, da), (b, db) = e[0]
+            (c, dc), (g, dg) = e[1]
+            out = a * g - b * c
+            if dlam:
+                d = da * g + a * dg - db * c - b * dc
     elif isinstance(kind, ConvectionDiffusion):
-        out = (
-            np.exp(-lams)
-            - np.asarray(basis_eval(kind, 0, lams, 0.0, 0))
-            + np.asarray(basis_eval(kind, 0, lams, 0.0, 1))
-        )
+        f0, df0 = _curve_jet(kind, 0, lams, 0.0, 0, dlam)
+        f1, df1 = _curve_jet(kind, 0, lams, 0.0, 1, dlam)
+        ex = np.exp(-lams)
+        out = ex - np.asarray(f0) + np.asarray(f1)
+        if dlam:
+            d = -ex - np.asarray(df0) + np.asarray(df1)
     elif isinstance(kind, BoundaryDelayHeat):
-        out = np.asarray(cosh_sqrt(lams, 1.0)) - delay_weight(kind, lams) * _bdh_mean(lams)
-    elif isinstance(kind, DelaySystem):
-        flat = lams.reshape(-1)
-        eye = np.eye(kind.dim, dtype=complex)
-        a = np.array(kind.instant, dtype=complex)
-        stack = flat[:, None, None] * eye - a
-        for tau, mat in kind.delays:
-            stack -= np.exp(-flat * tau)[:, None, None] * np.array(mat, dtype=complex)
-        out = np.linalg.det(stack).reshape(lams.shape)
+        w = delay_weight(kind, lams)
+        mean, dmean = _bdh_mean(lams, dlam)
+        out = np.asarray(cosh_sqrt(lams, 1.0)) - w * mean
+        if dlam:
+            dw = sum(wt * r * np.exp(lams * r) for r, wt in kind.atoms)
+            d = 0.5 * np.asarray(sinhc_sqrt(lams, 1.0)) - dw * mean - w * dmean
     else:
         flat = lams.reshape(-1)
         eye = np.eye(kind.dim, dtype=complex)
-        q = np.array(kind.const_term, dtype=complex)
-        p = np.array(kind.linear_term, dtype=complex)
-        stack = (flat * flat)[:, None, None] * eye - flat[:, None, None] * p - q
-        out = np.linalg.det(stack).reshape(lams.shape)
+        if isinstance(kind, DelaySystem):
+            a = np.array(kind.instant, dtype=complex)
+            stack = flat[:, None, None] * eye - a
+            dstack = np.broadcast_to(eye, stack.shape).copy() if dlam else None
+            for tau, mat in kind.delays:
+                mat = np.array(mat, dtype=complex)
+                decay = np.exp(-flat * tau)[:, None, None]
+                stack -= decay * mat
+                if dlam:
+                    dstack += tau * decay * mat
+        else:
+            q = np.array(kind.const_term, dtype=complex)
+            p = np.array(kind.linear_term, dtype=complex)
+            stack = (flat * flat)[:, None, None] * eye - flat[:, None, None] * p - q
+            dstack = 2.0 * flat[:, None, None] * eye - p if dlam else None
+        det = np.linalg.det(stack)
+        out = det.reshape(lams.shape)
+        if dlam:
+            d = _det_derivative(stack, dstack, det).reshape(lams.shape)
     out = np.asarray(out, dtype=complex)
+    return out, (np.asarray(d, dtype=complex) if dlam else None)
+
+
+def char_values(spec, lams):
+    """Vectorized characteristic values over an array of lambdas."""
+    out = _char_jet(spec, lams, False)[0]
     return complex(out) if out.shape == () else out
 
 
@@ -277,6 +358,10 @@ class CharFunction:
 
     def values(self, lams):
         return char_values(self.spec, lams)
+
+    def values_and_derivatives(self, lams):
+        """(F, F') over an array of lambdas, from the same formulas as values."""
+        return _char_jet(self.spec, lams, True)
 
     def matrix(self, lam):
         return char_matrix(self.spec, lam)

@@ -59,7 +59,8 @@ class BoundaryDegeneracyError(CharspecError, ArithmeticError):
 
 
 class QuadratureFailureError(CharspecError, ArithmeticError):
-    """Contour quadrature failed to settle on an integer winding count."""
+    """A quadrature failed to settle: a contour integral on an integer
+    winding count, or a functional's integral term within its node budget."""
 
 
 class DivergenceError(CharspecError, ArithmeticError):

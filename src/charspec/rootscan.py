@@ -1,15 +1,19 @@
 """Argument-principle root location for holomorphic scalar functions.
 
-The scanner needs nothing from the function beyond point evaluation (an
-optional vectorized ``values`` and a ``zero_scale_entries`` hook are used
-when present).  Winding numbers come from contour integrals of F'/F with
-composite Gauss-Legendre panels and derivative stencils in two orthogonal
-complex directions; rectangles subdivide recursively until each leaf
-isolates one root, which Newton then polishes.
+The scanner needs nothing from the function beyond point evaluation.  When
+present it uses a vectorized ``values``, a ``values_and_derivatives`` hook
+giving (F, F') in one batched call, and a ``zero_scale_entries`` hook.
+Without the derivative hook, F' comes from central-difference stencils in
+two orthogonal complex directions.  Winding numbers and centred first
+moments come from contour integrals of F'/F with composite Gauss-Legendre
+panels.  Rectangles subdivide recursively until each leaf isolates one
+root; Newton then polishes it, starting from the leaf's moment estimate
+(the first moment of a one-root box is that root, Delves & Lyness 1967).
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
@@ -107,7 +111,12 @@ class Rectangle:
 
 
 class _Scanner:
-    """Uniform evaluation adapter: CharFunction-like object or bare callable."""
+    """Uniform evaluation adapter: CharFunction-like object or bare callable.
+
+    ``pair(lams)`` gives (F, F') over an array: the function's own
+    ``values_and_derivatives`` when it has one, else F plus the
+    four-shift ``numeric_derivative`` stencil.
+    """
 
     def __init__(self, f):
         self._f = f
@@ -118,6 +127,11 @@ class _Scanner:
             self.values = lambda lams: np.array(
                 [self.value(lam) for lam in np.asarray(lams).ravel()], dtype=complex
             ).reshape(np.shape(lams))
+        self.pair = getattr(f, "values_and_derivatives", self._stencil_pair)
+
+    def _stencil_pair(self, lams):
+        lams = np.asarray(lams, dtype=complex)
+        return self.values(lams), numeric_derivative(self.values, lams)
 
     def zero_scale(self, lam):
         hook = getattr(self._f, "zero_scale_entries", None)
@@ -130,7 +144,8 @@ def numeric_derivative(f, lam, h_scale=1e-6):
     """F'(lam) by central differences in two orthogonal directions, averaged.
 
     The two second-order error terms carry opposite signs for holomorphic F,
-    so the average is fourth-order accurate.
+    so the average is fourth-order accurate.  Given a plain vectorized
+    callable, ``lam`` may be an array (four batched calls in all).
     """
     value = f.value if hasattr(f, "value") else f
     h = h_scale * (1.0 + abs(lam))
@@ -142,11 +157,13 @@ def numeric_derivative(f, lam, h_scale=1e-6):
 def _winding_value(scan, rect, panels):
     """One composite-GL pass over the whole contour.
 
-    All four edges are concatenated into a single batch (five vectorized
-    F evaluations total: the nodes plus four numerical-derivative shifts).
-    ``panels`` gives the per-edge panel count.  Returns (integral / 2*pi*i,
-    grazing_flag); the flag is set when some edge carries an |F| sample
-    below 1e-13 of that edge's maximum.
+    All four edges are concatenated into a single batch, and one
+    ``scan.pair`` call gives F and F' at every node.  ``panels`` gives the
+    per-edge panel count.  Returns (count, moment, grazing_flag): count is
+    the integral of F'/F over 2*pi*i; moment is the integral of
+    (z - c) F'/F over 2*pi*i about the box centre c, i.e. the sum of the
+    enclosed zeros' offsets from c, from the same nodes; the flag is set
+    when some edge carries an |F| sample below 1e-13 of that edge's maximum.
     """
     rule = gauss_legendre(12)
     zs, ws, edge_slices = [], [], []
@@ -160,18 +177,17 @@ def _winding_value(scan, rect, panels):
         pos += t.size
     z = np.concatenate(zs)
     w = np.concatenate(ws)
-    h = 1e-6 * (1.0 + np.abs(z))
-    fz = scan.values(z)
-    d_re = (scan.values(z + h) - scan.values(z - h)) / (2.0 * h)
-    d_im = (scan.values(z + 1j * h) - scan.values(z - 1j * h)) / (2j * h)
-    logd = 0.5 * (d_re + d_im) / fz
+    fz, dfz = scan.pair(z)
+    logd = dfz / fz
     mags = np.abs(fz)
     degenerate = False
     for sl in edge_slices:
         m = mags[sl]
         if m.size and (m.max() == 0.0 or m.min() < _ZERO_GUARD * m.max()):
             degenerate = True
-    return (logd @ w) / TWO_PI_I, degenerate
+    count = (logd @ w) / TWO_PI_I
+    moment = ((z - rect.center) * logd @ w) / TWO_PI_I
+    return count, moment, degenerate
 
 
 def _edges(rect):
@@ -179,14 +195,18 @@ def _edges(rect):
     return zip(c, c[1:] + c[:1])
 
 
-def winding_count(f, rect, return_rect=False):
+def winding_count(f, rect, settled=False):
     """Number of zeros (with multiplicity) inside the rectangle.
 
     Composite Gauss-Legendre panels per edge are doubled until two
     successive counts round to the same integer and the pre-rounding value
     sits within 1e-3 of it.  A contour grazing a zero (boundary sample with
     |F| below 1e-13 of the edge maximum) triggers dilation retries; a count
-    that never settles raises QuadratureFailureError.
+    that never settles raises QuadratureFailureError.  With ``settled``,
+    returns (count, box, moment): the rectangle the count settled on (the
+    input or a dilated copy) and the first moment about its centre from
+    the settling pass, so box.center + moment/count is the mean of the
+    enclosed zeros.
     """
     scan = f if isinstance(f, _Scanner) else _Scanner(f)
     for attempt in range(len(_DILATIONS) + 1):
@@ -197,7 +217,7 @@ def winding_count(f, rect, return_rect=False):
         prev = None
         degenerate = False
         for _ in range(_MAX_DOUBLINGS):
-            val, degenerate = _winding_value(scan, box, panels)
+            val, moment, degenerate = _winding_value(scan, box, panels)
             if degenerate:
                 break
             if not (math.isfinite(val.real) and math.isfinite(val.imag)):
@@ -206,7 +226,7 @@ def winding_count(f, rect, return_rect=False):
                 )
             n = int(round(val.real))
             if prev is not None and n == prev and abs(val - n) < 1e-3 and n >= 0:
-                return (n, box) if return_rect else n
+                return (n, box, moment) if settled else n
             prev = n
             panels = tuple(2 * p for p in panels)
         if not degenerate:
@@ -226,10 +246,8 @@ def winding_count_circle(f, center, radius, max_doublings=8):
     for _ in range(max_doublings):
         theta = np.linspace(0.0, 2.0 * math.pi, n, endpoint=False)
         z = center + radius * np.exp(1j * theta)
-        h = 1e-6 * (1.0 + np.abs(z))
-        d_re = (scan.values(z + h) - scan.values(z - h)) / (2.0 * h)
-        d_im = (scan.values(z + 1j * h) - scan.values(z - 1j * h)) / (2j * h)
-        logd = 0.5 * (d_re + d_im) / scan.values(z)
+        fz, dfz = scan.pair(z)
+        logd = dfz / fz
         dz = 1j * radius * np.exp(1j * theta) * (2.0 * math.pi / n)
         val = (logd @ dz) / TWO_PI_I
         k = int(round(val.real))
@@ -277,7 +295,7 @@ def detect_identically_zero(f, rect, samples=25, seed=0):
 
 
 def newton_refine(f, start, tol, rect, max_iter=50):
-    """Polish one root by Newton iteration with a numerical derivative.
+    """Polish one root by Newton iteration on the scanner's (F, F') pair.
 
     Leaving a 2x-dilated copy of ``rect`` raises DivergenceError; a stalled
     iteration (steps shrinking by less than 10% over five iterations) falls
@@ -291,8 +309,7 @@ def newton_refine(f, start, tol, rect, max_iter=50):
         raise DivergenceError(f"start {lam} outside the search rectangle")
     steps = []
     for it in range(1, max_iter + 1):
-        deriv = numeric_derivative(scan, lam)
-        val = scan.value(lam)
+        val, deriv = (complex(x[0]) for x in scan.pair(np.array([lam])))
         if deriv == 0:
             break
         step = val / deriv
@@ -312,7 +329,7 @@ def newton_refine(f, start, tol, rect, max_iter=50):
 
 
 def _bisect_by_count(scan, box, tol, depth=60):
-    count, box = winding_count(scan, box, return_rect=True)
+    count, box, _ = winding_count(scan, box, settled=True)
     if count == 0:
         raise DivergenceError(f"no root inside fallback box at {box.center}")
     for _ in range(depth):
@@ -321,7 +338,7 @@ def _bisect_by_count(scan, box, tol, depth=60):
         for fx, fy in ((0.5, 0.5), (0.5137, 0.4863), (0.4729, 0.5271)):
             quads = box.split(fx, fy)
             try:
-                counted = [winding_count(scan, q, return_rect=True) for q in quads]
+                counted = [winding_count(scan, q, settled=True)[:2] for q in quads]
             except (QuadratureFailureError, BoundaryDegeneracyError):
                 # a quadrant contour sat on the root; try the next cut set
                 continue
@@ -395,19 +412,26 @@ def _split_candidates(rect):
     return out
 
 
-def _line_clearance(scan, lines):
-    """min |F| / max |F| over the cut lines; higher is a safer place to cut."""
-    pts = []
-    for a, b in lines:
-        t = np.linspace(0.02, 0.98, 49)
-        pts.append(a + (b - a) * t)
+def _line_clearances(scan, candidates):
+    """min |F| / max |F| over each candidate's cut lines (higher is a safer
+    place to cut), from one batched evaluation of every line."""
+    t = np.linspace(0.02, 0.98, 49)
+    pts = [a + (b - a) * t for _, lines in candidates for a, b in lines]
     vals = np.abs(scan.values(np.concatenate(pts)))
-    mx = float(vals.max())
-    return float(vals.min()) / mx if mx > 0.0 else 0.0
+    ends = np.cumsum([t.size * len(lines) for _, lines in candidates])
+    out = []
+    for chunk in np.split(vals, ends[:-1]):
+        mx = float(chunk.max())
+        out.append(float(chunk.min()) / mx if mx > 0.0 else 0.0)
+    return out
 
 
-def _subdivide(scan, rect, count, tol, leaves, depth=0):
-    """Recursive subdivision down to single-root (or tiny) leaves."""
+def _subdivide(scan, rect, count, moment, tol, leaves, depth=0):
+    """Recursive subdivision down to single-root (or tiny) leaves.
+
+    Each leaf is stored with its count and its first moment about its
+    centre, both from the pass that settled its count.
+    """
     if count == 0:
         return
     if count == 1 or rect.diameter < 64.0 * tol:
@@ -415,72 +439,55 @@ def _subdivide(scan, rect, count, tol, leaves, depth=0):
             raise RootClusterError(
                 f"{count} roots still clustered in a box of diameter {rect.diameter:.3e}"
             )
-        leaves.append((rect, count))
+        leaves.append((rect, count, moment))
         return
     if depth > 120:
         raise RootClusterError(f"subdivision depth exhausted near {rect.center}")
     candidates = _split_candidates(rect)
-    ranked = sorted(
-        range(len(candidates)),
-        key=lambda i: _line_clearance(scan, candidates[i][1]),
-        reverse=True,
-    )
+    clearance = _line_clearances(scan, candidates)
+    ranked = sorted(range(len(candidates)), key=lambda i: clearance[i], reverse=True)
     for i in ranked:
         children = candidates[i][0]
         try:
             # keep the rect the count actually refers to (grazing contours
             # get dilated inside winding_count); the sum check rejects any
             # split whose dilations double-count a root
-            counted = []
-            for q in children:
-                c, actual = winding_count(scan, q, return_rect=True)
-                counted.append((actual, c))
+            counted = [winding_count(scan, q, settled=True) for q in children]
         except (QuadratureFailureError, BoundaryDegeneracyError):
             continue
-        if sum(c for _, c in counted) == count:
-            for q, c in counted:
-                _subdivide(scan, q, c, tol, leaves, depth + 1)
+        if sum(c for c, _, _ in counted) == count:
+            for c, actual, mu in counted:
+                _subdivide(scan, actual, c, mu, tol, leaves, depth + 1)
             return
     raise BoundaryDegeneracyError(f"could not split {rect.lo}..{rect.hi} consistently")
-
-
-def _newton_start(scan, leaf):
-    """Cheapest point of a 5x5 interior lattice; a far better seed than
-    the centroid when the leaf is still several basin-widths wide."""
-    fracs = (0.1, 0.3, 0.5, 0.7, 0.9)
-    pts = np.array(
-        [
-            leaf.lo.real + fx * leaf.width + 1j * (leaf.lo.imag + fy * leaf.height)
-            for fx in fracs
-            for fy in fracs
-        ]
-    )
-    vals = np.abs(scan.values(pts))
-    return complex(pts[int(np.argmin(vals))])
 
 
 def find_zeros(f, rect, tol=1e-10, seed=0):
     """All zeros of F inside the rectangle, with multiplicities.
 
     Pipeline: identically-zero short-circuit, total winding count, recursive
-    subdivision into single-root leaves, Newton refinement from the leaf
-    centroids (winding-box fallback on stalls), merge of duplicates within
-    10*tol, deterministic sort.  The sum of reported multiplicities always
-    equals the region count.
+    subdivision into single-root leaves, Newton refinement started at each
+    leaf's moment estimate centre + moment/count (the leaf centre when that
+    is non-finite or outside the leaf; winding-box fallback on stalls),
+    merge of duplicates within 10*tol, deterministic sort.  The sum of
+    reported multiplicities always equals the region count.
     """
     scan = _Scanner(f)
     if detect_identically_zero(scan, rect, seed=seed):
         return RootReport(region=rect, region_count=0, roots=(), identically_zero=True, tol=tol)
-    total, box = winding_count(scan, rect, return_rect=True)
+    total, box, moment = winding_count(scan, rect, settled=True)
     leaves = []
-    _subdivide(scan, box, total, tol, leaves)
+    _subdivide(scan, box, total, moment, tol, leaves)
     refined = []
-    for leaf, count in leaves:
+    for leaf, count, moment in leaves:
         max_boundary = _leaf_scale(scan, leaf)
+        start = leaf.center + moment / count
+        if not (cmath.isfinite(start) and leaf.contains(start)):
+            start = leaf.center
         try:
             # fence on the whole scan box: early Newton steps overshoot the
             # leaf routinely, and any migration is caught just below
-            root, iters = newton_refine(scan, _newton_start(scan, leaf), tol, box)
+            root, iters = newton_refine(scan, start, tol, box)
         except DivergenceError:
             root, iters = _bisect_by_count(scan, leaf, tol), -1
         # the stored leaf is the exact rectangle its count settled on, so a

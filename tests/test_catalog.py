@@ -34,7 +34,7 @@ from charspec.catalog import (
     sinhc_sqrt,
     trace_operator,
 )
-from charspec.errors import DimensionError, UnsupportedKindError
+from charspec.errors import DimensionError, QuadratureFailureError, UnsupportedKindError
 
 ALL_DIRICHLET = (
     FirstDerivative(),
@@ -265,6 +265,17 @@ def test_apply_functional_oscillatory_integral():
     want = (np.exp(40.0j) - 1.0) / 40.0j
     got = apply_functional(integral_functional(), curve)
     assert abs(got - want) < 1e-12
+
+
+def test_unconverged_quadrature_raises():
+    # delta_0 - 2 int e^{s/2} f at lam = 0.3 + 1500i: the exact |F| is 1.0,
+    # and 256 nodes used to return a value 9.5e-2 off without complaint
+    lam = 0.3 + 1500j
+    psi = point_functional(0.0) + integral_functional(-2.0, "exp", 0.5)
+    with pytest.raises(QuadratureFailureError):
+        functional_on_basis(FirstDerivative(), psi, 0, np.array([lam]))
+    with pytest.raises(QuadratureFailureError):
+        apply_functional(psi, HoloCurve(FirstDerivative(), lam, 0))
 
 
 def test_functional_on_basis_matches_scalar_application():

@@ -22,6 +22,7 @@ from charspec import (
     determinant,
     effective_psi,
     eigenfunction,
+    integral_functional,
     kernel_vectors,
     point_functional,
     resolvent_value,
@@ -38,6 +39,7 @@ from charspec.errors import (
     ResolventUndefinedError,
     UnsupportedKindError,
 )
+from charspec.rootscan import numeric_derivative
 
 
 def periodic_spec(**kw):
@@ -171,6 +173,61 @@ def test_conjugate_symmetry_for_real_data():
             a = char_value(spec, lam)
             b = char_value(spec, np.conj(lam))
             assert abs(np.conj(a) - b) <= 1e-12 * max(1.0, abs(a))
+
+
+def _derivative_specs():
+    """One spec per kind (two for convection-diffusion), plus an exp integral term."""
+    cd = ConvectionDiffusion(c=0.7, k=-0.4)
+    return (
+        periodic_spec(),
+        ProblemSpec(
+            kind=FirstDerivative(),
+            psi=(point_functional(0.0) + integral_functional(-2.0, "exp", 0.5),),
+        ),
+        wentzell_spec(),
+        ProblemSpec(kind=cd),
+        ProblemSpec(
+            kind=cd,
+            psi=(point_functional(0.0, 1) - point_functional(1.0) + integral_functional(0.5),),
+        ),
+        ProblemSpec(kind=BoundaryDelayHeat(atoms=((-1.0, 1.0), (-0.25, 0.5)))),
+        ProblemSpec(
+            kind=DelaySystem(
+                instant=((0.0, 1.0), (-1.0, -0.5)),
+                delays=((0.7, ((0.2, 0.0), (0.1, -0.3))),),
+            )
+        ),
+        ProblemSpec(
+            kind=QuadraticPencil(const_term=((0.0, 1.0), (1.0, 0.0)),
+                                 linear_term=((0.5, 0.0), (0.0, -0.5))),
+        ),
+    )
+
+
+def test_analytic_derivative_matches_stencil():
+    branch = ConvectionDiffusion(c=0.7, k=-0.4).k - 0.7**2
+    # near the series windows (lam ~ 0, the convection branch point) the
+    # closed forms round at 1e-10, so the stencil needs a wider step there
+    near = (3e-7 + 2e-7j, -8e-7, branch, branch + 5e-7j)
+    for spec in _derivative_specs():
+        fn = build_char_function(spec)
+        for lams, h_scale in ((PROBE_LAMS, 1e-6), (near, 1e-3)):
+            lams = np.array(lams, dtype=complex)
+            f, d = fn.values_and_derivatives(lams)
+            assert np.array_equal(f, char_values(spec, lams))
+            want = np.array([numeric_derivative(fn, lam, h_scale) for lam in lams])
+            assert np.all(np.abs(d - want) <= 1e-8 * np.maximum(1.0, np.abs(want)))
+
+
+def test_analytic_derivative_at_an_exactly_singular_matrix():
+    # det(lam^2 Id - diag(1, 4)) = (lam^2 - 1)(lam^2 - 4) vanishes exactly at
+    # lam = 1, where Jacobi's formula det * tr(M^-1 dM) has no inverse to use
+    spec = ProblemSpec(kind=QuadraticPencil(const_term=((1.0, 0.0), (0.0, 4.0)),
+                                            linear_term=((0.0, 0.0), (0.0, 0.0))))
+    f, d = build_char_function(spec).values_and_derivatives(np.array([1.0, 0.5j]))
+    assert f[0] == 0.0
+    assert d[0] == -6.0
+    assert_allclose(d[1], 4.0 * (0.5j) ** 3 - 10.0 * 0.5j, rtol=1e-14)
 
 
 # -- the two assembly routes agree -------------------------------------------

@@ -5,6 +5,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from charspec import (
@@ -232,6 +233,46 @@ def test_run_pencil_companion_oracle():
     assert len(result.records) == 4  # lam^4 = 1
     for r in result.records:
         assert r.oracle_dist < 1e-9
+
+
+def _fixed_pencil(rng, n):
+    """Complex Gaussian pencil drawn like the benchmark's, with its
+    companion eigenvalues (const_term first, then linear_term)."""
+    a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    p = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    comp = np.block([[np.zeros((n, n)), np.eye(n)], [a, p]])
+    kind = QuadraticPencil(const_term=tuple(map(tuple, a)), linear_term=tuple(map(tuple, p)))
+    return kind, np.linalg.eigvals(comp)
+
+
+def test_fixed_pencils_refine_every_root_by_newton():
+    # these draws used to send 22 roots to the bisection fallback
+    # (newton_iterations == -1), leaving 2 of the 3x3 / 5x5 roots and 9 of
+    # the n = 8 roots uncertified
+    cases = []
+    for seed, n in [((0, i), 3) for i in range(9)] + [(0, 5)]:
+        kind, eigs = _fixed_pencil(np.random.default_rng(seed), n)
+        region = Rectangle(
+            complex(eigs.real.min() - 1.5, eigs.imag.min() - 1.5),
+            complex(eigs.real.max() + 1.5, eigs.imag.max() + 1.5),
+        )
+        cases.append((kind, eigs, region, True))
+    kind, eigs = _fixed_pencil(np.random.default_rng(0), 8)
+    r = float(np.abs(eigs).max()) + 1.0
+    # certification is not asserted at n = 8: kernel_vectors compares |det M|
+    # with 100 * root_tol * max|M|, and the rounding floor of an 8x8 det
+    # near |lam| = 5 sits above that for three roots accurate to 1e-14
+    cases.append((kind, eigs, Rectangle(complex(-r, -r), complex(r, r)), False))
+    for kind, eigs, region, certified in cases:
+        result = run_job(JobConfig(spec=ProblemSpec(kind=kind, region=region)))
+        assert all(rec.newton_iterations != -1 for rec in result.records)
+        if certified:
+            assert result.passed
+            assert all(rec.passed for rec in result.records)
+        found = [rec.location for rec in result.records for _ in range(rec.multiplicity)]
+        assert len(found) == len(eigs)
+        for z in found:
+            assert np.min(np.abs(eigs - z)) < 1e-7 * max(1.0, abs(z))
 
 
 def test_run_reports_honest_failure():

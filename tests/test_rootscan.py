@@ -153,6 +153,61 @@ def test_winding_nonsettling_is_quadrature_failure():
         winding_count(fn, Rectangle(0.0 - 1.0j, 1.0 + 1.0j))
 
 
+class CountingFn:
+    """Forwards the scanner's evaluation surface to a CharFunction and
+    records every lambda array it is asked for, per entry point."""
+
+    def __init__(self, fn):
+        self._fn = fn
+        self.calls = []
+
+    def value(self, lam):
+        self.calls.append(("value", np.atleast_1d(lam)))
+        return self._fn.value(lam)
+
+    def values(self, lams):
+        self.calls.append(("values", np.ravel(lams)))
+        return self._fn.values(lams)
+
+    def values_and_derivatives(self, lams):
+        self.calls.append(("pair", np.ravel(lams)))
+        return self._fn.values_and_derivatives(lams)
+
+    def zero_scale_entries(self, lam):
+        return self._fn.zero_scale_entries(lam)
+
+
+def test_winding_pass_evaluates_f_once_per_node():
+    counter = CountingFn(periodic_fn())
+    assert winding_count(counter, BIG) == 3
+    # edges of length 2, 14, 2, 14 carry 2 + 14 + 2 + 14 panels of 12 nodes,
+    # doubled each pass until the count settles (at least two passes)
+    sizes = [lams.size for _, lams in counter.calls]
+    assert {kind for kind, _ in counter.calls} == {"pair"}
+    assert len(sizes) >= 2
+    assert sizes == [384 * 2**k for k in range(len(sizes))]
+    for _, lams in counter.calls:
+        # every point is a contour node: no finite-difference shifts off it
+        on_edge = np.minimum.reduce([
+            np.abs(lams.real - BIG.lo.real), np.abs(lams.real - BIG.hi.real),
+            np.abs(lams.imag - BIG.lo.imag), np.abs(lams.imag - BIG.hi.imag),
+        ])
+        assert on_edge.max() < 1e-12
+        assert np.unique(lams).size == lams.size
+
+
+def test_winding_moment_locates_the_enclosed_roots():
+    box = Rectangle(-0.5 + 5.0j, 1.0 + 7.0j)  # holds 2*pi*i only
+    count, settled, moment = winding_count(periodic_fn(), box, settled=True)
+    assert (count, settled) == (1, box)
+    assert abs(box.center + moment - TWO_PI * 1j) < 1e-6
+    # two simple roots, -2*pi*i and 0: the moment over the count is their mean
+    quad = BIG.split(0.6, 0.5137)[0]
+    count, _, moment = winding_count(periodic_fn(), quad, settled=True)
+    assert count == 2
+    assert abs(quad.center + moment / 2 + math.pi * 1j) < 1e-6
+
+
 def test_winding_circle():
     assert winding_count_circle(VecFn(lambda z: z * z), 0.0, 0.7) == 2
     assert winding_count_circle(VecFn(lambda z: z * z), 2.0, 0.5) == 0
