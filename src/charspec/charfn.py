@@ -4,12 +4,12 @@ For a boundary perturbation the point spectrum of the perturbed generator
 consists of those lambda where Id - Phi L_lambda drops rank on the boundary
 space, i.e. where F(lambda) = det(Id - Delta(lambda)) vanishes; delay
 systems and quadratic pencils contribute their own entire matrix families.
-``char_values`` is the vectorized closed-form route, and
-``CharFunction.values_and_derivatives`` returns F together with its
-analytic F' from the same per-kind formulas for the scanner;
-``char_matrix``/``delta_matrix`` assemble the same objects entry by entry
-through the generic functional machinery, which the tests play against the
-closed forms.
+``matrix_family`` assembles M(lambda) (and dM/dlambda) batched over
+lambdas, once per kind: ``char_values``, the scanner's
+``CharFunction.values_and_derivatives``, ``char_matrix``, the zero-scale
+entries and ``kernel_vectors`` all take M from it.  ``delta_matrix`` builds
+Delta(lambda) = Phi L_lambda entry by entry through the generic functional
+machinery instead; it stays as the reference the tests hold the family to.
 """
 
 from __future__ import annotations
@@ -57,6 +57,7 @@ __all__ = [
     "CharFunction",
     "effective_psi",
     "delta_matrix",
+    "matrix_family",
     "char_matrix",
     "char_values",
     "char_value",
@@ -178,24 +179,6 @@ def delta_matrix(spec, lam):
     return out
 
 
-def char_matrix(spec, lam):
-    """The matrix whose determinant is the characteristic value."""
-    kind = spec.kind
-    lam = complex(lam)
-    if is_dirichlet(kind):
-        m = boundary_dimension(kind)
-        return np.eye(m, dtype=complex) - delta_matrix(spec, lam)
-    if isinstance(kind, DelaySystem):
-        a = np.array(kind.instant, dtype=complex)
-        out = lam * np.eye(kind.dim, dtype=complex) - a
-        for tau, mat in kind.delays:
-            out -= np.exp(-lam * tau) * np.array(mat, dtype=complex)
-        return out
-    q = np.array(kind.const_term, dtype=complex)
-    p = np.array(kind.linear_term, dtype=complex)
-    return lam * lam * np.eye(kind.dim, dtype=complex) - lam * p - q
-
-
 def _bdh_mean(lams, dlam):
     """(1 - cosh(sqrt(lam)))/lam, entire; value -1/2 at lam = 0.
 
@@ -259,79 +242,92 @@ def _det_derivative(stack, dstack, det):
     return out
 
 
-def _char_jet(spec, lams, dlam):
-    """F over an array of lambdas and, when ``dlam``, F' (else None).
+def matrix_family(spec, lams, dlam=False):
+    """The matrix family M(lambda) whose determinant is F, batched over lambdas.
 
-    The one per-kind formula set: char_values takes its F part and the
-    scanner's CharFunction.values_and_derivatives takes both.
+    Returns the stack M of shape lams.shape + (m, m) and, when ``dlam``,
+    dM/dlam (else None).  For the Dirichlet kinds M_ij = psi_i(f_j), which
+    equals (Id - Delta)_ij because the curves are normalized exactly against
+    the traces; the built-in couplings give their 1x1 form, delay systems
+    and pencils their own matrices.  This is the one assembly behind F, F',
+    char_matrix, the zero-scale entries and the kernel vectors.
     """
     kind = spec.kind
     lams = np.asarray(lams, dtype=complex)
-    d = None
-    if isinstance(kind, (FirstDerivative, SecondDerivative)) or (
-        isinstance(kind, ConvectionDiffusion) and spec.psi
-    ):
-        # det[psi_i(curve_j)]: equals det(Id - Delta) because the curves are
-        # normalized exactly against the traces.
+    if spec.psi:
         # F alone keeps going through the public functional_on_basis, the
         # name the benchmark's tracer times catalog quadrature under
-        psis = spec.psi
         m = boundary_dimension(kind)
-        e = [
-            [
-                _functional_jet(kind, psis[i], j, lams, True)
-                if dlam
-                else (functional_on_basis(kind, psis[i], j, lams), None)
-                for j in range(m)
-            ]
-            for i in range(m)
-        ]
-        if m == 1:
-            out, d = e[0][0]
-        else:
-            (a, da), (b, db) = e[0]
-            (c, dc), (g, dg) = e[1]
-            out = a * g - b * c
-            if dlam:
-                d = da * g + a * dg - db * c - b * dc
-    elif isinstance(kind, ConvectionDiffusion):
+        out = np.empty(lams.shape + (m, m), dtype=complex)
+        d = np.empty(out.shape, dtype=complex) if dlam else None
+        for i, psi in enumerate(spec.psi):
+            for j in range(m):
+                if dlam:
+                    out[..., i, j], d[..., i, j] = _functional_jet(kind, psi, j, lams, True)
+                else:
+                    out[..., i, j] = functional_on_basis(kind, psi, j, lams)
+        return out, d
+    if isinstance(kind, ConvectionDiffusion):
         f0, df0 = _curve_jet(kind, 0, lams, 0.0, 0, dlam)
         f1, df1 = _curve_jet(kind, 0, lams, 0.0, 1, dlam)
         ex = np.exp(-lams)
         out = ex - np.asarray(f0) + np.asarray(f1)
-        if dlam:
-            d = -ex - np.asarray(df0) + np.asarray(df1)
+        d = -ex - np.asarray(df0) + np.asarray(df1) if dlam else None
     elif isinstance(kind, BoundaryDelayHeat):
         w = delay_weight(kind, lams)
         mean, dmean = _bdh_mean(lams, dlam)
         out = np.asarray(cosh_sqrt(lams, 1.0)) - w * mean
+        d = None
         if dlam:
             dw = sum(wt * r * np.exp(lams * r) for r, wt in kind.atoms)
             d = 0.5 * np.asarray(sinhc_sqrt(lams, 1.0)) - dw * mean - w * dmean
     else:
-        flat = lams.reshape(-1)
+        lam = lams[..., None, None]
         eye = np.eye(kind.dim, dtype=complex)
         if isinstance(kind, DelaySystem):
-            a = np.array(kind.instant, dtype=complex)
-            stack = flat[:, None, None] * eye - a
+            stack = lam * eye - np.array(kind.instant, dtype=complex)
             dstack = np.broadcast_to(eye, stack.shape).copy() if dlam else None
             for tau, mat in kind.delays:
-                mat = np.array(mat, dtype=complex)
-                decay = np.exp(-flat * tau)[:, None, None]
-                stack -= decay * mat
+                term = np.exp(-lam * tau) * np.array(mat, dtype=complex)
+                stack -= term
                 if dlam:
-                    dstack += tau * decay * mat
+                    dstack += tau * term
         else:
-            q = np.array(kind.const_term, dtype=complex)
             p = np.array(kind.linear_term, dtype=complex)
-            stack = (flat * flat)[:, None, None] * eye - flat[:, None, None] * p - q
-            dstack = 2.0 * flat[:, None, None] * eye - p if dlam else None
-        det = np.linalg.det(stack)
-        out = det.reshape(lams.shape)
+            stack = lam * lam * eye - lam * p - np.array(kind.const_term, dtype=complex)
+            dstack = 2.0 * lam * eye - p if dlam else None
+        return stack, dstack
+    return out[..., None, None], (d[..., None, None] if dlam else None)
+
+
+def char_matrix(spec, lam):
+    """M(lambda) at one lambda: the matrix whose determinant is the
+    characteristic value."""
+    return matrix_family(spec, complex(lam))[0]
+
+
+def _char_jet(spec, lams, dlam):
+    """F = det M(lambda) over an array of lambdas and, when ``dlam``, F'
+    (else None): the 1x1 entry, the closed 2x2 form, or LU determinants
+    with Jacobi's formula."""
+    mats, dmats = matrix_family(spec, lams, dlam)
+    m = mats.shape[-1]
+    d = None
+    if m == 1:
+        out = mats[..., 0, 0]
         if dlam:
-            d = _det_derivative(stack, dstack, det).reshape(lams.shape)
-    out = np.asarray(out, dtype=complex)
-    return out, (np.asarray(d, dtype=complex) if dlam else None)
+            d = dmats[..., 0, 0]
+    elif m == 2:
+        a, b, c, g = (mats[..., i, j] for i in (0, 1) for j in (0, 1))
+        out = a * g - b * c
+        if dlam:
+            da, db, dc, dg = (dmats[..., i, j] for i in (0, 1) for j in (0, 1))
+            d = da * g + a * dg - db * c - b * dc
+    else:
+        out = np.linalg.det(mats)
+        if dlam:
+            d = _det_derivative(mats, dmats, out)
+    return out, d
 
 
 def char_values(spec, lams):
@@ -369,11 +365,14 @@ class CharFunction:
     def delta(self, lam):
         return delta_matrix(self.spec, lam)
 
-    def zero_scale_entries(self, lam):
-        """Matrix entries that set the scale for identically-zero detection."""
+    def zero_scale_entries(self, lams):
+        """Matrix entries that set the scale for identically-zero detection,
+        stacked over an array of lambdas: Delta = Id - M for the Dirichlet
+        kinds, M itself for delay systems and pencils."""
+        mats = matrix_family(self.spec, lams)[0]
         if is_dirichlet(self.spec.kind):
-            return delta_matrix(self.spec, lam)
-        return char_matrix(self.spec, lam)
+            return np.eye(mats.shape[-1]) - mats
+        return mats
 
 
 _NOTES = {
@@ -396,23 +395,20 @@ def build_char_function(spec):
 
 
 def kernel_vectors(spec, lam):
-    """Numerical kernel of the characteristic matrix at a root.
+    """Numerical kernel of the characteristic matrix M(lam) at a root.
 
-    Requires |F(lam)| below the spec's root tolerance relative to the local
-    matrix scale, else NotARootError.  Vectors come back scaled to unit
-    max-magnitude entry.
+    The kernel is spanned by the singular vectors whose singular values sit
+    within 100 times the spec's root tolerance of max(1, largest singular
+    value); with none there, lam is not a root (NotARootError).  Vectors
+    come back scaled to unit max-magnitude entry.
     """
     lam = complex(lam)
-    m = char_matrix(spec, lam)
-    scale = max(1.0, float(np.max(np.abs(m))))
-    f = char_value(spec, lam)
-    if abs(f) > spec.root_tol * scale * 100.0:
-        raise NotARootError(
-            f"|F({lam})| = {abs(f):.3e} exceeds the root tolerance at scale {scale:.3e}"
-        )
-    vecs = linop.kernel_basis(m, rtol=1e-6, scale=scale)
+    rtol = 100.0 * spec.root_tol
+    vecs = linop.kernel_basis(matrix_family(spec, lam)[0], rtol=rtol, scale=1.0)
     if not vecs:
-        raise NotARootError(f"no numerical kernel at {lam} despite small |F|")
+        raise NotARootError(
+            f"every singular value of M({lam}) exceeds {rtol:.1e} * max(1, the largest)"
+        )
     return vecs
 
 

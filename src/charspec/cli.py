@@ -375,6 +375,15 @@ def run_job(cfg):
     if report.identically_zero:
         notes.append("characteristic function is identically zero on the region")
         return JobResult(config=cfg, report=report, records=(), notes=tuple(notes), passed=True)
+    if report.region != spec.region:
+        # a grazing contour was dilated; the roots are those of the scanned box
+        box = report.region
+        notes.append(f"contour dilated: scanned {box.lo}..{box.hi}")
+        notes.extend(
+            f"root {root.location} lies outside the requested region"
+            for root in report.roots
+            if not spec.region.contains(root.location)
+        )
 
     oracle_fine = oracle_half = None
     if cfg.oracle_enabled:

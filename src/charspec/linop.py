@@ -1,9 +1,10 @@
 """Dense complex linear algebra kernel.
 
 Everything downstream (characteristic determinants, contour counts, kernel
-extraction) funnels through the factorizations in this module.  LU and
-triangular solves run in LAPACK through scipy; on top of that the module
-keeps an explicit singularity threshold with a typed error, and determinants
+extraction) funnels through the factorizations in this module, all of them
+LAPACK through scipy: LU and triangular solves, and the singular value
+decomposition behind ``kernel_basis``.  On top of that the module keeps an
+explicit singularity threshold with a typed error, and determinants
 accumulated in mantissa/exponent form so long products cannot overflow
 before the final collapse to a complex scalar.
 """
@@ -186,46 +187,27 @@ def inverse(m):
 
 
 def kernel_basis(m, rtol=1e-8, scale=None):
-    """Basis of the numerical kernel via elimination with column pivoting.
+    """Basis of the numerical kernel from the singular value decomposition.
 
-    Pivots smaller than ``rtol`` times the largest pivot are treated as
-    zero; ``scale`` supplies an external reference magnitude for matrices
-    that are tiny overall (a 1x1 residual has no internal scale to compare
-    against).  Returned vectors are scaled to unit max-magnitude entry.
-    Intended for matrices known (or constructed) to be singular; a
-    well-conditioned input just yields an empty list.
+    Singular values at or below ``rtol`` times the larger of the largest
+    singular value and ``scale`` count as zero; ``scale`` supplies an
+    external reference magnitude for matrices that are tiny overall (a 1x1
+    residual has no internal scale to compare against).  The basis is the
+    right singular vectors of those zero singular values, plus the columns
+    a wide matrix has no rows for; each comes back scaled to unit
+    max-magnitude entry, that entry exactly 1.  Intended for matrices known
+    (or constructed) to be singular; a well-conditioned input just yields
+    an empty list.
     """
-    a = as_matrix(m).copy()
-    rows, cols = a.shape
-    colperm = np.arange(cols)
-    rank = 0
-    seen = float(scale) if scale is not None else 0.0
-    for k in range(min(rows, cols)):
-        sub = np.abs(a[k:, k:])
-        if sub.size == 0:
-            break
-        i, j = np.unravel_index(int(np.argmax(sub)), sub.shape)
-        piv = sub[i, j]
-        seen = max(seen, piv)
-        if piv <= rtol * max(seen, 1e-300):
-            break
-        if i:
-            a[[k, k + i], :] = a[[k + i, k], :]
-        if j:
-            a[:, [k, k + j]] = a[:, [k + j, k]]
-            colperm[[k, k + j]] = colperm[[k + j, k]]
-        a[k + 1:, k:] -= np.outer(a[k + 1:, k] / a[k, k], a[k, k:])
-        rank += 1
+    a = as_matrix(m)
+    _, sv, vh = scipy.linalg.svd(a, check_finite=False)
+    ref = max(float(sv.max(initial=0.0)), float(scale or 0.0))
+    rank = int(np.count_nonzero(sv > rtol * ref))
     basis = []
-    u = a[:rank, :]
-    for free in range(rank, cols):
-        x = np.zeros(cols, dtype=complex)
-        x[free] = 1.0
-        for i in range(rank - 1, -1, -1):
-            x[i] = -(u[i, i + 1:] @ x[i + 1:]) / u[i, i]
-        v = np.zeros(cols, dtype=complex)
-        v[colperm] = x
-        v /= v[np.argmax(np.abs(v))]
+    for v in vh[rank:].conj():
+        k = int(np.argmax(np.abs(v)))
+        v = v / v[k]
+        v[k] = 1.0
         basis.append(v)
     return basis
 

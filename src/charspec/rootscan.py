@@ -2,7 +2,8 @@
 
 The scanner needs nothing from the function beyond point evaluation.  When
 present it uses a vectorized ``values``, a ``values_and_derivatives`` hook
-giving (F, F') in one batched call, and a ``zero_scale_entries`` hook.
+giving (F, F') in one batched call, and a ``zero_scale_entries`` hook giving
+the matrix entries behind F over an array of points in one batched call.
 Without the derivative hook, F' comes from central-difference stencils in
 two orthogonal complex directions.  Winding numbers and centred first
 moments come from contour integrals of F'/F with composite Gauss-Legendre
@@ -115,7 +116,10 @@ class _Scanner:
 
     ``pair(lams)`` gives (F, F') over an array: the function's own
     ``values_and_derivatives`` when it has one, else F plus the
-    four-shift ``numeric_derivative`` stencil.
+    four-shift ``numeric_derivative`` stencil.  ``zero_scale(lams)`` gives
+    the magnitudes of every matrix entry the function's
+    ``zero_scale_entries`` returns for the whole array, or None without
+    that hook.
     """
 
     def __init__(self, f):
@@ -133,11 +137,11 @@ class _Scanner:
         lams = np.asarray(lams, dtype=complex)
         return self.values(lams), numeric_derivative(self.values, lams)
 
-    def zero_scale(self, lam):
+    def zero_scale(self, lams):
         hook = getattr(self._f, "zero_scale_entries", None)
         if hook is None:
             return None
-        return np.abs(np.asarray(hook(lam))).ravel()
+        return np.abs(np.asarray(hook(lams))).ravel()
 
 
 def numeric_derivative(f, lam, h_scale=1e-6):
@@ -276,7 +280,8 @@ def detect_identically_zero(f, rect, samples=25, seed=0):
     """True when F vanishes identically on the region (degenerate problem).
 
     |F| is tested at quasi-random points against 1e-13 times a scale built
-    from the median matrix-entry magnitude when the function exposes one.
+    from the median matrix-entry magnitude over all the points, taken from
+    one batched ``zero_scale_entries`` call when the function exposes one.
     """
     scan = f if isinstance(f, _Scanner) else _Scanner(f)
     pts = _halton(samples, skip=20 + 64 * (seed % 1024))
@@ -285,12 +290,8 @@ def detect_identically_zero(f, rect, samples=25, seed=0):
         + pts[:, 0] * rect.width
         + 1j * (rect.lo.imag + pts[:, 1] * rect.height)
     )
-    entries = []
-    for lam in lams:
-        mags = scan.zero_scale(lam)
-        if mags is not None:
-            entries.extend(mags)
-    scale = 1.0 + (float(np.median(entries)) if entries else 0.0)
+    mags = scan.zero_scale(lams)
+    scale = 1.0 + (float(np.median(mags)) if mags is not None else 0.0)
     return bool(np.all(np.abs(scan.values(lams)) < 1e-13 * scale))
 
 

@@ -30,6 +30,7 @@ from charspec import (
 from charspec.catalog import (
     apply_functional_to_samples,
     grid_derivative,
+    is_dirichlet,
     phi_from_psi,
 )
 from charspec.charfn import delay_weight
@@ -256,8 +257,13 @@ def test_value_equals_matrix_determinant():
     for spec in specs:
         for lam in PROBE_LAMS:
             direct = char_value(spec, lam)
-            via_det = determinant(char_matrix(spec, lam))
+            mat = char_matrix(spec, lam)
+            via_det = determinant(mat)
             assert abs(direct - via_det) <= 5e-13 * max(1.0, abs(direct))
+            if is_dirichlet(spec.kind):
+                # the entry-by-entry Delta(lam) = Phi L_lam is the reference
+                via_delta = np.eye(mat.shape[0]) - delta_matrix(spec, lam)
+                assert np.all(np.abs(via_delta - mat) <= 5e-13 * np.maximum(1.0, np.abs(mat)))
 
 
 def test_delta_matrix_periodic_is_exp():

@@ -160,6 +160,20 @@ def test_kernel_basis_scale_anchor():
     assert len(vecs) == 1 and vecs[0][0] == 1.0
 
 
+def test_kernel_basis_of_kahan_matrices():
+    # rank deficiency hidden from pivoted elimination: the 25 eps diagonal
+    # keeps complete pivoting from swapping, and no pivot then falls below
+    # 1e-8 of the first (sigma_min/sigma_max is 5e-11 and 4.5e-16)
+    theta = 1.2
+    for n in (60, 90):
+        ones = np.triu(np.ones((n, n)), 1)
+        k = np.diag(np.sin(theta) ** np.arange(n)) @ (np.eye(n) - np.cos(theta) * ones)
+        k += 25.0 * np.finfo(float).eps * np.diag(np.arange(n, 0, -1.0))
+        (v,) = kernel_basis(k, rtol=1e-8)
+        assert np.max(np.abs(v)) == 1.0
+        assert np.max(np.abs(k @ v)) <= 1e-8
+
+
 def test_schur_complements_scalar_blocks():
     blocks = BlockMatrix(P=[[2.0]], Q=[[1.0]], R=[[1.0]], S=[[1.0]])
     assert_allclose(schur_complement_1(blocks), [[1.0]], atol=1e-14)

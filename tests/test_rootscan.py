@@ -173,8 +173,9 @@ class CountingFn:
         self.calls.append(("pair", np.ravel(lams)))
         return self._fn.values_and_derivatives(lams)
 
-    def zero_scale_entries(self, lam):
-        return self._fn.zero_scale_entries(lam)
+    def zero_scale_entries(self, lams):
+        self.calls.append(("zero_scale", np.ravel(lams)))
+        return self._fn.zero_scale_entries(lams)
 
 
 def test_winding_pass_evaluates_f_once_per_node():
@@ -226,6 +227,15 @@ def test_detect_identically_zero():
         ProblemSpec(kind=FirstDerivative(), psi=(ZERO_FUNCTIONAL,))
     )
     assert detect_identically_zero(degenerate, box)
+
+
+def test_zero_detection_assembles_all_points_in_one_call():
+    counter = CountingFn(periodic_fn())
+    assert not detect_identically_zero(counter, BIG)
+    hooks = [lams for kind, lams in counter.calls if kind == "zero_scale"]
+    (values,) = [lams for kind, lams in counter.calls if kind == "values"]
+    assert len(hooks) == 1 and hooks[0].size == 25
+    assert np.array_equal(hooks[0], values)
 
 
 # -- newton refinement --------------------------------------------------------
