@@ -8,8 +8,10 @@ together with the machinery to apply boundary functionals to such curves.
 
 All closed forms are written in terms of cosh(u*sqrt(lambda)) and
 sinh(u*sqrt(lambda))/sqrt(lambda), both of which are even in sqrt(lambda)
-and therefore entire in lambda; near the branch point of the naive formula
-we switch to truncated even power series so evaluation stays smooth there.
+and therefore entire in lambda, so the principal root evaluates them
+everywhere.  ``_sqrt_jet`` computes both with the lambda-derivative of the
+second; that derivative's quotient cancels near lambda = 0, and its even
+power series there is the only series left.
 """
 
 from __future__ import annotations
@@ -43,7 +45,6 @@ __all__ = [
     "sinhc_sqrt",
     "is_dirichlet",
     "boundary_dimension",
-    "branch_point",
     "trace_operator",
     "phi_from_psi",
     "dirichlet_basis",
@@ -58,96 +59,63 @@ __all__ = [
 # ---------------------------------------------------------------------------
 # entire building blocks
 
-_SERIES_RADIUS = 1e-6
+# below |lam u^2| = 1e-2 the derivative quotient (u C - S)/(2 lam) would lose
+# eps/|lam u^2| to cancellation; eight series terms hold double precision there
+_SERIES_RADIUS = 1e-2
 _SERIES_TERMS = 8
 
 
-def _broadcast(lam, u):
+def _sqrt_jet(lam, u, dlam):
+    """(C, S, dS): C = cosh(u sqrt lam), S = sinh(u sqrt lam)/sqrt lam and,
+    when ``dlam``, dS/dlam = (u C - S)/(2 lam) (else None).
+
+    All three are entire in lam and broadcast over lam and u.  C and S are
+    even in sqrt lam, so the principal root serves everywhere; S needs only
+    its limit u at lam = 0.  The quotient for dS cancels near 0, so there it
+    is the even power series u^3 sum_n n (lam u^2)^(n-1)/(2n+1)!.  The
+    lambda-derivative of C is (u/2) S.
+    """
     lam = np.asarray(lam, dtype=complex)
     u = np.asarray(u, dtype=complex)
-    shape = np.broadcast_shapes(lam.shape, u.shape)
-    lam_b = np.broadcast_to(lam, shape).reshape(-1)
-    u_b = np.broadcast_to(u, shape).reshape(-1)
-    return lam_b, u_b, shape
-
-
-def _restore(flat, shape):
-    out = flat.reshape(shape)
-    return complex(out) if shape == () else out
+    w = np.sqrt(lam)
+    wu = w * u
+    c = np.cosh(wu)
+    zero = w == 0
+    s = np.where(zero, u, np.sinh(wu) / np.where(zero, 1.0, w))
+    if not dlam:
+        return c, s, None
+    z = lam * u * u
+    near = np.abs(z) < _SERIES_RADIUS
+    # each branch gets harmless stand-ins where the other one is taken
+    z = np.where(near, z, 0.0)
+    top = _SERIES_TERMS - 1
+    acc = top / math.factorial(2 * top + 1)
+    for n in range(top - 1, 0, -1):
+        acc = acc * z + n / math.factorial(2 * n + 1)
+    ds = np.where(near, acc * u ** 3, (u * c - s) / (2.0 * np.where(near, 1.0, lam)))
+    return c, s, ds
 
 
 def cosh_sqrt(lam, u):
-    """cosh(u*sqrt(lam)), entire in lam (even power series near lam = 0)."""
-    lam_b, u_b, shape = _broadcast(lam, u)
-    out = np.empty(lam_b.shape, dtype=complex)
-    small = np.abs(lam_b) < _SERIES_RADIUS
-    big = ~small
-    if big.any():
-        w = np.sqrt(lam_b[big])
-        out[big] = np.cosh(w * u_b[big])
-    if small.any():
-        z = lam_b[small] * u_b[small] ** 2
-        acc = np.full(z.shape, 1.0 / math.factorial(2 * (_SERIES_TERMS - 1)), dtype=complex)
-        for n in range(_SERIES_TERMS - 2, -1, -1):
-            acc = acc * z + 1.0 / math.factorial(2 * n)
-        out[small] = acc
-    return _restore(out, shape)
+    """cosh(u*sqrt(lam)), entire in lam."""
+    return _scalar(_sqrt_jet(lam, u, False)[0])
 
 
 def sinhc_sqrt(lam, u):
     """sinh(u*sqrt(lam))/sqrt(lam), entire in lam; equals u at lam = 0."""
-    lam_b, u_b, shape = _broadcast(lam, u)
-    out = np.empty(lam_b.shape, dtype=complex)
-    small = np.abs(lam_b) < _SERIES_RADIUS
-    big = ~small
-    if big.any():
-        w = np.sqrt(lam_b[big])
-        out[big] = np.sinh(w * u_b[big]) / w
-    if small.any():
-        z = lam_b[small] * u_b[small] ** 2
-        acc = np.full(z.shape, 1.0 / math.factorial(2 * _SERIES_TERMS - 1), dtype=complex)
-        for n in range(_SERIES_TERMS - 2, -1, -1):
-            acc = acc * z + 1.0 / math.factorial(2 * n + 1)
-        out[small] = acc * u_b[small]
-    return _restore(out, shape)
-
-
-def _sinhc_sqrt_dlam(lam, u, ch, sc):
-    """d/dlam sinhc_sqrt(lam, u) = (u cosh(u sqrt lam) - sinhc)/(2 lam), entire.
-
-    ``ch`` and ``sc`` are cosh_sqrt(lam, u) and sinhc_sqrt(lam, u); near
-    lam = 0 the even power series replaces the quotient.
-    """
-    lam_b, u_b, shape = _broadcast(lam, u)
-    ch = np.broadcast_to(ch, shape).reshape(-1)
-    sc = np.broadcast_to(sc, shape).reshape(-1)
-    out = np.empty(lam_b.shape, dtype=complex)
-    small = np.abs(lam_b) < _SERIES_RADIUS
-    big = ~small
-    if big.any():
-        out[big] = (u_b[big] * ch[big] - sc[big]) / (2.0 * lam_b[big])
-    if small.any():
-        z = lam_b[small] * u_b[small] ** 2
-        top = _SERIES_TERMS - 1
-        acc = np.full(z.shape, top / math.factorial(2 * top + 1), dtype=complex)
-        for n in range(top - 1, 0, -1):
-            acc = acc * z + n / math.factorial(2 * n + 1)
-        out[small] = acc * u_b[small] ** 3
-    return _restore(out, shape)
+    return _scalar(_sqrt_jet(lam, u, False)[1])
 
 
 def _sqrt_curve(lam, u, lam_power, use_cosh, dlam):
     """lam^p cosh_sqrt(lam, u) or lam^p sinhc_sqrt(lam, u), p in {0, 1},
     with its lambda-derivative when ``dlam`` (else None)."""
-    x = cosh_sqrt(lam, u) if use_cosh else sinhc_sqrt(lam, u)
-    val = _mul(lam, x) if lam_power else x
+    c, s, ds = _sqrt_jet(lam, u, dlam)
+    x = c if use_cosh else s
+    val = lam * x if lam_power else x
     if not dlam:
-        return val, None
-    if use_cosh:
-        dx = _mul(0.5 * np.asarray(u), sinhc_sqrt(lam, u))
-    else:
-        dx = _sinhc_sqrt_dlam(lam, u, cosh_sqrt(lam, u), x)
-    return val, (x + _mul(lam, dx) if lam_power else dx)
+        return _scalar(val), None
+    dx = 0.5 * u * s if use_cosh else ds
+    return _scalar(val), _scalar(x + lam * dx if lam_power else dx)
 
 
 # ---------------------------------------------------------------------------
@@ -270,15 +238,6 @@ def boundary_dimension(kind):
         raise UnsupportedKindError(f"{type(kind).__name__} has no boundary trace space")
 
 
-def branch_point(kind):
-    """Where the naive sqrt-based closed forms would lose smoothness."""
-    if isinstance(kind, (SecondDerivative, BoundaryDelayHeat)):
-        return 0j
-    if isinstance(kind, ConvectionDiffusion):
-        return kind.k - kind.c ** 2
-    raise UnsupportedKindError(f"{type(kind).__name__} has no branch point")
-
-
 # ---------------------------------------------------------------------------
 # boundary functionals
 
@@ -349,9 +308,6 @@ class BoundaryFunctional:
         if not isinstance(other, BoundaryFunctional):
             return NotImplemented
         return self + other.scaled(-1)
-
-    def __neg__(self):
-        return self.scaled(-1)
 
     def __rmul__(self, factor):
         return self.scaled(factor)
@@ -515,7 +471,7 @@ def _curve_jet(kind, index, lam, s, order, dlam):
         c = kind.c
         mu = np.asarray(lam, dtype=complex) + c * c - kind.k
         u = np.asarray(s, dtype=complex) - 1.0
-        ch, sh = cosh_sqrt(mu, u), sinhc_sqrt(mu, u)
+        ch, sh, dsh = _sqrt_jet(mu, u, dlam)
         # f = e^{cu} g with g = cosh - c sinhc; g' = mu sinhc - c cosh, g'' = mu g
         form = (
             lambda g0, g1, g2: g0,
@@ -524,13 +480,13 @@ def _curve_jet(kind, index, lam, s, order, dlam):
         )[order]
         scale = np.exp(c * u)
         g0 = ch - c * sh
-        val = _mul(scale, form(g0, _mul(mu, sh) - c * ch, _mul(mu, g0)))
+        val = _scalar(scale * form(g0, mu * sh - c * ch, mu * g0))
         if not dlam:
             return val, None
-        dch, dsh = _mul(0.5 * u, sh), _sinhc_sqrt_dlam(mu, u, ch, sh)
+        dch = 0.5 * u * sh
         dg0 = dch - c * dsh
-        d = _mul(scale, form(dg0, sh + _mul(mu, dsh) - c * dch, g0 + _mul(mu, dg0)))
-        return val, d
+        d = scale * form(dg0, sh + mu * dsh - c * dch, g0 + mu * dg0)
+        return val, _scalar(d)
     if isinstance(kind, BoundaryDelayHeat):
         if index != 0:
             raise DimensionError("boundary-delay heat kind has a single curve")
@@ -540,12 +496,7 @@ def _curve_jet(kind, index, lam, s, order, dlam):
 
 
 def _scalar(x):
-    return complex(x) if isinstance(x, np.ndarray) and x.shape == () else x
-
-
-def _mul(a, b):
-    out = np.asarray(a, dtype=complex) * np.asarray(b, dtype=complex)
-    return complex(out) if out.shape == () else out
+    return complex(x) if isinstance(x, (np.ndarray, np.generic)) and x.ndim == 0 else x
 
 
 @dataclass(frozen=True)

@@ -14,7 +14,6 @@ machinery instead; it stays as the reference the tests hold the family to.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,16 +32,15 @@ from .catalog import (
     SecondDerivative,
     _curve_jet,
     _functional_jet,
+    _sqrt_jet,
     apply_functional,
     apply_functional_to_samples,
     boundary_dimension,
-    cosh_sqrt,
     dirichlet_basis,
     functional_on_basis,
     is_dirichlet,
     phi_from_psi,
     resolvent_apply,
-    sinhc_sqrt,
 )
 from .errors import (
     DimensionError,
@@ -179,47 +177,6 @@ def delta_matrix(spec, lam):
     return out
 
 
-def _bdh_mean(lams, dlam):
-    """(1 - cosh(sqrt(lam)))/lam, entire; value -1/2 at lam = 0.
-
-    This is the exact mean of the Dirichlet curve over [0,1].  Returns the
-    mean and, when ``dlam``, its derivative -(sinhc(lam, 1)/2 + mean)/lam
-    (else None); both switch to even power series near 0.
-    """
-    lams = np.asarray(lams, dtype=complex)
-    out = np.empty(lams.shape, dtype=complex)
-    small = np.abs(lams) < 1e-6
-    big = ~small
-    if big.any():
-        z = lams[big]
-        out[big] = (1.0 - np.cosh(np.sqrt(z))) / z
-    if small.any():
-        z = lams[small]
-        acc = np.full(z.shape, -1.0 / math.factorial(16), dtype=complex)
-        for n in range(7, 0, -1):
-            acc = acc * z - 1.0 / math.factorial(2 * n)
-        out[small] = acc
-    if not dlam:
-        return out, None
-    # the quotient subtracts O(1) terms to an O(lam) result and divides by
-    # lam again, so the mean's rounding (eps/|lam|) grows to eps/|lam|^2;
-    # the eight-term series holds double precision out to |lam| = 1e-2
-    d_out = np.empty(lams.shape, dtype=complex)
-    near = np.abs(lams) < 1e-2
-    far = ~near
-    if far.any():
-        z = lams[far]
-        w = np.sqrt(z)
-        d_out[far] = -(0.5 * np.sinh(w) / w + out[far]) / z
-    if near.any():
-        z = lams[near]
-        acc = np.full(z.shape, -7.0 / math.factorial(16), dtype=complex)
-        for n in range(7, 1, -1):
-            acc = acc * z - (n - 1) / math.factorial(2 * n)
-        d_out[near] = acc
-    return out, d_out
-
-
 def _det_derivative(stack, dstack, det):
     """d det(M)/dlam for each matrix of the stack, given dM/dlam and det(M).
 
@@ -275,12 +232,15 @@ def matrix_family(spec, lams, dlam=False):
         d = -ex - np.asarray(df0) + np.asarray(df1) if dlam else None
     elif isinstance(kind, BoundaryDelayHeat):
         w = delay_weight(kind, lams)
-        mean, dmean = _bdh_mean(lams, dlam)
-        out = np.asarray(cosh_sqrt(lams, 1.0)) - w * mean
+        c, s, ds = _sqrt_jet(lams[..., None], (1.0, 0.5), dlam)
+        # the curve's mean (1 - cosh(sqrt lam))/lam = -2 sinhc(lam, 1/2)^2,
+        # entire and free of cancellation
+        mean = -2.0 * s[..., 1] ** 2
+        out = c[..., 0] - w * mean
         d = None
         if dlam:
             dw = sum(wt * r * np.exp(lams * r) for r, wt in kind.atoms)
-            d = 0.5 * np.asarray(sinhc_sqrt(lams, 1.0)) - dw * mean - w * dmean
+            d = 0.5 * s[..., 0] - dw * mean + 4.0 * w * s[..., 1] * ds[..., 1]
     else:
         lam = lams[..., None, None]
         eye = np.eye(kind.dim, dtype=complex)

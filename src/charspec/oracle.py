@@ -251,24 +251,18 @@ def dense_eigenvalues(matrix, window=None):
     return out
 
 
-_A_M = {
-    FirstDerivative: lambda kind, f, s: f.evaluate(s, 1),
-    SecondDerivative: lambda kind, f, s: f.evaluate(s, 2),
-}
-
-
 def _apply_generator(kind, f, s):
+    """A_m f on the grid: f' for the first-derivative kind, f'' for the
+    others, plus -2c f' + k f for convection-diffusion."""
+    if isinstance(kind, FirstDerivative):
+        return np.asarray(f.evaluate(s, 1))
     if isinstance(kind, ConvectionDiffusion):
         return (
             np.asarray(f.evaluate(s, 2))
             - 2.0 * kind.c * np.asarray(f.evaluate(s, 1))
             + kind.k * np.asarray(f.evaluate(s, 0))
         )
-    handler = _A_M.get(type(kind))
-    if handler is None:
-        # remaining Dirichlet kind acts as the plain second derivative
-        return np.asarray(f.evaluate(s, 2))
-    return np.asarray(handler(kind, f, s))
+    return np.asarray(f.evaluate(s, 2))
 
 
 def eigen_residual(kind, psi, lam, f, npts=2001):

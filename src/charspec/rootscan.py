@@ -35,7 +35,6 @@ __all__ = [
     "RootReport",
     "numeric_derivative",
     "winding_count",
-    "winding_count_circle",
     "detect_identically_zero",
     "newton_refine",
     "find_zeros",
@@ -242,26 +241,6 @@ def winding_count(f, rect, settled=False):
     )
 
 
-def winding_count_circle(f, center, radius, max_doublings=8):
-    """Zero count inside a circle (trapezoid contour rule, spectrally accurate)."""
-    scan = f if isinstance(f, _Scanner) else _Scanner(f)
-    n = 64
-    prev = None
-    for _ in range(max_doublings):
-        theta = np.linspace(0.0, 2.0 * math.pi, n, endpoint=False)
-        z = center + radius * np.exp(1j * theta)
-        fz, dfz = scan.pair(z)
-        logd = dfz / fz
-        dz = 1j * radius * np.exp(1j * theta) * (2.0 * math.pi / n)
-        val = (logd @ dz) / TWO_PI_I
-        k = int(round(val.real))
-        if prev is not None and k == prev and abs(val - k) < 1e-3 and k >= 0:
-            return k
-        prev = k
-        n *= 2
-    raise QuadratureFailureError(f"circle count failed to settle at {center}")
-
-
 def _halton(count, skip=20):
     """2-d Halton points (bases 2 and 3), deterministic."""
     out = np.empty((count, 2))
@@ -372,10 +351,6 @@ class RootReport:
     roots: tuple
     identically_zero: bool
     tol: float
-
-    @property
-    def locations(self):
-        return [r.location for r in self.roots]
 
     def total_multiplicity(self):
         return sum(r.multiplicity for r in self.roots)

@@ -16,11 +16,11 @@ from charspec.catalog import (
     QuadraticPencil,
     SecondDerivative,
     ZERO_FUNCTIONAL,
+    _curve_jet,
     apply_functional,
     apply_functional_to_samples,
     basis_eval,
     boundary_dimension,
-    branch_point,
     cosh_sqrt,
     dirichlet_basis,
     functional_on_basis,
@@ -58,13 +58,45 @@ def test_cosh_sinhc_closed_values():
 
 
 def test_series_window_matches_direct_formula():
-    # inside the power-series window the values must still agree with the
-    # naive sqrt evaluation (which is fine pointwise, just not entire)
+    # around lam = 0 the values must still agree with the naive sqrt
+    # evaluation (which is fine pointwise, just not entire)
     for u in (0.3, 1.0):
         for lam in (9.9e-7, -9.9e-7 + 1e-8j, 1e-12, 0.99e-6j, 1.01e-6):
             w = np.sqrt(complex(lam))
             assert abs(cosh_sqrt(lam, u) - np.cosh(w * u)) < 1e-13
             assert abs(sinhc_sqrt(lam, u) - np.sinh(w * u) / w) < 1e-13
+
+
+# around lam = 0, across the old 1e-6 series radius and the 1e-2 switch of
+# the derivative's series (in lam u^2), and far out in the plane
+JET_LAMS = (1e-9, 1.1e-6, 2e-6, 1e-5j, 1e-4, -1e-3, 0.0099, 0.0101, 0.02, -4 + 1j, 20 + 30j)
+
+
+def test_sqrt_jet_matches_mpmath():
+    # the second-derivative curves are cosh(u sqrt lam) and
+    # sinh(u sqrt lam)/sqrt lam at s = u, with their lambda-derivatives
+    mpmath = pytest.importorskip("mpmath")
+    lams = np.array(JET_LAMS, dtype=complex)
+    with mpmath.workdps(50):
+        for u in (0.5, 1.0, -0.3):
+            want_c, want_dc, want_s, want_ds = [], [], [], []
+            for lam in JET_LAMS:
+                z = mpmath.mpc(lam)
+                w = mpmath.sqrt(z)
+                c, s = mpmath.cosh(u * w), mpmath.sinh(u * w) / w
+                want_c.append(complex(c))
+                want_dc.append(complex(u * s / 2))
+                want_s.append(complex(s))
+                want_ds.append(complex((u * c - s) / (2 * z)))
+            c, dc = _curve_jet(SecondDerivative(), 0, lams, u, 0, True)
+            s, ds = _curve_jet(SecondDerivative(), 1, lams, u, 0, True)
+            for got, want in ((c, want_c), (dc, want_dc), (s, want_s), (ds, want_ds)):
+                assert_allclose(got, want, rtol=1e-13, atol=0)
+            for lam, want in zip(JET_LAMS, want_c):
+                assert isinstance(cosh_sqrt(lam, u), complex)
+                assert_allclose(cosh_sqrt(lam, u), want, rtol=1e-13, atol=0)
+            for lam, want in zip(JET_LAMS, want_s):
+                assert_allclose(sinhc_sqrt(lam, u), want, rtol=1e-13, atol=0)
 
 
 def test_no_cut_along_negative_axis():
@@ -122,13 +154,6 @@ def test_kind_validation():
     assert not is_dirichlet(DelaySystem(instant=((0.0,),)))
     with pytest.raises(UnsupportedKindError):
         boundary_dimension(DelaySystem(instant=((0.0,),)))
-
-
-def test_branch_points():
-    assert branch_point(SecondDerivative()) == 0j
-    assert branch_point(ConvectionDiffusion(c=1.0, k=-1.0)) == -2 + 0j
-    with pytest.raises(UnsupportedKindError):
-        branch_point(FirstDerivative())
 
 
 # -- traces and curves --------------------------------------------------------

@@ -127,6 +127,30 @@ def test_boundary_delay_heat_values():
         assert_allclose(lam * np.exp(lam) * char_value(spec, lam), cleared, rtol=1e-12)
 
 
+def test_boundary_delay_heat_matches_mpmath():
+    # F = cosh(sqrt lam) - w(lam) m(lam) with the mean m = (1 - cosh(sqrt lam))/lam,
+    # which cancels near lam = 0; 50 digits leave enough after the cancellation
+    mpmath = pytest.importorskip("mpmath")
+    atoms = BoundaryDelayHeat().atoms
+    spec = ProblemSpec(kind=BoundaryDelayHeat())
+    lams = (1e-9, 1.1e-6, 2e-6, 1e-5j, 1e-4, -1e-3, 0.0099, 0.0101, 0.02, -4 + 1j, 20 + 30j)
+    want_f, want_d = [], []
+    with mpmath.workdps(50):
+        for lam in lams:
+            z = mpmath.mpc(lam)
+            r = mpmath.sqrt(z)
+            w = sum(wt * mpmath.exp(z * lag) for lag, wt in atoms)
+            dw = sum(wt * lag * mpmath.exp(z * lag) for lag, wt in atoms)
+            mean = (1 - mpmath.cosh(r)) / z
+            half_sinhc = mpmath.sinh(r) / (2 * r)
+            dmean = -(half_sinhc + mean) / z
+            want_f.append(complex(mpmath.cosh(r) - w * mean))
+            want_d.append(complex(half_sinhc - dw * mean - w * dmean))
+    f, d = build_char_function(spec).values_and_derivatives(np.array(lams, dtype=complex))
+    assert_allclose(f, want_f, rtol=1e-13, atol=0)
+    assert_allclose(d, want_d, rtol=1e-13, atol=0)
+
+
 def test_convection_diffusion_intrinsic_root_at_zero():
     # with the built-in delayed coupling the constant function is a fixed
     # point whenever k = 0, for any convection strength
@@ -207,16 +231,14 @@ def _derivative_specs():
 
 def test_analytic_derivative_matches_stencil():
     branch = ConvectionDiffusion(c=0.7, k=-0.4).k - 0.7**2
-    # near the series windows (lam ~ 0, the convection branch point) the
-    # closed forms round at 1e-10, so the stencil needs a wider step there
     near = (3e-7 + 2e-7j, -8e-7, branch, branch + 5e-7j)
     for spec in _derivative_specs():
         fn = build_char_function(spec)
-        for lams, h_scale in ((PROBE_LAMS, 1e-6), (near, 1e-3)):
+        for lams in (PROBE_LAMS, near):
             lams = np.array(lams, dtype=complex)
             f, d = fn.values_and_derivatives(lams)
             assert np.array_equal(f, char_values(spec, lams))
-            want = np.array([numeric_derivative(fn, lam, h_scale) for lam in lams])
+            want = np.array([numeric_derivative(fn, lam, 1e-6) for lam in lams])
             assert np.all(np.abs(d - want) <= 1e-8 * np.maximum(1.0, np.abs(want)))
 
 

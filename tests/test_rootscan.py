@@ -24,7 +24,6 @@ from charspec.errors import (
 from charspec.rootscan import (
     detect_identically_zero,
     numeric_derivative,
-    winding_count_circle,
 )
 
 TWO_PI = 2.0 * math.pi
@@ -207,12 +206,6 @@ def test_winding_moment_locates_the_enclosed_roots():
     count, _, moment = winding_count(periodic_fn(), quad, settled=True)
     assert count == 2
     assert abs(quad.center + moment / 2 + math.pi * 1j) < 1e-6
-
-
-def test_winding_circle():
-    assert winding_count_circle(VecFn(lambda z: z * z), 0.0, 0.7) == 2
-    assert winding_count_circle(VecFn(lambda z: z * z), 2.0, 0.5) == 0
-    assert winding_count_circle(periodic_fn(), TWO_PI * 1j, 1.0) == 1
 
 
 # -- identically-zero detection -----------------------------------------------
