@@ -4,7 +4,9 @@ The catalog kinds describe generators on the unit interval whose point
 spectrum is characterized by a finite determinant condition.  For each
 Dirichlet-capable kind this module produces the basis of bounded solution
 curves of (lambda - A_m) f = 0 normalized against the trace functionals,
-together with the machinery to apply boundary functionals to such curves.
+and applies boundary functionals to them: to all rows and curves of a
+lambda batch at once (``functional_on_basis``, one ``_basis_jet`` per point
+set), or entry by entry (``basis_eval`` and ``apply_functional``).
 
 All closed forms are written in terms of cosh(u*sqrt(lambda)) and
 sinh(u*sqrt(lambda))/sqrt(lambda), both of which are even in sqrt(lambda)
@@ -41,8 +43,6 @@ __all__ = [
     "gauss_legendre",
     "HoloCurve",
     "CurveCombination",
-    "cosh_sqrt",
-    "sinhc_sqrt",
     "is_dirichlet",
     "boundary_dimension",
     "trace_operator",
@@ -94,28 +94,6 @@ def _sqrt_jet(lam, u, dlam):
         acc = acc * z + n / math.factorial(2 * n + 1)
     ds = np.where(near, acc * u ** 3, (u * c - s) / (2.0 * np.where(near, 1.0, lam)))
     return c, s, ds
-
-
-def cosh_sqrt(lam, u):
-    """cosh(u*sqrt(lam)), entire in lam."""
-    return _scalar(_sqrt_jet(lam, u, False)[0])
-
-
-def sinhc_sqrt(lam, u):
-    """sinh(u*sqrt(lam))/sqrt(lam), entire in lam; equals u at lam = 0."""
-    return _scalar(_sqrt_jet(lam, u, False)[1])
-
-
-def _sqrt_curve(lam, u, lam_power, use_cosh, dlam):
-    """lam^p cosh_sqrt(lam, u) or lam^p sinhc_sqrt(lam, u), p in {0, 1},
-    with its lambda-derivative when ``dlam`` (else None)."""
-    c, s, ds = _sqrt_jet(lam, u, dlam)
-    x = c if use_cosh else s
-    val = lam * x if lam_power else x
-    if not dlam:
-        return _scalar(val), None
-    dx = 0.5 * u * s if use_cosh else ds
-    return _scalar(val), _scalar(x + lam * dx if lam_power else dx)
 
 
 # ---------------------------------------------------------------------------
@@ -340,9 +318,6 @@ def integral_functional(weight=1.0, kernel="const", rate=0.0):
     return BoundaryFunctional(integrals=(IntegralTerm(weight, kernel, rate),))
 
 
-ZERO_FUNCTIONAL = BoundaryFunctional()
-
-
 # ---------------------------------------------------------------------------
 # quadrature
 
@@ -429,45 +404,34 @@ def basis_eval(kind, index, lam, s, order=0):
     """Evaluate d^order/ds^order of Dirichlet curve ``index`` at (lam, s).
 
     Both ``lam`` and ``s`` may be scalars or arrays (broadcast together);
-    this is the single evaluation path shared by scalar curve objects and
-    the vectorized characteristic-function assembly.
+    this entry-by-entry route reads the same ``_basis_jet`` as the assembly.
     """
-    return _curve_jet(kind, index, lam, s, order, False)[0]
-
-
-# d^order/ds^order of cosh(u sqrt lam) and of sinh(u sqrt lam)/sqrt lam, as
-# (power of lam, cosh or sinhc) pairs; u is s, or s - 1 for the heat curve
-_SQRT_CURVES = (
-    ((0, True), (1, False), (1, True)),
-    ((0, False), (0, True), (1, False)),
-)
-
-
-def _curve_jet(kind, index, lam, s, order, dlam):
-    """basis_eval's value and, when ``dlam``, its lambda-derivative (else None)."""
     if order not in (0, 1, 2):
         raise ValueError(f"derivative order {order} not in {{0, 1, 2}}")
+    if not 0 <= index < boundary_dimension(kind):
+        raise DimensionError(f"{type(kind).__name__} has no curve {index}")
+    val = _basis_jet(kind, lam, s, False)(index, order)[0]
+    return complex(val) if val.ndim == 0 else val
+
+
+def _basis_jet(kind, lam, s, dlam):
+    """All Dirichlet curves of ``kind`` at (lam, s), broadcast together, from
+    one exponential (first-derivative kind) or one ``_sqrt_jet`` (the others).
+
+    Returns ``column(index, order)``, a few products of those values: the
+    curve's d^order/ds^order and its lambda-derivative (None unless ``dlam``).
+    """
     if isinstance(kind, FirstDerivative):
-        if index != 0:
-            raise DimensionError("first-derivative kind has a single curve")
         lam = np.asarray(lam, dtype=complex)
-        s = np.asarray(s)
         e = np.exp(lam * s)
-        val = e if order == 0 else lam ** order * e
-        if not dlam:
-            d = None
-        elif order == 0:
-            d = s * e  # the integrand's case: skip two full-size temporaries
-        else:
-            d = (order * lam ** (order - 1) + s * lam ** order) * e
-        return _scalar(val), _scalar(d)
-    if isinstance(kind, SecondDerivative):
-        if index not in (0, 1):
-            raise DimensionError("second-derivative kind has two curves")
-        return _sqrt_curve(lam, s, *_SQRT_CURVES[index][order], dlam)
-    if isinstance(kind, ConvectionDiffusion):
-        if index != 0:
-            raise DimensionError("convection-diffusion kind has a single curve")
+
+        def column(index, order):
+            if order == 0:  # the integrand's case: skip two full-size temporaries
+                return e, (s * e if dlam else None)
+            d = (order * lam ** (order - 1) + s * lam ** order) * e if dlam else None
+            return lam ** order * e, d
+
+    elif isinstance(kind, ConvectionDiffusion):
         c = kind.c
         mu = np.asarray(lam, dtype=complex) + c * c - kind.k
         u = np.asarray(s, dtype=complex) - 1.0
@@ -477,26 +441,36 @@ def _curve_jet(kind, index, lam, s, order, dlam):
             lambda g0, g1, g2: g0,
             lambda g0, g1, g2: c * g0 + g1,
             lambda g0, g1, g2: c * c * g0 + 2 * c * g1 + g2,
-        )[order]
+        )
         scale = np.exp(c * u)
         g0 = ch - c * sh
-        val = _scalar(scale * form(g0, mu * sh - c * ch, mu * g0))
-        if not dlam:
-            return val, None
-        dch = 0.5 * u * sh
-        dg0 = dch - c * dsh
-        d = scale * form(dg0, sh + mu * dsh - c * dch, g0 + mu * dg0)
-        return val, _scalar(d)
-    if isinstance(kind, BoundaryDelayHeat):
-        if index != 0:
-            raise DimensionError("boundary-delay heat kind has a single curve")
-        u = np.asarray(s, dtype=complex) - 1.0
-        return _sqrt_curve(lam, u, *_SQRT_CURVES[1][order], dlam)
-    raise UnsupportedKindError(f"{type(kind).__name__} has no Dirichlet curves")
+        g = (g0, mu * sh - c * ch, mu * g0)
+        if dlam:
+            dch = 0.5 * u * sh
+            dg0 = dch - c * dsh
+            dg = (dg0, sh + mu * dsh - c * dch, g0 + mu * dg0)
 
+        def column(index, order):
+            return scale * form[order](*g), (scale * form[order](*dg) if dlam else None)
 
-def _scalar(x):
-    return complex(x) if isinstance(x, (np.ndarray, np.generic)) and x.ndim == 0 else x
+    else:
+        # second-derivative curves in s, the heat curve in u = s - 1
+        heat = isinstance(kind, BoundaryDelayHeat)
+        u = np.asarray(s, dtype=complex) - 1.0 if heat else s
+        ch, sh, dsh = _sqrt_jet(lam, u, dlam)
+
+        def column(index, order):
+            # d/ds steps sinhc -> cosh -> lam sinhc -> lam cosh; the
+            # second-derivative curve 0 starts at cosh, the others at sinhc
+            step = order if heat else order + 1 - index
+            x = ch if step % 2 else sh
+            val = lam * x if step >= 2 else x
+            if not dlam:
+                return val, None
+            dx = 0.5 * u * sh if step % 2 else dsh
+            return val, (x + lam * dx if step >= 2 else dx)
+
+    return column
 
 
 @dataclass(frozen=True)
@@ -563,44 +537,48 @@ def apply_functional(psi, f):
     return total
 
 
-def functional_on_basis(kind, psi, index, lams):
-    """Vectorized ``psi`` applied to Dirichlet curve ``index`` over ``lams``."""
-    return _functional_jet(kind, psi, index, lams, False)[0]
+def functional_on_basis(kind, psis, lams, dlam=False):
+    """M_ij = psis[i] applied to Dirichlet curve j, batched over ``lams``.
 
-
-def _functional_jet(kind, psi, index, lams, dlam):
-    """functional_on_basis and, when ``dlam``, its lambda-derivative (else None).
-
-    An integral term's value and derivative share one adaptive quadrature:
-    the sampler stacks both integrands, so they settle on the same nodes.
+    Returns M of shape lams.shape + (len(psis), m) and dM/dlam (None unless
+    ``dlam``).  One basis jet at the point-term locations serves every point
+    term; all integral terms share one adaptive quadrature, which takes one
+    jet per level and stacks values and derivatives on the same nodes.
     """
     lams = np.asarray(lams, dtype=complex)
-    out = np.zeros(lams.shape, dtype=complex)
-    d_out = np.zeros(lams.shape, dtype=complex) if dlam else None
-    for t in psi.points:
-        val, d = _curve_jet(kind, index, lams, t.location, t.order, dlam)
-        out += t.weight * np.asarray(val)
-        if dlam:
-            d_out += t.weight * np.asarray(d)
-    for t in psi.integrals:
+    m = boundary_dimension(kind)
+    # M, then dM when dlam; zipped against (value, derivative) pairs
+    outs = [np.zeros(lams.shape + (len(psis), m), dtype=complex) for _ in range(1 + dlam)]
+    locs = sorted({t.location for psi in psis for t in psi.points})
+    if locs:
+        # locations lead, so x[at, ...] below is a contiguous lams block; at a
+        # scalar lambda it is a 0-d array, whose products round as in a batch
+        at_locs = np.array(locs, dtype=complex).reshape((-1,) + (1,) * lams.ndim)
+        column = _basis_jet(kind, lams, at_locs, dlam)
+        orders = {t.order for psi in psis for t in psi.points}
+        cols = {(j, order): column(j, order) for j in range(m) for order in orders}
+    for i, psi in enumerate(psis):
+        for j in range(m):
+            for t in psi.points:
+                at = locs.index(t.location)
+                for out, x in zip(outs, cols[j, t.order]):
+                    out[..., i, j] += t.weight * x[at, ...]
+    integrands = [(i, j, t) for i, psi in enumerate(psis) for j in range(m) for t in psi.integrals]
+    if integrands:
 
         def sample(nodes):
-            val, d = _curve_jet(kind, index, lams[..., None], nodes, 0, dlam)
-            k = t.kernel_values(nodes)
-            if not dlam:
-                return k * np.asarray(val)
-            both = np.empty((2,) + np.shape(val), dtype=complex)
-            np.multiply(k, val, out=both[0])
-            np.multiply(k, d, out=both[1])
+            column = _basis_jet(kind, lams[..., None], nodes, dlam)
+            both = np.empty((len(integrands), 1 + dlam) + lams.shape + nodes.shape, dtype=complex)
+            for parts, (_, j, t) in zip(both, integrands):
+                k = t.kernel_values(nodes)
+                for part, x in zip(parts, column(j, 0)):
+                    np.multiply(k, x, out=part)
             return both
 
-        vals = _adaptive_quadrature(sample)
-        if dlam:
-            out += t.weight * vals[0]
-            d_out += t.weight * vals[1]
-        else:
-            out += t.weight * vals
-    return out, d_out
+        for (i, j, t), vals in zip(integrands, _adaptive_quadrature(sample)):
+            for out, x in zip(outs, vals):
+                out[..., i, j] += t.weight * x
+    return outs[0], (outs[1] if dlam else None)
 
 
 # ---------------------------------------------------------------------------

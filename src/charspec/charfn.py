@@ -7,9 +7,11 @@ systems and quadratic pencils contribute their own entire matrix families.
 ``matrix_family`` assembles M(lambda) (and dM/dlambda) batched over
 lambdas, once per kind: ``char_values``, the scanner's
 ``CharFunction.values_and_derivatives``, ``char_matrix``, the zero-scale
-entries and ``kernel_vectors`` all take M from it.  ``delta_matrix`` builds
-Delta(lambda) = Phi L_lambda entry by entry through the generic functional
-machinery instead; it stays as the reference the tests hold the family to.
+entries and ``kernel_vectors`` all take M from it; with user functionals
+it is ``catalog.functional_on_basis``, one pass over all rows and curves.
+``delta_matrix`` builds Delta(lambda) = Phi L_lambda entry by entry through
+the generic functional machinery instead; it stays as the reference the
+tests hold the family to.
 """
 
 from __future__ import annotations
@@ -30,12 +32,10 @@ from .catalog import (
     PointTerm,
     QuadraticPencil,
     SecondDerivative,
-    _curve_jet,
-    _functional_jet,
+    _basis_jet,
     _sqrt_jet,
     apply_functional,
     apply_functional_to_samples,
-    boundary_dimension,
     dirichlet_basis,
     functional_on_basis,
     is_dirichlet,
@@ -212,24 +212,15 @@ def matrix_family(spec, lams, dlam=False):
     kind = spec.kind
     lams = np.asarray(lams, dtype=complex)
     if spec.psi:
-        # F alone keeps going through the public functional_on_basis, the
-        # name the benchmark's tracer times catalog quadrature under
-        m = boundary_dimension(kind)
-        out = np.empty(lams.shape + (m, m), dtype=complex)
-        d = np.empty(out.shape, dtype=complex) if dlam else None
-        for i, psi in enumerate(spec.psi):
-            for j in range(m):
-                if dlam:
-                    out[..., i, j], d[..., i, j] = _functional_jet(kind, psi, j, lams, True)
-                else:
-                    out[..., i, j] = functional_on_basis(kind, psi, j, lams)
-        return out, d
+        # called through charfn's own binding, which perfbench's tracer times
+        return functional_on_basis(kind, spec.psi, lams, dlam)
     if isinstance(kind, ConvectionDiffusion):
-        f0, df0 = _curve_jet(kind, 0, lams, 0.0, 0, dlam)
-        f1, df1 = _curve_jet(kind, 0, lams, 0.0, 1, dlam)
+        column = _basis_jet(kind, lams, 0.0, dlam)
+        f0, df0 = column(0, 0)
+        f1, df1 = column(0, 1)
         ex = np.exp(-lams)
-        out = ex - np.asarray(f0) + np.asarray(f1)
-        d = -ex - np.asarray(df0) + np.asarray(df1) if dlam else None
+        out = ex - f0 + f1
+        d = -ex - df0 + df1 if dlam else None
     elif isinstance(kind, BoundaryDelayHeat):
         w = delay_weight(kind, lams)
         c, s, ds = _sqrt_jet(lams[..., None], (1.0, 0.5), dlam)

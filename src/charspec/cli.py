@@ -367,7 +367,14 @@ def _nearest(values, z):
 
 
 def run_job(cfg):
-    """Scan, certify and cross-check one job; never raises on math failures."""
+    """Scan, certify and cross-check one job.
+
+    A root failing certification or the oracle check is a failed record with
+    a note.  Scan errors (``find_zeros``: QuadratureFailureError,
+    BoundaryDegeneracyError, RootClusterError) and oracle errors
+    (ConvergenceError, UnsupportedKindError) propagate; ``main`` turns them
+    into exit status 2 and a report whose trailer names the error.
+    """
     spec = cfg.spec
     fn = build_char_function(spec)
     notes = []

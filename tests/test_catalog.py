@@ -6,6 +6,7 @@ from numpy.testing import assert_allclose
 
 from charspec.catalog import (
     BoundaryDelayHeat,
+    BoundaryFunctional,
     ConvectionDiffusion,
     CurveCombination,
     DelaySystem,
@@ -15,13 +16,12 @@ from charspec.catalog import (
     PointTerm,
     QuadraticPencil,
     SecondDerivative,
-    ZERO_FUNCTIONAL,
-    _curve_jet,
+    _basis_jet,
+    _sqrt_jet,
     apply_functional,
     apply_functional_to_samples,
     basis_eval,
     boundary_dimension,
-    cosh_sqrt,
     dirichlet_basis,
     functional_on_basis,
     gauss_legendre,
@@ -31,7 +31,6 @@ from charspec.catalog import (
     phi_from_psi,
     point_functional,
     resolvent_apply,
-    sinhc_sqrt,
     trace_operator,
 )
 from charspec.errors import DimensionError, QuadratureFailureError, UnsupportedKindError
@@ -48,13 +47,13 @@ ALL_DIRICHLET = (
 
 
 def test_cosh_sinhc_closed_values():
-    assert_allclose(cosh_sqrt(4.0, 1.0), math.cosh(2.0), rtol=1e-14)
-    assert_allclose(sinhc_sqrt(4.0, 1.0), math.sinh(2.0) / 2.0, rtol=1e-14)
+    assert_allclose(_sqrt_jet(4.0, 1.0, False)[0], math.cosh(2.0), rtol=1e-14)
+    assert_allclose(_sqrt_jet(4.0, 1.0, False)[1], math.sinh(2.0) / 2.0, rtol=1e-14)
     # negative lambda turns hyperbolic into trigonometric
-    assert_allclose(cosh_sqrt(-math.pi**2, 1.0), -1.0, atol=1e-13)
-    assert_allclose(sinhc_sqrt(-math.pi**2, 0.5), 1.0 / math.pi, rtol=1e-13)
-    assert_allclose(sinhc_sqrt(0.0, 0.7), 0.7, rtol=1e-15)
-    assert_allclose(cosh_sqrt(0.0, 0.7), 1.0, rtol=1e-15)
+    assert_allclose(_sqrt_jet(-math.pi**2, 1.0, False)[0], -1.0, atol=1e-13)
+    assert_allclose(_sqrt_jet(-math.pi**2, 0.5, False)[1], 1.0 / math.pi, rtol=1e-13)
+    assert_allclose(_sqrt_jet(0.0, 0.7, False)[1], 0.7, rtol=1e-15)
+    assert_allclose(_sqrt_jet(0.0, 0.7, False)[0], 1.0, rtol=1e-15)
 
 
 def test_series_window_matches_direct_formula():
@@ -63,8 +62,8 @@ def test_series_window_matches_direct_formula():
     for u in (0.3, 1.0):
         for lam in (9.9e-7, -9.9e-7 + 1e-8j, 1e-12, 0.99e-6j, 1.01e-6):
             w = np.sqrt(complex(lam))
-            assert abs(cosh_sqrt(lam, u) - np.cosh(w * u)) < 1e-13
-            assert abs(sinhc_sqrt(lam, u) - np.sinh(w * u) / w) < 1e-13
+            assert abs(_sqrt_jet(lam, u, False)[0] - np.cosh(w * u)) < 1e-13
+            assert abs(_sqrt_jet(lam, u, False)[1] - np.sinh(w * u) / w) < 1e-13
 
 
 # around lam = 0, across the old 1e-6 series radius and the 1e-2 switch of
@@ -88,25 +87,25 @@ def test_sqrt_jet_matches_mpmath():
                 want_dc.append(complex(u * s / 2))
                 want_s.append(complex(s))
                 want_ds.append(complex((u * c - s) / (2 * z)))
-            c, dc = _curve_jet(SecondDerivative(), 0, lams, u, 0, True)
-            s, ds = _curve_jet(SecondDerivative(), 1, lams, u, 0, True)
+            column = _basis_jet(SecondDerivative(), lams, u, True)
+            c, dc = column(0, 0)
+            s, ds = column(1, 0)
             for got, want in ((c, want_c), (dc, want_dc), (s, want_s), (ds, want_ds)):
                 assert_allclose(got, want, rtol=1e-13, atol=0)
             for lam, want in zip(JET_LAMS, want_c):
-                assert isinstance(cosh_sqrt(lam, u), complex)
-                assert_allclose(cosh_sqrt(lam, u), want, rtol=1e-13, atol=0)
+                assert_allclose(_sqrt_jet(lam, u, False)[0], want, rtol=1e-13, atol=0)
             for lam, want in zip(JET_LAMS, want_s):
-                assert_allclose(sinhc_sqrt(lam, u), want, rtol=1e-13, atol=0)
+                assert_allclose(_sqrt_jet(lam, u, False)[1], want, rtol=1e-13, atol=0)
 
 
 def test_no_cut_along_negative_axis():
     # an actual sqrt branch would jump by a sign across the negative reals
     for lam in (-4.0, -25.0, -1000.0):
-        above = cosh_sqrt(lam + 1e-12j, 1.0)
-        below = cosh_sqrt(lam - 1e-12j, 1.0)
+        above = _sqrt_jet(lam + 1e-12j, 1.0, False)[0]
+        below = _sqrt_jet(lam - 1e-12j, 1.0, False)[0]
         assert abs(above - below) < 1e-10
-        above = sinhc_sqrt(lam + 1e-12j, 1.0)
-        below = sinhc_sqrt(lam - 1e-12j, 1.0)
+        above = _sqrt_jet(lam + 1e-12j, 1.0, False)[1]
+        below = _sqrt_jet(lam - 1e-12j, 1.0, False)[1]
         assert abs(above - below) < 1e-10
 
 
@@ -115,9 +114,9 @@ def test_mean_value_property_across_the_axis():
     # only an entire function passes this
     theta = np.linspace(0.0, 2.0 * math.pi, 512, endpoint=False)
     circle = -5.0 + 3.0 * np.exp(1j * theta)
-    for fn in (cosh_sqrt, sinhc_sqrt):
-        mean = np.mean(fn(circle, 1.0))
-        assert abs(mean - fn(-5.0, 1.0)) < 1e-12
+    for part in (0, 1):
+        mean = np.mean(_sqrt_jet(circle, 1.0, False)[part])
+        assert abs(mean - _sqrt_jet(-5.0, 1.0, False)[part]) < 1e-12
 
 
 def test_conjugate_symmetry():
@@ -233,7 +232,7 @@ def test_functional_algebra():
     assert [t.weight for t in doubled.points] == [2.0, -2.0]
     collapsed = (psi + point_functional(1.0)).simplify()
     assert len(collapsed.points) == 1 and collapsed.points[0].location == 0.0
-    assert ZERO_FUNCTIONAL.is_zero and not psi.is_zero
+    assert BoundaryFunctional().is_zero and not psi.is_zero
     assert (psi - psi).simplify().is_zero
 
 
@@ -298,7 +297,7 @@ def test_unconverged_quadrature_raises():
     lam = 0.3 + 1500j
     psi = point_functional(0.0) + integral_functional(-2.0, "exp", 0.5)
     with pytest.raises(QuadratureFailureError):
-        functional_on_basis(FirstDerivative(), psi, 0, np.array([lam]))
+        functional_on_basis(FirstDerivative(), (psi,), np.array([lam]))
     with pytest.raises(QuadratureFailureError):
         apply_functional(psi, HoloCurve(FirstDerivative(), lam, 0))
 
@@ -311,11 +310,12 @@ def test_functional_on_basis_matches_scalar_application():
         + integral_functional(weight=0.5, kernel="exp", rate=-1.0)
     )
     for kind in ALL_DIRICHLET:
-        got = functional_on_basis(kind, psi, 0, lams)
-        want = np.array(
-            [apply_functional(psi, HoloCurve(kind, lam, 0)) for lam in lams]
-        )
-        assert_allclose(got, want, rtol=1e-10, atol=1e-13)
+        got = functional_on_basis(kind, (psi,), lams)[0]
+        for j in range(boundary_dimension(kind)):
+            want = np.array(
+                [apply_functional(psi, HoloCurve(kind, lam, j)) for lam in lams]
+            )
+            assert_allclose(got[:, 0, j], want, rtol=1e-10, atol=1e-13)
 
 
 # -- sampled-data helpers -------------------------------------------------------

@@ -33,7 +33,8 @@ from charspec.catalog import (
     is_dirichlet,
     phi_from_psi,
 )
-from charspec.charfn import delay_weight
+from charspec import catalog
+from charspec.charfn import delay_weight, matrix_family
 from charspec.errors import (
     DimensionError,
     NotARootError,
@@ -264,6 +265,21 @@ def test_value_equals_matrix_determinant():
         ProblemSpec(kind=ConvectionDiffusion(c=1.0, k=-1.0)),
         ProblemSpec(kind=ConvectionDiffusion(c=0.8, k=0.3),
                     psi=(point_functional(0.0) - point_functional(1.0),)),
+        ProblemSpec(
+            kind=FirstDerivative(),
+            psi=(point_functional(0.0) + integral_functional(-2.0, "exp", 0.5),),
+        ),
+        ProblemSpec(
+            kind=ConvectionDiffusion(c=0.8, k=0.3),
+            psi=(point_functional(0.0, 1) - point_functional(1.0) + integral_functional(0.5),),
+        ),
+        ProblemSpec(
+            kind=SecondDerivative(),
+            psi=(
+                point_functional(0.0, 2) + integral_functional(0.5),
+                point_functional(1.0, 1) - integral_functional(1.5, "exp", -0.7),
+            ),
+        ),
         ProblemSpec(kind=BoundaryDelayHeat(atoms=((-1.0, 1.0), (-0.25, 0.5)))),
         ProblemSpec(
             kind=DelaySystem(
@@ -286,6 +302,52 @@ def test_value_equals_matrix_determinant():
                 # the entry-by-entry Delta(lam) = Phi L_lam is the reference
                 via_delta = np.eye(mat.shape[0]) - delta_matrix(spec, lam)
                 assert np.all(np.abs(via_delta - mat) <= 5e-13 * np.maximum(1.0, np.abs(mat)))
+
+
+def test_matrix_family_takes_one_jet_per_batch(monkeypatch):
+    # one jet at the point-term locations serves every row and curve; the
+    # integral terms share one quadrature, which takes one jet per level
+    calls = dict.fromkeys(("jet", "quad", "levels"), 0)
+    real_jet, real_quad = catalog._sqrt_jet, catalog._adaptive_quadrature
+
+    def counting_jet(*args):
+        calls["jet"] += 1
+        return real_jet(*args)
+
+    def counting_quad(sample):
+        calls["quad"] += 1
+
+        def counted(nodes):
+            calls["levels"] += 1
+            return sample(nodes)
+
+        return real_quad(counted)
+
+    monkeypatch.setattr(catalog, "_sqrt_jet", counting_jet)
+    monkeypatch.setattr(catalog, "_adaptive_quadrature", counting_quad)
+    cd = ConvectionDiffusion(c=0.7, k=-0.4)
+    point_only = (
+        wentzell_spec(),
+        ProblemSpec(kind=cd),
+        ProblemSpec(kind=cd, psi=(point_functional(0.0, 1) - point_functional(1.0),)),
+    )
+    mixed = ProblemSpec(
+        kind=SecondDerivative(),
+        psi=(
+            point_functional(0.0) + integral_functional(0.5),
+            point_functional(1.0, 1) + integral_functional(-1.0, "exp", 0.5),
+        ),
+    )
+    lams = np.array(PROBE_LAMS, dtype=complex)
+    for spec in point_only + (mixed,):
+        for dlam in (False, True):
+            calls.update(jet=0, quad=0, levels=0)
+            matrix_family(spec, lams, dlam)
+            if spec is mixed:
+                assert calls["quad"] == 1
+                assert calls["jet"] == 1 + calls["levels"]
+            else:
+                assert calls == {"jet": 1, "quad": 0, "levels": 0}
 
 
 def test_delta_matrix_periodic_is_exp():

@@ -10,6 +10,7 @@ import pytest
 
 from charspec import (
     BoundaryDelayHeat,
+    BoundaryFunctional,
     ConvectionDiffusion,
     DelaySystem,
     FirstDerivative,
@@ -17,7 +18,6 @@ from charspec import (
     QuadraticPencil,
     Rectangle,
     SecondDerivative,
-    ZERO_FUNCTIONAL,
     char_value,
     integral_functional,
     point_functional,
@@ -200,7 +200,7 @@ def test_run_with_oracle():
 def test_run_identically_zero():
     spec = ProblemSpec(
         kind=FirstDerivative(),
-        psi=(ZERO_FUNCTIONAL,),
+        psi=(BoundaryFunctional(),),
         region=Rectangle(-1.0 - 7.0j, 1.0 + 7.0j),
     )
     result = run_job(JobConfig(spec=spec))

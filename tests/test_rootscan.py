@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 
 from charspec import (
+    BoundaryFunctional,
     FirstDerivative,
     ProblemSpec,
     Rectangle,
-    ZERO_FUNCTIONAL,
     build_char_function,
     find_zeros,
     newton_refine,
@@ -217,7 +217,7 @@ def test_detect_identically_zero():
     assert not detect_identically_zero(VecFn(lambda z: np.ones_like(z)), box)
     assert not detect_identically_zero(periodic_fn(), box)
     degenerate = build_char_function(
-        ProblemSpec(kind=FirstDerivative(), psi=(ZERO_FUNCTIONAL,))
+        ProblemSpec(kind=FirstDerivative(), psi=(BoundaryFunctional(),))
     )
     assert detect_identically_zero(degenerate, box)
 
@@ -307,7 +307,7 @@ def test_find_zeros_empty_region():
 
 
 def test_find_zeros_identically_zero_short_circuit():
-    fn = build_char_function(ProblemSpec(kind=FirstDerivative(), psi=(ZERO_FUNCTIONAL,)))
+    fn = build_char_function(ProblemSpec(kind=FirstDerivative(), psi=(BoundaryFunctional(),)))
     report = find_zeros(fn, BIG, tol=1e-10)
     assert report.identically_zero
     assert report.roots == ()
