@@ -556,13 +556,16 @@ def functional_on_basis(kind, psis, lams, dlam=False):
         at_locs = np.array(locs, dtype=complex).reshape((-1,) + (1,) * lams.ndim)
         column = _basis_jet(kind, lams, at_locs, dlam)
         orders = {t.order for psi in psis for t in psi.points}
-        cols = {(j, order): column(j, order) for j in range(m) for order in orders}
-    for i, psi in enumerate(psis):
         for j in range(m):
-            for t in psi.points:
-                at = locs.index(t.location)
-                for out, x in zip(outs, cols[j, t.order]):
-                    out[..., i, j] += t.weight * x[at, ...]
+            # one curve's columns at a time, dropped before the next curve's
+            # are built; each entry still sums its terms in psi's order
+            cols = {order: column(j, order) for order in orders}
+            for i, psi in enumerate(psis):
+                for t in psi.points:
+                    at = locs.index(t.location)
+                    for out, x in zip(outs, cols[t.order]):
+                        out[..., i, j] += t.weight * x[at, ...]
+            del cols
     integrands = [(i, j, t) for i, psi in enumerate(psis) for j in range(m) for t in psi.integrals]
     if integrands:
 

@@ -40,7 +40,7 @@ from .charfn import (
     kernel_vectors,
 )
 from .errors import CharspecError, ConfigError, NotARootError
-from .oracle import dense_eigenvalues, eigen_residual, fd_discretize
+from .oracle import dense_eigenvalues, eigen_residual, fd_discretize, sparse_eigenvalues
 from .rootscan import Rectangle, find_zeros
 
 __all__ = [
@@ -352,10 +352,8 @@ def _oracle_eigenvalues(cfg, notes):
         return None, None
     fine = fd_discretize(kind, spec.psi, cfg.oracle_grid)
     half = fd_discretize(kind, spec.psi, max(64, cfg.oracle_grid // 2))
-    return (
-        dense_eigenvalues(fine.matrix, window=region.dilated(1.05)),
-        dense_eigenvalues(half.matrix, window=region.dilated(1.05)),
-    )
+    window = region.dilated(1.05)
+    return sparse_eigenvalues(fine.matrix, window), sparse_eigenvalues(half.matrix, window)
 
 
 def _nearest(values, z):

@@ -1,12 +1,15 @@
-"""Independent spectral oracle: finite differences plus a dense eigensolver.
+"""Independent spectral oracle: finite differences plus certified eigensolvers.
 
 This module deliberately avoids the characteristic-function machinery.  A
 problem is discretized on a uniform grid with second-order stencils, the
 boundary functionals become algebraic constraints that eliminate the
-endpoint unknowns, and the reduced matrix goes to a dense nonsymmetric
-eigensolver whose output is certified eigenvalue by eigenvalue through
-inverse iteration.  Agreement with the contour scanner is then a genuine
-cross-check of two unrelated computations.
+endpoint unknowns, and the reduced matrix is assembled sparse: a banded
+stencil plus the few rows next to the eliminated endpoints.  Its eigenvalues
+in a window come from shift-invert Arnoldi (ARPACK) around the window
+centre; small dense matrices, such as a pencil's companion matrix, go to the
+dense LAPACK driver instead.  Either way every reported eigenvalue is
+certified independently by inverse iteration.  Agreement with the contour
+scanner is then a genuine cross-check of two unrelated computations.
 """
 
 from __future__ import annotations
@@ -15,6 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
+import scipy.sparse
+import scipy.sparse.linalg
 
 from . import linop
 from .catalog import (
@@ -30,26 +35,38 @@ from .errors import (
     UnsupportedKindError,
 )
 
-__all__ = ["Discretization", "fd_discretize", "dense_eigenvalues", "eigen_residual"]
+__all__ = [
+    "Discretization",
+    "fd_discretize",
+    "dense_eigenvalues",
+    "sparse_eigenvalues",
+    "eigen_residual",
+]
 
 _MAX_DENSE_DIM = 2048
+# moves of a certificate's shift off an exactly singular factor, times max |M_ij|
+_BUMPS = (0.0, 1e-12, 1e-10, 1e-8)
+# moves of the Arnoldi shift, times the window's circumradius R: ARPACK
+# resolves an eigenvalue lam to about eps |lam - sigma|^2 / min_i |lam_i - sigma|,
+# so a shift 1e-12 |M| off an eigenvalue would blur the window's far side
+_SHIFT_BUMPS = (0.0, 1e-3, 1e-2, 1e-1)
 
 
 @dataclass(frozen=True)
 class Discretization:
     """Reduced standard eigenproblem for a boundary-constrained generator.
 
-    ``matrix`` acts on the unknowns at ``grid[keep]``; the eliminated
-    endpoint values are recovered as ``transfer @ kept_values``.  The raw
-    constraint rows are retained so tests can replay them against
-    apply_functional.
+    ``matrix`` (a CSR ``scipy.sparse`` array) acts on the unknowns at
+    ``grid[keep]``; the eliminated endpoint values are recovered as
+    ``transfer @ kept_values``.  The raw constraint rows are retained so
+    tests can replay them against apply_functional.
     """
 
     kind: object
     psi: tuple
     n: int
     grid: np.ndarray
-    matrix: np.ndarray
+    matrix: scipy.sparse.csr_array
     boundary_rows: np.ndarray
     keep: np.ndarray
     eliminated: np.ndarray
@@ -60,27 +77,20 @@ class Discretization:
 # interior scheme, so boundary truncation never dominates the h^2 rate
 _D1_EDGE = np.array([-11.0 / 6.0, 3.0, -1.5, 1.0 / 3.0])
 _D2_EDGE = np.array([35.0 / 12.0, -26.0 / 3.0, 9.5, -14.0 / 3.0, 11.0 / 12.0])
+# centred stencils on the offsets -1, 0, 1, by derivative order (times h^-order)
+_CENTRED = np.array([[0.0, 1.0, 0.0], [-0.5, 0.0, 0.5], [1.0, -2.0, 1.0]])
 
 
-def _point_row(row, idx, order, weight, n, h):
-    """Accumulate a one-point derivative stencil into a row."""
+def _stencil(idx, order, n, h):
+    """Columns and weights of the d^order/ds^order stencil at grid index idx."""
     if order == 0:
-        row[idx] += weight
-    elif order == 1:
-        if idx == 0:
-            row[0:4] += weight * _D1_EDGE / h
-        elif idx == n:
-            row[n - 3:n + 1] += -weight * _D1_EDGE[::-1] / h
-        else:
-            row[idx - 1] += -weight / (2.0 * h)
-            row[idx + 1] += weight / (2.0 * h)
-    else:
-        if idx == 0:
-            row[0:5] += weight * _D2_EDGE / h**2
-        elif idx == n:
-            row[n - 4:n + 1] += weight * _D2_EDGE[::-1] / h**2
-        else:
-            row[idx - 1:idx + 2] += weight * np.array([1.0, -2.0, 1.0]) / h**2
+        return np.array([idx]), np.ones(1)
+    if 0 < idx < n:
+        return idx + np.arange(-1, 2), _CENTRED[order] / h**order
+    edge = (_D1_EDGE if order == 1 else _D2_EDGE) / h**order
+    if idx == 0:
+        return np.arange(edge.size), edge
+    return np.arange(n + 1 - edge.size, n + 1), (-1) ** order * edge[::-1]
 
 
 def _functional_row(psi, n, h, grid):
@@ -92,7 +102,8 @@ def _functional_row(psi, n, h, grid):
             raise UnsupportedKindError(
                 f"point term at {t.location} does not sit on the n={n} grid"
             )
-        _point_row(row, idx, t.order, t.weight, n, h)
+        cols, w = _stencil(idx, t.order, n, h)
+        row[cols] += t.weight * w
     for t in psi.integrals:
         if n % 2:
             raise UnsupportedKindError("integral terms need an even subinterval count")
@@ -101,6 +112,32 @@ def _functional_row(psi, n, h, grid):
         w[2:-1:2] = 2.0
         row += t.weight * (h / 3.0) * w * t.kernel_values(grid)
     return row
+
+
+def _generator(kind, colloc, n, h):
+    """A_m at the collocation points, as a sparse (len(colloc), n + 1) array."""
+    if isinstance(kind, FirstDerivative):
+        terms = ((1, 1.0),)
+    elif isinstance(kind, SecondDerivative):
+        terms = ((2, 1.0),)
+    else:
+        terms = ((2, 1.0), (1, -2.0 * kind.c), (0, kind.k))
+    inner = (colloc > 0) & (colloc < n)
+    band = sum(coef * _CENTRED[order] / h**order for order, coef in terms)
+    rows = [np.repeat(np.flatnonzero(inner), 3)]
+    cols = [(colloc[inner, None] + np.arange(-1, 2)).ravel()]
+    vals = [np.tile(band, np.count_nonzero(inner))]
+    # one-sided rows: only the first-derivative kind collocates at an endpoint
+    for r in np.flatnonzero(~inner):
+        for order, coef in terms:
+            c, w = _stencil(colloc[r], order, n, h)
+            rows.append(np.full(c.size, r))
+            cols.append(c)
+            vals.append(coef * w)
+    return scipy.sparse.csr_array(
+        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+        shape=(colloc.size, n + 1),
+    )
 
 
 def fd_discretize(kind, psi, n):
@@ -133,7 +170,8 @@ def fd_discretize(kind, psi, n):
                 "convection-diffusion needs one explicit lambda-independent functional"
             )
         domain_row = np.zeros(n + 1, dtype=complex)
-        _point_row(domain_row, n, 1, 1.0, n, h)  # f'(1) = 0 from the operator domain
+        cols, w = _stencil(n, 1, n, h)
+        domain_row[cols] = w  # f'(1) = 0 from the operator domain
         constraints.append(domain_row)
         constraints.append(_functional_row(psi[0], n, h, grid))
     else:
@@ -141,16 +179,15 @@ def fd_discretize(kind, psi, n):
             f"{type(kind).__name__} has no lambda-independent finite-difference model"
         )
     boundary_rows = np.array(constraints)
-    m = boundary_rows.shape[0]
 
     if isinstance(kind, FirstDerivative):
         c0, cn = abs(boundary_rows[0, 0]), abs(boundary_rows[0, n])
         eliminated = np.array([0 if c0 >= cn else n])
-        colloc = list(range(1, n + 1)) if eliminated[0] == 0 else list(range(0, n))
+        colloc = np.arange(1, n + 1) if eliminated[0] == 0 else np.arange(0, n)
     else:
         eliminated = np.array([0, n])
-        colloc = list(range(1, n))
-    keep = np.array([i for i in range(n + 1) if i not in set(eliminated.tolist())])
+        colloc = np.arange(1, n)
+    keep = np.setdiff1d(np.arange(n + 1), eliminated)
 
     sub = boundary_rows[:, eliminated]
     try:
@@ -160,19 +197,18 @@ def fd_discretize(kind, psi, n):
             f"endpoint subblock of the boundary rows is singular ({exc})"
         ) from exc
 
-    op = np.zeros((len(colloc), n + 1), dtype=complex)
-    for r, i in enumerate(colloc):
-        if isinstance(kind, FirstDerivative):
-            _point_row(op[r], i, 1, 1.0, n, h)
-        elif isinstance(kind, SecondDerivative):
-            _point_row(op[r], i, 2, 1.0, n, h)
-        else:
-            _point_row(op[r], i, 2, 1.0, n, h)
-            _point_row(op[r], i, 1, -2.0 * kind.c, n, h)
-            op[r, i] += kind.k
-    matrix = op[:, keep] + op[:, eliminated] @ transfer
-    if np.max(np.abs(matrix.imag)) == 0.0:
-        matrix = matrix.real.astype(float)
+    # full grid values = prolong @ kept values: identity on keep, transfer rows
+    e, c = np.nonzero(transfer)
+    prolong = scipy.sparse.csr_array(
+        (
+            np.concatenate([np.ones(keep.size), transfer[e, c]]),
+            (np.concatenate([keep, eliminated[e]]), np.concatenate([np.arange(keep.size), c])),
+        ),
+        shape=(n + 1, keep.size),
+    )
+    matrix = _generator(kind, colloc, n, h) @ prolong
+    if not np.any(matrix.data.imag):
+        matrix = matrix.real
     return Discretization(
         kind=kind,
         psi=psi,
@@ -186,40 +222,94 @@ def fd_discretize(kind, psi, n):
     )
 
 
-def _inverse_iteration(matrix, lam, start, scale, sweeps=3):
-    """Approximate eigenvector for the computed eigenvalue ``lam``.
+def _dense_factor(m):
+    """``factor(shift)``: a solver for m - shift Id, or None at a zero pivot."""
 
-    The shift is ``lam`` itself: a nearly singular factor is what makes the
-    iteration converge in a few sweeps.  Only an exactly zero pivot, which
-    the triangular solves cannot divide by, moves the shift off ``lam``.
-    """
-    for bump in (0.0, 1e-12, 1e-10, 1e-8):
-        shifted = matrix.copy()
-        shifted.flat[:: matrix.shape[0] + 1] -= lam + bump * scale
+    def factor(shift):
+        shifted = m.copy()
+        shifted.flat[:: m.shape[0] + 1] -= shift
         fac = linop.lu_decompose(shifted)
-        if fac.smallest_pivot > 0.0:
-            break
-    else:
-        raise ConvergenceError(f"could not factor shifted matrix at {lam}")
-    v = start
-    for _ in range(sweeps):
+        if not fac.smallest_pivot > 0.0:
+            return None
         # not linop.solve: its singularity gate would refuse this factor
-        v = scipy.linalg.lu_solve((fac.combined, fac.piv), v, check_finite=False)
-        peak = np.max(np.abs(v))
-        if not np.isfinite(peak):
-            raise ConvergenceError(f"inverse iteration overflowed at {lam}")
-        v = v / peak
-    return v
+        return lambda v: scipy.linalg.lu_solve((fac.combined, fac.piv), v, check_finite=False)
+
+    return factor
+
+
+def _sparse_factor(a):
+    """``factor(shift)`` for a complex CSC array, on SuperLU factors."""
+    eye = scipy.sparse.eye_array(a.shape[0], dtype=complex, format="csc")
+
+    def factor(shift):
+        try:
+            return scipy.sparse.linalg.splu(a - shift * eye).solve
+        except RuntimeError:  # "Factor is exactly singular"
+            return None
+
+    return factor
+
+
+def _factor_near(factor, lam, bumps, scale):
+    """First shift lam + bump * scale whose factor exists, as (shift, solve).
+
+    The shift is ``lam`` itself unless its factor has an exactly zero pivot,
+    which the triangular solves cannot divide by.
+    """
+    for bump in bumps:
+        shift = lam + bump * scale
+        solve = factor(shift)
+        if solve is not None:
+            return shift, solve
+    raise ConvergenceError(f"could not factor shifted matrix at {lam}")
+
+
+def _certified(m, vals, window, factor):
+    """The eigenvalues ``vals`` in ``window``, each certified, sorted.
+
+    Each gets three inverse-iteration sweeps from one seeded start vector;
+    a nearly singular factor at the computed eigenvalue is what makes them
+    converge.  The certificate is ||(M - lam Id) v||_inf < 1e-8 ||M||_inf
+    for the unit-max iterate v.
+    """
+    norm = float(abs(m).sum(axis=1).max()) or 1.0
+    scale = float(abs(m).max()) or 1.0
+    rng = np.random.default_rng(12345)
+    start = rng.standard_normal(m.shape[0]) + 1j * rng.standard_normal(m.shape[0])
+    start /= np.max(np.abs(start))
+    out = []
+    for lam in vals:
+        lam = complex(lam)
+        if window is not None and not window.contains(lam):
+            continue
+        _, solve = _factor_near(factor, lam, _BUMPS, scale)
+        v = start
+        for _ in range(3):
+            v = solve(v)
+            peak = np.max(np.abs(v))
+            if not np.isfinite(peak):
+                raise ConvergenceError(f"inverse iteration overflowed at {lam}")
+            v = v / peak
+        residual = float(np.max(np.abs(m @ v - lam * v)))
+        if residual >= 1e-8 * norm:
+            raise ConvergenceError(
+                f"eigenvalue {lam} failed certification (residual {residual:.3e})"
+            )
+        out.append(lam)
+    out.sort(key=lambda z: (z.real, z.imag))
+    return out
 
 
 def dense_eigenvalues(matrix, window=None):
-    """Certified eigenvalues of a dense matrix (optionally inside a window).
+    """Certified eigenvalues of a matrix (optionally inside a window).
 
-    The eigensolve itself is delegated to the LAPACK nonsymmetric driver
-    (Hessenberg reduction plus shifted QR); every reported eigenvalue is
-    then independently certified by inverse iteration, demanding
-    ||(M - lam Id) v||_inf < 1e-8 ||M||_inf for a unit-max vector v.
+    A sparse input is densified.  The eigensolve itself is delegated to the
+    LAPACK nonsymmetric driver (Hessenberg reduction plus shifted QR); every
+    reported eigenvalue is then certified by inverse iteration on a dense LU
+    factor (see ``_certified``).
     """
+    if scipy.sparse.issparse(matrix):
+        matrix = matrix.toarray()
     m = linop.as_matrix(matrix, square=True)
     n = m.shape[0]
     if n > _MAX_DENSE_DIM:
@@ -230,25 +320,45 @@ def dense_eigenvalues(matrix, window=None):
         vals = scipy.linalg.eigvals(np.asarray(matrix))
     except np.linalg.LinAlgError as exc:
         raise ConvergenceError(f"dense eigensolver failed: {exc}") from exc
-    norm = float(np.max(np.sum(np.abs(m), axis=1))) or 1.0
-    scale = float(np.max(np.abs(m))) or 1.0
+    return _certified(m, vals, window, _dense_factor(m))
+
+
+def sparse_eigenvalues(matrix, window):
+    """Certified eigenvalues of a sparse matrix inside ``window``.
+
+    Shift-invert Arnoldi (ARPACK) around the window centre, in complex
+    arithmetic: a real matrix with a complex shift loses eigenvalues in
+    ARPACK's real mode.  A centre on an exact eigenvalue moves along
+    ``_SHIFT_BUMPS``.  k doubles from 8 until the farthest of the k
+    eigenvalues nearest the shift lies farther from it than the window's
+    circumradius plus that move, so completeness never rests on a count;
+    when k would reach n - 1 the matrix goes to ``dense_eigenvalues``.  The
+    certificate is dense_eigenvalues', on sparse LU factors.  ARPACK and
+    factorization failures are ConvergenceErrors naming the window and k.
+    """
+    a = scipy.sparse.csc_array(matrix, dtype=complex)
+    n = a.shape[0]
+    factor = _sparse_factor(a)
     rng = np.random.default_rng(12345)
     start = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-    start /= np.max(np.abs(start))
-    out = []
-    for lam in vals:
-        lam = complex(lam)
-        if window is not None and not window.contains(lam):
-            continue
-        v = _inverse_iteration(m, lam, start, scale)
-        residual = float(np.max(np.abs(m @ v - lam * v)))
-        if residual >= 1e-8 * norm:
-            raise ConvergenceError(
-                f"eigenvalue {lam} failed certification (residual {residual:.3e})"
+    k = 8
+    try:
+        radius = 0.5 * window.diameter
+        sigma, solve = _factor_near(factor, window.center, _SHIFT_BUMPS, radius)
+        reach = radius + abs(sigma - window.center)
+        op = scipy.sparse.linalg.LinearOperator(a.shape, matvec=solve, dtype=complex)
+        while k < n - 1:
+            # a seeded start and rng (ARPACK draws from it on a breakdown)
+            # keep reruns byte-identical
+            vals = scipy.sparse.linalg.eigs(
+                a, k, sigma=sigma, OPinv=op, v0=start, rng=rng, return_eigenvectors=False
             )
-        out.append(lam)
-    out.sort(key=lambda z: (z.real, z.imag))
-    return out
+            if np.max(np.abs(vals - sigma)) > reach:
+                return _certified(a, vals, window, factor)
+            k *= 2
+    except (ConvergenceError, scipy.sparse.linalg.ArpackError) as exc:
+        raise ConvergenceError(f"sparse eigensolve in {window} at k = {k}: {exc}") from exc
+    return dense_eigenvalues(matrix, window)
 
 
 def _apply_generator(kind, f, s):

@@ -318,6 +318,31 @@ def test_functional_on_basis_matches_scalar_application():
             assert_allclose(got[:, 0, j], want, rtol=1e-10, atol=1e-13)
 
 
+def test_functional_on_basis_point_terms_sum_in_psi_order():
+    # columns are built one curve at a time; every entry must still add its
+    # point terms in psi's order, bit for bit as with all columns at once
+    rng = np.random.default_rng(3)
+    lams = rng.uniform(-60.0, 5.0, 64) + 1j * rng.uniform(-40.0, 40.0, 64)
+    psis = (
+        point_functional(0.0, 2) - 1.3 * point_functional(0.0, 1) + 0.7 * point_functional(0.5),
+        point_functional(1.0, 2) - 1.3 * point_functional(1.0, 1) + 0.2j * point_functional(0.25, 1),
+    )
+    for kind in ALL_DIRICHLET:
+        m = boundary_dimension(kind)
+        ps = psis[:m]
+        locs = sorted({t.location for psi in ps for t in psi.points})
+        column = _basis_jet(kind, lams, np.array(locs, dtype=complex)[:, None], True)
+        want = [np.zeros(lams.shape + (len(ps), m), dtype=complex) for _ in range(2)]
+        for i, psi in enumerate(ps):
+            for j in range(m):
+                for t in psi.points:
+                    for out, x in zip(want, column(j, t.order)):
+                        out[:, i, j] += t.weight * x[locs.index(t.location)]
+        got = functional_on_basis(kind, ps, lams, True)
+        for g, w in zip(got, want):
+            assert np.array_equal(g, w)
+
+
 # -- sampled-data helpers -------------------------------------------------------
 
 

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg
 
 from charspec import (
     BoundaryDelayHeat,
@@ -413,6 +414,24 @@ def test_main_scan_error_exits_2_with_trailer(tmp_path, capsys):
     report = json.loads((out / "report.json").read_text())
     assert report["records"] == []
     assert "QuadratureFailureError" in report["trailer"]["error"]
+
+
+def test_main_oracle_error_exits_2_with_trailer(tmp_path, capsys, monkeypatch):
+    # an ARPACK failure in the difference oracle is a typed error, not a crash
+    def failing(*a, **kw):
+        raise scipy.sparse.linalg.ArpackNoConvergence("no convergence", [], [])
+
+    monkeypatch.setattr(scipy.sparse.linalg, "eigs", failing)
+    cfg_path = tmp_path / "job.json"
+    cfg_path.write_text(PERIODIC_JOB)
+    out = tmp_path / "out"
+    code = main(["run", str(cfg_path), "--out", str(out), "--oracle", "on", "--grid", "128"])
+    assert code == 2
+    capsys.readouterr()
+    report = json.loads((out / "report.json").read_text())
+    assert report["records"] == []
+    assert report["trailer"]["error"].startswith("ConvergenceError: sparse eigensolve in")
+    assert "at k = 8" in report["trailer"]["error"]
 
 
 def test_module_entry_point(tmp_path):

@@ -3,6 +3,8 @@ import math
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse
+import scipy.sparse.linalg
 from numpy.testing import assert_allclose
 
 from charspec import (
@@ -25,6 +27,7 @@ from charspec import (
 )
 from charspec import linop
 from charspec.errors import ConvergenceError, DimensionError, UnsupportedKindError
+from charspec.oracle import sparse_eigenvalues
 
 PERIODIC = (point_functional(0.0) - point_functional(1.0),)
 WENTZELL = (
@@ -35,6 +38,19 @@ WENTZELL = (
 
 def nearest(eigs, target):
     return min(eigs, key=lambda e: abs(e - target))
+
+
+def wentzell(alpha):
+    return (
+        point_functional(0.0, 2) - alpha * point_functional(0.0, 1),
+        point_functional(1.0, 2) - alpha * point_functional(1.0, 1),
+    )
+
+
+def assert_same_eigenvalues(sparse, dense, tol):
+    assert len(sparse) == len(dense)
+    for e in dense:
+        assert abs(nearest(sparse, e) - e) < tol * max(1.0, abs(e))
 
 
 # -- boundary rows ------------------------------------------------------------
@@ -102,6 +118,45 @@ def test_discretize_shapes():
     assert sorted(d.eliminated.tolist()) == [0, 128]
     # real problem data must produce a real matrix for the eigensolver
     assert d.matrix.dtype == float
+    # stored sparse: the band, plus two entries in each endpoint row from
+    # the one-sided stencils the eliminated endpoint values carry in
+    assert scipy.sparse.issparse(d.matrix) and d.matrix.format == "csr"
+    assert d.matrix.nnz == 3 * 127 - 2 + 2 * 2
+
+
+def test_matrix_applies_the_stencils():
+    # M u is A_m, by plain differences, on the grid function whose kept
+    # values are u and whose endpoint values are transfer @ u
+    d1 = np.array([-11.0 / 6.0, 3.0, -1.5, 1.0 / 3.0])
+    integral = integral_functional(weight=0.5)
+    cases = (
+        (FirstDerivative(), (point_functional(0.0) - 0.3 * point_functional(1.0),)),
+        (FirstDerivative(), (0.2 * point_functional(0.0) - point_functional(1.0) + integral,)),
+        (SecondDerivative(), WENTZELL),
+        (ConvectionDiffusion(c=0.7, k=-0.4), (point_functional(0.0) + integral,)),
+    )
+    rng = np.random.default_rng(8)
+    for kind, psi in cases:
+        d = fd_discretize(kind, psi, 128)
+        n, h = d.n, 1.0 / d.n
+        u = rng.standard_normal(d.keep.size)
+        f = np.zeros(n + 1, dtype=complex)
+        f[d.keep] = u
+        f[d.eliminated] = d.transfer @ u
+        df = np.empty_like(f)
+        df[1:-1] = (f[2:] - f[:-2]) / (2.0 * h)
+        df[0] = d1 @ f[:4] / h
+        df[n] = -d1[::-1] @ f[-4:] / h
+        d2f = np.zeros_like(f)
+        d2f[1:-1] = (f[2:] - 2.0 * f[1:-1] + f[:-2]) / h**2
+        if isinstance(kind, FirstDerivative):
+            want = df[d.keep]
+        elif isinstance(kind, SecondDerivative):
+            want = d2f[1:-1]
+        else:
+            want = (d2f - 2.0 * kind.c * df + kind.k * f)[1:-1]
+        norm = np.max(np.sum(np.abs(d.matrix.toarray()), axis=1))
+        assert_allclose(d.matrix @ u, want, rtol=0.0, atol=1e-13 * norm * np.max(np.abs(u)))
 
 
 # -- eigenvalue convergence ---------------------------------------------------
@@ -187,6 +242,110 @@ def test_dense_eigenvalues_rejects_inaccurate_eigenvalues(monkeypatch):
     monkeypatch.setattr(scipy.linalg, "eigvals", lambda a: exact(a) + 1e-3)
     with pytest.raises(ConvergenceError, match="failed certification"):
         dense_eigenvalues(d.matrix, window=Rectangle(-1.0 - 20.0j, 1.0 + 20.0j))
+
+
+# -- sparse eigenvalues -------------------------------------------------------
+
+
+def spy_on_eigs(monkeypatch):
+    """The k of every ARPACK call sparse_eigenvalues makes, in order."""
+    ks = []
+    eigs = scipy.sparse.linalg.eigs
+
+    def spy(a, k, **kw):
+        ks.append(k)
+        return eigs(a, k, **kw)
+
+    monkeypatch.setattr(scipy.sparse.linalg, "eigs", spy)
+    return ks
+
+
+def test_sparse_eigenvalues_real_matrix_complex_shift(monkeypatch):
+    # jittered windows have a complex centre while the matrices are real;
+    # ARPACK's real mode with a complex shift returns only zeros here
+    cases = (
+        (SecondDerivative(), wentzell(1.3), Rectangle(-52.0 - 1.1j, 2.4 + 1.25j), 4),
+        (ConvectionDiffusion(c=0.6, k=-0.4),
+         (point_functional(0.0) - 0.2 * point_functional(1.0),),
+         Rectangle(-40.0 - 0.7j, 2.0 + 1.3j), 2),
+    )
+    for kind, psi, window, count in cases:
+        m = fd_discretize(kind, psi, 512).matrix
+        assert m.dtype == float and window.center.imag != 0.0
+        dense = dense_eigenvalues(m, window=window)
+        assert len(dense) == count
+        ks = spy_on_eigs(monkeypatch)
+        assert_same_eigenvalues(sparse_eigenvalues(m, window), dense, 1e-8)
+        assert ks == [8]  # settled by ARPACK, not by the dense fallback
+        monkeypatch.undo()
+
+
+def test_sparse_eigenvalues_shift_on_an_eigenvalue(monkeypatch):
+    # a window symmetric about the exact eigenvalue 0 makes M - centre Id
+    # exactly singular; the shift moves off it and the window stays complete
+    m = fd_discretize(FirstDerivative(), PERIODIC, 256).matrix
+    ks = spy_on_eigs(monkeypatch)
+    eigs = sparse_eigenvalues(m, Rectangle(-1.0 - 7.0j, 1.0 + 7.0j))
+    assert ks == [8]
+    assert len(eigs) == 3
+    assert abs(nearest(eigs, 0.0)) < 1e-8
+
+
+def test_sparse_eigenvalues_complete_by_distance(monkeypatch):
+    # 33 eigenvalues in the window: k doubles from 8 until the farthest of
+    # the k nearest eigenvalues lies outside the window's circle
+    m = fd_discretize(FirstDerivative(), PERIODIC, 512).matrix
+    window = Rectangle(-1.0 - 100.0j, 1.0 + 100.0j)
+    ks = spy_on_eigs(monkeypatch)
+    found = sparse_eigenvalues(m, window)
+    assert len(found) == 33
+    assert ks == [8, 16, 32, 64, 128]
+    dense = dense_eigenvalues(m, window=window)
+    assert len(dense) == 33
+    assert max(abs(nearest(found, e) - e) for e in dense) < 1e-9
+
+
+def test_sparse_eigenvalues_rejects_inaccurate_eigenvalues(monkeypatch):
+    d = fd_discretize(FirstDerivative(), PERIODIC, 512)
+    exact = scipy.sparse.linalg.eigs
+    monkeypatch.setattr(scipy.sparse.linalg, "eigs", lambda *a, **kw: exact(*a, **kw) + 1e-3)
+    with pytest.raises(ConvergenceError, match="failed certification"):
+        sparse_eigenvalues(d.matrix, Rectangle(-1.0 - 100.0j, 1.0 + 100.0j))
+
+
+def test_sparse_eigenvalues_small_matrix_goes_dense(monkeypatch):
+    # k = 8 would already reach n - 1: nothing is left for ARPACK to do
+    monkeypatch.setattr(scipy.sparse.linalg, "eigs", None)
+    m = scipy.sparse.csr_array(np.diag([3.0, 1.0, 2.0, 7.0, 5.0, 6.0, 4.0, 8.0, 9.0]))
+    assert sparse_eigenvalues(m, Rectangle(0.5 - 0.5j, 3.5 + 0.5j)) == [1.0, 2.0, 3.0]
+
+
+@pytest.mark.parametrize(
+    "error",
+    [
+        scipy.sparse.linalg.ArpackNoConvergence("no convergence", [], []),
+        scipy.sparse.linalg.ArpackError(-9999),
+    ],
+)
+def test_sparse_eigenvalues_arpack_failure_is_typed(monkeypatch, error):
+    def failing(*a, **kw):
+        raise error
+
+    monkeypatch.setattr(scipy.sparse.linalg, "eigs", failing)
+    m = fd_discretize(FirstDerivative(), PERIODIC, 256).matrix
+    window = Rectangle(-1.0 - 7.0j, 1.0 + 7.0j)
+    with pytest.raises(ConvergenceError, match=r"Rectangle\(.* at k = 8: ARPACK"):
+        sparse_eigenvalues(m, window)
+
+
+def test_sparse_eigenvalues_unfactorable_shift_is_typed(monkeypatch):
+    def singular(a):
+        raise RuntimeError("Factor is exactly singular")
+
+    monkeypatch.setattr(scipy.sparse.linalg, "splu", singular)
+    m = fd_discretize(FirstDerivative(), PERIODIC, 256).matrix
+    with pytest.raises(ConvergenceError, match="could not factor shifted matrix"):
+        sparse_eigenvalues(m, Rectangle(-1.0 - 7.0j, 1.0 + 7.0j))
 
 
 def test_dense_eigenvalues_dimension_cap():
