@@ -5,15 +5,21 @@ spectrum is characterized by a finite determinant condition.  For each
 Dirichlet-capable kind this module produces the basis of bounded solution
 curves of (lambda - A_m) f = 0 normalized against the trace functionals,
 and applies boundary functionals to them: to all rows and curves of a
-lambda batch at once (``functional_on_basis``, one ``_basis_jet`` per point
-set), or entry by entry (``basis_eval`` and ``apply_functional``).
+lambda batch at once (``functional_on_basis``: one ``_basis_jet`` for the
+point terms, one ``_integral_jet`` per kernel rate for the integral terms,
+no quadrature), or entry by entry (``basis_eval`` and ``apply_functional``,
+whose adaptive quadrature is the reference the closed forms are held to).
 
 All closed forms are written in terms of cosh(u*sqrt(lambda)) and
 sinh(u*sqrt(lambda))/sqrt(lambda), both of which are even in sqrt(lambda)
 and therefore entire in lambda, so the principal root evaluates them
 everywhere.  ``_sqrt_jet`` computes both with the lambda-derivative of the
 second; that derivative's quotient cancels near lambda = 0, and its even
-power series there is the only series left.
+power series there is the only series of the curves.  Every integral term
+has the kernel e^{rs} (r = 0 for a constant kernel), so its integral over a
+curve is a combination of exprel(z) = (e^z - 1)/z at z = r + lambda or
+r +- sqrt(mu); ``_exprel_jet`` and ``_cosh_sinhc_integrals`` evaluate those
+with their own series where a quotient cancels.
 """
 
 from __future__ import annotations
@@ -23,7 +29,6 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
-from scipy.integrate import cumulative_simpson, simpson
 
 from .errors import DimensionError, QuadratureFailureError, UnsupportedKindError
 
@@ -94,6 +99,107 @@ def _sqrt_jet(lam, u, dlam):
         acc = acc * z + n / math.factorial(2 * n + 1)
     ds = np.where(near, acc * u ** 3, (u * c - s) / (2.0 * np.where(near, 1.0, lam)))
     return c, s, ds
+
+
+# 24 terms of the moment series hold double precision below |z| = 2
+_MOMENT_TERMS = 24
+
+
+def _moment_series(z, k):
+    """m_k(z) = int_0^1 v^k e^{zv} dv = sum_i z^i / (i! (i + k + 1)), for |z| < 2.
+
+    Broadcasts over z and k.  Below |z| = 2 the terms' magnitudes add up to
+    at most e^2/(k + 1) while |m_k| >= e^-2/(k + 1), so cancellation costs at
+    most a factor e^4.
+    """
+    acc = 0.0
+    for i in range(_MOMENT_TERMS - 1, -1, -1):
+        acc = acc * z + 1.0 / math.factorial(i) / (i + k + 1)
+    return acc
+
+
+def _exprel_jet(z, dlam):
+    """(X, dX): X(z) = int_0^1 e^{zv} dv = expm1(z)/z and, when ``dlam``,
+    X'(z) = int_0^1 v e^{zv} dv = (e^z - X)/z (else None); entire in z.
+
+    The quotient for X' cancels near 0, so below |z| = 1 it is the moment
+    series; evaluated on that subset only, so every entry depends on its
+    own z alone.
+    """
+    z = np.asarray(z, dtype=complex)
+    zero = z == 0
+    em1 = np.expm1(z)
+    x = np.where(zero, 1.0, em1 / np.where(zero, 1.0, z))
+    if not dlam:
+        return x, None
+    near = np.abs(z) < 1.0
+    # not em1 + 1, which loses e^z to rounding when Re z << 0
+    dx = (np.exp(z) - x) / np.where(near, 1.0, z)
+    if near.any():
+        dx[near] = _moment_series(z[near], 1)
+    return x, dx
+
+
+# below |mu| = 1 the odd part's divided difference in sqrt(mu) cancels;
+# 12 terms of the power series in mu hold double precision there
+_MU_RADIUS = 1.0
+_MU_TERMS = 12
+
+
+def _exp_moments(b, count):
+    """m_k(b) = int_0^1 v^k e^{bv} dv for k < count, b a scalar.
+
+    The power series below |b| = 2, else the forward recurrence
+    m_k = (e^b - k m_{k-1})/b.  Its errors grow by k/|b| per step, which the
+    weights mu^{k/2}/k! of the series in ``_cosh_sinhc_integrals`` absorb.
+    """
+    b = complex(b)
+    if abs(b) < 2.0:
+        return _moment_series(b, np.arange(count))
+    m = np.empty(count, dtype=complex)
+    m[0] = np.expm1(b) / b
+    e = np.exp(b)
+    for k in range(1, count):
+        m[k] = (e - k * m[k - 1]) / b
+    return m
+
+
+def _cosh_sinhc_integrals(b, mu, dlam):
+    """((P_C, dP_C), (P_S, dP_S)): P_C = int_0^1 e^{bv} cosh(v sqrt mu) dv and
+    P_S = int_0^1 e^{bv} sinh(v sqrt mu)/sqrt(mu) dv, each with its
+    mu-derivative when ``dlam`` (else None).  ``b`` is a scalar.
+
+    Both are entire in mu: with w = sqrt(mu) and X = exprel, P_C is the even
+    part (X(b + w) + X(b - w))/2 and P_S the divided difference
+    (X(b + w) - X(b - w))/(2w), both even in w.  The divided difference and
+    the derivatives' quotients cancel as mu -> 0, so below |mu| = 1 all four
+    are the power series sum_n m_{2n}(b) mu^n/(2n)! and
+    sum_n m_{2n+1}(b) mu^n/(2n+1)! and their term-by-term derivatives.
+    """
+    mu = np.asarray(mu, dtype=complex)
+    near = np.abs(mu) < _MU_RADIUS
+    # the closed form gets the stand-in 1 where the series is taken
+    far = np.where(near, 1.0, mu)
+    w = np.sqrt(far)
+    xp, dxp = _exprel_jet(b + w, dlam)
+    xm, dxm = _exprel_jet(b - w, dlam)
+    pc = 0.5 * (xp + xm)
+    ps = (xp - xm) / (2.0 * w)
+    dpc = dps = None
+    if dlam:
+        dpc = (dxp - dxm) / (4.0 * w)
+        dps = (0.5 * (dxp + dxm) - ps) / (2.0 * far)
+    if near.any():
+        k = np.arange(2 * _MU_TERMS)
+        coef = _exp_moments(b, k.size) / np.array([math.factorial(i) for i in k])
+        z = mu[near]
+        polyval = np.polynomial.polynomial.polyval
+        n = np.arange(1, _MU_TERMS)
+        for val, d, c in ((pc, dpc, coef[0::2]), (ps, dps, coef[1::2])):
+            val[near] = polyval(z, c)
+            if dlam:
+                d[near] = polyval(z, n * c[1:])
+    return (pc, dpc), (ps, dps)
 
 
 # ---------------------------------------------------------------------------
@@ -473,6 +579,37 @@ def _basis_jet(kind, lam, s, dlam):
     return column
 
 
+def _integral_jet(kind, lam, rate, dlam):
+    """int_0^1 e^{rate s} f_j(s) ds for every Dirichlet curve j of ``kind``.
+
+    Returns one (value, lambda-derivative) pair per curve, the derivative
+    None unless ``dlam``; ``rate`` is a scalar, 0 for a constant kernel.
+    The first-derivative curve e^{lam s} gives exprel(lam + rate).  The
+    cosh/sinhc curves give ``_cosh_sinhc_integrals``: directly in s for the
+    second-derivative kind, and reflected onto v = 1 - s for the heat curve
+    sinhc(s - 1) and the convection curve e^{cu} (cosh - c sinhc)(u),
+    u = s - 1, where e^{rate s} = e^{rate} e^{-rate v}.
+    """
+    shape = np.shape(lam)
+    # flat, so that a lambda alone and one inside a batch take the same
+    # array loops, and the series can be written into its subset in place
+    lam = np.asarray(lam, dtype=complex).reshape(-1)
+    if isinstance(kind, FirstDerivative):
+        pairs = (_exprel_jet(lam + rate, dlam),)
+    elif isinstance(kind, SecondDerivative):
+        pairs = _cosh_sinhc_integrals(rate, lam, dlam)
+    elif isinstance(kind, BoundaryDelayHeat):
+        _, (ps, dps) = _cosh_sinhc_integrals(-rate, lam, dlam)
+        scale = -np.exp(rate)
+        pairs = ((scale * ps, (scale * dps if dlam else None)),)
+    else:
+        c = kind.c
+        (pc, dpc), (ps, dps) = _cosh_sinhc_integrals(-(rate + c), lam + c * c - kind.k, dlam)
+        scale = np.exp(rate)
+        pairs = ((scale * (pc + c * ps), (scale * (dpc + c * dps) if dlam else None)),)
+    return tuple(tuple(None if x is None else x.reshape(shape) for x in pair) for pair in pairs)
+
+
 @dataclass(frozen=True)
 class HoloCurve:
     """One Dirichlet basis curve, frozen at its instantiation point."""
@@ -542,8 +679,8 @@ def functional_on_basis(kind, psis, lams, dlam=False):
 
     Returns M of shape lams.shape + (len(psis), m) and dM/dlam (None unless
     ``dlam``).  One basis jet at the point-term locations serves every point
-    term; all integral terms share one adaptive quadrature, which takes one
-    jet per level and stacks values and derivatives on the same nodes.
+    term; the integral terms are closed forms, one ``_integral_jet`` per
+    distinct kernel rate, so every entry depends on its own lambda alone.
     """
     lams = np.asarray(lams, dtype=complex)
     m = boundary_dimension(kind)
@@ -566,26 +703,38 @@ def functional_on_basis(kind, psis, lams, dlam=False):
                     for out, x in zip(outs, cols[t.order]):
                         out[..., i, j] += t.weight * x[at, ...]
             del cols
-    integrands = [(i, j, t) for i, psi in enumerate(psis) for j in range(m) for t in psi.integrals]
-    if integrands:
-
-        def sample(nodes):
-            column = _basis_jet(kind, lams[..., None], nodes, dlam)
-            both = np.empty((len(integrands), 1 + dlam) + lams.shape + nodes.shape, dtype=complex)
-            for parts, (_, j, t) in zip(both, integrands):
-                k = t.kernel_values(nodes)
-                for part, x in zip(parts, column(j, 0)):
-                    np.multiply(k, x, out=part)
-            return both
-
-        for (i, j, t), vals in zip(integrands, _adaptive_quadrature(sample)):
-            for out, x in zip(outs, vals):
-                out[..., i, j] += t.weight * x
+    jets = {}
+    for i, psi in enumerate(psis):
+        for t in psi.integrals:
+            rate = t.rate if t.kernel == "exp" else 0.0
+            if rate not in jets:
+                jets[rate] = _integral_jet(kind, lams, rate, dlam)
+            for j, pair in enumerate(jets[rate]):
+                for out, x in zip(outs, pair):
+                    out[..., i, j] += t.weight * x
     return outs[0], (outs[1] if dlam else None)
 
 
 # ---------------------------------------------------------------------------
 # sampled-function helpers (resolvent route)
+
+
+def _cumulative_simpson(y, h):
+    """int_0^{s_i} of samples ``y`` on a uniform grid of spacing ``h``, for every i.
+
+    Each interval takes the integral of the parabola through its own two
+    samples and one neighbour: the next one on even intervals, the previous
+    one on odd intervals and on the last.  Pairs of intervals then add up to
+    composite Simpson, and an even sample count ends on the same three-point
+    correction as ``scipy.integrate.simpson``.
+    """
+    ahead = (5.0 * y[:-2] + 8.0 * y[1:-1] - y[2:]) * (h / 12.0)
+    behind = (5.0 * y[2:] + 8.0 * y[1:-1] - y[:-2]) * (h / 12.0)
+    pieces = np.empty(y.size - 1, dtype=y.dtype)
+    pieces[:-1:2] = ahead[::2]
+    pieces[1::2] = behind[::2]
+    pieces[-1] = behind[-1]
+    return np.concatenate(([0.0], np.cumsum(pieces)))
 
 
 def resolvent_apply(lam, g):
@@ -601,19 +750,15 @@ def resolvent_apply(lam, g):
         raise DimensionError("need a 1-d sample vector with at least 9 points")
     lam = complex(lam)
     s = np.linspace(0.0, 1.0, g.size)
-    integrand = np.exp(-lam * s) * g
-    # cumulative_simpson silently drops imaginary parts; integrate by parts
-    inner = cumulative_simpson(
-        integrand.real, dx=s[1] - s[0], initial=0.0
-    ) + 1j * cumulative_simpson(integrand.imag, dx=s[1] - s[0], initial=0.0)
-    return -np.exp(lam * s) * inner
+    return -np.exp(lam * s) * _cumulative_simpson(np.exp(-lam * s) * g, s[1] - s[0])
 
 
 def apply_functional_to_samples(psi, values, grid=None):
     """Apply a boundary functional to a function known only by samples.
 
     Point terms use a local degree-6 polynomial fit (derivatives up to 2),
-    integral terms composite Simpson on the sampling grid.
+    integral terms composite Simpson on the sampling grid, which must be
+    uniform.
     """
     values = np.asarray(values, dtype=complex)
     s = np.linspace(0.0, 1.0, values.size) if grid is None else np.asarray(grid, float)
@@ -623,7 +768,8 @@ def apply_functional_to_samples(psi, values, grid=None):
     for t in psi.points:
         total += t.weight * _sampled_derivative_at(values, s, t.location, t.order)
     for t in psi.integrals:
-        total += t.weight * complex(simpson(t.kernel_values(s) * values, x=s))
+        integral = _cumulative_simpson(t.kernel_values(s) * values, s[1] - s[0])[-1]
+        total += t.weight * complex(integral)
     return total
 
 

@@ -50,6 +50,9 @@ _BUMPS = (0.0, 1e-12, 1e-10, 1e-8)
 # resolves an eigenvalue lam to about eps |lam - sigma|^2 / min_i |lam_i - sigma|,
 # so a shift 1e-12 |M| off an eigenvalue would blur the window's far side
 _SHIFT_BUMPS = (0.0, 1e-3, 1e-2, 1e-1)
+# a shift closer than this (times R) to an eigenvalue moves one rung on; half
+# the first rung, so one move off an eigenvalue at the centre clears it
+_SHIFT_CLEARANCE = 5e-4
 
 
 @dataclass(frozen=True)
@@ -328,13 +331,15 @@ def sparse_eigenvalues(matrix, window):
 
     Shift-invert Arnoldi (ARPACK) around the window centre, in complex
     arithmetic: a real matrix with a complex shift loses eigenvalues in
-    ARPACK's real mode.  A centre on an exact eigenvalue moves along
-    ``_SHIFT_BUMPS``.  k doubles from 8 until the farthest of the k
-    eigenvalues nearest the shift lies farther from it than the window's
-    circumradius plus that move, so completeness never rests on a count;
-    when k would reach n - 1 the matrix goes to ``dense_eigenvalues``.  The
-    certificate is dense_eigenvalues', on sparse LU factors.  ARPACK and
-    factorization failures are ConvergenceErrors naming the window and k.
+    ARPACK's real mode.  A centre on an exact eigenvalue, or one whose
+    nearest eigenvalue lies within ``_SHIFT_CLEARANCE`` times the window's
+    circumradius, moves to the next rung of ``_SHIFT_BUMPS``.  k doubles
+    from 8 until the farthest of the k eigenvalues nearest the shift lies
+    farther from it than the circumradius plus that move, so completeness
+    never rests on a count; when k would reach n - 1 the matrix goes to
+    ``dense_eigenvalues``.  The certificate is dense_eigenvalues', on
+    sparse LU factors.  ARPACK and factorization failures are
+    ConvergenceErrors naming the window and k.
     """
     a = scipy.sparse.csc_array(matrix, dtype=complex)
     n = a.shape[0]
@@ -342,20 +347,30 @@ def sparse_eigenvalues(matrix, window):
     rng = np.random.default_rng(12345)
     start = rng.standard_normal(n) + 1j * rng.standard_normal(n)
     k = 8
+    radius = 0.5 * window.diameter
     try:
-        radius = 0.5 * window.diameter
-        sigma, solve = _factor_near(factor, window.center, _SHIFT_BUMPS, radius)
-        reach = radius + abs(sigma - window.center)
-        op = scipy.sparse.linalg.LinearOperator(a.shape, matvec=solve, dtype=complex)
-        while k < n - 1:
-            # a seeded start and rng (ARPACK draws from it on a breakdown)
-            # keep reruns byte-identical
-            vals = scipy.sparse.linalg.eigs(
-                a, k, sigma=sigma, OPinv=op, v0=start, rng=rng, return_eigenvectors=False
-            )
-            if np.max(np.abs(vals - sigma)) > reach:
+        for rung, bump in enumerate(_SHIFT_BUMPS):
+            sigma = window.center + bump * radius
+            solve = factor(sigma)
+            if solve is None:
+                continue
+            op = scipy.sparse.linalg.LinearOperator(a.shape, matvec=solve, dtype=complex)
+            while k < n - 1:
+                # a seeded start and rng (ARPACK draws from it on a breakdown)
+                # keep reruns byte-identical
+                vals = scipy.sparse.linalg.eigs(
+                    a, k, sigma=sigma, OPinv=op, v0=start, rng=rng, return_eigenvectors=False
+                )
+                if np.max(np.abs(vals - sigma)) > radius + bump * radius:
+                    break
+                k *= 2
+            else:
+                break  # k would reach n - 1
+            last = rung == len(_SHIFT_BUMPS) - 1
+            if last or np.min(np.abs(vals - sigma)) >= _SHIFT_CLEARANCE * radius:
                 return _certified(a, vals, window, factor)
-            k *= 2
+        else:
+            raise ConvergenceError(f"could not factor shifted matrix at {window.center}")
     except (ConvergenceError, scipy.sparse.linalg.ArpackError) as exc:
         raise ConvergenceError(f"sparse eigensolve in {window} at k = {k}: {exc}") from exc
     return dense_eigenvalues(matrix, window)

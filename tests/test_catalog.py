@@ -17,6 +17,7 @@ from charspec.catalog import (
     QuadraticPencil,
     SecondDerivative,
     _basis_jet,
+    _cumulative_simpson,
     _sqrt_jet,
     apply_functional,
     apply_functional_to_samples,
@@ -293,13 +294,103 @@ def test_apply_functional_oscillatory_integral():
 
 def test_unconverged_quadrature_raises():
     # delta_0 - 2 int e^{s/2} f at lam = 0.3 + 1500i: the exact |F| is 1.0,
-    # and 256 nodes used to return a value 9.5e-2 off without complaint
+    # and 256 nodes used to return a value 9.5e-2 off without complaint; the
+    # reference quadrature raises, the closed form has no nodes to run out of
+    mpmath = pytest.importorskip("mpmath")
     lam = 0.3 + 1500j
     psi = point_functional(0.0) + integral_functional(-2.0, "exp", 0.5)
     with pytest.raises(QuadratureFailureError):
-        functional_on_basis(FirstDerivative(), (psi,), np.array([lam]))
-    with pytest.raises(QuadratureFailureError):
         apply_functional(psi, HoloCurve(FirstDerivative(), lam, 0))
+    got = functional_on_basis(FirstDerivative(), (psi,), np.array([lam]))[0][0, 0, 0]
+    with mpmath.workdps(50):
+        z = mpmath.mpc(lam) + mpmath.mpf(0.5)
+        want = complex(1 - 2 * mpmath.expm1(z) / z)
+    assert abs(got - want) <= 1e-13 * abs(want)
+
+
+def _mp_curves(kind, lam):
+    """Dirichlet curves of ``kind`` at ``lam`` as (f, f') pairs of mpmath
+    callables in s, written out from their definitions."""
+    mpmath = pytest.importorskip("mpmath")
+    if isinstance(kind, FirstDerivative):
+        return [(lambda s: mpmath.exp(lam * s), lambda s: lam * mpmath.exp(lam * s))]
+    c = mpmath.mpc(kind.c) if isinstance(kind, ConvectionDiffusion) else 0
+    k = mpmath.mpc(kind.k) if isinstance(kind, ConvectionDiffusion) else 0
+    mu = lam + c * c - k
+    w = mpmath.sqrt(mu)
+
+    def cosh(u):
+        return mpmath.cosh(w * u)
+
+    def sinhc(u):
+        return mpmath.sinh(w * u) / w
+
+    if isinstance(kind, SecondDerivative):
+        return [(cosh, lambda s: mu * sinhc(s)), (sinhc, cosh)]
+    if isinstance(kind, BoundaryDelayHeat):
+        return [(lambda s: sinhc(s - 1), lambda s: cosh(s - 1))]
+
+    def f(s):
+        return mpmath.exp(c * (s - 1)) * (cosh(s - 1) - c * sinhc(s - 1))
+
+    def df(s):
+        return c * f(s) + mpmath.exp(c * (s - 1)) * (mu * sinhc(s - 1) - c * cosh(s - 1))
+
+    return [(f, df)]
+
+
+def _mp_integral(kind, r, j, lam):
+    """int_0^1 e^{rs} f_j(s) ds by parts: the curves solve (lam - A) f = 0, so
+    with A = d^2/ds^2 - 2c d/ds + k and p = r^2 + 2cr + k,
+    (lam - p) I = [e^{rs} (f' - (r + 2c) f)]_0^1; for A = d/ds,
+    (lam + r) I = [e^{rs} f]_0^1.  Another route than the one under test."""
+    mpmath = pytest.importorskip("mpmath")
+    lam, r = mpmath.mpc(lam), mpmath.mpc(r)
+    f, df = _mp_curves(kind, lam)[j]
+    if isinstance(kind, FirstDerivative):
+        return (mpmath.exp(r) * f(1) - f(0)) / (lam + r)
+    c = mpmath.mpc(kind.c) if isinstance(kind, ConvectionDiffusion) else 0
+    k = mpmath.mpc(kind.k) if isinstance(kind, ConvectionDiffusion) else 0
+    q = r + 2 * c
+    bracket = mpmath.exp(r) * (df(1) - q * f(1)) - (df(0) - q * f(0))
+    return bracket / (lam - (r * r + 2 * c * r + k))
+
+
+def _removable_points(kind, r):
+    """Where a closed form divides by zero: lam = p of the parts formula
+    above, and mu = 0, where sqrt(mu) vanishes."""
+    if isinstance(kind, FirstDerivative):
+        return (-r,)
+    c = kind.c.real if isinstance(kind, ConvectionDiffusion) else 0.0
+    k = kind.k.real if isinstance(kind, ConvectionDiffusion) else 0.0
+    return (r * r + 2 * c * r + k, k - c * c)
+
+
+# far out in the plane, |lam| up to 1500
+FAR_LAMS = (0.3 + 1500j, -1500.0, 1500j, -900.0 + 1200j, 600.0 + 1000j)
+
+
+def test_integral_terms_match_mpmath():
+    # every Dirichlet kind, both kernels, rates 0, 1/2 and -1: value and
+    # lambda-derivative to 1e-13 relative against 50 digits
+    mpmath = pytest.importorskip("mpmath")
+    kernels = (("const", 0.0), ("exp", 0.0), ("exp", 0.5), ("exp", -1.0))
+    with mpmath.workdps(50):
+        for kind in ALL_DIRICHLET:
+            for kernel, r in kernels:
+                pts = list(JET_LAMS + FAR_LAMS)
+                for p in _removable_points(kind, r):
+                    pts += [p + 1e-8, p - 1e-8j, p + 1e-3, p - 1e-3 + 1e-3j]
+                psi = integral_functional(1.0, kernel, r)
+                got, dgot = functional_on_basis(kind, (psi,), np.array(pts), True)
+                for j in range(boundary_dimension(kind)):
+                    for lam, v, dv in zip(pts, got[:, 0, j], dgot[:, 0, j]):
+                        want = complex(_mp_integral(kind, r, j, lam))
+                        dwant = complex(
+                            mpmath.diff(lambda x: _mp_integral(kind, r, j, x), mpmath.mpc(lam))
+                        )
+                        assert abs(v - want) <= 1e-13 * abs(want), (kind, r, j, lam)
+                        assert abs(dv - dwant) <= 1e-13 * abs(dwant), (kind, r, j, lam)
 
 
 def test_functional_on_basis_matches_scalar_application():
@@ -344,6 +435,26 @@ def test_functional_on_basis_point_terms_sum_in_psi_order():
 
 
 # -- sampled-data helpers -------------------------------------------------------
+
+
+@pytest.mark.parametrize("n", [9, 10, 2001, 2000])
+def test_simpson_matches_scipy(n):
+    # the numpy composite Simpson rule and its cumulative form against
+    # scipy.integrate, imported here only, on odd and even sample counts
+    integrate = pytest.importorskip("scipy.integrate")
+    s = np.linspace(0.0, 1.0, n)
+    y = np.exp((0.7 - 3.0j) * s) * (1.0 + s * s)
+    h = s[1] - s[0]
+    got = _cumulative_simpson(y, h)
+    # scipy's cumulative rule drops imaginary parts, so it sees them one at a time
+    for part in (np.real, np.imag):
+        want = integrate.cumulative_simpson(part(y), dx=h, initial=0.0)
+        assert_allclose(part(got), want, rtol=1e-14, atol=1e-14 * np.max(np.abs(want)))
+    want = integrate.simpson(y, dx=h)
+    assert abs(got[-1] - want) <= 1e-14 * abs(want)
+    psi = integral_functional(2.0, "exp", -1.5)
+    want = 2.0 * integrate.simpson(np.exp(-1.5 * s) * y, x=s)
+    assert abs(apply_functional_to_samples(psi, y) - want) <= 1e-14 * abs(want)
 
 
 def test_resolvent_apply_hand_values():

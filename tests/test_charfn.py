@@ -306,48 +306,72 @@ def test_value_equals_matrix_determinant():
 
 def test_matrix_family_takes_one_jet_per_batch(monkeypatch):
     # one jet at the point-term locations serves every row and curve; the
-    # integral terms share one quadrature, which takes one jet per level
-    calls = dict.fromkeys(("jet", "quad", "levels"), 0)
-    real_jet, real_quad = catalog._sqrt_jet, catalog._adaptive_quadrature
+    # integral terms are closed forms and take neither a jet nor a quadrature
+    calls = {"jet": 0}
+    real_jet = catalog._sqrt_jet
 
     def counting_jet(*args):
         calls["jet"] += 1
         return real_jet(*args)
 
-    def counting_quad(sample):
-        calls["quad"] += 1
-
-        def counted(nodes):
-            calls["levels"] += 1
-            return sample(nodes)
-
-        return real_quad(counted)
+    def no_quadrature(sample):
+        raise AssertionError("quadrature on the production path")
 
     monkeypatch.setattr(catalog, "_sqrt_jet", counting_jet)
-    monkeypatch.setattr(catalog, "_adaptive_quadrature", counting_quad)
+    monkeypatch.setattr(catalog, "_adaptive_quadrature", no_quadrature)
     cd = ConvectionDiffusion(c=0.7, k=-0.4)
-    point_only = (
-        wentzell_spec(),
-        ProblemSpec(kind=cd),
-        ProblemSpec(kind=cd, psi=(point_functional(0.0, 1) - point_functional(1.0),)),
-    )
-    mixed = ProblemSpec(
-        kind=SecondDerivative(),
-        psi=(
-            point_functional(0.0) + integral_functional(0.5),
-            point_functional(1.0, 1) + integral_functional(-1.0, "exp", 0.5),
+    # (spec, jets per call): one for any point terms, none for integrals alone
+    cases = (
+        (wentzell_spec(), 1),
+        (ProblemSpec(kind=cd), 1),
+        (ProblemSpec(kind=cd, psi=(point_functional(0.0, 1) - point_functional(1.0),)), 1),
+        (
+            ProblemSpec(
+                kind=SecondDerivative(),
+                psi=(
+                    point_functional(0.0) + integral_functional(0.5),
+                    point_functional(1.0, 1) + integral_functional(-1.0, "exp", 0.5),
+                ),
+            ),
+            1,
         ),
+        (ProblemSpec(kind=cd, psi=(point_functional(0.0) + integral_functional(0.5, "exp", -1.0),)), 1),
+        (ProblemSpec(kind=cd, psi=(integral_functional(1.0) + integral_functional(0.5, "exp", 2.0),)), 0),
     )
-    lams = np.array(PROBE_LAMS, dtype=complex)
-    for spec in point_only + (mixed,):
+    # 0 and mu = 0 put the series of the integral terms to work as well
+    lams = np.array(PROBE_LAMS + (0.0, cd.k - cd.c**2), dtype=complex)
+    for spec, jets in cases:
         for dlam in (False, True):
-            calls.update(jet=0, quad=0, levels=0)
+            calls["jet"] = 0
             matrix_family(spec, lams, dlam)
-            if spec is mixed:
-                assert calls["quad"] == 1
-                assert calls["jet"] == 1 + calls["levels"]
-            else:
-                assert calls == {"jet": 1, "quad": 0, "levels": 0}
+            assert calls["jet"] == jets
+
+
+def test_matrix_family_is_pointwise_in_lambda():
+    # M(lam) and dM/dlam must not depend on the other lambdas of a batch:
+    # integral terms of every Dirichlet kind, lam alone and among partners,
+    # one of which (0) takes the series branches
+    kernels = integral_functional(0.5) - integral_functional(2.0, "exp", 0.5)
+    cd = ConvectionDiffusion(c=0.8, k=0.3)
+    cases = (
+        (FirstDerivative(), (point_functional(0.0) + kernels,)),
+        (SecondDerivative(), (point_functional(0.0, 2) + kernels, point_functional(1.0) - kernels)),
+        (cd, (point_functional(0.0, 1) - point_functional(1.0) + kernels,)),
+        # the heat kind takes no user functionals; its integral terms are
+        # assembled by the same catalog routine matrix_family uses for the others
+        (BoundaryDelayHeat(), (point_functional(0.0, 1) + kernels,)),
+    )
+    for kind, psi in cases:
+        if isinstance(kind, BoundaryDelayHeat):
+            family = lambda lams: catalog.functional_on_basis(kind, psi, lams, True)
+        else:
+            spec = ProblemSpec(kind=kind, psi=psi)
+            family = lambda lams: matrix_family(spec, lams, True)
+        for lam in (2.0 + 3.0j, -7.0 + 0.5j, 1e-3, 0.3 + 250.0j):
+            batch = family(np.array([lam + 1.0, lam, lam + 60.0j, 0.0]))
+            for alone in (family(np.array([lam])), family(np.asarray(lam))):
+                for got, want in zip(alone, batch):
+                    assert np.array_equal(got.reshape(want[1].shape), want[1])
 
 
 def test_delta_matrix_periodic_is_exp():

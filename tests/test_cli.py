@@ -447,6 +447,19 @@ def test_module_entry_point(tmp_path):
     assert proc.stdout.startswith(CSV_HEADER)
 
 
+def test_cold_import_leaves_out_scipy_integrate():
+    # scipy.integrate pulls in scipy.special and scipy.optimize: about a
+    # quarter second and 20 MB of every cold start, for nothing charspec uses
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, charspec.cli; print('scipy.integrate' in sys.modules)"],
+        capture_output=True,
+        text=True,
+        env=CHILD_ENV,
+    )
+    assert proc.returncode == 0
+    assert proc.stdout.strip() == "False"
+
+
 def test_package_entry_point_runs_without_warnings():
     # running the cli module through -m after the package import has
     # already loaded it draws a RuntimeWarning from runpy; the package's

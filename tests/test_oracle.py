@@ -305,6 +305,24 @@ def test_sparse_eigenvalues_complete_by_distance(monkeypatch):
     assert max(abs(nearest(found, e) - e) for e in dense) < 1e-9
 
 
+@pytest.fixture(scope="module")
+def periodic_512():
+    """The periodic FD matrix at grid 512 and its dense eigenvalues with
+    |Re| < 0.5 and |Im| < 100: 33 of them, on the imaginary axis to 1e-12."""
+    m = fd_discretize(FirstDerivative(), PERIODIC, 512).matrix
+    return m, dense_eigenvalues(m, window=Rectangle(-0.5 - 100.0j, 0.5 + 100.0j))
+
+
+@pytest.mark.parametrize("offset", [1e-9, 1e-6])
+def test_sparse_eigenvalues_shift_near_an_eigenvalue(periodic_512, offset):
+    # a centre just off the eigenvalue 0 factors fine, but ARPACK resolves the
+    # far side of the window only to eps R^2 / offset; the shift moves a rung
+    m, dense = periodic_512
+    found = sparse_eigenvalues(m, Rectangle(-1.0 + offset - 100.0j, 1.0 + offset + 100.0j))
+    assert len(found) == len(dense) == 33
+    assert max(abs(nearest(found, e) - e) for e in dense) < 1e-9
+
+
 def test_sparse_eigenvalues_rejects_inaccurate_eigenvalues(monkeypatch):
     d = fd_discretize(FirstDerivative(), PERIODIC, 512)
     exact = scipy.sparse.linalg.eigs
