@@ -7,8 +7,9 @@ curves of (lambda - A_m) f = 0 normalized against the trace functionals,
 and applies boundary functionals to them: to all rows and curves of a
 lambda batch at once (``functional_on_basis``: one ``_basis_jet`` for the
 point terms, one ``_integral_jet`` per kernel rate for the integral terms,
-no quadrature), or entry by entry (``basis_eval`` and ``apply_functional``,
-whose adaptive quadrature is the reference the closed forms are held to).
+no quadrature), or to one ``CurveCombination`` at one lambda
+(``apply_functional``, whose adaptive quadrature is the reference the
+closed forms are held to).
 
 All closed forms are written in terms of cosh(u*sqrt(lambda)) and
 sinh(u*sqrt(lambda))/sqrt(lambda), both of which are even in sqrt(lambda)
@@ -25,7 +26,7 @@ with their own series where a quotient cancels.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -46,14 +47,12 @@ __all__ = [
     "integral_functional",
     "QuadratureRule",
     "gauss_legendre",
-    "HoloCurve",
     "CurveCombination",
     "is_dirichlet",
     "boundary_dimension",
     "trace_operator",
     "phi_from_psi",
     "dirichlet_basis",
-    "basis_eval",
     "apply_functional",
     "functional_on_basis",
     "resolvent_apply",
@@ -140,9 +139,10 @@ def _exprel_jet(z, dlam):
     return x, dx
 
 
-# below |mu| = 1 the odd part's divided difference in sqrt(mu) cancels;
-# 12 terms of the power series in mu hold double precision there
-_MU_RADIUS = 1.0
+# the odd part's divided difference in sqrt(mu) cancels below |mu| = 1, and
+# for Re b < 0 its mu-derivative loses eps b^2/|mu| further out; below
+# |mu| = max(1, (Re b)^2/25) the moments shrink like k!/|b|^(k+1), and 12
+# terms of the power series in mu hold double precision
 _MU_TERMS = 12
 
 
@@ -172,12 +172,13 @@ def _cosh_sinhc_integrals(b, mu, dlam):
     Both are entire in mu: with w = sqrt(mu) and X = exprel, P_C is the even
     part (X(b + w) + X(b - w))/2 and P_S the divided difference
     (X(b + w) - X(b - w))/(2w), both even in w.  The divided difference and
-    the derivatives' quotients cancel as mu -> 0, so below |mu| = 1 all four
-    are the power series sum_n m_{2n}(b) mu^n/(2n)! and
+    the derivatives' quotients cancel as mu -> 0, so below
+    |mu| = max(1, (Re b)^2/25) for Re b < 0, and below |mu| = 1 otherwise,
+    all four are the power series sum_n m_{2n}(b) mu^n/(2n)! and
     sum_n m_{2n+1}(b) mu^n/(2n+1)! and their term-by-term derivatives.
     """
     mu = np.asarray(mu, dtype=complex)
-    near = np.abs(mu) < _MU_RADIUS
+    near = np.abs(mu) < max(1.0, min(0.0, complex(b).real) ** 2 / 25.0)
     # the closed form gets the stand-in 1 where the series is taken
     far = np.where(near, 1.0, mu)
     w = np.sqrt(far)
@@ -506,20 +507,6 @@ def phi_from_psi(kind, psi):
     return tuple((L - p).simplify() for L, p in zip(traces, psi))
 
 
-def basis_eval(kind, index, lam, s, order=0):
-    """Evaluate d^order/ds^order of Dirichlet curve ``index`` at (lam, s).
-
-    Both ``lam`` and ``s`` may be scalars or arrays (broadcast together);
-    this entry-by-entry route reads the same ``_basis_jet`` as the assembly.
-    """
-    if order not in (0, 1, 2):
-        raise ValueError(f"derivative order {order} not in {{0, 1, 2}}")
-    if not 0 <= index < boundary_dimension(kind):
-        raise DimensionError(f"{type(kind).__name__} has no curve {index}")
-    val = _basis_jet(kind, lam, s, False)(index, order)[0]
-    return complex(val) if val.ndim == 0 else val
-
-
 def _basis_jet(kind, lam, s, dlam):
     """All Dirichlet curves of ``kind`` at (lam, s), broadcast together, from
     one exponential (first-derivative kind) or one ``_sqrt_jet`` (the others).
@@ -611,50 +598,46 @@ def _integral_jet(kind, lam, rate, dlam):
 
 
 @dataclass(frozen=True)
-class HoloCurve:
-    """One Dirichlet basis curve, frozen at its instantiation point."""
+class CurveCombination:
+    """L_lam x = sum_j x_j f_j: the Dirichlet curves of ``kind`` at one
+    lambda, one coefficient per curve."""
 
     kind: object
     lam: complex
-    index: int
-
-    def evaluate(self, s, order=0):
-        return basis_eval(self.kind, self.index, self.lam, s, order)
-
-
-@dataclass(frozen=True)
-class CurveCombination:
-    """Finite linear combination of curves sharing one lambda."""
-
-    curves: tuple
     coefficients: tuple
 
     def __post_init__(self):
-        if len(self.curves) != len(self.coefficients):
-            raise DimensionError("one coefficient per curve required")
-        object.__setattr__(self, "coefficients", tuple(complex(c) for c in self.coefficients))
-
-    @property
-    def lam(self):
-        return self.curves[0].lam
-
-    @property
-    def kind(self):
-        return self.curves[0].kind
+        m = boundary_dimension(self.kind)
+        coefficients = tuple(complex(c) for c in self.coefficients)
+        if len(coefficients) != m:
+            raise DimensionError(f"need {m} coefficients, got {len(coefficients)}")
+        object.__setattr__(self, "lam", complex(self.lam))
+        object.__setattr__(self, "coefficients", coefficients)
 
     def evaluate(self, s, order=0):
+        """d^order/ds^order of the combination at ``s`` (scalar or array),
+        every curve read from one ``_basis_jet``; a scalar ``s`` gives a
+        complex."""
+        if order not in (0, 1, 2):
+            raise ValueError(f"derivative order {order} not in {{0, 1, 2}}")
+        column = _basis_jet(self.kind, self.lam, s, False)
         total = None
-        for c, curve in zip(self.coefficients, self.curves):
-            term = c * np.asarray(curve.evaluate(s, order))
+        for j, c in enumerate(self.coefficients):
+            # at a scalar s a column can be a numpy scalar, whose product
+            # with c rounds unlike the 0-d array product; asarray takes the
+            # array product for every column
+            term = c * np.asarray(column(j, order)[0])
             total = term if total is None else total + term
-        out = np.asarray(total)
-        return complex(out) if out.shape == () else out
+        return complex(total) if np.ndim(total) == 0 else total
 
 
 def dirichlet_basis(kind, lam):
-    """Bounded solution curves of (lambda - A_m) f = 0, one per trace."""
+    """Bounded solution curves of (lambda - A_m) f = 0, one per trace, as
+    unit-coefficient combinations."""
     m = boundary_dimension(kind)
-    return [HoloCurve(kind=kind, lam=complex(lam), index=j) for j in range(m)]
+    return [
+        CurveCombination(kind, lam, tuple(float(i == j) for i in range(m))) for j in range(m)
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -753,17 +736,17 @@ def resolvent_apply(lam, g):
     return -np.exp(lam * s) * _cumulative_simpson(np.exp(-lam * s) * g, s[1] - s[0])
 
 
-def apply_functional_to_samples(psi, values, grid=None):
-    """Apply a boundary functional to a function known only by samples.
+def apply_functional_to_samples(psi, values):
+    """Apply a boundary functional to a function known only by samples on
+    the uniform grid over [0,1].
 
     Point terms use a local degree-6 polynomial fit (derivatives up to 2),
-    integral terms composite Simpson on the sampling grid, which must be
-    uniform.
+    integral terms composite Simpson.
     """
     values = np.asarray(values, dtype=complex)
-    s = np.linspace(0.0, 1.0, values.size) if grid is None else np.asarray(grid, float)
-    if values.size != s.size or values.size < 9:
-        raise DimensionError("need matching sample/grid vectors with at least 9 points")
+    if values.ndim != 1 or values.size < 9:
+        raise DimensionError("need a 1-d sample vector with at least 9 points")
+    s = np.linspace(0.0, 1.0, values.size)
     total = 0j
     for t in psi.points:
         total += t.weight * _sampled_derivative_at(values, s, t.location, t.order)

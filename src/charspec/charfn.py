@@ -297,8 +297,6 @@ class CharFunction:
     """Scalar characteristic function with access to its matrix family."""
 
     spec: ProblemSpec
-    label: str
-    note: str
 
     def value(self, lam):
         return char_value(self.spec, lam)
@@ -310,12 +308,6 @@ class CharFunction:
         """(F, F') over an array of lambdas, from the same formulas as values."""
         return _char_jet(self.spec, lams, True)
 
-    def matrix(self, lam):
-        return char_matrix(self.spec, lam)
-
-    def delta(self, lam):
-        return delta_matrix(self.spec, lam)
-
     def zero_scale_entries(self, lams):
         """Matrix entries that set the scale for identically-zero detection,
         stacked over an array of lambdas: Delta = Id - M for the Dirichlet
@@ -326,23 +318,8 @@ class CharFunction:
         return mats
 
 
-_NOTES = {
-    FirstDerivative: "F(lambda) = psi(e^{lambda s}); entire",
-    SecondDerivative: "det of psi applied to the entire cosh/sinh-over-sqrt basis",
-    ConvectionDiffusion: "entire normalization through the shifted cosh/sinh basis",
-    BoundaryDelayHeat: (
-        "entire scalar form cosh(sqrt(lambda)) - w(lambda)(1 - cosh(sqrt(lambda)))/lambda; "
-        "clearing the denominator would manufacture a spurious zero at lambda = 0"
-    ),
-    DelaySystem: "det(lambda Id - A - sum_k A_k e^{-lambda tau_k})",
-    QuadraticPencil: "det(lambda^2 Id - lambda P - A)",
-}
-
-
 def build_char_function(spec):
-    return CharFunction(
-        spec=spec, label=type(spec.kind).__name__, note=_NOTES[type(spec.kind)]
-    )
+    return CharFunction(spec)
 
 
 def kernel_vectors(spec, lam):
@@ -364,15 +341,10 @@ def kernel_vectors(spec, lam):
 
 
 def eigenfunction(spec, lam, coefficients):
-    """Curve combination sum_j x_j f_j for a kernel vector x."""
-    kind = spec.kind
-    if not is_dirichlet(kind):
-        raise UnsupportedKindError(f"{type(kind).__name__} eigenvectors are plain vectors")
-    basis = dirichlet_basis(kind, complex(lam))
-    coefficients = tuple(complex(c) for c in np.asarray(coefficients).ravel())
-    if len(coefficients) != len(basis):
-        raise DimensionError(f"need {len(basis)} coefficients, got {len(coefficients)}")
-    return CurveCombination(curves=tuple(basis), coefficients=coefficients)
+    """The eigenfunction L_lam x = sum_j x_j f_j for a kernel vector x; the
+    combination checks x against the kind's boundary dimension, and raises
+    UnsupportedKindError for kinds whose eigenvectors are plain vectors."""
+    return CurveCombination(spec.kind, lam, np.asarray(coefficients).ravel())
 
 
 def resolvent_value(spec, lam, g, form="boundary"):
@@ -395,19 +367,18 @@ def resolvent_value(spec, lam, g, form="boundary"):
     if abs(f_val) <= max(100.0 * spec.root_tol, 1e-10):
         raise ResolventUndefinedError(f"lambda = {lam} is (numerically) a spectral point")
     r0 = resolvent_apply(lam, g)
-    s = np.linspace(0.0, 1.0, g.size)
     phis = phi_from_psi(spec.kind, spec.psi)
-    rhs = np.array([apply_functional_to_samples(phi, r0, s) for phi in phis])
-    basis = dirichlet_basis(spec.kind, lam)
-    curve_samples = np.stack([np.asarray(c.evaluate(s, 0)) for c in basis], axis=1)
+    rhs = np.array([apply_functional_to_samples(phi, r0) for phi in phis])
+    m = len(phis)
+    column = _basis_jet(spec.kind, lam, np.linspace(0.0, 1.0, g.size), False)
+    curve_samples = np.stack([column(j, 0)[0] for j in range(m)], axis=1)
     if form == "boundary":
         mat = char_matrix(spec, lam)
     else:
-        m = len(basis)
         delta = np.empty((m, m), dtype=complex)
         for i, phi in enumerate(phis):
             for j in range(m):
-                delta[i, j] = apply_functional_to_samples(phi, curve_samples[:, j], s)
+                delta[i, j] = apply_functional_to_samples(phi, curve_samples[:, j])
         mat = np.eye(m, dtype=complex) - delta
     x = linop.solve(mat, rhs)
     return r0 + curve_samples @ x

@@ -39,7 +39,7 @@ from .charfn import (
     eigenfunction,
     kernel_vectors,
 )
-from .errors import CharspecError, ConfigError, NotARootError
+from .errors import CharspecError, ConfigError
 from .oracle import dense_eigenvalues, eigen_residual, fd_discretize, sparse_eigenvalues
 from .rootscan import Rectangle, find_zeros
 
@@ -399,7 +399,7 @@ def run_job(cfg):
     for root in report.roots:
         try:
             ode, bc = _certify_root(spec, root)
-        except (NotARootError, CharspecError) as exc:
+        except CharspecError as exc:
             ode = bc = float("inf")
             notes.append(f"certification failed at {root.location}: {exc}")
         ok = (
@@ -474,9 +474,10 @@ def emit_report(result, outdir, error=None):
     written = []
     cfg = result.config
 
+    records = sorted(result.records, key=lambda r: (r.location.imag, r.location.real))
     if cfg.spectrum:
         lines = [CSV_HEADER]
-        for r in sorted(result.records, key=lambda r: (r.location.imag, r.location.real)):
+        for r in records:
             o_re = _fmt(r.oracle.real) if r.oracle is not None else ""
             o_im = _fmt(r.oracle.imag) if r.oracle is not None else ""
             o_d = _fmt(r.oracle_dist) if r.oracle_dist is not None else ""
@@ -524,7 +525,7 @@ def emit_report(result, outdir, error=None):
                 "oracle_dist": r.oracle_dist,
                 "passed": r.passed,
             }
-            for r in sorted(result.records, key=lambda r: (r.location.imag, r.location.real))
+            for r in records
         ],
         "notes": list(result.notes),
         "passed": result.passed,

@@ -48,6 +48,12 @@ _DILATIONS = (1.013, 1.029, 1.041)
 _CUT_FRACTIONS = (0.5, 0.5137, 0.4863, 0.5271, 0.4729, 0.5413, 0.4587)
 _MAX_DOUBLINGS = 12
 _ZERO_GUARD = 1e-13
+# Stencil step of numeric_derivative, relative to 1 + |lam|.
+_STENCIL_STEP = 1e-6
+# Quasi-random points of the identically-zero test.
+_ZERO_SAMPLES = 25
+# Newton iterations before the winding-count fallback takes over.
+_NEWTON_MAX_ITER = 50
 
 
 @dataclass(frozen=True)
@@ -143,7 +149,7 @@ class _Scanner:
         return np.abs(np.asarray(hook(lams))).ravel()
 
 
-def numeric_derivative(f, lam, h_scale=1e-6):
+def numeric_derivative(f, lam):
     """F'(lam) by central differences in two orthogonal directions, averaged.
 
     The two second-order error terms carry opposite signs for holomorphic F,
@@ -151,7 +157,7 @@ def numeric_derivative(f, lam, h_scale=1e-6):
     callable, ``lam`` may be an array (four batched calls in all).
     """
     value = f.value if hasattr(f, "value") else f
-    h = h_scale * (1.0 + abs(lam))
+    h = _STENCIL_STEP * (1.0 + abs(lam))
     d_re = (value(lam + h) - value(lam - h)) / (2.0 * h)
     d_im = (value(lam + 1j * h) - value(lam - 1j * h)) / (2j * h)
     return 0.5 * (d_re + d_im)
@@ -255,7 +261,7 @@ def _halton(count, skip=20):
     return out
 
 
-def detect_identically_zero(f, rect, samples=25, seed=0):
+def detect_identically_zero(f, rect, seed=0):
     """True when F vanishes identically on the region (degenerate problem).
 
     |F| is tested at quasi-random points against 1e-13 times a scale built
@@ -263,7 +269,7 @@ def detect_identically_zero(f, rect, samples=25, seed=0):
     one batched ``zero_scale_entries`` call when the function exposes one.
     """
     scan = f if isinstance(f, _Scanner) else _Scanner(f)
-    pts = _halton(samples, skip=20 + 64 * (seed % 1024))
+    pts = _halton(_ZERO_SAMPLES, skip=20 + 64 * (seed % 1024))
     lams = (
         rect.lo.real
         + pts[:, 0] * rect.width
@@ -274,7 +280,7 @@ def detect_identically_zero(f, rect, samples=25, seed=0):
     return bool(np.all(np.abs(scan.values(lams)) < 1e-13 * scale))
 
 
-def newton_refine(f, start, tol, rect, max_iter=50):
+def newton_refine(f, start, tol, rect):
     """Polish one root by Newton iteration on the scanner's (F, F') pair.
 
     Leaving a 2x-dilated copy of ``rect`` raises DivergenceError; a stalled
@@ -288,7 +294,7 @@ def newton_refine(f, start, tol, rect, max_iter=50):
     if not rect.contains(lam):
         raise DivergenceError(f"start {lam} outside the search rectangle")
     steps = []
-    for it in range(1, max_iter + 1):
+    for it in range(1, _NEWTON_MAX_ITER + 1):
         val, deriv = (complex(x[0]) for x in scan.pair(np.array([lam])))
         if deriv == 0:
             break
@@ -305,7 +311,7 @@ def newton_refine(f, start, tol, rect, max_iter=50):
     size = max(64.0 * tol, 4.0 * (steps[-1] if steps else tol))
     box = Rectangle(lam - size * (1 + 1j), lam + size * (1 + 1j))
     root = _bisect_by_count(scan, box, tol)
-    return root, max_iter
+    return root, _NEWTON_MAX_ITER
 
 
 def _bisect_by_count(scan, box, tol, depth=60):

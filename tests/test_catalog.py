@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+import charspec.catalog
 from charspec.catalog import (
     BoundaryDelayHeat,
     BoundaryFunctional,
@@ -11,7 +12,6 @@ from charspec.catalog import (
     CurveCombination,
     DelaySystem,
     FirstDerivative,
-    HoloCurve,
     IntegralTerm,
     PointTerm,
     QuadraticPencil,
@@ -21,7 +21,6 @@ from charspec.catalog import (
     _sqrt_jet,
     apply_functional,
     apply_functional_to_samples,
-    basis_eval,
     boundary_dimension,
     dirichlet_basis,
     functional_on_basis,
@@ -123,10 +122,10 @@ def test_mean_value_property_across_the_axis():
 def test_conjugate_symmetry():
     lam = 2.3 - 4.1j
     for kind in ALL_DIRICHLET:
-        for idx in range(boundary_dimension(kind)):
+        for f, g in zip(dirichlet_basis(kind, np.conj(lam)), dirichlet_basis(kind, lam)):
             for order in (0, 1, 2):
-                a = basis_eval(kind, idx, np.conj(lam), 0.34, order)
-                b = basis_eval(kind, idx, lam, 0.34, order)
+                a = f.evaluate(0.34, order)
+                b = g.evaluate(0.34, order)
                 assert abs(a - np.conj(b)) < 1e-12 * (1.0 + abs(b))
 
 
@@ -134,8 +133,8 @@ def test_broadcasting_matches_scalar_loop():
     lams = np.array([0.5 + 2j, -3.0, 1e-8])
     ss = np.linspace(0.0, 1.0, 7)
     for kind in ALL_DIRICHLET:
-        got = basis_eval(kind, 0, lams[:, None], ss[None, :], 1)
-        want = np.array([[basis_eval(kind, 0, l, s, 1) for s in ss] for l in lams])
+        got = _basis_jet(kind, lams[:, None], ss[None, :], False)(0, 1)[0]
+        want = np.array([[dirichlet_basis(kind, l)[0].evaluate(s, 1) for s in ss] for l in lams])
         assert_allclose(got, want, rtol=1e-14)
 
 
@@ -177,14 +176,14 @@ def test_curves_solve_the_ode():
     ss = np.linspace(0.05, 0.95, 11)
     h = 1e-5
     for lam in (1.5 + 0.7j, -9.0):
-        f = HoloCurve(FirstDerivative(), lam, 0)
+        (f,) = dirichlet_basis(FirstDerivative(), lam)
         d1 = (f.evaluate(ss + h) - f.evaluate(ss - h)) / (2 * h)
         assert_allclose(d1, lam * f.evaluate(ss), rtol=1e-8)
-        g = HoloCurve(SecondDerivative(), lam, 1)
+        g = dirichlet_basis(SecondDerivative(), lam)[1]
         d2 = (g.evaluate(ss + h) - 2 * g.evaluate(ss) + g.evaluate(ss - h)) / h**2
         assert_allclose(d2, lam * g.evaluate(ss), rtol=1e-5)
         cd = ConvectionDiffusion(c=0.8, k=-0.5)
-        u = HoloCurve(cd, lam, 0)
+        (u,) = dirichlet_basis(cd, lam)
         d1 = (u.evaluate(ss + h) - u.evaluate(ss - h)) / (2 * h)
         d2 = (u.evaluate(ss + h) - 2 * u.evaluate(ss) + u.evaluate(ss - h)) / h**2
         lhs = d2 - 2 * cd.c * d1 + cd.k * u.evaluate(ss)
@@ -195,8 +194,7 @@ def test_derivative_orders_are_consistent():
     ss = np.linspace(0.1, 0.9, 9)
     h = 1e-6
     for kind in ALL_DIRICHLET:
-        for idx in range(boundary_dimension(kind)):
-            f = HoloCurve(kind, -3.0 + 1.0j, idx)
+        for f in dirichlet_basis(kind, -3.0 + 1.0j):
             fd = (f.evaluate(ss + h) - f.evaluate(ss - h)) / (2 * h)
             assert_allclose(f.evaluate(ss, 1), fd, rtol=1e-7, atol=1e-9)
             fd2 = (f.evaluate(ss + h, 1) - f.evaluate(ss - h, 1)) / (2 * h)
@@ -210,17 +208,47 @@ def test_convection_curve_at_the_degenerate_parameter():
     lam = cd.k - cd.c**2
     ss = np.linspace(0.0, 1.0, 5)
     want = np.exp(cd.c * (ss - 1)) * (1 - cd.c * (ss - 1))
-    assert_allclose(basis_eval(cd, 0, lam, ss), want, rtol=1e-12)
+    assert_allclose(dirichlet_basis(cd, lam)[0].evaluate(ss), want, rtol=1e-12)
 
 
 def test_curve_combination():
-    basis = dirichlet_basis(SecondDerivative(), 4.0)
-    combo = CurveCombination(curves=tuple(basis), coefficients=(2.0, -1.0))
+    combo = CurveCombination(SecondDerivative(), 4.0, (2.0, -1.0))
     # 2 cosh(2s) - sinh(2s)/2 at s = 1
     want = 2 * math.cosh(2.0) - math.sinh(2.0) / 2.0
     assert_allclose(combo.evaluate(1.0), want, rtol=1e-14)
+    assert isinstance(combo.evaluate(1.0), complex)
     with pytest.raises(DimensionError):
-        CurveCombination(curves=tuple(basis), coefficients=(1.0,))
+        CurveCombination(SecondDerivative(), 4.0, (1.0,))
+    with pytest.raises(UnsupportedKindError):
+        CurveCombination(DelaySystem(instant=((0.0,),)), 4.0, (1.0,))
+    with pytest.raises(ValueError):
+        combo.evaluate(0.5, 3)
+
+
+def test_curve_combination_takes_one_jet_per_evaluation(monkeypatch):
+    # all m curves of a combination come from one basis jet, at a scalar s
+    # and on a grid alike, and add up to the sum of the unit combinations
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return jet(*args)
+
+    jet = charspec.catalog._basis_jet
+    monkeypatch.setattr(charspec.catalog, "_basis_jet", counting)
+    ss = np.linspace(0.0, 1.0, 9)
+    for kind in ALL_DIRICHLET:
+        m = boundary_dimension(kind)
+        x = (1.5 - 0.5j, -0.25 + 2.0j)[:m]
+        combo = CurveCombination(kind, -3.0 + 1.0j, x)
+        basis = dirichlet_basis(kind, -3.0 + 1.0j)
+        for s in (0.3, ss):
+            for order in (0, 1, 2):
+                calls.clear()
+                got = combo.evaluate(s, order)
+                assert len(calls) == 1, (kind, order)
+                want = sum(c * np.asarray(f.evaluate(s, order)) for c, f in zip(x, basis))
+                assert_allclose(got, want, rtol=1e-14)
 
 
 # -- functionals ---------------------------------------------------------------
@@ -271,7 +299,7 @@ def test_gauss_legendre_exactness():
 
 def test_apply_functional_hand_values():
     # curve cosh(2s): second derivative at 0 is 4, integral is sinh(2)/2
-    curve = HoloCurve(SecondDerivative(), 4.0, 0)
+    curve = dirichlet_basis(SecondDerivative(), 4.0)[0]
     assert_allclose(
         apply_functional(point_functional(0.0, order=2), curve), 4.0, rtol=1e-14
     )
@@ -279,14 +307,14 @@ def test_apply_functional_hand_values():
         apply_functional(integral_functional(), curve), math.sinh(2.0) / 2.0, rtol=1e-12
     )
     # exponential kernel against e^{2s}: int_0^1 e^{3s} ds = (e^3 - 1)/3
-    curve = HoloCurve(FirstDerivative(), 2.0, 0)
+    (curve,) = dirichlet_basis(FirstDerivative(), 2.0)
     got = apply_functional(integral_functional(kernel="exp", rate=1.0), curve)
     assert_allclose(got, (math.exp(3.0) - 1.0) / 3.0, rtol=1e-12)
 
 
 def test_apply_functional_oscillatory_integral():
     # int_0^1 e^{40 i s} ds; forces the adaptive doubling to actually engage
-    curve = HoloCurve(FirstDerivative(), 40.0j, 0)
+    (curve,) = dirichlet_basis(FirstDerivative(), 40.0j)
     want = (np.exp(40.0j) - 1.0) / 40.0j
     got = apply_functional(integral_functional(), curve)
     assert abs(got - want) < 1e-12
@@ -300,7 +328,7 @@ def test_unconverged_quadrature_raises():
     lam = 0.3 + 1500j
     psi = point_functional(0.0) + integral_functional(-2.0, "exp", 0.5)
     with pytest.raises(QuadratureFailureError):
-        apply_functional(psi, HoloCurve(FirstDerivative(), lam, 0))
+        apply_functional(psi, dirichlet_basis(FirstDerivative(), lam)[0])
     got = functional_on_basis(FirstDerivative(), (psi,), np.array([lam]))[0][0, 0, 0]
     with mpmath.workdps(50):
         z = mpmath.mpc(lam) + mpmath.mpf(0.5)
@@ -368,17 +396,29 @@ def _removable_points(kind, r):
 
 # far out in the plane, |lam| up to 1500
 FAR_LAMS = (0.3 + 1500j, -1500.0, 1500j, -900.0 + 1200j, 600.0 + 1000j)
+# mu = lam + c^2 - k just inside and outside the radii where the closed
+# forms hand over to their series: 1, and (Re b)^2/25 at b = -10, -20 and
+# -30 + 5i
+MU_RING = tuple(
+    rho * side * z
+    for rho in (1.0, 4.0, 16.0, 36.0)
+    for side in (1.0 - 1e-4, 1.0 + 1e-4)
+    for z in (1.0, 1j, -1.0)
+)
 
 
 def test_integral_terms_match_mpmath():
-    # every Dirichlet kind, both kernels, rates 0, 1/2 and -1: value and
-    # lambda-derivative to 1e-13 relative against 50 digits
+    # every Dirichlet kind, both kernels, rates 0, 1/2 and -1, the strongly
+    # decaying rates -10, -20 and -30 + 5i, and the oscillating -1 + 30i:
+    # value and lambda-derivative to 1e-13 relative against 50 digits
     mpmath = pytest.importorskip("mpmath")
-    kernels = (("const", 0.0), ("exp", 0.0), ("exp", 0.5), ("exp", -1.0))
+    kernels = (("const", 0.0), ("exp", 0.0), ("exp", 0.5), ("exp", -1.0), ("exp", -10.0),
+               ("exp", -20.0), ("exp", -30.0 + 5.0j), ("exp", -1.0 + 30.0j))
     with mpmath.workdps(50):
         for kind in ALL_DIRICHLET:
+            shift = kind.k - kind.c**2 if isinstance(kind, ConvectionDiffusion) else 0.0
             for kernel, r in kernels:
-                pts = list(JET_LAMS + FAR_LAMS)
+                pts = list(JET_LAMS + FAR_LAMS) + [mu + shift for mu in MU_RING]
                 for p in _removable_points(kind, r):
                     pts += [p + 1e-8, p - 1e-8j, p + 1e-3, p - 1e-3 + 1e-3j]
                 psi = integral_functional(1.0, kernel, r)
@@ -404,7 +444,7 @@ def test_functional_on_basis_matches_scalar_application():
         got = functional_on_basis(kind, (psi,), lams)[0]
         for j in range(boundary_dimension(kind)):
             want = np.array(
-                [apply_functional(psi, HoloCurve(kind, lam, j)) for lam in lams]
+                [apply_functional(psi, dirichlet_basis(kind, lam)[j]) for lam in lams]
             )
             assert_allclose(got[:, 0, j], want, rtol=1e-10, atol=1e-13)
 

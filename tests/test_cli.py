@@ -1,6 +1,8 @@
+import importlib
 import json
 import math
 import os
+import pkgutil
 import subprocess
 import sys
 from pathlib import Path
@@ -9,6 +11,7 @@ import numpy as np
 import pytest
 import scipy.sparse.linalg
 
+import charspec
 from charspec import (
     BoundaryDelayHeat,
     BoundaryFunctional,
@@ -458,6 +461,19 @@ def test_cold_import_leaves_out_scipy_integrate():
     )
     assert proc.returncode == 0
     assert proc.stdout.strip() == "False"
+
+
+def test_every_exported_name_resolves():
+    # a name deleted from a module but left in an __all__ list would only
+    # show up on a star import
+    modules = [charspec] + [
+        importlib.import_module(f"charspec.{info.name}")
+        for info in pkgutil.iter_modules(charspec.__path__)
+        if info.name != "__main__"
+    ]
+    for mod in modules:
+        assert len(set(mod.__all__)) == len(mod.__all__), mod.__name__
+        assert [name for name in mod.__all__ if not hasattr(mod, name)] == [], mod.__name__
 
 
 def test_package_entry_point_runs_without_warnings():
