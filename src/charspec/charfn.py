@@ -59,7 +59,6 @@ __all__ = [
     "char_matrix",
     "char_values",
     "char_value",
-    "build_char_function",
     "kernel_vectors",
     "eigenfunction",
     "resolvent_value",
@@ -316,10 +315,6 @@ class CharFunction:
         if is_dirichlet(self.spec.kind):
             return np.eye(mats.shape[-1]) - mats
         return mats
-
-
-def build_char_function(spec):
-    return CharFunction(spec)
 
 
 def kernel_vectors(spec, lam):

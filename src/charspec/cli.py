@@ -32,8 +32,8 @@ from .catalog import (
     is_dirichlet,
 )
 from .charfn import (
+    CharFunction,
     ProblemSpec,
-    build_char_function,
     char_matrix,
     effective_psi,
     eigenfunction,
@@ -374,7 +374,7 @@ def run_job(cfg):
     into exit status 2 and a report whose trailer names the error.
     """
     spec = cfg.spec
-    fn = build_char_function(spec)
+    fn = CharFunction(spec)
     notes = []
     report = find_zeros(fn, spec.region, tol=spec.root_tol, seed=cfg.seed)
     if report.identically_zero:
@@ -451,7 +451,7 @@ def _fmt(x):
 
 def _grid_rows(cfg):
     spec = cfg.spec
-    fn = build_char_function(spec)
+    fn = CharFunction(spec)
     n_re, n_im = cfg.grid
     res = np.linspace(spec.region.lo.real, spec.region.hi.real, n_re)
     ims = np.linspace(spec.region.lo.imag, spec.region.hi.imag, n_im)

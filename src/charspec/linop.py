@@ -1,17 +1,17 @@
-"""Dense complex linear algebra kernel.
+"""Dense complex linear algebra kernel, on LAPACK's own formats.
 
-Everything downstream (characteristic determinants, contour counts, kernel
-extraction) funnels through the factorizations in this module, all of them
-LAPACK through scipy: LU and triangular solves, and the singular value
-decomposition behind ``kernel_basis``.  On top of that the module keeps an
-explicit singularity threshold with a typed error, and determinants
-accumulated in mantissa/exponent form so long products cannot overflow
-before the final collapse to a complex scalar.
+Solves, inverses, determinants and kernels go through this module, all of
+them LAPACK through numpy and scipy: scipy's ``(lu, piv)`` pair from LU
+with partial pivoting and its triangular solves, numpy's ``slogdet`` for
+determinants, and the singular value decomposition behind
+``kernel_basis``.  On top of that the module keeps an explicit singularity
+threshold with a typed error, and the block identities of G = A + BC: the
+Schur-complement route to a block inverse and the exchange
+(Id - QR)^{-1} = Id + Q (Id - RQ)^{-1} R.
 """
 
 from __future__ import annotations
 
-import math
 import warnings
 from dataclasses import dataclass
 
@@ -21,7 +21,6 @@ import scipy.linalg
 from .errors import DimensionError, SingularMatrixError
 
 __all__ = [
-    "LUFactors",
     "BlockMatrix",
     "as_matrix",
     "lu_decompose",
@@ -54,136 +53,60 @@ def as_matrix(m, square=False):
     return a
 
 
-@dataclass(frozen=True)
-class LUFactors:
-    """Partially pivoted LU factorization ``A[perm] = L @ U``.
-
-    ``combined`` stores U on and above the diagonal and the unit-lower
-    multipliers strictly below it; ``piv`` holds LAPACK's row interchanges
-    (row i was swapped with row ``piv[i]``, in order).  ``perm`` is the
-    resulting row order applied to A, ``parity`` the sign of that
-    permutation.
-    """
-
-    combined: np.ndarray
-    piv: np.ndarray
-
-    @property
-    def size(self):
-        return self.combined.shape[0]
-
-    @property
-    def perm(self):
-        perm = np.arange(self.size)
-        for i, p in enumerate(self.piv):
-            perm[[i, p]] = perm[[p, i]]
-        return perm
-
-    @property
-    def parity(self):
-        swaps = np.count_nonzero(self.piv != np.arange(self.size))
-        return -1 if swaps % 2 else 1
-
-    @property
-    def lower(self):
-        n = self.size
-        return np.tril(self.combined, -1) + np.eye(n, dtype=complex)
-
-    @property
-    def upper(self):
-        return np.triu(self.combined)
-
-    def pivot_magnitudes(self):
-        d = np.abs(np.diag(self.combined))
-        return d
-
-    @property
-    def smallest_pivot(self):
-        d = self.pivot_magnitudes()
-        return float(d.min()) if d.size else 1.0
-
-    @property
-    def largest_pivot(self):
-        d = self.pivot_magnitudes()
-        return float(d.max()) if d.size else 1.0
-
-    def is_singular(self, rtol=SINGULAR_RTOL):
-        return self.smallest_pivot < rtol * max(self.largest_pivot, 1e-300)
-
-
 def lu_decompose(m):
-    """Factor a square matrix with partial (row) pivoting.
+    """Factor a square matrix with partial (row) pivoting: scipy's ``(lu, piv)``.
 
-    Never raises on singular input: a singular matrix simply comes back with
-    a zero (or tiny) diagonal entry in the upper factor, which callers can
-    inspect via ``is_singular``/``smallest_pivot``.
+    ``lu`` stores U on and above the diagonal and the unit-lower
+    multipliers strictly below it; ``piv`` holds LAPACK's row interchanges
+    (row i was swapped with row ``piv[i]``, in order).  Never raises on
+    singular input: a singular matrix simply comes back with a zero (or
+    tiny) diagonal entry in ``lu``.
     """
     a = as_matrix(m, square=True)
     with warnings.catch_warnings():
         # LAPACK reports an exactly zero pivot; here that is a result
         warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
-        combined, piv = scipy.linalg.lu_factor(a, check_finite=False)
-    return LUFactors(combined=combined, piv=piv)
-
-
-def _determinant_scaled(fac):
-    """Determinant of a factorization as (mantissa, exponent-of-2).
-
-    |mantissa| is kept in [0.5, 1) so arbitrarily long diagonal products
-    stay representable; the pair collapses to a scalar only at the interface.
-    """
-    d = np.append(np.diag(fac.combined), fac.parity)
-    if not d.all():
-        return 0j, 0
-    expo = 0
-    while True:
-        _, e = np.frexp(np.abs(d))
-        d = np.ldexp(d.real, -e) + 1j * np.ldexp(d.imag, -e)
-        expo += int(e.sum())
-        if d.size == 1:
-            return complex(d[0]), expo
-        # products of 1000 mantissas stay above 0.5**1000, a normal double
-        d = np.multiply.reduceat(d, np.arange(0, d.size, 1000))
-
-
-def _collapse(part, expo):
-    if part == 0.0:
-        return 0.0
-    try:
-        return math.ldexp(part, expo)  # silently underflows to 0.0
-    except OverflowError:
-        return math.copysign(math.inf, part)
+        return scipy.linalg.lu_factor(a, check_finite=False)
 
 
 def determinant(m):
-    """Determinant via pivoted LU.  The 0x0 edge case gives 1."""
-    fac = m if isinstance(m, LUFactors) else lu_decompose(m)
-    mant, expo = _determinant_scaled(fac)
-    return complex(_collapse(mant.real, expo), _collapse(mant.imag, expo))
+    """Determinant of a square matrix from numpy's ``slogdet``.  0x0 gives 1.
+
+    LAPACK's pivots are summed as logarithms, so long products cannot
+    overflow before the final exponential; there a real or imaginary part
+    that is exactly zero in the sign stays zero (inf times that zero would
+    read nan), and a magnitude beyond the doubles reads inf.
+    """
+    sign, logabs = np.linalg.slogdet(as_matrix(m, square=True))
+    with np.errstate(over="ignore"):
+        mag = np.exp(logabs)
+    return complex(sign.real and sign.real * mag, sign.imag and sign.imag * mag)
 
 
 def solve(m, rhs):
     """Solve ``m @ x = rhs`` (rhs may be a vector or a matrix of columns).
 
     Raises SingularMatrixError, carrying the smallest upper-diagonal
-    magnitude, when the pivot ratio drops below the singularity threshold.
+    magnitude, when it drops below ``SINGULAR_RTOL`` times the largest.
     """
-    fac = m if isinstance(m, LUFactors) else lu_decompose(m)
-    if fac.is_singular():
+    lu, piv = lu_decompose(m)
+    pivots = np.abs(np.diag(lu)) if lu.size else np.ones(1)
+    smallest = float(pivots.min())
+    if smallest < SINGULAR_RTOL * max(float(pivots.max()), 1e-300):
         raise SingularMatrixError(
-            f"matrix is singular to tolerance (pivot {fac.smallest_pivot:.3e})",
-            smallest_pivot=fac.smallest_pivot,
+            f"matrix is singular to tolerance (pivot {smallest:.3e})",
+            smallest_pivot=smallest,
         )
     b = np.asarray(rhs, dtype=complex)
-    if b.shape[0] != fac.size:
-        raise DimensionError(f"rhs has {b.shape[0]} rows, matrix has {fac.size}")
-    return scipy.linalg.lu_solve((fac.combined, fac.piv), b, check_finite=False)
+    if b.shape[0] != lu.shape[0]:
+        raise DimensionError(f"rhs has {b.shape[0]} rows, matrix has {lu.shape[0]}")
+    return scipy.linalg.lu_solve((lu, piv), b, check_finite=False)
 
 
 def inverse(m):
     """Explicit inverse (used for the small block formulas)."""
-    fac = m if isinstance(m, LUFactors) else lu_decompose(m)
-    return solve(fac, np.eye(fac.size, dtype=complex))
+    a = as_matrix(m, square=True)
+    return solve(a, np.eye(a.shape[0], dtype=complex))
 
 
 def kernel_basis(m, rtol=1e-8, scale=None):

@@ -53,6 +53,8 @@ _SHIFT_BUMPS = (0.0, 1e-3, 1e-2, 1e-1)
 # a shift closer than this (times R) to an eigenvalue moves one rung on; half
 # the first rung, so one move off an eigenvalue at the centre clears it
 _SHIFT_CLEARANCE = 5e-4
+# points of the uniform grid on which eigen_residual samples a candidate
+_RESIDUAL_POINTS = 2001
 
 
 @dataclass(frozen=True)
@@ -117,14 +119,20 @@ def _functional_row(psi, n, h, grid):
     return row
 
 
+def _generator_terms(kind):
+    """A_m as (derivative order, coefficient) pairs: f' for the
+    first-derivative kind, f'' - 2c f' + k f for convection-diffusion, and
+    f'' for the others."""
+    if isinstance(kind, FirstDerivative):
+        return ((1, 1.0),)
+    if isinstance(kind, ConvectionDiffusion):
+        return ((2, 1.0), (1, -2.0 * kind.c), (0, kind.k))
+    return ((2, 1.0),)
+
+
 def _generator(kind, colloc, n, h):
     """A_m at the collocation points, as a sparse (len(colloc), n + 1) array."""
-    if isinstance(kind, FirstDerivative):
-        terms = ((1, 1.0),)
-    elif isinstance(kind, SecondDerivative):
-        terms = ((2, 1.0),)
-    else:
-        terms = ((2, 1.0), (1, -2.0 * kind.c), (0, kind.k))
+    terms = _generator_terms(kind)
     inner = (colloc > 0) & (colloc < n)
     band = sum(coef * _CENTRED[order] / h**order for order, coef in terms)
     rows = [np.repeat(np.flatnonzero(inner), 3)]
@@ -231,11 +239,11 @@ def _dense_factor(m):
     def factor(shift):
         shifted = m.copy()
         shifted.flat[:: m.shape[0] + 1] -= shift
-        fac = linop.lu_decompose(shifted)
-        if not fac.smallest_pivot > 0.0:
+        lu, piv = linop.lu_decompose(shifted)
+        if not np.abs(np.diag(lu)).min() > 0.0:
             return None
         # not linop.solve: its singularity gate would refuse this factor
-        return lambda v: scipy.linalg.lu_solve((fac.combined, fac.piv), v, check_finite=False)
+        return lambda v: scipy.linalg.lu_solve((lu, piv), v, check_finite=False)
 
     return factor
 
@@ -376,21 +384,7 @@ def sparse_eigenvalues(matrix, window):
     return dense_eigenvalues(matrix, window)
 
 
-def _apply_generator(kind, f, s):
-    """A_m f on the grid: f' for the first-derivative kind, f'' for the
-    others, plus -2c f' + k f for convection-diffusion."""
-    if isinstance(kind, FirstDerivative):
-        return np.asarray(f.evaluate(s, 1))
-    if isinstance(kind, ConvectionDiffusion):
-        return (
-            np.asarray(f.evaluate(s, 2))
-            - 2.0 * kind.c * np.asarray(f.evaluate(s, 1))
-            + kind.k * np.asarray(f.evaluate(s, 0))
-        )
-    return np.asarray(f.evaluate(s, 2))
-
-
-def eigen_residual(kind, psi, lam, f, npts=2001):
+def eigen_residual(kind, psi, lam, f):
     """Defect of a claimed eigenpair, after unit-sup normalization of f.
 
     Returns (ode_residual, bc_residual): the sup of (lambda - A_m) f on the
@@ -398,12 +392,15 @@ def eigen_residual(kind, psi, lam, f, npts=2001):
     of the boundary functionals psi.
     """
     lam = complex(lam)
-    s = np.linspace(0.0, 1.0, npts)
+    s = np.linspace(0.0, 1.0, _RESIDUAL_POINTS)
     vals = np.asarray(f.evaluate(s, 0))
     scale = float(np.max(np.abs(vals)))
     if scale == 0.0:
         raise DimensionError("candidate eigenfunction vanishes identically on the grid")
-    ode = float(np.max(np.abs(lam * vals - _apply_generator(kind, f, s)))) / scale
+    a_f = sum(
+        coef * np.asarray(f.evaluate(s, order)) for order, coef in _generator_terms(kind)
+    )
+    ode = float(np.max(np.abs(lam * vals - a_f))) / scale
     bc = 0.0
     for p in psi:
         bc = max(bc, abs(apply_functional(p, f)) / scale)

@@ -286,7 +286,8 @@ def newton_refine(f, start, tol, rect):
     Leaving a 2x-dilated copy of ``rect`` raises DivergenceError; a stalled
     iteration (steps shrinking by less than 10% over five iterations) falls
     back to shrinking winding boxes, which handles multiple roots.  Returns
-    (root, iterations_used).
+    (root, iterations_used), with -1 iterations for a root the winding-box
+    fallback refined, as ``find_zeros`` reports its other fallback roots.
     """
     scan = f if isinstance(f, _Scanner) else _Scanner(f)
     fence = rect.dilated(2.0)
@@ -310,8 +311,7 @@ def newton_refine(f, start, tol, rect):
     # stall fallback: descend by winding counts on shrinking boxes
     size = max(64.0 * tol, 4.0 * (steps[-1] if steps else tol))
     box = Rectangle(lam - size * (1 + 1j), lam + size * (1 + 1j))
-    root = _bisect_by_count(scan, box, tol)
-    return root, _NEWTON_MAX_ITER
+    return _bisect_by_count(scan, box, tol), -1
 
 
 def _bisect_by_count(scan, box, tol, depth=60):
@@ -506,7 +506,8 @@ def _merge_roots(scan, refined, tol):
             if abs(root - g["root"]) <= 10.0 * tol:
                 g["count"] += count
                 g["scale"] = max(g["scale"], scale)
-                g["iters"] = max(g["iters"], iters)
+                # a fallback part (-1) marks the whole group
+                g["iters"] = -1 if -1 in (g["iters"], iters) else max(g["iters"], iters)
                 if abs(scan.value(root)) < abs(scan.value(g["root"])):
                     g["root"] = root
                 break

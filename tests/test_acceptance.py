@@ -15,6 +15,7 @@ import numpy as np
 from charspec import (
     BlockMatrix,
     BoundaryDelayHeat,
+    CharFunction,
     ConvectionDiffusion,
     DelaySystem,
     FirstDerivative,
@@ -22,7 +23,6 @@ from charspec import (
     QuadraticPencil,
     Rectangle,
     SecondDerivative,
-    build_char_function,
     char_value,
     delta_matrix,
     determinant,
@@ -129,7 +129,7 @@ def _scan(name):
             Rectangle(-4.0 - 9.0j, 1.0 + 9.0j)),
     }[name]
     t0 = time.perf_counter()
-    report = find_zeros(build_char_function(spec), rect, tol=1e-10)
+    report = find_zeros(CharFunction(spec), rect, tol=1e-10)
     elapsed = time.perf_counter() - t0
     return spec, report, elapsed
 
@@ -281,7 +281,7 @@ def test_06_pencil_vs_companion():
         hi = complex(max(e.real for e in eigs) + 1.5, max(e.imag for e in eigs) + 1.5)
         spec = ProblemSpec(kind=QuadraticPencil(
             const_term=tuple(map(tuple, A)), linear_term=tuple(map(tuple, P))))
-        report = find_zeros(build_char_function(spec), Rectangle(lo, hi), tol=1e-10)
+        report = find_zeros(CharFunction(spec), Rectangle(lo, hi), tol=1e-10)
         mine = [r.location for r in report.roots for _ in range(r.multiplicity)]
         worst = max(worst, _match_sets(mine, eigs))
     ok = worst < 1e-7
@@ -369,8 +369,7 @@ def test_09_eigenpair_residuals():
             lam = rec.location
             vec = kernel_vectors(spec, lam)[0]
             f = eigenfunction(spec, lam, vec)
-            ode, bc = eigen_residual(spec.kind, effective_psi(spec, lam), lam, f,
-                                     npts=2001)
+            ode, bc = eigen_residual(spec.kind, effective_psi(spec, lam), lam, f)
             worst_ode, worst_bc = max(worst_ode, ode), max(worst_bc, bc)
             n += 1
     ok = worst_ode < 1e-7 and worst_bc < 1e-7
@@ -456,7 +455,7 @@ def test_12_count_conservation():
     checked = 0
     for name in names:
         spec, report, _ = _scan(name)
-        recount = winding_count(build_char_function(spec), report.region)
+        recount = winding_count(CharFunction(spec), report.region)
         all_ok = (all_ok and recount == report.region_count
                   and report.total_multiplicity() == recount)
         checked += 1

@@ -7,6 +7,7 @@ from numpy.testing import assert_allclose
 from charspec import (
     BoundaryDelayHeat,
     BoundaryFunctional,
+    CharFunction,
     ConvectionDiffusion,
     DelaySystem,
     FirstDerivative,
@@ -14,7 +15,6 @@ from charspec import (
     QuadraticPencil,
     Rectangle,
     SecondDerivative,
-    build_char_function,
     char_matrix,
     char_value,
     char_values,
@@ -147,7 +147,7 @@ def test_boundary_delay_heat_matches_mpmath():
             dmean = -(half_sinhc + mean) / z
             want_f.append(complex(mpmath.cosh(r) - w * mean))
             want_d.append(complex(half_sinhc - dw * mean - w * dmean))
-    f, d = build_char_function(spec).values_and_derivatives(np.array(lams, dtype=complex))
+    f, d = CharFunction(spec).values_and_derivatives(np.array(lams, dtype=complex))
     assert_allclose(f, want_f, rtol=1e-13, atol=0)
     assert_allclose(d, want_d, rtol=1e-13, atol=0)
 
@@ -234,7 +234,7 @@ def test_analytic_derivative_matches_stencil():
     branch = ConvectionDiffusion(c=0.7, k=-0.4).k - 0.7**2
     near = (3e-7 + 2e-7j, -8e-7, branch, branch + 5e-7j)
     for spec in _derivative_specs():
-        fn = build_char_function(spec)
+        fn = CharFunction(spec)
         for lams in (PROBE_LAMS, near):
             lams = np.array(lams, dtype=complex)
             f, d = fn.values_and_derivatives(lams)
@@ -248,7 +248,7 @@ def test_analytic_derivative_at_an_exactly_singular_matrix():
     # lam = 1, where Jacobi's formula det * tr(M^-1 dM) has no inverse to use
     spec = ProblemSpec(kind=QuadraticPencil(const_term=((1.0, 0.0), (0.0, 4.0)),
                                             linear_term=((0.0, 0.0), (0.0, 0.0))))
-    f, d = build_char_function(spec).values_and_derivatives(np.array([1.0, 0.5j]))
+    f, d = CharFunction(spec).values_and_derivatives(np.array([1.0, 0.5j]))
     assert f[0] == 0.0
     assert d[0] == -6.0
     assert_allclose(d[1], 4.0 * (0.5j) ** 3 - 10.0 * 0.5j, rtol=1e-14)
@@ -439,7 +439,7 @@ def test_delay_weight_vectorized():
 
 
 def test_char_function_wrapper():
-    fn = build_char_function(wentzell_spec())
+    fn = CharFunction(wentzell_spec())
     lam = 4.0
     assert fn.value(lam) == char_value(fn.spec, lam)
     assert_allclose(fn.values(np.array([lam, 1.0]))[0], fn.value(lam), rtol=1e-15)
@@ -447,7 +447,7 @@ def test_char_function_wrapper():
     pencil = ProblemSpec(
         kind=QuadraticPencil(const_term=((1.0,),), linear_term=((0.0,),))
     )
-    fn2 = build_char_function(pencil)
+    fn2 = CharFunction(pencil)
     assert np.array_equal(fn2.zero_scale_entries(2.0), char_matrix(pencil, 2.0))
 
 

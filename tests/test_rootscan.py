@@ -5,10 +5,10 @@ import pytest
 
 from charspec import (
     BoundaryFunctional,
+    CharFunction,
     FirstDerivative,
     ProblemSpec,
     Rectangle,
-    build_char_function,
     find_zeros,
     newton_refine,
     point_functional,
@@ -22,6 +22,7 @@ from charspec.errors import (
     RootClusterError,
 )
 from charspec.rootscan import (
+    _merge_roots,
     detect_identically_zero,
     numeric_derivative,
 )
@@ -44,7 +45,7 @@ class VecFn:
 
 def periodic_fn(**kw):
     psi = point_functional(0.0) - point_functional(1.0)
-    return build_char_function(ProblemSpec(kind=FirstDerivative(), psi=(psi,), **kw))
+    return CharFunction(ProblemSpec(kind=FirstDerivative(), psi=(psi,), **kw))
 
 
 BIG = Rectangle(-1.0 - 7.0j, 1.0 + 7.0j)
@@ -216,7 +217,7 @@ def test_detect_identically_zero():
     assert detect_identically_zero(VecFn(lambda z: np.zeros_like(z)), box)
     assert not detect_identically_zero(VecFn(lambda z: np.ones_like(z)), box)
     assert not detect_identically_zero(periodic_fn(), box)
-    degenerate = build_char_function(
+    degenerate = CharFunction(
         ProblemSpec(kind=FirstDerivative(), psi=(BoundaryFunctional(),))
     )
     assert detect_identically_zero(degenerate, box)
@@ -252,10 +253,21 @@ def test_newton_double_root():
     assert abs(root) < 1e-9
     assert iters <= 50
     # a vanishing derivative at the start drops straight into the
-    # winding-box fallback
+    # winding-box fallback, which reads -1 iterations
     root, iters = newton_refine(VecFn(lambda z: z * z), 0.0, 1e-8, box)
     assert abs(root) < 1e-6
-    assert iters == 50
+    assert iters == -1
+
+
+def test_merge_roots_fallback_part_marks_the_group():
+    # two halves of a double root, one polished by Newton in 4 iterations
+    # and one refined by the winding-box fallback: whichever sorts first,
+    # the merged root reads -1, so a Newton count cannot hide the fallback
+    fn = VecFn(lambda z: z * z)
+    for a, b in ((-1e-12, 1e-12), (1e-12, -1e-12)):
+        (rec,) = _merge_roots(fn, [(complex(a), 1, -1, 1.0), (complex(b), 1, 4, 1.0)], 1e-10)
+        assert rec.multiplicity == 2
+        assert rec.newton_iterations == -1
 
 
 def test_newton_divergence():
@@ -307,7 +319,7 @@ def test_find_zeros_empty_region():
 
 
 def test_find_zeros_identically_zero_short_circuit():
-    fn = build_char_function(ProblemSpec(kind=FirstDerivative(), psi=(BoundaryFunctional(),)))
+    fn = CharFunction(ProblemSpec(kind=FirstDerivative(), psi=(BoundaryFunctional(),)))
     report = find_zeros(fn, BIG, tol=1e-10)
     assert report.identically_zero
     assert report.roots == ()
