@@ -273,8 +273,8 @@ class DelaySystem:
         norm = []
         for tau, mat in self.delays:
             tau = float(tau)
-            if tau < 0:
-                raise ValueError(f"negative delay {tau}")
+            if not 0.0 <= tau < math.inf:
+                raise ValueError(f"delay {tau} is not finite and non-negative")
             mat = _nested_tuple(mat)
             if len(mat) != n:
                 raise DimensionError("delay coefficient size differs from instant term")

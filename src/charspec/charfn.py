@@ -5,10 +5,10 @@ consists of those lambda where Id - Phi L_lambda drops rank on the boundary
 space, i.e. where F(lambda) = det(Id - Delta(lambda)) vanishes; delay
 systems and quadratic pencils contribute their own entire matrix families.
 ``matrix_family`` assembles M(lambda) (and dM/dlambda) batched over
-lambdas, once per kind: ``char_values``, the scanner's
-``CharFunction.values_and_derivatives``, ``char_matrix``, the zero-scale
-entries and ``kernel_vectors`` all take M from it; with user functionals
-it is ``catalog.functional_on_basis``, one pass over all rows and curves.
+lambdas, once per kind: ``CharFunction`` (F, F' and the zero-scale
+entries the scanner evaluates), ``char_matrix`` and ``kernel_vectors`` all
+take M from it; with user functionals it is
+``catalog.functional_on_basis``, one pass over all rows and curves.
 ``delta_matrix`` builds Delta(lambda) = Phi L_lambda entry by entry through
 the generic functional machinery instead; it stays as the reference the
 tests hold the family to.
@@ -57,8 +57,6 @@ __all__ = [
     "delta_matrix",
     "matrix_family",
     "char_matrix",
-    "char_values",
-    "char_value",
     "kernel_vectors",
     "eigenfunction",
     "resolvent_value",
@@ -114,8 +112,8 @@ class ProblemSpec:
         object.__setattr__(self, "psi", psi)
         if self.region is not None and not isinstance(self.region, Rectangle):
             raise DimensionError("region must be a Rectangle")
-        if not (self.root_tol > 0.0 and self.residual_tol > 0.0):
-            raise DimensionError("tolerances must be positive")
+        if not (0.0 < self.root_tol < np.inf and 0.0 < self.residual_tol < np.inf):
+            raise DimensionError("tolerances must be positive and finite")
 
 
 def delay_weight(kind, lams):
@@ -280,28 +278,21 @@ def _char_jet(spec, lams, dlam):
     return out, d
 
 
-def char_values(spec, lams):
-    """Vectorized characteristic values over an array of lambdas."""
-    out = _char_jet(spec, lams, False)[0]
-    return complex(out) if out.shape == () else out
-
-
-def char_value(spec, lam):
-    """Characteristic value at a single lambda."""
-    return complex(char_values(spec, np.asarray(complex(lam))))
-
-
 @dataclass(frozen=True)
 class CharFunction:
-    """Scalar characteristic function with access to its matrix family."""
+    """Scalar characteristic function with access to its matrix family: the
+    one implementation of ``rootscan``'s evaluation contract."""
 
     spec: ProblemSpec
 
     def value(self, lam):
-        return char_value(self.spec, lam)
+        """Characteristic value at a single lambda, from a 0-d array."""
+        return complex(_char_jet(self.spec, np.asarray(complex(lam)), False)[0])
 
     def values(self, lams):
-        return char_values(self.spec, lams)
+        """Vectorized characteristic values; a complex for a 0-d input."""
+        out = _char_jet(self.spec, lams, False)[0]
+        return complex(out) if out.shape == () else out
 
     def values_and_derivatives(self, lams):
         """(F, F') over an array of lambdas, from the same formulas as values."""
@@ -358,7 +349,7 @@ def resolvent_value(spec, lam, g, form="boundary"):
         raise ValueError(f"unknown form {form!r}")
     lam = complex(lam)
     g = np.asarray(g, dtype=complex)
-    f_val = char_value(spec, lam)
+    f_val = CharFunction(spec).value(lam)
     if abs(f_val) <= max(100.0 * spec.root_tol, 1e-10):
         raise ResolventUndefinedError(f"lambda = {lam} is (numerically) a spectral point")
     r0 = resolvent_apply(lam, g)

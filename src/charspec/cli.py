@@ -11,6 +11,7 @@ is 0 exactly when every requested certification passed.
 from __future__ import annotations
 
 import argparse
+import cmath
 import dataclasses
 import json
 import sys
@@ -81,11 +82,22 @@ class JobConfig:
 
 
 def _complex_in(value, where):
-    if isinstance(value, (int, float)):
-        return complex(value)
-    if isinstance(value, list) and len(value) == 2:
-        return complex(float(value[0]), float(value[1]))
-    raise ConfigError(f"{where}: expected a number or [re, im] pair, got {value!r}")
+    pair = [value, 0.0] if isinstance(value, (int, float)) else value
+    try:
+        if isinstance(pair, list) and len(pair) == 2:
+            z = complex(float(pair[0]), float(pair[1]))
+            if cmath.isfinite(z):
+                return z
+    except (OverflowError, TypeError, ValueError):
+        pass
+    raise ConfigError(f"{where}: expected a finite number or [re, im] pair, got {value!r}")
+
+
+def _exactly(kind, value, where):
+    """``value`` when its JSON type is ``kind`` (bool or int; a bool is no int)."""
+    if type(value) is not kind:
+        raise ConfigError(f"{where}: expected a JSON {kind.__name__}, got {value!r}")
+    return value
 
 
 def _complex_out(z):
@@ -130,7 +142,7 @@ def _functional_in(terms, where):
                 )
             else:
                 raise ConfigError(f"{spot}: term needs a 'point' or 'integral' key")
-        except (ValueError, TypeError) as exc:
+        except (OverflowError, TypeError, ValueError) as exc:
             raise ConfigError(f"{spot}: {exc}") from exc
     return BoundaryFunctional(points=tuple(points), integrals=tuple(integrals))
 
@@ -180,7 +192,7 @@ def _kind_in(name, params):
             const_term=_matrix_in(params["const_term"], "problem.parameters.const_term"),
             linear_term=_matrix_in(params["linear_term"], "problem.parameters.linear_term"),
         )
-    except (KeyError, ValueError, TypeError) as exc:
+    except (KeyError, OverflowError, TypeError, ValueError) as exc:
         raise ConfigError(f"bad parameters for kind {name!r}: {exc}") from exc
 
 
@@ -221,8 +233,8 @@ def parse_config(text):
             complex(float(region_spec["re"][0]), float(region_spec["im"][0])),
             complex(float(region_spec["re"][1]), float(region_spec["im"][1])),
         )
-    except (KeyError, TypeError, IndexError, ValueError) as exc:
-        raise ConfigError(f"problem.region must give re/im bounds: {exc}") from exc
+    except (IndexError, KeyError, OverflowError, TypeError, ValueError) as exc:
+        raise ConfigError(f"problem.region must give finite re/im bounds: {exc}") from exc
     kind = _kind_in(prob.get("kind"), prob.get("parameters", {}))
     psi = tuple(
         _functional_in(terms, f"problem.psi[{i}]")
@@ -236,33 +248,29 @@ def parse_config(text):
             root_tol=float(prob.get("root_tol", 1e-10)),
             residual_tol=float(prob.get("residual_tol", 1e-7)),
         )
-    except CharspecError as exc:
+    except (CharspecError, OverflowError, TypeError, ValueError) as exc:
         raise ConfigError(f"invalid problem spec: {exc}") from exc
     outputs = data.get("outputs", {})
     grid = outputs.get("grid")
     if grid is not None:
-        try:
-            grid = (int(grid[0]), int(grid[1]))
-        except (TypeError, IndexError, ValueError) as exc:
-            raise ConfigError("outputs.grid must be [n_re, n_im]") from exc
-        if grid[0] < 2 or grid[1] < 2:
+        if not (isinstance(grid, list) and len(grid) == 2):
+            raise ConfigError(f"outputs.grid must be [n_re, n_im], got {grid!r}")
+        grid = tuple(_exactly(int, n, "outputs.grid") for n in grid)
+        if min(grid) < 2:
             raise ConfigError("outputs.grid must be at least 2x2")
     oracle = data.get("oracle", {})
     fmt = data.get("format", "csv")
     if fmt not in ("csv", "structured"):
         raise ConfigError(f"format must be 'csv' or 'structured', got {fmt!r}")
-    try:
-        return JobConfig(
-            spec=spec,
-            spectrum=bool(outputs.get("spectrum", True)),
-            grid=grid,
-            oracle_enabled=bool(oracle.get("enabled", False)),
-            oracle_grid=int(oracle.get("grid", 512)),
-            seed=int(data.get("seed", 0)),
-            out_format=fmt,
-        )
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"invalid job options: {exc}") from exc
+    return JobConfig(
+        spec=spec,
+        spectrum=_exactly(bool, outputs.get("spectrum", True), "outputs.spectrum"),
+        grid=grid,
+        oracle_enabled=_exactly(bool, oracle.get("enabled", False), "oracle.enabled"),
+        oracle_grid=_exactly(int, oracle.get("grid", 512), "oracle.grid"),
+        seed=_exactly(int, data.get("seed", 0), "seed"),
+        out_format=fmt,
+    )
 
 
 def serialize_config(cfg):

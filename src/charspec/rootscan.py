@@ -1,15 +1,16 @@
 """Argument-principle root location for holomorphic scalar functions.
 
-The scanner needs nothing from the function beyond point evaluation.  When
-present it uses a vectorized ``values``, a ``values_and_derivatives`` hook
-giving (F, F') in one batched call, and a ``zero_scale_entries`` hook giving
-the matrix entries behind F over an array of points in one batched call.
-Without the derivative hook, F' comes from central-difference stencils in
-two orthogonal complex directions.  Winding numbers and centred first
-moments come from contour integrals of F'/F with composite Gauss-Legendre
-panels.  Rectangles subdivide recursively until each leaf isolates one
-root; Newton then polishes it, starting from the leaf's moment estimate
-(the first moment of a one-root box is that root, Delves & Lyness 1967).
+The scanner takes F as an object with three methods: ``value(lam)`` for one
+point, ``values(lams)`` over an array, and ``values_and_derivatives(lams)``
+giving (F, F') over an array in one batched call.  ``CharFunction`` is the
+one production implementation.  An optional ``zero_scale_entries(lams)``
+gives the matrix entries behind F, which set the scale of the
+identically-zero test; a function without a matrix behind it has none.
+Winding numbers and centred first moments come from contour integrals of
+F'/F with composite Gauss-Legendre panels.  Rectangles subdivide
+recursively until each leaf isolates one root; Newton then polishes it,
+starting from the leaf's moment estimate (the first moment of a one-root
+box is that root, Delves & Lyness 1967).
 """
 
 from __future__ import annotations
@@ -33,7 +34,6 @@ __all__ = [
     "Rectangle",
     "RootRecord",
     "RootReport",
-    "numeric_derivative",
     "winding_count",
     "detect_identically_zero",
     "newton_refine",
@@ -48,8 +48,6 @@ _DILATIONS = (1.013, 1.029, 1.041)
 _CUT_FRACTIONS = (0.5, 0.5137, 0.4863, 0.5271, 0.4729, 0.5413, 0.4587)
 _MAX_DOUBLINGS = 12
 _ZERO_GUARD = 1e-13
-# Stencil step of numeric_derivative, relative to 1 + |lam|.
-_STENCIL_STEP = 1e-6
 # Quasi-random points of the identically-zero test.
 _ZERO_SAMPLES = 25
 # Newton iterations before the winding-count fallback takes over.
@@ -65,8 +63,9 @@ class Rectangle:
 
     def __post_init__(self):
         lo, hi = complex(self.lo), complex(self.hi)
-        if not (hi.real > lo.real and hi.imag > lo.imag):
-            raise DimensionError(f"degenerate rectangle {lo} .. {hi}")
+        # a finite hi - lo also rules out infinite corners and overflowing sizes
+        if not (hi.real > lo.real and hi.imag > lo.imag and cmath.isfinite(hi - lo)):
+            raise DimensionError(f"degenerate or non-finite rectangle {lo} .. {hi}")
         object.__setattr__(self, "lo", lo)
         object.__setattr__(self, "hi", hi)
 
@@ -116,59 +115,12 @@ class Rectangle:
         )
 
 
-class _Scanner:
-    """Uniform evaluation adapter: CharFunction-like object or bare callable.
-
-    ``pair(lams)`` gives (F, F') over an array: the function's own
-    ``values_and_derivatives`` when it has one, else F plus the
-    four-shift ``numeric_derivative`` stencil.  ``zero_scale(lams)`` gives
-    the magnitudes of every matrix entry the function's
-    ``zero_scale_entries`` returns for the whole array, or None without
-    that hook.
-    """
-
-    def __init__(self, f):
-        self._f = f
-        self.value = f.value if hasattr(f, "value") else lambda lam: complex(f(lam))
-        if hasattr(f, "values"):
-            self.values = f.values
-        else:
-            self.values = lambda lams: np.array(
-                [self.value(lam) for lam in np.asarray(lams).ravel()], dtype=complex
-            ).reshape(np.shape(lams))
-        self.pair = getattr(f, "values_and_derivatives", self._stencil_pair)
-
-    def _stencil_pair(self, lams):
-        lams = np.asarray(lams, dtype=complex)
-        return self.values(lams), numeric_derivative(self.values, lams)
-
-    def zero_scale(self, lams):
-        hook = getattr(self._f, "zero_scale_entries", None)
-        if hook is None:
-            return None
-        return np.abs(np.asarray(hook(lams))).ravel()
-
-
-def numeric_derivative(f, lam):
-    """F'(lam) by central differences in two orthogonal directions, averaged.
-
-    The two second-order error terms carry opposite signs for holomorphic F,
-    so the average is fourth-order accurate.  Given a plain vectorized
-    callable, ``lam`` may be an array (four batched calls in all).
-    """
-    value = f.value if hasattr(f, "value") else f
-    h = _STENCIL_STEP * (1.0 + abs(lam))
-    d_re = (value(lam + h) - value(lam - h)) / (2.0 * h)
-    d_im = (value(lam + 1j * h) - value(lam - 1j * h)) / (2j * h)
-    return 0.5 * (d_re + d_im)
-
-
-def _winding_value(scan, rect, panels):
+def _winding_value(f, rect, panels):
     """One composite-GL pass over the whole contour.
 
     All four edges are concatenated into a single batch, and one
-    ``scan.pair`` call gives F and F' at every node.  ``panels`` gives the
-    per-edge panel count.  Returns (count, moment, grazing_flag): count is
+    ``f.values_and_derivatives`` call gives F and F' at every node.
+    ``panels`` gives the per-edge panel count.  Returns (count, moment, grazing_flag): count is
     the integral of F'/F over 2*pi*i; moment is the integral of
     (z - c) F'/F over 2*pi*i about the box centre c, i.e. the sum of the
     enclosed zeros' offsets from c, from the same nodes; the flag is set
@@ -186,7 +138,7 @@ def _winding_value(scan, rect, panels):
         pos += t.size
     z = np.concatenate(zs)
     w = np.concatenate(ws)
-    fz, dfz = scan.pair(z)
+    fz, dfz = f.values_and_derivatives(z)
     logd = dfz / fz
     mags = np.abs(fz)
     degenerate = False
@@ -204,20 +156,18 @@ def _edges(rect):
     return zip(c, c[1:] + c[:1])
 
 
-def winding_count(f, rect, settled=False):
-    """Number of zeros (with multiplicity) inside the rectangle.
+def winding_count(f, rect):
+    """Zeros (with multiplicity) inside the rectangle: (count, box, moment).
 
     Composite Gauss-Legendre panels per edge are doubled until two
     successive counts round to the same integer and the pre-rounding value
     sits within 1e-3 of it.  A contour grazing a zero (boundary sample with
     |F| below 1e-13 of the edge maximum) triggers dilation retries; a count
-    that never settles raises QuadratureFailureError.  With ``settled``,
-    returns (count, box, moment): the rectangle the count settled on (the
-    input or a dilated copy) and the first moment about its centre from
-    the settling pass, so box.center + moment/count is the mean of the
-    enclosed zeros.
+    that never settles raises QuadratureFailureError.  ``box`` is the
+    rectangle the count was taken on (the input or a dilated copy) and
+    ``moment`` the first moment about its centre from the settling pass, so
+    box.center + moment/count is the mean of the enclosed zeros.
     """
-    scan = f if isinstance(f, _Scanner) else _Scanner(f)
     for attempt in range(len(_DILATIONS) + 1):
         box = rect if attempt == 0 else rect.dilated(_DILATIONS[attempt - 1])
         panels = tuple(
@@ -226,7 +176,7 @@ def winding_count(f, rect, settled=False):
         prev = None
         degenerate = False
         for _ in range(_MAX_DOUBLINGS):
-            val, moment, degenerate = _winding_value(scan, box, panels)
+            val, moment, degenerate = _winding_value(f, box, panels)
             if degenerate:
                 break
             if not (math.isfinite(val.real) and math.isfinite(val.imag)):
@@ -235,7 +185,7 @@ def winding_count(f, rect, settled=False):
                 )
             n = int(round(val.real))
             if prev is not None and n == prev and abs(val - n) < 1e-3 and n >= 0:
-                return (n, box, moment) if settled else n
+                return n, box, moment
             prev = n
             panels = tuple(2 * p for p in panels)
         if not degenerate:
@@ -268,20 +218,19 @@ def detect_identically_zero(f, rect, seed=0):
     from the median matrix-entry magnitude over all the points, taken from
     one batched ``zero_scale_entries`` call when the function exposes one.
     """
-    scan = f if isinstance(f, _Scanner) else _Scanner(f)
     pts = _halton(_ZERO_SAMPLES, skip=20 + 64 * (seed % 1024))
     lams = (
         rect.lo.real
         + pts[:, 0] * rect.width
         + 1j * (rect.lo.imag + pts[:, 1] * rect.height)
     )
-    mags = scan.zero_scale(lams)
-    scale = 1.0 + (float(np.median(mags)) if mags is not None else 0.0)
-    return bool(np.all(np.abs(scan.values(lams)) < 1e-13 * scale))
+    hook = getattr(f, "zero_scale_entries", None)
+    scale = 1.0 + (float(np.median(np.abs(hook(lams)))) if hook is not None else 0.0)
+    return bool(np.all(np.abs(f.values(lams)) < 1e-13 * scale))
 
 
 def newton_refine(f, start, tol, rect):
-    """Polish one root by Newton iteration on the scanner's (F, F') pair.
+    """Polish one root by Newton iteration on F's ``values_and_derivatives``.
 
     Leaving a 2x-dilated copy of ``rect`` raises DivergenceError; a stalled
     iteration (steps shrinking by less than 10% over five iterations) falls
@@ -289,14 +238,13 @@ def newton_refine(f, start, tol, rect):
     (root, iterations_used), with -1 iterations for a root the winding-box
     fallback refined, as ``find_zeros`` reports its other fallback roots.
     """
-    scan = f if isinstance(f, _Scanner) else _Scanner(f)
     fence = rect.dilated(2.0)
     lam = complex(start)
     if not rect.contains(lam):
         raise DivergenceError(f"start {lam} outside the search rectangle")
     steps = []
     for it in range(1, _NEWTON_MAX_ITER + 1):
-        val, deriv = (complex(x[0]) for x in scan.pair(np.array([lam])))
+        val, deriv = (complex(x[0]) for x in f.values_and_derivatives(np.array([lam])))
         if deriv == 0:
             break
         step = val / deriv
@@ -311,11 +259,11 @@ def newton_refine(f, start, tol, rect):
     # stall fallback: descend by winding counts on shrinking boxes
     size = max(64.0 * tol, 4.0 * (steps[-1] if steps else tol))
     box = Rectangle(lam - size * (1 + 1j), lam + size * (1 + 1j))
-    return _bisect_by_count(scan, box, tol), -1
+    return _bisect_by_count(f, box, tol), -1
 
 
-def _bisect_by_count(scan, box, tol, depth=60):
-    count, box, _ = winding_count(scan, box, settled=True)
+def _bisect_by_count(f, box, tol, depth=60):
+    count, box, _ = winding_count(f, box)
     if count == 0:
         raise DivergenceError(f"no root inside fallback box at {box.center}")
     for _ in range(depth):
@@ -324,7 +272,7 @@ def _bisect_by_count(scan, box, tol, depth=60):
         for fx, fy in ((0.5, 0.5), (0.5137, 0.4863), (0.4729, 0.5271)):
             quads = box.split(fx, fy)
             try:
-                counted = [winding_count(scan, q, settled=True)[:2] for q in quads]
+                counted = [winding_count(f, q)[:2] for q in quads]
             except (QuadratureFailureError, BoundaryDegeneracyError):
                 # a quadrant contour sat on the root; try the next cut set
                 continue
@@ -394,12 +342,12 @@ def _split_candidates(rect):
     return out
 
 
-def _line_clearances(scan, candidates):
+def _line_clearances(f, candidates):
     """min |F| / max |F| over each candidate's cut lines (higher is a safer
     place to cut), from one batched evaluation of every line."""
     t = np.linspace(0.02, 0.98, 49)
     pts = [a + (b - a) * t for _, lines in candidates for a, b in lines]
-    vals = np.abs(scan.values(np.concatenate(pts)))
+    vals = np.abs(f.values(np.concatenate(pts)))
     ends = np.cumsum([t.size * len(lines) for _, lines in candidates])
     out = []
     for chunk in np.split(vals, ends[:-1]):
@@ -408,11 +356,11 @@ def _line_clearances(scan, candidates):
     return out
 
 
-def _subdivide(scan, rect, count, moment, tol, leaves, depth=0):
+def _subdivide(f, rect, count, moment, tol, leaves, depth=0):
     """Recursive subdivision down to single-root (or tiny) leaves.
 
     Each leaf is stored with its count and its first moment about its
-    centre, both from the pass that settled its count.
+    centre, both from the pass that fixed its count.
     """
     if count == 0:
         return
@@ -426,7 +374,7 @@ def _subdivide(scan, rect, count, moment, tol, leaves, depth=0):
     if depth > 120:
         raise RootClusterError(f"subdivision depth exhausted near {rect.center}")
     candidates = _split_candidates(rect)
-    clearance = _line_clearances(scan, candidates)
+    clearance = _line_clearances(f, candidates)
     ranked = sorted(range(len(candidates)), key=lambda i: clearance[i], reverse=True)
     for i in ranked:
         children = candidates[i][0]
@@ -434,12 +382,12 @@ def _subdivide(scan, rect, count, moment, tol, leaves, depth=0):
             # keep the rect the count actually refers to (grazing contours
             # get dilated inside winding_count); the sum check rejects any
             # split whose dilations double-count a root
-            counted = [winding_count(scan, q, settled=True) for q in children]
+            counted = [winding_count(f, q) for q in children]
         except (QuadratureFailureError, BoundaryDegeneracyError):
             continue
         if sum(c for c, _, _ in counted) == count:
             for c, actual, mu in counted:
-                _subdivide(scan, actual, c, mu, tol, leaves, depth + 1)
+                _subdivide(f, actual, c, mu, tol, leaves, depth + 1)
             return
     raise BoundaryDegeneracyError(f"could not split {rect.lo}..{rect.hi} consistently")
 
@@ -450,37 +398,35 @@ def find_zeros(f, rect, tol=1e-10, seed=0):
     Pipeline: identically-zero short-circuit, total winding count, recursive
     subdivision into single-root leaves, Newton refinement started at each
     leaf's moment estimate centre + moment/count (the leaf centre when that
-    is non-finite or outside the leaf; winding-box fallback on stalls),
-    merge of duplicates within 10*tol, deterministic sort.  The sum of
-    reported multiplicities always equals the region count.
+    is non-finite or outside the leaf; winding-box fallback when Newton
+    stalls, diverges or leaves its leaf), merge of duplicates within
+    10*tol, deterministic sort.  The sum of reported multiplicities always
+    equals the region count.
     """
-    scan = _Scanner(f)
-    if detect_identically_zero(scan, rect, seed=seed):
+    if detect_identically_zero(f, rect, seed=seed):
         return RootReport(region=rect, region_count=0, roots=(), identically_zero=True, tol=tol)
-    total, box, moment = winding_count(scan, rect, settled=True)
+    total, box, moment = winding_count(f, rect)
     leaves = []
-    _subdivide(scan, box, total, moment, tol, leaves)
+    _subdivide(f, box, total, moment, tol, leaves)
     refined = []
     for leaf, count, moment in leaves:
-        max_boundary = _leaf_scale(scan, leaf)
+        max_boundary = _leaf_scale(f, leaf)
         start = leaf.center + moment / count
         if not (cmath.isfinite(start) and leaf.contains(start)):
             start = leaf.center
         try:
             # fence on the whole scan box: early Newton steps overshoot the
             # leaf routinely, and any migration is caught just below
-            root, iters = newton_refine(scan, start, tol, box)
+            root, iters = newton_refine(f, start, tol, box)
+            # the stored leaf is the exact rectangle its count was taken on, so
+            # a genuine zero lies strictly inside; allow only float-level
+            # slack, or a root hugging the far side of a wide leaf passes
+            if not leaf.contains(root, pad=1e-6 * leaf.diameter + 10.0 * tol):
+                raise DivergenceError(f"Newton migrated to {root}, out of its leaf")
         except DivergenceError:
-            root, iters = _bisect_by_count(scan, leaf, tol), -1
-        # the stored leaf is the exact rectangle its count settled on, so a
-        # genuine zero lies strictly inside; allow only float-level slack,
-        # or a root hugging the far side of a wide leaf passes as ours
-        if not leaf.contains(root, pad=1e-6 * leaf.diameter + 10.0 * tol):
-            # Newton migrated into a neighbor's territory; stay inside
-            root = _bisect_by_count(scan, leaf, tol)
-            iters = -1
+            root, iters = _bisect_by_count(f, leaf, tol), -1
         refined.append((root, count, iters, max_boundary))
-    merged = _merge_roots(scan, refined, tol)
+    merged = _merge_roots(f, refined, tol)
     report = RootReport(
         region=box, region_count=total, roots=tuple(merged), identically_zero=False, tol=tol
     )
@@ -491,33 +437,38 @@ def find_zeros(f, rect, tol=1e-10, seed=0):
     return report
 
 
-def _leaf_scale(scan, leaf):
+def _leaf_scale(f, leaf):
     pts = []
     for a, b in _edges(leaf):
         pts.extend(a + (b - a) * t for t in (0.0, 0.25, 0.5, 0.75))
-    return float(np.max(np.abs(scan.values(np.array(pts)))))
+    return float(np.max(np.abs(f.values(np.array(pts)))))
 
 
-def _merge_roots(scan, refined, tol):
+def _merge_roots(f, refined, tol):
+    """Merge parts within 10*tol into one record at the part of least |F|,
+    with |F| taken once per part by ``f.value``."""
     refined = sorted(refined, key=lambda r: (r[0].real, r[0].imag))
     groups = []
     for root, count, iters, scale in refined:
+        resid = abs(f.value(root))
         for g in groups:
             if abs(root - g["root"]) <= 10.0 * tol:
                 g["count"] += count
                 g["scale"] = max(g["scale"], scale)
                 # a fallback part (-1) marks the whole group
                 g["iters"] = -1 if -1 in (g["iters"], iters) else max(g["iters"], iters)
-                if abs(scan.value(root)) < abs(scan.value(g["root"])):
-                    g["root"] = root
+                if resid < g["resid"]:
+                    g["root"], g["resid"] = root, resid
                 break
         else:
-            groups.append({"root": root, "count": count, "iters": iters, "scale": scale})
+            groups.append(
+                {"root": root, "count": count, "iters": iters, "scale": scale, "resid": resid}
+            )
     out = [
         RootRecord(
             location=g["root"],
             multiplicity=g["count"],
-            char_residual=abs(scan.value(g["root"])),
+            char_residual=g["resid"],
             newton_iterations=g["iters"],
             leaf_scale=g["scale"],
         )

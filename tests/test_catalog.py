@@ -144,8 +144,9 @@ def test_broadcasting_matches_scalar_loop():
 def test_kind_validation():
     with pytest.raises(ValueError):
         BoundaryDelayHeat(atoms=((0.5, 1.0),))
-    with pytest.raises(ValueError):
-        DelaySystem(instant=((0.0,),), delays=((-1.0, ((1.0,),)),))
+    for tau in (-1.0, math.nan, math.inf):
+        with pytest.raises(ValueError):
+            DelaySystem(instant=((0.0,),), delays=((tau, ((1.0,),)),))
     with pytest.raises(DimensionError):
         DelaySystem(instant=((0.0,),), delays=((1.0, ((1.0, 0.0), (0.0, 1.0))),))
     with pytest.raises(DimensionError):

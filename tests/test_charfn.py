@@ -16,8 +16,6 @@ from charspec import (
     Rectangle,
     SecondDerivative,
     char_matrix,
-    char_value,
-    char_values,
     delta_matrix,
     determinant,
     effective_psi,
@@ -41,7 +39,6 @@ from charspec.errors import (
     ResolventUndefinedError,
     UnsupportedKindError,
 )
-from charspec.rootscan import numeric_derivative
 
 
 def periodic_spec(**kw):
@@ -60,6 +57,21 @@ def wentzell_spec(**kw):
 
 
 PROBE_LAMS = (0.7, -3.0 + 2.0j, 4.0, -11.0 - 5.0j, 1.3j)
+# Stencil step of numeric_derivative, relative to 1 + |lam|.
+STENCIL_STEP = 1e-6
+
+
+def numeric_derivative(f, lam):
+    """F'(lam) by central differences in two orthogonal directions, averaged.
+
+    The reference the analytic F' is held to.  The two second-order error
+    terms carry opposite signs for holomorphic F, so the average is
+    fourth-order accurate.
+    """
+    h = STENCIL_STEP * (1.0 + abs(lam))
+    d_re = (f(lam + h) - f(lam - h)) / (2.0 * h)
+    d_im = (f(lam + 1j * h) - f(lam - 1j * h)) / (2j * h)
+    return 0.5 * (d_re + d_im)
 
 
 # -- spec validation ---------------------------------------------------------
@@ -100,32 +112,32 @@ def test_spec_rejects_junk():
 
 
 def test_periodic_char_is_one_minus_exp():
-    spec = periodic_spec()
-    assert abs(char_value(spec, 1j * math.pi) - 2.0) < 1e-14
-    assert abs(char_value(spec, 0.0)) < 1e-14
-    assert abs(char_value(spec, 2j * math.pi)) < 1e-13
+    f = CharFunction(periodic_spec()).value
+    assert abs(f(1j * math.pi) - 2.0) < 1e-14
+    assert abs(f(0.0)) < 1e-14
+    assert abs(f(2j * math.pi)) < 1e-13
     for lam in PROBE_LAMS:
-        assert_allclose(char_value(spec, lam), 1.0 - np.exp(lam), rtol=1e-13)
+        assert_allclose(f(lam), 1.0 - np.exp(lam), rtol=1e-13)
 
 
 def test_wentzell_frozen_values():
-    spec = wentzell_spec()
-    assert abs(char_value(spec, 1.0)) < 1e-12
-    assert abs(char_value(spec, -math.pi**2)) < 1e-12
-    assert abs(char_value(spec, -4.0 * math.pi**2)) < 1e-11
+    f = CharFunction(wentzell_spec()).value
+    assert abs(f(1.0)) < 1e-12
+    assert abs(f(-math.pi**2)) < 1e-12
+    assert abs(f(-4.0 * math.pi**2)) < 1e-11
     # by hand: det [[4, -1], [4cosh2 - 2sinh2, 2sinh2 - cosh2]] = 6 sinh 2
-    assert_allclose(char_value(spec, 4.0), 6.0 * math.sinh(2.0), rtol=1e-12)
+    assert_allclose(f(4.0), 6.0 * math.sinh(2.0), rtol=1e-12)
 
 
 def test_boundary_delay_heat_values():
-    spec = ProblemSpec(kind=BoundaryDelayHeat())
+    f = CharFunction(ProblemSpec(kind=BoundaryDelayHeat())).value
     # entire normalization: no zero is manufactured at the origin
-    assert_allclose(char_value(spec, 0.0), 1.5, rtol=1e-12)
+    assert_allclose(f(0.0), 1.5, rtol=1e-12)
     # (lam e^lam + 1) cosh(sqrt lam) - 1 equals lam e^lam F(lam)
     for lam in PROBE_LAMS:
         lam = complex(lam)
         cleared = (lam * np.exp(lam) + 1.0) * np.cosh(np.sqrt(lam)) - 1.0
-        assert_allclose(lam * np.exp(lam) * char_value(spec, lam), cleared, rtol=1e-12)
+        assert_allclose(lam * np.exp(lam) * f(lam), cleared, rtol=1e-12)
 
 
 def test_boundary_delay_heat_matches_mpmath():
@@ -157,9 +169,9 @@ def test_convection_diffusion_intrinsic_root_at_zero():
     # point whenever k = 0, for any convection strength
     for c in (0.0, 1.0):
         spec = ProblemSpec(kind=ConvectionDiffusion(c=c, k=0.0))
-        assert abs(char_value(spec, 0.0)) < 1e-14
+        assert abs(CharFunction(spec).value(0.0)) < 1e-14
     spec = ProblemSpec(kind=ConvectionDiffusion(c=1.0, k=-1.0))
-    assert abs(char_value(spec, 0.0)) > 0.1
+    assert abs(CharFunction(spec).value(0.0)) > 0.1
 
 
 def test_char_values_vectorized_matches_scalar():
@@ -178,10 +190,11 @@ def test_char_values_vectorized_matches_scalar():
     )
     lams = np.array([[0.7, -3.0 + 2.0j], [4.0, 1.3j]])
     for spec in specs:
-        vals = char_values(spec, lams)
+        fn = CharFunction(spec)
+        vals = fn.values(lams)
         assert vals.shape == lams.shape
         for idx in np.ndindex(lams.shape):
-            assert_allclose(vals[idx], char_value(spec, lams[idx]), rtol=1e-13)
+            assert_allclose(vals[idx], fn.value(lams[idx]), rtol=1e-13)
 
 
 def test_conjugate_symmetry_for_real_data():
@@ -196,8 +209,7 @@ def test_conjugate_symmetry_for_real_data():
     )
     for spec in specs:
         for lam in (0.3 + 1.7j, -2.0 + 0.4j, -9.0 + 3.0j):
-            a = char_value(spec, lam)
-            b = char_value(spec, np.conj(lam))
+            a, b = (CharFunction(spec).value(z) for z in (lam, np.conj(lam)))
             assert abs(np.conj(a) - b) <= 1e-12 * max(1.0, abs(a))
 
 
@@ -230,6 +242,17 @@ def _derivative_specs():
     )
 
 
+def test_numeric_derivative_exponential():
+    for lam in (0.0, 0.3 - 0.7j, -2.0 + 1.0j):
+        assert abs(numeric_derivative(np.exp, lam) - np.exp(lam)) < 1e-8 * abs(np.exp(lam)) + 1e-12
+
+
+def test_numeric_derivative_char_function():
+    fn = CharFunction(periodic_spec())
+    lam = 0.4 + 0.9j
+    assert abs(numeric_derivative(fn.value, lam) + np.exp(lam)) < 1e-8
+
+
 def test_analytic_derivative_matches_stencil():
     branch = ConvectionDiffusion(c=0.7, k=-0.4).k - 0.7**2
     near = (3e-7 + 2e-7j, -8e-7, branch, branch + 5e-7j)
@@ -238,8 +261,8 @@ def test_analytic_derivative_matches_stencil():
         for lams in (PROBE_LAMS, near):
             lams = np.array(lams, dtype=complex)
             f, d = fn.values_and_derivatives(lams)
-            assert np.array_equal(f, char_values(spec, lams))
-            want = np.array([numeric_derivative(fn, lam) for lam in lams])
+            assert np.array_equal(f, fn.values(lams))
+            want = np.array([numeric_derivative(fn.value, lam) for lam in lams])
             assert np.all(np.abs(d - want) <= 1e-8 * np.maximum(1.0, np.abs(want)))
 
 
@@ -294,7 +317,7 @@ def test_value_equals_matrix_determinant():
     )
     for spec in specs:
         for lam in PROBE_LAMS:
-            direct = char_value(spec, lam)
+            direct = CharFunction(spec).value(lam)
             mat = char_matrix(spec, lam)
             via_det = determinant(mat)
             assert abs(direct - via_det) <= 5e-13 * max(1.0, abs(direct))
@@ -441,7 +464,6 @@ def test_delay_weight_vectorized():
 def test_char_function_wrapper():
     fn = CharFunction(wentzell_spec())
     lam = 4.0
-    assert fn.value(lam) == char_value(fn.spec, lam)
     assert_allclose(fn.values(np.array([lam, 1.0]))[0], fn.value(lam), rtol=1e-15)
     assert np.array_equal(fn.zero_scale_entries(lam), delta_matrix(fn.spec, lam))
     pencil = ProblemSpec(

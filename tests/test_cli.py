@@ -15,6 +15,7 @@ import charspec
 from charspec import (
     BoundaryDelayHeat,
     BoundaryFunctional,
+    CharFunction,
     ConvectionDiffusion,
     DelaySystem,
     FirstDerivative,
@@ -22,7 +23,6 @@ from charspec import (
     QuadraticPencil,
     Rectangle,
     SecondDerivative,
-    char_value,
     integral_functional,
     point_functional,
 )
@@ -160,6 +160,57 @@ def test_parse_rejects_malformed():
         # unknown format
         """{"problem": {"kind": "boundary_delay_heat", "parameters": {"atoms": [[-1, 1]]},
             "region": {"re": [0, 1], "im": [0, 1]}}, "format": "xml"}""",
+        # non-finite numbers: region corners, psi weights, delays, matrix
+        # entries, tolerances (and a tolerance that is no number)
+        '{"problem": {"kind": "boundary_delay_heat", "region": {"re": [-1, Infinity], "im": [0, 1]}}}',
+        '{"problem": {"kind": "boundary_delay_heat", "region": {"re": [NaN, 1], "im": [0, 1]}}}',
+        """{"problem": {"kind": "first_derivative",
+            "psi": [[{"point": 0}, {"point": 1, "weight": NaN}]],
+            "region": {"re": [0, 1], "im": [0, 1]}}}""",
+        """{"problem": {"kind": "first_derivative",
+            "psi": [[{"point": 0}, {"point": 1, "weight": [-1, -Infinity]}]],
+            "region": {"re": [0, 1], "im": [0, 1]}}}""",
+        """{"problem": {"kind": "delay_system",
+            "parameters": {"instant": [[-1]], "delays": [[NaN, [[-1]]]]},
+            "region": {"re": [0, 1], "im": [0, 1]}}}""",
+        """{"problem": {"kind": "delay_system",
+            "parameters": {"instant": [[-1]], "delays": [[Infinity, [[-1]]]]},
+            "region": {"re": [0, 1], "im": [0, 1]}}}""",
+        """{"problem": {"kind": "delay_system",
+            "parameters": {"instant": [[Infinity]]},
+            "region": {"re": [0, 1], "im": [0, 1]}}}""",
+        '{"problem": {"kind": "boundary_delay_heat", "region": {"re": [0, 1], "im": [0, 1]}, "root_tol": Infinity}}',
+        '{"problem": {"kind": "boundary_delay_heat", "region": {"re": [0, 1], "im": [0, 1]}, "residual_tol": NaN}}',
+        '{"problem": {"kind": "boundary_delay_heat", "region": {"re": [0, 1], "im": [0, 1]}, "root_tol": "tiny"}}',
+        # integers past the float range
+        '{"problem": {"kind": "boundary_delay_heat", "region": {"re": [0, 1%s], "im": [0, 1]}}}'
+        % ("0" * 400),
+        """{"problem": {"kind": "first_derivative",
+            "psi": [[{"point": 0}, {"point": 1%s}]],
+            "region": {"re": [0, 1], "im": [0, 1]}}}""" % ("0" * 400),
+        """{"problem": {"kind": "delay_system",
+            "parameters": {"instant": [[-1]], "delays": [[1%s, [[-1]]]]},
+            "region": {"re": [0, 1], "im": [0, 1]}}}""" % ("0" * 400),
+    )
+    # job options take JSON booleans and integers, never coerced look-alikes
+    job = '{"problem": {"kind": "boundary_delay_heat", "region": {"re": [0, 1], "im": [0, 1]}}, %s}'
+    bad += tuple(
+        job % option
+        for option in (
+            '"outputs": {"spectrum": "false"}',
+            '"outputs": {"spectrum": 0}',
+            '"oracle": {"enabled": "no"}',
+            '"oracle": {"enabled": 1}',
+            '"oracle": {"grid": 256.0}',
+            '"oracle": {"grid": true}',
+            '"seed": 2.5',
+            '"seed": true',
+            '"seed": "3"',
+            '"outputs": {"grid": [5.7, 6]}',
+            '"outputs": {"grid": [5, false]}',
+            '"outputs": {"grid": [5, 6, 7]}',
+            '"outputs": {"grid": "5x6"}',
+        )
     )
     for text in bad:
         with pytest.raises(ConfigError):
@@ -326,7 +377,7 @@ def test_emit_report_files(tmp_path):
     assert len(grid) == 1 + 5 * 7
     re0, im0, f_re, f_im = (float(x) for x in grid[1].split(","))
     assert (re0, im0) == (-1.0, -7.0)
-    want = char_value(cfg.spec, complex(re0, im0))
+    want = CharFunction(cfg.spec).value(complex(re0, im0))
     assert abs(complex(f_re, f_im) - want) < 1e-12
 
     doc = json.loads((tmp_path / "report.json").read_text())

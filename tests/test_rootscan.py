@@ -21,26 +21,47 @@ from charspec.errors import (
     QuadratureFailureError,
     RootClusterError,
 )
-from charspec.rootscan import (
-    _merge_roots,
-    detect_identically_zero,
-    numeric_derivative,
-)
+from charspec.rootscan import _merge_roots, detect_identically_zero
 
 TWO_PI = 2.0 * math.pi
 
 
 class VecFn:
-    """Bare vectorized function wearing the scanner's evaluation surface."""
+    """A vectorized function and its analytic derivative, wearing the
+    scanner's evaluation contract."""
 
-    def __init__(self, fn):
+    def __init__(self, fn, dfn):
         self._fn = fn
+        self._dfn = dfn
 
     def value(self, lam):
         return complex(self._fn(np.asarray(lam, dtype=complex)))
 
     def values(self, lams):
         return np.asarray(self._fn(np.asarray(lams, dtype=complex)), dtype=complex)
+
+    def values_and_derivatives(self, lams):
+        lams = np.asarray(lams, dtype=complex)
+        return self.values(lams), np.asarray(self._dfn(lams), dtype=complex)
+
+
+def planted(roots):
+    """VecFn of prod (z - r) over the roots, repeated ones included."""
+    roots = np.asarray(roots, dtype=complex)
+
+    def fn(z):
+        return np.prod(z[..., None] - roots, axis=-1)
+
+    def dfn(z):
+        # product rule, sum over k of the product of every factor but the
+        # k-th, from running products before and after each factor
+        diffs = z[..., None] - roots
+        ones = np.ones(diffs.shape[:-1] + (1,), dtype=complex)
+        before = np.cumprod(np.concatenate([ones, diffs[..., :-1]], axis=-1), axis=-1)
+        after = np.cumprod(np.concatenate([ones, diffs[..., :0:-1]], axis=-1), axis=-1)
+        return np.sum(before * after[..., ::-1], axis=-1)
+
+    return VecFn(fn, dfn)
 
 
 def periodic_fn(**kw):
@@ -86,61 +107,44 @@ def test_rectangle_rejects_degenerate():
         Rectangle(0.0, 1.0)  # zero height
     with pytest.raises(DimensionError):
         Rectangle(1.0 + 1.0j, 0.0)
-
-
-# -- derivatives --------------------------------------------------------------
-
-
-def test_numeric_derivative_exponential():
-    fn = VecFn(np.exp)
-    for lam in (0.0, 0.3 - 0.7j, -2.0 + 1.0j):
-        assert abs(numeric_derivative(fn, lam) - np.exp(lam)) < 1e-8 * abs(np.exp(lam)) + 1e-12
-
-
-def test_numeric_derivative_char_function():
-    fn = periodic_fn()
-    lam = 0.4 + 0.9j
-    assert abs(numeric_derivative(fn, lam) + np.exp(lam)) < 1e-8
+    for corner in (complex(math.inf, 1.0), complex(1.0, math.nan)):
+        with pytest.raises(DimensionError):
+            Rectangle(-1.0 - 1.0j, corner)
 
 
 # -- winding counts -----------------------------------------------------------
 
 
 def test_winding_full_region():
-    assert winding_count(periodic_fn(), BIG) == 3
+    assert winding_count(periodic_fn(), BIG)[0] == 3
 
 
 def test_winding_respects_multiplicity():
-    fn = VecFn(lambda z: z * z * (z - 1.0))
-    assert winding_count(fn, Rectangle(-0.6 - 0.5j, 1.5 + 0.5j)) == 3
-    assert winding_count(fn, Rectangle(-0.6 - 0.5j, 0.5 + 0.5j)) == 2
-    assert winding_count(fn, Rectangle(0.5 - 0.5j, 1.5 + 0.5j)) == 1
-    assert winding_count(fn, Rectangle(2.0 - 0.5j, 3.0 + 0.5j)) == 0
+    fn = planted([0.0, 0.0, 1.0])
+    assert winding_count(fn, Rectangle(-0.6 - 0.5j, 1.5 + 0.5j))[0] == 3
+    assert winding_count(fn, Rectangle(-0.6 - 0.5j, 0.5 + 0.5j))[0] == 2
+    assert winding_count(fn, Rectangle(0.5 - 0.5j, 1.5 + 0.5j))[0] == 1
+    assert winding_count(fn, Rectangle(2.0 - 0.5j, 3.0 + 0.5j))[0] == 0
 
 
 def test_winding_additive_over_split():
     # cut lines at re 0.2 and im 0.19 stay well away from 2*pi*i*Z
     fn = periodic_fn()
     quads = BIG.split(0.6, 0.5137)
-    counts = [winding_count(fn, q) for q in quads]
-    assert sum(counts) == winding_count(fn, BIG) == 3
+    counts = [winding_count(fn, q)[0] for q in quads]
+    assert sum(counts) == winding_count(fn, BIG)[0] == 3
     assert counts == [2, 0, 1, 0]
-
-
-def test_winding_plain_callable():
-    # non-vectorized callables are adapted on the fly
-    assert winding_count(lambda z: z * z + 1.0, Rectangle(-0.3 + 0.7j, 0.3 + 1.3j)) == 1
 
 
 def test_winding_grazing_contour_dilates():
     # a flat zero sitting on an edge puts boundary samples below the
     # 1e-13 guard, which must trigger dilation retries rather than junk
-    fn = VecFn(lambda z: (z - (0.5 - 1.0j)) ** 8)
-    assert winding_count(fn, Rectangle(0.0 - 1.0j, 1.0 + 1.0j)) == 8
+    fn = planted([0.5 - 1.0j] * 8)
+    assert winding_count(fn, Rectangle(0.0 - 1.0j, 1.0 + 1.0j))[0] == 8
 
 
 def test_winding_gives_up_after_dilations():
-    fn = VecFn(lambda z: (z - (0.5 - 1.0j)) ** 12)
+    fn = planted([0.5 - 1.0j] * 12)
     with pytest.raises(BoundaryDegeneracyError):
         winding_count(fn, Rectangle(0.0 - 1.0j, 1.0 + 1.0j))
 
@@ -180,7 +184,7 @@ class CountingFn:
 
 def test_winding_pass_evaluates_f_once_per_node():
     counter = CountingFn(periodic_fn())
-    assert winding_count(counter, BIG) == 3
+    assert winding_count(counter, BIG)[0] == 3
     # edges of length 2, 14, 2, 14 carry 2 + 14 + 2 + 14 panels of 12 nodes,
     # doubled each pass until the count settles (at least two passes)
     sizes = [lams.size for _, lams in counter.calls]
@@ -199,12 +203,12 @@ def test_winding_pass_evaluates_f_once_per_node():
 
 def test_winding_moment_locates_the_enclosed_roots():
     box = Rectangle(-0.5 + 5.0j, 1.0 + 7.0j)  # holds 2*pi*i only
-    count, settled, moment = winding_count(periodic_fn(), box, settled=True)
-    assert (count, settled) == (1, box)
+    count, counted_on, moment = winding_count(periodic_fn(), box)
+    assert (count, counted_on) == (1, box)
     assert abs(box.center + moment - TWO_PI * 1j) < 1e-6
     # two simple roots, -2*pi*i and 0: the moment over the count is their mean
     quad = BIG.split(0.6, 0.5137)[0]
-    count, _, moment = winding_count(periodic_fn(), quad, settled=True)
+    count, _, moment = winding_count(periodic_fn(), quad)
     assert count == 2
     assert abs(quad.center + moment / 2 + math.pi * 1j) < 1e-6
 
@@ -214,8 +218,8 @@ def test_winding_moment_locates_the_enclosed_roots():
 
 def test_detect_identically_zero():
     box = Rectangle(-1.0 - 1.0j, 1.0 + 1.0j)
-    assert detect_identically_zero(VecFn(lambda z: np.zeros_like(z)), box)
-    assert not detect_identically_zero(VecFn(lambda z: np.ones_like(z)), box)
+    assert detect_identically_zero(VecFn(np.zeros_like, np.zeros_like), box)
+    assert not detect_identically_zero(VecFn(np.ones_like, np.zeros_like), box)
     assert not detect_identically_zero(periodic_fn(), box)
     degenerate = CharFunction(
         ProblemSpec(kind=FirstDerivative(), psi=(BoundaryFunctional(),))
@@ -249,12 +253,12 @@ def test_newton_exact_start():
 
 def test_newton_double_root():
     box = Rectangle(-1.0 - 1.0j, 1.0 + 1.0j)
-    root, iters = newton_refine(VecFn(lambda z: z * z), 0.5, 1e-10, box)
+    root, iters = newton_refine(planted([0.0, 0.0]), 0.5, 1e-10, box)
     assert abs(root) < 1e-9
     assert iters <= 50
     # a vanishing derivative at the start drops straight into the
     # winding-box fallback, which reads -1 iterations
-    root, iters = newton_refine(VecFn(lambda z: z * z), 0.0, 1e-8, box)
+    root, iters = newton_refine(planted([0.0, 0.0]), 0.0, 1e-8, box)
     assert abs(root) < 1e-6
     assert iters == -1
 
@@ -263,18 +267,30 @@ def test_merge_roots_fallback_part_marks_the_group():
     # two halves of a double root, one polished by Newton in 4 iterations
     # and one refined by the winding-box fallback: whichever sorts first,
     # the merged root reads -1, so a Newton count cannot hide the fallback
-    fn = VecFn(lambda z: z * z)
+    fn = planted([0.0, 0.0])
     for a, b in ((-1e-12, 1e-12), (1e-12, -1e-12)):
         (rec,) = _merge_roots(fn, [(complex(a), 1, -1, 1.0), (complex(b), 1, 4, 1.0)], 1e-10)
         assert rec.multiplicity == 2
         assert rec.newton_iterations == -1
 
 
+def test_merge_roots_takes_abs_f_once_per_part():
+    # two halves of a double root merge into one record: |F| is read once
+    # for each half, and the record keeps the half of least |F| together
+    # with that very |F| as its residual
+    counter = CountingFn(planted([0.0, 0.0]))
+    parts = [(complex(-2e-12), 1, 5, 1.0), (complex(1e-12), 1, 4, 1.0)]
+    (rec,) = _merge_roots(counter, parts, 1e-10)
+    assert [kind for kind, _ in counter.calls] == ["value", "value"]
+    assert (rec.location, rec.multiplicity, rec.newton_iterations) == (1e-12, 2, 5)
+    assert rec.char_residual == abs(counter._fn.value(1e-12))
+
+
 def test_newton_divergence():
     box = Rectangle(-1.0 - 1.0j, 1.0 + 1.0j)
     with pytest.raises(DivergenceError):
         # real start on z^2 + 1: first step lands at -4.95, far out of fence
-        newton_refine(VecFn(lambda z: z * z + 1.0), 0.1, 1e-10, box)
+        newton_refine(planted([1j, -1j]), 0.1, 1e-10, box)
     with pytest.raises(DivergenceError):
         newton_refine(periodic_fn(), 5.0, 1e-10, box)  # start outside
 
@@ -303,7 +319,7 @@ def test_find_zeros_orders_roots():
 
 
 def test_find_zeros_double_root():
-    fn = VecFn(lambda z: z * z * (z - 1.0))
+    fn = planted([0.0, 0.0, 1.0])
     report = find_zeros(fn, Rectangle(-0.6 - 0.5j, 1.5 + 0.5j), tol=1e-10)
     assert report.region_count == 3
     assert [r.multiplicity for r in report.roots] == [2, 1]
@@ -334,6 +350,6 @@ def test_find_zeros_deterministic():
 
 def test_find_zeros_cluster_cap():
     # nine-fold zero inside a leaf-sized box: refuse rather than guess
-    fn = VecFn(lambda z: z**9)
+    fn = planted([0.0] * 9)
     with pytest.raises(RootClusterError):
         find_zeros(fn, Rectangle(-1.0 - 1.0j, 1.0 + 1.0j), tol=0.05)
