@@ -142,6 +142,8 @@ def _functional_in(terms, where):
                 )
             else:
                 raise ConfigError(f"{spot}: term needs a 'point' or 'integral' key")
+        except ConfigError:
+            raise
         except (OverflowError, TypeError, ValueError) as exc:
             raise ConfigError(f"{spot}: {exc}") from exc
     return BoundaryFunctional(points=tuple(points), integrals=tuple(integrals))

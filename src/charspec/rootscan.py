@@ -6,11 +6,17 @@ giving (F, F') over an array in one batched call.  ``CharFunction`` is the
 one production implementation.  An optional ``zero_scale_entries(lams)``
 gives the matrix entries behind F, which set the scale of the
 identically-zero test; a function without a matrix behind it has none.
-Winding numbers and centred first moments come from contour integrals of
-F'/F with composite Gauss-Legendre panels.  Rectangles subdivide
-recursively until each leaf isolates one root; Newton then polishes it,
-starting from the leaf's moment estimate (the first moment of a one-root
-box is that root, Delves & Lyness 1967).
+
+Winding numbers and centred first moments are contour integrals of
+g = F'/F.  Each scan keeps one panel cache: GL-12 panels on a dyadic grid
+of the scanned region, each integrated once with its own error estimate
+(Kravanja & Van Barel, LNM 1727, ch. 1; segment-by-segment enclosure as in
+Johnson & Tucker, JCAM 228, 2009).  A box's count is the sum over the
+panels of its edges, so children reuse their parent's edges and the two
+sides of a cut share its panels.  Boxes subdivide at cuts snapped to the
+grid until each leaf isolates one root; Newton then polishes it, starting
+from the leaf's moment estimate (the first moment of a one-root box is that
+root, Delves & Lyness 1967).
 """
 
 from __future__ import annotations
@@ -44,9 +50,27 @@ TWO_PI_I = 2j * math.pi
 
 # Fallback dilation factors applied when the contour grazes a zero.
 _DILATIONS = (1.013, 1.029, 1.041)
-# Off-center cut fractions tried when subdividing (first viable wins).
-_CUT_FRACTIONS = (0.5, 0.5137, 0.4863, 0.5271, 0.4729, 0.5413, 0.4587)
-_MAX_DOUBLINGS = 12
+# Grid units per side of the scanned region; every box and panel endpoint
+# of a scan is an integer point of this grid.
+_GRID = 1 << 48
+# Per-panel error control: a panel is accepted when its GL-12 integral of
+# F'/F and the sum over its two halves differ by at most
+# 2*pi*_PANEL_TOL * (panel length) / (perimeter of the box being counted),
+# so the estimated errors of one count sum to at most _PANEL_TOL.
+_PANEL_TOL = 1e-3
+# Halvings of a first-level panel before its count is declared unsettled.
+_MAX_HALVINGS = 16
+# Cut offsets tried when subdividing, in steps of about 1/64 of the side.
+_CUT_STEPS = (0, 1, -1, 2, -2, 3, -3)
+# A cut is screened out when |F/F'| on its first-level panels falls below
+# this fraction of the panel length (a zero that close costs many halvings).
+_CUT_CLEARANCE = 0.05
+# Most lambdas per values_and_derivatives call, which bounds the memory one
+# call takes (0.8 MB for a 3x3 pencil at 1,024 lambdas, twice that at 2,048).
+_CHUNK = 1024
+_RULE = gauss_legendre(12)
+_H, _V = 0, 1  # panel axis: along a horizontal or a vertical line
+_LINE = 2 * _GRID  # line code of a panel: axis * _LINE + fixed coordinate
 _ZERO_GUARD = 1e-13
 # Quasi-random points of the identically-zero test.
 _ZERO_SAMPLES = 25
@@ -115,86 +139,255 @@ class Rectangle:
         )
 
 
-def _winding_value(f, rect, panels):
-    """One composite-GL pass over the whole contour.
+def _dyadic_points(a, b, target):
+    """Ends of the maximal aligned power-of-two blocks no longer than
+    ``target`` units that tile [a, b], from a to b: rising blocks up to the
+    first multiple of the largest such power, equal blocks of that power,
+    falling blocks down to b."""
+    size = 1 << (max(1, int(target)).bit_length() - 1)
+    lo = min(b, -(-a // size) * size)
+    points = [a]
+    while points[-1] < lo:
+        p = points[-1]
+        step = p & -p
+        while p + step > lo:
+            step >>= 1
+        points.append(p + step)
+    points.extend(range(lo + size, b // size * size + 1, size))
+    while points[-1] < b:
+        points.append(points[-1] + (1 << ((b - points[-1]).bit_length() - 1)))
+    return points
 
-    All four edges are concatenated into a single batch, and one
-    ``f.values_and_derivatives`` call gives F and F' at every node.
-    ``panels`` gives the per-edge panel count.  Returns (count, moment, grazing_flag): count is
-    the integral of F'/F over 2*pi*i; moment is the integral of
-    (z - c) F'/F over 2*pi*i about the box centre c, i.e. the sum of the
-    enclosed zeros' offsets from c, from the same nodes; the flag is set
-    when some edge carries an |F| sample below 1e-13 of that edge's maximum.
+
+class _CutTooClose(Exception):
+    """A candidate cut passes too near a zero; its one argument is the
+    cut's clearance, min |F/F'| over panel length."""
+
+
+class _PanelCache:
+    """Contour panels of one scan on a dyadic grid over the scanned region.
+
+    A box is (i0, j0, i1, j1) in integer units, _GRID of them per side of
+    the region.  A panel is an aligned dyadic block [a, b] of a horizontal
+    or vertical grid line.  From one GL-12 rule over its nodes it holds the
+    integrals of g = F'/F and of (z - region centre) g from a to b, and
+    min |F|, max |F| and min |F/F'| over the nodes, in one row of the
+    arrays below.  Every count of the scan reads these panels, so each
+    panel is integrated once however many boxes share it.
     """
-    rule = gauss_legendre(12)
-    zs, ws, edge_slices = [], [], []
-    pos = 0
-    for (a, b), p in zip(_edges(rect), panels):
-        dt = 1.0 / p
-        t = (np.arange(p)[:, None] * dt + dt * rule.nodes[None, :]).ravel()
-        zs.append(a + (b - a) * t)
-        ws.append(np.tile(rule.weights * dt, p) * (b - a))
-        edge_slices.append(slice(pos, pos + t.size))
-        pos += t.size
-    z = np.concatenate(zs)
-    w = np.concatenate(ws)
-    fz, dfz = f.values_and_derivatives(z)
-    logd = dfz / fz
-    mags = np.abs(fz)
-    degenerate = False
-    for sl in edge_slices:
-        m = mags[sl]
-        if m.size and (m.max() == 0.0 or m.min() < _ZERO_GUARD * m.max()):
-            degenerate = True
-    count = (logd @ w) / TWO_PI_I
-    moment = ((z - rect.center) * logd @ w) / TWO_PI_I
-    return count, moment, degenerate
+
+    def __init__(self, f, region):
+        self.f = f
+        self.lo = region.lo
+        self.centre = region.center
+        self.unit = np.array([region.width, region.height]) / _GRID
+        # panel keys in sorted order, with the row of each
+        self.keys = np.empty(0, complex)
+        self.key_rows = np.empty(0, np.intp)
+        self.integral = np.empty(0, complex)
+        self.moment = np.empty(0, complex)
+        self.f_min = np.empty(0)
+        self.f_max = np.empty(0)
+        self.clearance = np.empty(0)
+
+    def rect(self, box):
+        (ux, uy), lo = self.unit, self.lo
+        i0, j0, i1, j1 = box
+        return Rectangle(
+            complex(lo.real + ux * i0, lo.imag + uy * j0),
+            complex(lo.real + ux * i1, lo.imag + uy * j1),
+        )
+
+    def _fail(self, error, what, box):
+        where = self.rect(box)
+        raise error(f"{what} on {where.lo}..{where.hi}")
+
+    def _integrate(self, axis, fixed, a, b):
+        """Integral of g and of (z - region centre) g, min |F|, max |F| and
+        min |F/F'| over each panel [a, b] on the lines (axis, fixed), from
+        one ``values_and_derivatives`` call at their nodes."""
+        (ux, uy), lo = self.unit, self.lo
+        t = a[:, None] + (b - a)[:, None] * _RULE.nodes
+        vertical = (axis == _V)[:, None]
+        z = np.empty(t.shape, complex)
+        z.real = lo.real + ux * np.where(vertical, fixed[:, None], t)
+        z.imag = lo.imag + uy * np.where(vertical, t, fixed[:, None])
+        fz, dfz = (v.reshape(z.shape) for v in self.f.values_and_derivatives(z.ravel()))
+        mags = np.abs(fz)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            g = dfz / fz
+            ratio = 1.0 / np.abs(g)
+        ratio[np.isnan(ratio)] = 0.0  # F = F' = 0 at a node: no clearance
+        # z(b) - z(a) of each panel: its length, times i on a vertical line
+        dz = np.where(vertical[:, 0], 1j * uy, ux) * (b - a)
+        return (
+            g @ _RULE.weights * dz,
+            ((z - self.centre) * g) @ _RULE.weights * dz,
+            mags.min(axis=1),
+            mags.max(axis=1),
+            ratio.min(axis=1),
+        )
+
+    def _rows(self, axis, fixed, a, b):
+        """Rows of the panels [a, b] on lines (axis, fixed), integrating the
+        uncached ones first, at most _CHUNK lambdas per batch."""
+        size = b - a
+        # the key of a panel holds its line and its block's index in the
+        # binary tree of the line, both exact in a float64
+        key = (axis * _LINE + fixed) + 1j * (_GRID // size + a // size)
+        pos = np.searchsorted(self.keys, key)
+        known = np.zeros(key.size, bool)
+        if self.keys.size:
+            known = self.keys[np.minimum(pos, self.keys.size - 1)] == key
+        if not known.all():
+            fresh, first = np.unique(key[~known], return_index=True)
+            pick = np.flatnonzero(~known)[first]
+            step = _CHUNK // _RULE.nodes.size
+            parts = [
+                self._integrate(axis[s], fixed[s], a[s], b[s])
+                for s in (pick[i : i + step] for i in range(0, pick.size, step))
+            ]
+            at = np.searchsorted(self.keys, fresh)
+            self.keys = np.insert(self.keys, at, fresh)
+            rows = self.integral.size + np.arange(fresh.size)
+            self.key_rows = np.insert(self.key_rows, at, rows)
+            columns = (self.integral, self.moment, self.f_min, self.f_max, self.clearance)
+            self.integral, self.moment, self.f_min, self.f_max, self.clearance = (
+                np.concatenate(column) for column in zip(columns, *parts)
+            )
+            pos = np.searchsorted(self.keys, key)
+        return self.key_rows[pos]
+
+    def count(self, boxes, cuts=()):
+        """[(count, moment about the box centre)] for each box.
+
+        An edge's first panels are its maximal aligned dyadic blocks no
+        longer than 1/clip(ceil(length), 2, 32) of it.  A panel is accepted
+        when its GL-12 integral of g and the sum over its two halves differ
+        by at most 2*pi*_PANEL_TOL times its share of the box perimeter;
+        the halves' sum then enters the count, negated on the two edges the
+        contour runs backwards.  Otherwise its halves replace it, at most
+        _MAX_HALVINGS times.  All boxes refine together, with one batch of
+        new panels per round.
+
+        Raises BoundaryDegeneracyError when an edge grazes a zero (an |F|
+        sample below _ZERO_GUARD of that edge's maximum),
+        QuadratureFailureError when an integral is non-finite or a count
+        does not settle within 1e-3 of a nonnegative integer, and
+        _CutTooClose when a first-level panel on one of the ``cuts`` lines,
+        given as (axis, fixed), has min |F/F'| below _CUT_CLEARANCE of its
+        length.
+        """
+        units = self.unit
+        heads, blocks, starts, ends = [], [], [], []
+        for k, (i0, j0, i1, j1) in enumerate(boxes):
+            perimeter = 2.0 * ((i1 - i0) * units[0] + (j1 - j0) * units[1])
+            edges = ((_H, j0, i0, i1, 1.0), (_V, i1, j0, j1, 1.0),
+                     (_H, j1, i0, i1, -1.0), (_V, i0, j0, j1, -1.0))
+            for e, (axis, fixed, a, b, sign) in enumerate(edges):
+                target = (b - a) / max(2, min(32, math.ceil((b - a) * units[axis])))
+                points = _dyadic_points(a, b, target)
+                starts += points[:-1]
+                ends += points[1:]
+                heads.append((4 * k + e, sign, axis, fixed, perimeter))
+                blocks.append(len(points) - 1)
+        edge, sign, axis, fixed, perimeter = (np.repeat(c, blocks) for c in zip(*heads))
+        a, b = np.array(starts), np.array(ends)
+        # accepted error of a block, per grid unit along it
+        tol = 2.0 * math.pi * _PANEL_TOL * units[axis] / perimeter
+        depth = 0
+        sums = np.zeros(len(boxes), complex)
+        moments = np.zeros(len(boxes), complex)
+        low = np.full(4 * len(boxes), math.inf)
+        high = np.zeros(4 * len(boxes))
+        while edge.size:
+            mid = (a + b) // 2
+            rows = self._rows(
+                np.tile(axis, 3), np.tile(fixed, 3),
+                np.concatenate([a, a, mid]), np.concatenate([b, mid, b]),
+            )
+            rw, rl, rr = np.split(rows, 3)
+            if depth == 0 and cuts:
+                on_cut = np.zeros(edge.size, bool)
+                for cut_axis, cut_fixed in cuts:
+                    on_cut |= (axis == cut_axis) & (fixed == cut_fixed)
+                length = (b - a)[on_cut] * units[axis[on_cut]]
+                clearance = np.min(self.clearance[rw[on_cut]] / length)
+                if not clearance >= _CUT_CLEARANCE:
+                    raise _CutTooClose(float(clearance))
+            # NaN samples are left out of the graze test (fmin, fmax) and
+            # fail the count as non-finite below
+            for stat, reduce, acc in ((self.f_min, np.fmin, low), (self.f_max, np.fmax, high)):
+                reduce.at(acc, edge, reduce(stat[rw], reduce(stat[rl], stat[rr])))
+            halves = self.integral[rl] + self.integral[rr]
+            error = np.abs(self.integral[rw] - halves)
+            finite = np.isfinite(error)
+            done = error <= tol * (b - a)
+            box_of = edge // 4
+            np.add.at(sums, box_of[done], sign[done] * halves[done])
+            np.add.at(moments, box_of[done], (sign * (self.moment[rl] + self.moment[rr]))[done])
+            more = finite & ~done
+            # an edge of zeros grazes; one of NaNs fails as non-finite
+            grazing = (low <= _ZERO_GUARD * high).reshape(-1, 4).any(axis=1)
+            broken = set(box_of[~finite].tolist())
+            stuck = set(box_of[more & ((b - a < 4) | (depth == _MAX_HALVINGS))].tolist())
+            for k, box in enumerate(boxes):
+                if grazing[k]:
+                    self._fail(BoundaryDegeneracyError, "contour grazes a zero", box)
+                if k in broken:
+                    self._fail(QuadratureFailureError, "non-finite winding integral", box)
+                if k in stuck:
+                    self._fail(QuadratureFailureError, "winding count failed to settle", box)
+            # each unaccepted block gives way to its two halves
+            edge, sign, axis, fixed, tol = (
+                np.repeat(c[more], 2) for c in (edge, sign, axis, fixed, tol)
+            )
+            a, b = (
+                np.column_stack([a[more], mid[more]]).ravel(),
+                np.column_stack([mid[more], b[more]]).ravel(),
+            )
+            depth += 1
+        out = []
+        for box, total, moment in zip(boxes, sums.tolist(), moments.tolist()):
+            val = total / TWO_PI_I
+            n = int(round(val.real))
+            if not (abs(val - n) < 1e-3 and n >= 0):
+                self._fail(QuadratureFailureError, "winding count failed to settle", box)
+            shift = self.rect(box).center - self.centre
+            out.append((n, (moment - shift * total) / TWO_PI_I))
+        return out
 
 
-def _edges(rect):
-    c = rect.corners()
-    return zip(c, c[1:] + c[:1])
+def _count_region(f, rect):
+    """(count, box, moment, cache): ``rect`` counted on a fresh panel cache,
+    or on a dilated copy when its contour grazes a zero."""
+    for factor in (1.0,) + _DILATIONS:
+        box = rect if factor == 1.0 else rect.dilated(factor)
+        cache = _PanelCache(f, box)
+        try:
+            ((count, moment),) = cache.count([(0, 0, _GRID, _GRID)])
+        except BoundaryDegeneracyError:
+            continue
+        return count, box, moment, cache
+    raise BoundaryDegeneracyError(
+        f"contour keeps grazing zeros near {rect.lo}..{rect.hi} after dilation retries"
+    )
 
 
 def winding_count(f, rect):
     """Zeros (with multiplicity) inside the rectangle: (count, box, moment).
 
-    Composite Gauss-Legendre panels per edge are doubled until two
-    successive counts round to the same integer and the pre-rounding value
-    sits within 1e-3 of it.  A contour grazing a zero (boundary sample with
-    |F| below 1e-13 of the edge maximum) triggers dilation retries; a count
-    that never settles raises QuadratureFailureError.  ``box`` is the
-    rectangle the count was taken on (the input or a dilated copy) and
-    ``moment`` the first moment about its centre from the settling pass, so
-    box.center + moment/count is the mean of the enclosed zeros.
+    The count is taken on a fresh panel cache by the same adaptive rule as
+    every count of ``find_zeros`` (see ``_PanelCache.count``), and must sit
+    within 1e-3 of a nonnegative integer.  A contour grazing a zero
+    (boundary sample with |F| below 1e-13 of the edge maximum) triggers
+    dilation retries; a count that never settles raises
+    QuadratureFailureError.  ``box`` is the rectangle the count was taken
+    on (the input or a dilated copy) and ``moment`` the first moment about
+    its centre, so box.center + moment/count is the mean of the enclosed
+    zeros.
     """
-    for attempt in range(len(_DILATIONS) + 1):
-        box = rect if attempt == 0 else rect.dilated(_DILATIONS[attempt - 1])
-        panels = tuple(
-            max(2, min(32, int(math.ceil(abs(b - a))))) for a, b in _edges(box)
-        )
-        prev = None
-        degenerate = False
-        for _ in range(_MAX_DOUBLINGS):
-            val, moment, degenerate = _winding_value(f, box, panels)
-            if degenerate:
-                break
-            if not (math.isfinite(val.real) and math.isfinite(val.imag)):
-                raise QuadratureFailureError(
-                    f"non-finite winding integral on {box.lo}..{box.hi}"
-                )
-            n = int(round(val.real))
-            if prev is not None and n == prev and abs(val - n) < 1e-3 and n >= 0:
-                return n, box, moment
-            prev = n
-            panels = tuple(2 * p for p in panels)
-        if not degenerate:
-            raise QuadratureFailureError(
-                f"winding count failed to settle on {box.lo}..{box.hi}"
-            )
-    raise BoundaryDegeneracyError(
-        f"contour keeps grazing zeros near {rect.lo}..{rect.hi} after dilation retries"
-    )
+    return _count_region(f, rect)[:3]
 
 
 def _halton(count, skip=20):
@@ -234,8 +427,10 @@ def newton_refine(f, start, tol, rect):
 
     Leaving a 2x-dilated copy of ``rect`` raises DivergenceError; a stalled
     iteration (steps shrinking by less than 10% over five iterations) falls
-    back to shrinking winding boxes, which handles multiple roots.  Returns
-    (root, iterations_used), with -1 iterations for a root the winding-box
+    back to shrinking winding boxes, which handles multiple roots.  An
+    iterate where F is exactly zero is returned as it stands, so a start on
+    a multiple root never reaches the fallback.  Returns (root,
+    iterations_used), with -1 iterations for a root the winding-box
     fallback refined, as ``find_zeros`` reports its other fallback roots.
     """
     fence = rect.dilated(2.0)
@@ -245,6 +440,8 @@ def newton_refine(f, start, tol, rect):
     steps = []
     for it in range(1, _NEWTON_MAX_ITER + 1):
         val, deriv = (complex(x[0]) for x in f.values_and_derivatives(np.array([lam])))
+        if val == 0:
+            return lam, it
         if deriv == 0:
             break
         step = val / deriv
@@ -310,60 +507,50 @@ class RootReport:
         return sum(r.multiplicity for r in self.roots)
 
 
-def _split_candidates(rect):
-    """Candidate splits, one per cut fraction, with their internal cut lines.
+def _snap(lo, hi, step_index):
+    """Cut position in (lo, hi): the midpoint snapped to the largest power
+    of two at most 1/64 of the side, moved by ``step_index`` such steps."""
+    side = hi - lo
+    step = 1 << max(0, (side // 64).bit_length() - 1)
+    return (lo + side // 2 + step // 2) // step * step + step_index * step
 
-    Elongated rectangles are halved across the long axis only; keeping the
+
+def _splits(cache, box):
+    """Candidate splits of an integer box: (children, cut lines) per offset.
+
+    Elongated boxes are halved across the long axis only; keeping the
     contour away from the other axis matters because spectra tend to hug a
     line, and a near-square box is the only safe place for a crossing cut.
     """
-    wide = rect.width >= 2.0 * rect.height
-    tall = rect.height >= 2.0 * rect.width
-    out = []
-    for f in _CUT_FRACTIONS:
-        cx = rect.lo.real + f * rect.width
-        cy = rect.lo.imag + f * rect.height
-        v_line = (complex(cx, rect.lo.imag), complex(cx, rect.hi.imag))
-        h_line = (complex(rect.lo.real, cy), complex(rect.hi.real, cy))
-        if wide:
-            children = (
-                Rectangle(rect.lo, complex(cx, rect.hi.imag)),
-                Rectangle(complex(cx, rect.lo.imag), rect.hi),
-            )
-            out.append((children, (v_line,)))
-        elif tall:
-            children = (
-                Rectangle(rect.lo, complex(rect.hi.real, cy)),
-                Rectangle(complex(rect.lo.real, cy), rect.hi),
-            )
-            out.append((children, (h_line,)))
-        else:
-            out.append((rect.split(f, f), (v_line, h_line)))
-    return out
+    i0, j0, i1, j1 = box
+    width = (i1 - i0) * cache.unit[0]
+    height = (j1 - j0) * cache.unit[1]
+    for k in _CUT_STEPS:
+        ic, jc = _snap(i0, i1, k), _snap(j0, j1, k)
+        if width >= 2.0 * height:
+            if i0 < ic < i1:
+                yield ((i0, j0, ic, j1), (ic, j0, i1, j1)), ((_V, ic),)
+        elif height >= 2.0 * width:
+            if j0 < jc < j1:
+                yield ((i0, j0, i1, jc), (i0, jc, i1, j1)), ((_H, jc),)
+        elif i0 < ic < i1 and j0 < jc < j1:
+            children = ((i0, j0, ic, jc), (ic, j0, i1, jc), (i0, jc, ic, j1), (ic, jc, i1, j1))
+            yield children, ((_V, ic), (_H, jc))
 
 
-def _line_clearances(f, candidates):
-    """min |F| / max |F| over each candidate's cut lines (higher is a safer
-    place to cut), from one batched evaluation of every line."""
-    t = np.linspace(0.02, 0.98, 49)
-    pts = [a + (b - a) * t for _, lines in candidates for a, b in lines]
-    vals = np.abs(f.values(np.concatenate(pts)))
-    ends = np.cumsum([t.size * len(lines) for _, lines in candidates])
-    out = []
-    for chunk in np.split(vals, ends[:-1]):
-        mx = float(chunk.max())
-        out.append(float(chunk.min()) / mx if mx > 0.0 else 0.0)
-    return out
+def _subdivide(cache, box, count, moment, tol, leaves, depth=0):
+    """Recursive subdivision of an integer box down to single-root (or
+    tiny) leaves, every count read from the scan's panel cache.
 
-
-def _subdivide(f, rect, count, moment, tol, leaves, depth=0):
-    """Recursive subdivision down to single-root (or tiny) leaves.
-
-    Each leaf is stored with its count and its first moment about its
-    centre, both from the pass that fixed its count.
+    Candidate cuts are tried nearest the middle first.  One screened too
+    close to a zero by its first-level panels is set aside, and those are
+    retried last, clearest first.  A split stands when every child settles
+    and the children's counts sum to the parent's.  Each leaf is stored as
+    the rectangle of its box, with its count and its first moment.
     """
     if count == 0:
         return
+    rect = cache.rect(box)
     if count == 1 or rect.diameter < 64.0 * tol:
         if count > 8:
             raise RootClusterError(
@@ -373,23 +560,29 @@ def _subdivide(f, rect, count, moment, tol, leaves, depth=0):
         return
     if depth > 120:
         raise RootClusterError(f"subdivision depth exhausted near {rect.center}")
-    candidates = _split_candidates(rect)
-    clearance = _line_clearances(f, candidates)
-    ranked = sorted(range(len(candidates)), key=lambda i: clearance[i], reverse=True)
-    for i in ranked:
-        children = candidates[i][0]
+    close = []
+    for children, cuts in _splits(cache, box):
         try:
-            # keep the rect the count actually refers to (grazing contours
-            # get dilated inside winding_count); the sum check rejects any
-            # split whose dilations double-count a root
-            counted = [winding_count(f, q) for q in children]
+            counted = cache.count(children, cuts)
+        except _CutTooClose as exc:
+            close.append((-exc.args[0], len(close), children))
+            continue
         except (QuadratureFailureError, BoundaryDegeneracyError):
             continue
-        if sum(c for c, _, _ in counted) == count:
-            for c, actual, mu in counted:
-                _subdivide(f, actual, c, mu, tol, leaves, depth + 1)
-            return
-    raise BoundaryDegeneracyError(f"could not split {rect.lo}..{rect.hi} consistently")
+        if sum(c for c, _ in counted) == count:
+            break
+    else:
+        for _, _, children in sorted(close):
+            try:
+                counted = cache.count(children)
+            except (QuadratureFailureError, BoundaryDegeneracyError):
+                continue
+            if sum(c for c, _ in counted) == count:
+                break
+        else:
+            raise BoundaryDegeneracyError(f"could not split {rect.lo}..{rect.hi} consistently")
+    for child, (c, mu) in zip(children, counted):
+        _subdivide(cache, child, c, mu, tol, leaves, depth + 1)
 
 
 def find_zeros(f, rect, tol=1e-10, seed=0):
@@ -405,9 +598,9 @@ def find_zeros(f, rect, tol=1e-10, seed=0):
     """
     if detect_identically_zero(f, rect, seed=seed):
         return RootReport(region=rect, region_count=0, roots=(), identically_zero=True, tol=tol)
-    total, box, moment = winding_count(f, rect)
+    total, box, moment, cache = _count_region(f, rect)
     leaves = []
-    _subdivide(f, box, total, moment, tol, leaves)
+    _subdivide(cache, (0, 0, _GRID, _GRID), total, moment, tol, leaves)
     refined = []
     for leaf, count, moment in leaves:
         max_boundary = _leaf_scale(f, leaf)
@@ -439,7 +632,8 @@ def find_zeros(f, rect, tol=1e-10, seed=0):
 
 def _leaf_scale(f, leaf):
     pts = []
-    for a, b in _edges(leaf):
+    c = leaf.corners()
+    for a, b in zip(c, c[1:] + c[:1]):
         pts.extend(a + (b - a) * t for t in (0.0, 0.25, 0.5, 0.75))
     return float(np.max(np.abs(f.values(np.array(pts)))))
 

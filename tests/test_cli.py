@@ -212,9 +212,16 @@ def test_parse_rejects_malformed():
             '"outputs": {"grid": "5x6"}',
         )
     )
+    psi_messages = []
     for text in bad:
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError) as info:
             parse_config(text)
+        if "problem.psi" in str(info.value):
+            psi_messages.append(str(info.value))
+    # a psi term's message names its location once, with no re-wrapped prefix
+    assert len(psi_messages) == 4
+    for message in psi_messages:
+        assert message.count("problem.psi") == 1, message
 
 
 def test_csv_header_is_pinned():

@@ -14,6 +14,7 @@ from charspec import (
     point_functional,
     winding_count,
 )
+from charspec import rootscan
 from charspec.errors import (
     BoundaryDegeneracyError,
     DimensionError,
@@ -182,23 +183,91 @@ class CountingFn:
         return self._fn.zero_scale_entries(lams)
 
 
+def _on_some_edge(lams, boxes):
+    """Distance of each lambda from the nearest edge of the nearest box."""
+    gaps = []
+    for box in boxes:
+        inside = (
+            (lams.real >= box.lo.real - 1e-12) & (lams.real <= box.hi.real + 1e-12)
+            & (lams.imag >= box.lo.imag - 1e-12) & (lams.imag <= box.hi.imag + 1e-12)
+        )
+        edge = np.minimum.reduce([
+            np.abs(lams.real - box.lo.real), np.abs(lams.real - box.hi.real),
+            np.abs(lams.imag - box.lo.imag), np.abs(lams.imag - box.hi.imag),
+        ])
+        gaps.append(np.where(inside, edge, np.inf))
+    return np.minimum.reduce(gaps)
+
+
 def test_winding_pass_evaluates_f_once_per_node():
     counter = CountingFn(periodic_fn())
     assert winding_count(counter, BIG)[0] == 3
-    # edges of length 2, 14, 2, 14 carry 2 + 14 + 2 + 14 panels of 12 nodes,
-    # doubled each pass until the count settles (at least two passes)
-    sizes = [lams.size for _, lams in counter.calls]
     assert {kind for kind, _ in counter.calls} == {"pair"}
-    assert len(sizes) >= 2
-    assert sizes == [384 * 2**k for k in range(len(sizes))]
-    for _, lams in counter.calls:
-        # every point is a contour node: no finite-difference shifts off it
-        on_edge = np.minimum.reduce([
-            np.abs(lams.real - BIG.lo.real), np.abs(lams.real - BIG.hi.real),
-            np.abs(lams.imag - BIG.lo.imag), np.abs(lams.imag - BIG.hi.imag),
-        ])
-        assert on_edge.max() < 1e-12
-        assert np.unique(lams).size == lams.size
+    lams = np.concatenate([lams for _, lams in counter.calls])
+    # every point is a node of the counted contour: no finite-difference
+    # shifts off it, and no node is evaluated twice
+    assert _on_some_edge(lams, [BIG]).max() < 1e-12
+    assert np.unique(lams).size == lams.size
+
+
+def test_scan_evaluates_each_contour_node_once(monkeypatch):
+    # a whole scan shares one panel cache: parent edges serve the children
+    # and each cut serves both of its sides
+    counted = []
+    count = rootscan._PanelCache.count
+
+    def recording(cache, boxes, cuts=()):
+        counted.extend(cache.rect(box) for box in boxes)
+        return count(cache, boxes, cuts)
+
+    monkeypatch.setattr(rootscan._PanelCache, "count", recording)
+    counter = CountingFn(periodic_fn())
+    report = find_zeros(counter, BIG, tol=1e-10)
+    assert report.region_count == 3
+    pairs = [lams for kind, lams in counter.calls if kind == "pair"]
+    # across every (F, F') batch of the scan, Newton's included, no lambda repeats
+    lams = np.concatenate(pairs)
+    assert np.unique(lams).size == lams.size
+    # every contour batch (Newton asks for one lambda at a time) lies on
+    # an edge of a box the scan counted
+    batched = np.concatenate([lams for lams in pairs if lams.size > 1])
+    assert len(counted) > 1
+    assert _on_some_edge(batched, counted).max() < 1e-12
+
+
+def test_split_retries_cuts_screened_near_zeros(monkeypatch):
+    # BIG is tall, so it is cut across at y = 7k/32 for k = 0, +-1, +-2,
+    # +-3; a zero 0.01 above each of those lines screens every candidate
+    # out, and the scan must fall back to the clearest of them
+    unscreened = []
+    count = rootscan._PanelCache.count
+
+    def recording(cache, boxes, cuts=()):
+        if len(boxes) > 1 and not cuts:
+            unscreened.append(boxes)
+        return count(cache, boxes, cuts)
+
+    monkeypatch.setattr(rootscan._PanelCache, "count", recording)
+    roots = [0.3 + 1j * (7.0 * k / 32.0 + 0.01) for k in (0, 1, -1, 2, -2, 3, -3)]
+    report = find_zeros(planted(roots), BIG, tol=1e-10)
+    assert unscreened
+    assert report.region_count == 7
+    assert sorted(r.multiplicity for r in report.roots) == [1] * 7
+    for z in roots:
+        assert min(abs(r.location - z) for r in report.roots) < 1e-9
+
+
+def test_scan_lambda_budget():
+    # F evaluations over every entry point are the deterministic cost of a
+    # scan; the panel cache integrates each contour panel once
+    counter = CountingFn(periodic_fn())
+    report = find_zeros(counter, Rectangle(-1.0 - 200.0j, 1.0 + 200.0j))
+    assert report.region_count == 63
+    assert sum(lams.size for _, lams in counter.calls) <= 82_000
+    # a symmetric box whose middle cut runs through the root at 0
+    counter = CountingFn(periodic_fn())
+    assert find_zeros(counter, BIG).region_count == 3
+    assert sum(lams.size for _, lams in counter.calls) <= 4_146
 
 
 def test_winding_moment_locates_the_enclosed_roots():
@@ -256,11 +325,15 @@ def test_newton_double_root():
     root, iters = newton_refine(planted([0.0, 0.0]), 0.5, 1e-10, box)
     assert abs(root) < 1e-9
     assert iters <= 50
-    # a vanishing derivative at the start drops straight into the
-    # winding-box fallback, which reads -1 iterations
+    # a start exactly on the double root is the root: F = 0 is checked
+    # before F' = 0, so the winding-box fallback never runs
     root, iters = newton_refine(planted([0.0, 0.0]), 0.0, 1e-8, box)
-    assert abs(root) < 1e-6
-    assert iters == -1
+    assert root == 0.0
+    assert iters >= 0
+    # F' = 0 with F != 0 (z^2 - 1 at 0) drops into the winding-box
+    # fallback, whose box around the start holds no root
+    with pytest.raises(DivergenceError):
+        newton_refine(planted([1.0, -1.0]), 0.0, 1e-8, box)
 
 
 def test_merge_roots_fallback_part_marks_the_group():
