@@ -13,10 +13,12 @@ of the scanned region, each integrated once with its own error estimate
 (Kravanja & Van Barel, LNM 1727, ch. 1; segment-by-segment enclosure as in
 Johnson & Tucker, JCAM 228, 2009).  A box's count is the sum over the
 panels of its edges, so children reuse their parent's edges and the two
-sides of a cut share its panels.  Boxes subdivide at cuts snapped to the
-grid until each leaf isolates one root; Newton then polishes it, starting
-from the leaf's moment estimate (the first moment of a one-root box is that
-root, Delves & Lyness 1967).
+sides of a cut share its panels; the same nodes give the box's scale,
+max |F| on its edges.  One split routine cuts boxes at grid points until
+each leaf isolates one root; Newton then polishes it, starting from the
+leaf's moment estimate (the first moment of a one-root box is that root,
+Delves & Lyness 1967).  Where Newton fails, the split routine descends the
+leaf on the same cache to a box 4*tol across.
 """
 
 from __future__ import annotations
@@ -74,7 +76,7 @@ _LINE = 2 * _GRID  # line code of a panel: axis * _LINE + fixed coordinate
 _ZERO_GUARD = 1e-13
 # Quasi-random points of the identically-zero test.
 _ZERO_SAMPLES = 25
-# Newton iterations before the winding-count fallback takes over.
+# Newton iterations before newton_refine gives up.
 _NEWTON_MAX_ITER = 50
 
 
@@ -126,17 +128,6 @@ class Rectangle:
     def dilated(self, factor):
         c = self.center
         return Rectangle(c + (self.lo - c) * factor, c + (self.hi - c) * factor)
-
-    def split(self, fx=0.5, fy=0.5):
-        """Four sub-rectangles cut at the given width/height fractions."""
-        cx = self.lo.real + fx * self.width
-        cy = self.lo.imag + fy * self.height
-        return (
-            Rectangle(self.lo, complex(cx, cy)),
-            Rectangle(complex(cx, self.lo.imag), complex(self.hi.real, cy)),
-            Rectangle(complex(self.lo.real, cy), complex(cx, self.hi.imag)),
-            Rectangle(complex(cx, cy), self.hi),
-        )
 
 
 def _dyadic_points(a, b, target):
@@ -259,7 +250,8 @@ class _PanelCache:
         return self.key_rows[pos]
 
     def count(self, boxes, cuts=()):
-        """[(count, moment about the box centre)] for each box.
+        """[(count, moment about the box centre, scale)] for each box, the
+        scale being max |F| over every node the count read on its edges.
 
         An edge's first panels are its maximal aligned dyadic blocks no
         longer than 1/clip(ceil(length), 2, 32) of it.  A panel is accepted
@@ -272,8 +264,9 @@ class _PanelCache:
 
         Raises BoundaryDegeneracyError when an edge grazes a zero (an |F|
         sample below _ZERO_GUARD of that edge's maximum),
-        QuadratureFailureError when an integral is non-finite or a count
-        does not settle within 1e-3 of a nonnegative integer, and
+        QuadratureFailureError when an integral is non-finite, an edge has a
+        one-unit block or a count does not settle within 1e-3 of a
+        nonnegative integer, and
         _CutTooClose when a first-level panel on one of the ``cuts`` lines,
         given as (axis, fixed), has min |F/F'| below _CUT_CLEARANCE of its
         length.
@@ -302,6 +295,9 @@ class _PanelCache:
         high = np.zeros(4 * len(boxes))
         while edge.size:
             mid = (a + b) // 2
+            if (mid == a).any():  # a one-unit block has no halves on the grid
+                box = boxes[edge[mid == a][0] // 4]
+                self._fail(QuadratureFailureError, "winding count failed to settle", box)
             rows = self._rows(
                 np.tile(axis, 3), np.tile(fixed, 3),
                 np.concatenate([a, a, mid]), np.concatenate([b, mid, b]),
@@ -348,27 +344,28 @@ class _PanelCache:
             )
             depth += 1
         out = []
-        for box, total, moment in zip(boxes, sums.tolist(), moments.tolist()):
+        scales = high.reshape(-1, 4).max(axis=1).tolist()
+        for box, total, moment, scale in zip(boxes, sums.tolist(), moments.tolist(), scales):
             val = total / TWO_PI_I
             n = int(round(val.real))
             if not (abs(val - n) < 1e-3 and n >= 0):
                 self._fail(QuadratureFailureError, "winding count failed to settle", box)
             shift = self.rect(box).center - self.centre
-            out.append((n, (moment - shift * total) / TWO_PI_I))
+            out.append((n, (moment - shift * total) / TWO_PI_I, scale))
         return out
 
 
 def _count_region(f, rect):
-    """(count, box, moment, cache): ``rect`` counted on a fresh panel cache,
-    or on a dilated copy when its contour grazes a zero."""
+    """(box, cache, (count, moment, scale)): ``rect`` counted on a fresh panel
+    cache, or on a dilated copy when its contour grazes a zero."""
     for factor in (1.0,) + _DILATIONS:
         box = rect if factor == 1.0 else rect.dilated(factor)
         cache = _PanelCache(f, box)
         try:
-            ((count, moment),) = cache.count([(0, 0, _GRID, _GRID)])
+            (counted,) = cache.count([(0, 0, _GRID, _GRID)])
         except BoundaryDegeneracyError:
             continue
-        return count, box, moment, cache
+        return box, cache, counted
     raise BoundaryDegeneracyError(
         f"contour keeps grazing zeros near {rect.lo}..{rect.hi} after dilation retries"
     )
@@ -387,7 +384,8 @@ def winding_count(f, rect):
     its centre, so box.center + moment/count is the mean of the enclosed
     zeros.
     """
-    return _count_region(f, rect)[:3]
+    box, _, (count, moment, _) = _count_region(f, rect)
+    return count, box, moment
 
 
 def _halton(count, skip=20):
@@ -425,13 +423,12 @@ def detect_identically_zero(f, rect, seed=0):
 def newton_refine(f, start, tol, rect):
     """Polish one root by Newton iteration on F's ``values_and_derivatives``.
 
-    Leaving a 2x-dilated copy of ``rect`` raises DivergenceError; a stalled
-    iteration (steps shrinking by less than 10% over five iterations) falls
-    back to shrinking winding boxes, which handles multiple roots.  An
-    iterate where F is exactly zero is returned as it stands, so a start on
-    a multiple root never reaches the fallback.  Returns (root,
-    iterations_used), with -1 iterations for a root the winding-box
-    fallback refined, as ``find_zeros`` reports its other fallback roots.
+    Returns (root, iterations), iterations >= 1, once a step is at most
+    ``tol`` or an iterate has F exactly zero (so a start on a multiple root
+    is returned as it stands).  Raises DivergenceError when F' = 0 with
+    F != 0, when the steps stall (shrinking by less than 10% over five
+    iterations), when _NEWTON_MAX_ITER iterations do not converge, or when
+    an iterate leaves a 2x-dilated copy of ``rect``.
     """
     fence = rect.dilated(2.0)
     lam = complex(start)
@@ -443,7 +440,7 @@ def newton_refine(f, start, tol, rect):
         if val == 0:
             return lam, it
         if deriv == 0:
-            break
+            raise DivergenceError(f"F' = 0 at Newton iterate {lam}")
         step = val / deriv
         lam -= step
         if not fence.contains(lam):
@@ -452,34 +449,8 @@ def newton_refine(f, start, tol, rect):
         if abs(step) <= tol:
             return lam, it
         if len(steps) >= 6 and steps[-1] > 0.9 * steps[-6]:
-            break
-    # stall fallback: descend by winding counts on shrinking boxes
-    size = max(64.0 * tol, 4.0 * (steps[-1] if steps else tol))
-    box = Rectangle(lam - size * (1 + 1j), lam + size * (1 + 1j))
-    return _bisect_by_count(f, box, tol), -1
-
-
-def _bisect_by_count(f, box, tol, depth=60):
-    count, box, _ = winding_count(f, box)
-    if count == 0:
-        raise DivergenceError(f"no root inside fallback box at {box.center}")
-    for _ in range(depth):
-        if box.diameter <= 4.0 * tol:
-            break
-        for fx, fy in ((0.5, 0.5), (0.5137, 0.4863), (0.4729, 0.5271)):
-            quads = box.split(fx, fy)
-            try:
-                counted = [winding_count(f, q)[:2] for q in quads]
-            except (QuadratureFailureError, BoundaryDegeneracyError):
-                # a quadrant contour sat on the root; try the next cut set
-                continue
-            if sum(c for c, _ in counted) == count:
-                best = int(np.argmax([c for c, _ in counted]))
-                count, box = counted[best]
-                break
-        else:
-            box = box.dilated(1.021)
-    return box.center
+            raise DivergenceError(f"Newton stalled at {lam}")
+    raise DivergenceError(f"Newton took {_NEWTON_MAX_ITER} iterations from {start}")
 
 
 @dataclass(frozen=True)
@@ -515,39 +486,59 @@ def _snap(lo, hi, step_index):
     return (lo + side // 2 + step // 2) // step * step + step_index * step
 
 
-def _splits(cache, box):
-    """Candidate splits of an integer box: (children, cut lines) per offset.
+def _split(cache, box, count):
+    """(children, counted): the first split of an integer box whose children
+    all settle and whose counts sum to ``count``, with each child's (count,
+    moment, scale) from the scan's panel cache.
 
-    Elongated boxes are halved across the long axis only; keeping the
-    contour away from the other axis matters because spectra tend to hug a
-    line, and a near-square box is the only safe place for a crossing cut.
+    Candidate cuts are tried nearest the middle first.  Elongated boxes are
+    halved across the long axis only; keeping the contour away from the
+    other axis matters because spectra tend to hug a line, and a
+    near-square box is the only safe place for a crossing cut.  A cut
+    screened too close to a zero by its first-level panels is set aside,
+    and those are retried last, clearest first.  Raises
+    BoundaryDegeneracyError when no candidate splits the box.
     """
     i0, j0, i1, j1 = box
     width = (i1 - i0) * cache.unit[0]
     height = (j1 - j0) * cache.unit[1]
-    for k in _CUT_STEPS:
-        ic, jc = _snap(i0, i1, k), _snap(j0, j1, k)
-        if width >= 2.0 * height:
-            if i0 < ic < i1:
-                yield ((i0, j0, ic, j1), (ic, j0, i1, j1)), ((_V, ic),)
-        elif height >= 2.0 * width:
-            if j0 < jc < j1:
-                yield ((i0, j0, i1, jc), (i0, jc, i1, j1)), ((_H, jc),)
-        elif i0 < ic < i1 and j0 < jc < j1:
-            children = ((i0, j0, ic, jc), (ic, j0, i1, jc), (i0, jc, ic, j1), (ic, jc, i1, j1))
-            yield children, ((_V, ic), (_H, jc))
+    close = []
+
+    def candidates():
+        for k in _CUT_STEPS:
+            ic, jc = _snap(i0, i1, k), _snap(j0, j1, k)
+            if width >= 2.0 * height:
+                if i0 < ic < i1:
+                    yield ((i0, j0, ic, j1), (ic, j0, i1, j1)), ((_V, ic),)
+            elif height >= 2.0 * width:
+                if j0 < jc < j1:
+                    yield ((i0, j0, i1, jc), (i0, jc, i1, j1)), ((_H, jc),)
+            elif i0 < ic < i1 and j0 < jc < j1:
+                quads = ((i0, j0, ic, jc), (ic, j0, i1, jc), (i0, jc, ic, j1), (ic, jc, i1, j1))
+                yield quads, ((_V, ic), (_H, jc))
+        for _, _, children in sorted(close):
+            yield children, ()
+
+    for children, cuts in candidates():
+        try:
+            counted = cache.count(children, cuts)
+        except _CutTooClose as exc:
+            close.append((-exc.args[0], len(close), children))
+            continue
+        except (QuadratureFailureError, BoundaryDegeneracyError):
+            continue
+        if sum(c for c, _, _ in counted) == count:
+            return children, counted
+    rect = cache.rect(box)
+    raise BoundaryDegeneracyError(f"could not split {rect.lo}..{rect.hi} consistently")
 
 
-def _subdivide(cache, box, count, moment, tol, leaves, depth=0):
-    """Recursive subdivision of an integer box down to single-root (or
-    tiny) leaves, every count read from the scan's panel cache.
-
-    Candidate cuts are tried nearest the middle first.  One screened too
-    close to a zero by its first-level panels is set aside, and those are
-    retried last, clearest first.  A split stands when every child settles
-    and the children's counts sum to the parent's.  Each leaf is stored as
-    the rectangle of its box, with its count and its first moment.
+def _subdivide(cache, box, counted, tol, leaves, depth=0):
+    """Recursive subdivision by ``_split`` of an integer box, whose (count,
+    moment, scale) is ``counted``, down to single-root (or tiny) leaves,
+    each stored as its box followed by its (count, moment, scale).
     """
+    count = counted[0]
     if count == 0:
         return
     rect = cache.rect(box)
@@ -556,33 +547,26 @@ def _subdivide(cache, box, count, moment, tol, leaves, depth=0):
             raise RootClusterError(
                 f"{count} roots still clustered in a box of diameter {rect.diameter:.3e}"
             )
-        leaves.append((rect, count, moment))
+        leaves.append((box, *counted))
         return
     if depth > 120:
         raise RootClusterError(f"subdivision depth exhausted near {rect.center}")
-    close = []
-    for children, cuts in _splits(cache, box):
+    for child, child_counted in zip(*_split(cache, box, count)):
+        _subdivide(cache, child, child_counted, tol, leaves, depth + 1)
+
+
+def _descend(cache, box, count, tol):
+    """Centre of the box reached from a leaf by following, split by split,
+    the child that holds the most roots, until the box is at most 4*tol
+    across or the grid cannot split it."""
+    while cache.rect(box).diameter > 4.0 * tol:
         try:
-            counted = cache.count(children, cuts)
-        except _CutTooClose as exc:
-            close.append((-exc.args[0], len(close), children))
-            continue
-        except (QuadratureFailureError, BoundaryDegeneracyError):
-            continue
-        if sum(c for c, _ in counted) == count:
+            children, counted = _split(cache, box, count)
+        except BoundaryDegeneracyError:
             break
-    else:
-        for _, _, children in sorted(close):
-            try:
-                counted = cache.count(children)
-            except (QuadratureFailureError, BoundaryDegeneracyError):
-                continue
-            if sum(c for c, _ in counted) == count:
-                break
-        else:
-            raise BoundaryDegeneracyError(f"could not split {rect.lo}..{rect.hi} consistently")
-    for child, (c, mu) in zip(children, counted):
-        _subdivide(cache, child, c, mu, tol, leaves, depth + 1)
+        best = int(np.argmax([c for c, _, _ in counted]))
+        box, count = children[best], counted[best][0]
+    return cache.rect(box).center
 
 
 def find_zeros(f, rect, tol=1e-10, seed=0):
@@ -591,19 +575,22 @@ def find_zeros(f, rect, tol=1e-10, seed=0):
     Pipeline: identically-zero short-circuit, total winding count, recursive
     subdivision into single-root leaves, Newton refinement started at each
     leaf's moment estimate centre + moment/count (the leaf centre when that
-    is non-finite or outside the leaf; winding-box fallback when Newton
-    stalls, diverges or leaves its leaf), merge of duplicates within
-    10*tol, deterministic sort.  The sum of reported multiplicities always
-    equals the region count.
+    is non-finite or outside the leaf), merge of duplicates within 10*tol,
+    deterministic sort.  Every count reads the scan's one panel cache, and
+    a leaf's scale is max |F| over the nodes its count read.  When Newton
+    raises or leaves its leaf, the root is the centre of the box
+    ``_descend`` reaches in that leaf, with -1 iterations.  The sum of
+    reported multiplicities always equals the region count.
     """
     if detect_identically_zero(f, rect, seed=seed):
         return RootReport(region=rect, region_count=0, roots=(), identically_zero=True, tol=tol)
-    total, box, moment, cache = _count_region(f, rect)
+    box, cache, counted = _count_region(f, rect)
+    total = counted[0]
     leaves = []
-    _subdivide(cache, (0, 0, _GRID, _GRID), total, moment, tol, leaves)
+    _subdivide(cache, (0, 0, _GRID, _GRID), counted, tol, leaves)
     refined = []
-    for leaf, count, moment in leaves:
-        max_boundary = _leaf_scale(f, leaf)
+    for leaf_box, count, moment, scale in leaves:
+        leaf = cache.rect(leaf_box)
         start = leaf.center + moment / count
         if not (cmath.isfinite(start) and leaf.contains(start)):
             start = leaf.center
@@ -611,14 +598,14 @@ def find_zeros(f, rect, tol=1e-10, seed=0):
             # fence on the whole scan box: early Newton steps overshoot the
             # leaf routinely, and any migration is caught just below
             root, iters = newton_refine(f, start, tol, box)
-            # the stored leaf is the exact rectangle its count was taken on, so
-            # a genuine zero lies strictly inside; allow only float-level
+            # the leaf is the exact rectangle its count was taken on, so a
+            # genuine zero lies strictly inside; allow only float-level
             # slack, or a root hugging the far side of a wide leaf passes
             if not leaf.contains(root, pad=1e-6 * leaf.diameter + 10.0 * tol):
                 raise DivergenceError(f"Newton migrated to {root}, out of its leaf")
         except DivergenceError:
-            root, iters = _bisect_by_count(f, leaf, tol), -1
-        refined.append((root, count, iters, max_boundary))
+            root, iters = _descend(cache, leaf_box, count, tol), -1
+        refined.append((root, count, iters, scale))
     merged = _merge_roots(f, refined, tol)
     report = RootReport(
         region=box, region_count=total, roots=tuple(merged), identically_zero=False, tol=tol
@@ -628,14 +615,6 @@ def find_zeros(f, rect, tol=1e-10, seed=0):
             f"bookkeeping mismatch: {report.total_multiplicity()} attributed vs {total} counted"
         )
     return report
-
-
-def _leaf_scale(f, leaf):
-    pts = []
-    c = leaf.corners()
-    for a, b in zip(c, c[1:] + c[:1]):
-        pts.extend(a + (b - a) * t for t in (0.0, 0.25, 0.5, 0.75))
-    return float(np.max(np.abs(f.values(np.array(pts)))))
 
 
 def _merge_roots(f, refined, tol):

@@ -4,7 +4,7 @@ Roots of multiplicity 1 or 2 are planted in the square [-1, 1] x [-1, 1];
 ``planted`` gives F as the product of the (z - r) factors together with its
 analytic derivative.  Two properties are checked:
 
-- count additivity: the four counts of a random ``split(fx, fy)`` sum to
+- count additivity: the four counts of ``quadrants(SQUARE, fx, fy)`` sum to
   the parent's count and to the planted total, whenever every root keeps a
   fixed margin from the cut lines and the edges;
 - recovery: ``find_zeros`` returns every planted root to 1e-8, with its
@@ -22,7 +22,7 @@ from hypothesis import assume, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from charspec import Rectangle, find_zeros, winding_count  # noqa: E402
-from test_rootscan import planted  # noqa: E402
+from test_rootscan import planted, quadrants  # noqa: E402
 
 SQUARE = Rectangle(-1.0 - 1.0j, 1.0 + 1.0j)
 # distance every root keeps from each contour a property integrates over
@@ -56,13 +56,15 @@ def test_split_counts_add_up(spectrum, fx, fy):
     ))
     fn = planted(_with_multiplicity(spectrum))
     total = sum(m for _, m in spectrum)
-    counts = [winding_count(fn, q)[0] for q in SQUARE.split(fx, fy)]
+    counts = [winding_count(fn, q)[0] for q in quadrants(SQUARE, fx, fy)]
     assert sum(counts) == winding_count(fn, SQUARE)[0] == total
 
 
-# a double root costs about 0.15 s: the scan subdivides its leaf down to
-# 64 * tol and then refines it by winding-box bisection
-@settings(max_examples=12)
+# a double root costs about 0.03 s against 0.001 s for a simple one: the
+# scan subdivides its box down to 64 * tol, and Newton then needs one
+# iteration from the moment estimate.  36 examples take 1.4-1.8 s and the
+# module 1.9-2.4 s on a 2-core VM (40 examples reach 3.0 s)
+@settings(max_examples=36)
 @given(spectra)
 def test_find_zeros_recovers_planted_roots(spectrum):
     assume(_separated(spectrum))

@@ -73,6 +73,19 @@ def periodic_fn(**kw):
 BIG = Rectangle(-1.0 - 7.0j, 1.0 + 7.0j)
 
 
+def quadrants(rect, fx, fy):
+    """The four sub-rectangles of ``rect`` cut at the given width and height
+    fractions: lower left, lower right, upper left, upper right."""
+    cx = rect.lo.real + fx * rect.width
+    cy = rect.lo.imag + fy * rect.height
+    return (
+        Rectangle(rect.lo, complex(cx, cy)),
+        Rectangle(complex(cx, rect.lo.imag), complex(rect.hi.real, cy)),
+        Rectangle(complex(rect.lo.real, cy), complex(cx, rect.hi.imag)),
+        Rectangle(complex(cx, cy), rect.hi),
+    )
+
+
 # -- rectangle geometry -------------------------------------------------------
 
 
@@ -93,14 +106,6 @@ def test_rectangle_contains_and_dilated():
     assert d.center == r.center
     assert d.width == pytest.approx(3.0)
     assert d.height == pytest.approx(3.0)
-
-
-def test_rectangle_split_tiles():
-    r = Rectangle(-1.0 - 1.0j, 3.0 + 1.0j)
-    quads = r.split(0.25, 0.5)
-    assert sum(q.width * q.height for q in quads) == pytest.approx(r.width * r.height)
-    assert quads[0].hi == 0.0 + 0.0j
-    assert quads[3].lo == 0.0 + 0.0j
 
 
 def test_rectangle_rejects_degenerate():
@@ -131,7 +136,7 @@ def test_winding_respects_multiplicity():
 def test_winding_additive_over_split():
     # cut lines at re 0.2 and im 0.19 stay well away from 2*pi*i*Z
     fn = periodic_fn()
-    quads = BIG.split(0.6, 0.5137)
+    quads = quadrants(BIG, 0.6, 0.5137)
     counts = [winding_count(fn, q)[0] for q in quads]
     assert sum(counts) == winding_count(fn, BIG)[0] == 3
     assert counts == [2, 0, 1, 0]
@@ -276,7 +281,7 @@ def test_winding_moment_locates_the_enclosed_roots():
     assert (count, counted_on) == (1, box)
     assert abs(box.center + moment - TWO_PI * 1j) < 1e-6
     # two simple roots, -2*pi*i and 0: the moment over the count is their mean
-    quad = BIG.split(0.6, 0.5137)[0]
+    quad = quadrants(BIG, 0.6, 0.5137)[0]
     count, _, moment = winding_count(periodic_fn(), quad)
     assert count == 2
     assert abs(quad.center + moment / 2 + math.pi * 1j) < 1e-6
@@ -326,19 +331,27 @@ def test_newton_double_root():
     assert abs(root) < 1e-9
     assert iters <= 50
     # a start exactly on the double root is the root: F = 0 is checked
-    # before F' = 0, so the winding-box fallback never runs
+    # before F' = 0, so Newton returns the start instead of raising
     root, iters = newton_refine(planted([0.0, 0.0]), 0.0, 1e-8, box)
     assert root == 0.0
     assert iters >= 0
-    # F' = 0 with F != 0 (z^2 - 1 at 0) drops into the winding-box
-    # fallback, whose box around the start holds no root
+    # F' = 0 with F != 0 (z^2 - 1 at 0) gives Newton no step: it raises,
+    # and find_zeros locates such a root by descending its leaf
     with pytest.raises(DivergenceError):
         newton_refine(planted([1.0, -1.0]), 0.0, 1e-8, box)
 
 
+def test_newton_raises_when_iterations_run_out():
+    # on a double root Newton halves its step each iteration, so after 50
+    # steps from 0.5 it is still 4e-16 off, far above a 1e-300 tolerance
+    box = Rectangle(-1.0 - 1.0j, 1.0 + 1.0j)
+    with pytest.raises(DivergenceError):
+        newton_refine(planted([0.0, 0.0]), 0.5, 1e-300, box)
+
+
 def test_merge_roots_fallback_part_marks_the_group():
     # two halves of a double root, one polished by Newton in 4 iterations
-    # and one refined by the winding-box fallback: whichever sorts first,
+    # and one located by find_zeros's fallback: whichever sorts first,
     # the merged root reads -1, so a Newton count cannot hide the fallback
     fn = planted([0.0, 0.0])
     for a, b in ((-1e-12, 1e-12), (1e-12, -1e-12)):
@@ -383,6 +396,65 @@ def test_find_zeros_periodic_spectrum():
         assert abs(record.location - want) < 1e-9
         assert record.multiplicity == 1
         assert record.char_residual <= report.tol * max(1.0, record.leaf_scale)
+
+
+def test_find_zeros_without_newton_descends_the_scan_cache(monkeypatch):
+    # with Newton forced to fail, find_zeros locates every root by
+    # descending its leaf on the scan's one panel cache
+    def diverging(f, start, tol, rect):
+        raise DivergenceError("forced")
+
+    built = []
+    init = rootscan._PanelCache.__init__
+
+    def recording(cache, f, region):
+        built.append(region)
+        init(cache, f, region)
+
+    monkeypatch.setattr(rootscan, "newton_refine", diverging)
+    monkeypatch.setattr(rootscan._PanelCache, "__init__", recording)
+    tol = 1e-10
+    cases = (
+        (periodic_fn(), BIG, [(-TWO_PI * 1j, 1), (0.0, 1), (TWO_PI * 1j, 1)]),
+        (planted([0.0, 0.0, 1.0]), Rectangle(-0.6 - 0.5j, 1.5 + 0.5j), [(0.0, 2), (1.0, 1)]),
+    )
+    for fn, region, truth in cases:
+        built.clear()
+        report = find_zeros(fn, region, tol=tol)
+        assert len(built) == 1
+        assert len(report.roots) == len(truth)
+        for z, m in truth:
+            (rec,) = [r for r in report.roots if abs(r.location - z) <= 2.0 * tol]
+            assert (rec.multiplicity, rec.newton_iterations) == (m, -1)
+
+
+def test_find_zeros_at_the_grid_floor(monkeypatch):
+    # a region 2e6 wide has grid units of 7e-9 along it, so the splits of a
+    # double root's box reach boxes whose edges hold one-unit panels before
+    # 64 * tol: their counts fail as unsettled, with no divide-by-zero
+    # warning, and the scan reports a box it cannot split
+    wide = Rectangle(-1e6 - 1j, 1e6 + 1j)
+    with pytest.raises(BoundaryDegeneracyError):
+        find_zeros(planted([0.3 + 0.1j] * 2), wide, tol=1e-10)
+    # the fallback descent stops at the same floor, a few units from the root
+    def diverging(f, start, tol, rect):
+        raise DivergenceError("forced")
+
+    monkeypatch.setattr(rootscan, "newton_refine", diverging)
+    (rec,) = find_zeros(planted([0.3 + 0.1j]), wide, tol=1e-10).roots
+    assert abs(rec.location - (0.3 + 0.1j)) < 1e-7 and rec.newton_iterations == -1
+
+
+def test_find_zeros_reads_leaf_scales_from_the_cache():
+    # a leaf's scale is max |F| over the nodes its own count read, so the
+    # 25-point zero check is the scan's one values() call, whatever the
+    # number of leaves
+    counter = CountingFn(periodic_fn())
+    report = find_zeros(counter, Rectangle(-1.0 - 40.0j, 1.0 + 40.0j), tol=1e-10)
+    assert report.region_count == 13
+    (values,) = [lams for kind, lams in counter.calls if kind == "values"]
+    assert values.size == 25
+    assert all(math.isfinite(r.leaf_scale) and r.leaf_scale > 0 for r in report.roots)
 
 
 def test_find_zeros_orders_roots():
