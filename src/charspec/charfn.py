@@ -16,7 +16,9 @@ tests hold the family to.
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -114,6 +116,25 @@ class ProblemSpec:
             raise DimensionError("region must be a Rectangle")
         if not (0.0 < self.root_tol < np.inf and 0.0 < self.residual_tol < np.inf):
             raise DimensionError("tolerances must be positive and finite")
+
+    @cached_property
+    def is_real(self):
+        """True when every number of the kind and of psi is real: parameters,
+        matrices, atoms, weights, locations and rates.  F then satisfies
+        F(conj lambda) = conj F(lambda)."""
+        return _all_real((self.kind, self.psi))
+
+
+def _all_real(data):
+    """True when no complex number nested in ``data`` (dataclasses and
+    tuples) has a nonzero imaginary part."""
+    if isinstance(data, complex):
+        return data.imag == 0.0
+    if isinstance(data, tuple):
+        return all(_all_real(x) for x in data)
+    if dataclasses.is_dataclass(data):
+        return all(_all_real(getattr(data, f.name)) for f in dataclasses.fields(data))
+    return True
 
 
 def delay_weight(kind, lams):
@@ -284,6 +305,12 @@ class CharFunction:
     one implementation of ``rootscan``'s evaluation contract."""
 
     spec: ProblemSpec
+
+    @property
+    def is_real(self):
+        """The spec's realness: with real data the scanner counts a region
+        straddling the real axis on its upper half."""
+        return self.spec.is_real
 
     def value(self, lam):
         """Characteristic value at a single lambda, from a 0-d array."""

@@ -5,7 +5,10 @@ point, ``values(lams)`` over an array, and ``values_and_derivatives(lams)``
 giving (F, F') over an array in one batched call.  ``CharFunction`` is the
 one production implementation.  An optional ``zero_scale_entries(lams)``
 gives the matrix entries behind F, which set the scale of the
-identically-zero test; a function without a matrix behind it has none.
+identically-zero test; a function without a matrix behind it has none.  An
+optional ``is_real`` attribute, true when F's data are all real so that
+F(conj z) = conj F(z), lets ``find_zeros`` fold a region that straddles
+the real axis onto its upper half; without it the region is scanned whole.
 
 Winding numbers and centred first moments are contour integrals of
 g = F'/F.  Each scan keeps one panel cache: GL-12 panels on a dyadic grid
@@ -19,6 +22,13 @@ each leaf isolates one root; Newton then polishes it, starting from the
 leaf's moment estimate (the first moment of a one-root box is that root,
 Delves & Lyness 1967).  Where Newton fails, the split routine descends the
 leaf on the same cache to a box 4*tol across.
+
+On a folded region the band symmetric about the real axis is counted on
+its upper half contour, as Im(integral of g)/pi, and the rest of the
+region, mirrored up when it lies below the axis, as a plain box on the
+same cache.  A band box off the axis stands for its mirror image too, so
+its roots are mirrored exactly instead of located twice, and a one-root
+box on the axis holds a real root, reported with imaginary part 0.0.
 """
 
 from __future__ import annotations
@@ -52,8 +62,8 @@ TWO_PI_I = 2j * math.pi
 
 # Fallback dilation factors applied when the contour grazes a zero.
 _DILATIONS = (1.013, 1.029, 1.041)
-# Grid units per side of the scanned region; every box and panel endpoint
-# of a scan is an integer point of this grid.
+# Grid units per side of the scanned region (per part of a folded frame);
+# every box and panel endpoint of a scan is an integer point of this grid.
 _GRID = 1 << 48
 # Per-panel error control: a panel is accepted when its GL-12 integral of
 # F'/F and the sum over its two halves differ by at most
@@ -72,7 +82,9 @@ _CUT_CLEARANCE = 0.05
 _CHUNK = 1024
 _RULE = gauss_legendre(12)
 _H, _V = 0, 1  # panel axis: along a horizontal or a vertical line
-_LINE = 2 * _GRID  # line code of a panel: axis * _LINE + fixed coordinate
+# line code of a panel: axis * _LINE + fixed coordinate, which a folded
+# frame takes up to 2 * _GRID
+_LINE = 4 * _GRID
 _ZERO_GUARD = 1e-13
 # Quasi-random points of the identically-zero test.
 _ZERO_SAMPLES = 25
@@ -156,22 +168,56 @@ class _CutTooClose(Exception):
 
 
 class _PanelCache:
-    """Contour panels of one scan on a dyadic grid over the scanned region.
+    """Contour panels of one scan on a dyadic grid over its scan frame.
 
     A box is (i0, j0, i1, j1) in integer units, _GRID of them per side of
-    the region.  A panel is an aligned dyadic block [a, b] of a horizontal
-    or vertical grid line.  From one GL-12 rule over its nodes it holds the
-    integrals of g = F'/F and of (z - region centre) g from a to b, and
+    the frame (per side of each of its two parts when folded).  A panel is
+    an aligned dyadic block [a, b] of a horizontal or vertical grid line.
+    From one GL-12 rule over its nodes it holds the
+    integrals of g = F'/F and of (z - frame centre) g from a to b, and
     min |F|, max |F| and min |F/F'| over the nodes, in one row of the
     arrays below.  Every count of the scan reads these panels, so each
     panel is integrated once however many boxes share it.
+
+    The frame is the region itself, unless F has real data (``f.is_real``)
+    and the region straddles the real axis.  Then F(conj z) = conj F(z),
+    and the frame is folded onto the upper half plane: rows 0.._GRID map
+    the band's upper half [0, m], m = min(-lo.imag, hi.imag), and rows
+    _GRID..2*_GRID the rest of the region up to max(-lo.imag, hi.imag),
+    mirrored up when it lies below the axis.  A box with j0 = 0 is then
+    symmetric: it stands for the box together with its mirror image, and
+    is counted on its upper half contour.  Another band box is mirrored:
+    each of its roots stands for its conjugate too.  Rest boxes are plain.
     """
 
     def __init__(self, f, region):
         self.f = f
-        self.lo = region.lo
-        self.centre = region.center
-        self.unit = np.array([region.width, region.height]) / _GRID
+        self.region = region
+        self._lay_out(getattr(f, "is_real", False) and region.lo.imag < 0.0 < region.hi.imag)
+
+    def unfold(self):
+        """Lay the cache out on the region itself, dropping every panel."""
+        self._lay_out(False)
+
+    def _lay_out(self, folded):
+        lo, hi = self.region.lo, self.region.hi
+        self.folded = folded
+        self.band, self.top = min(-lo.imag, hi.imag), max(-lo.imag, hi.imag)
+        # a folded frame has rows above the band unless the region is
+        # symmetric; they are mirrored up when the rest lies below the axis
+        self.rest = folded and self.top > self.band
+        self.flip = folded and -lo.imag > hi.imag
+        if folded:
+            self.frame = Rectangle(complex(lo.real, 0.0), complex(hi.real, self.top))
+            heights = (self.band, self.top - self.band)
+        else:
+            self.frame = self.region
+            heights = (self.region.height,) * 2
+        self.tops = [(0, 0, _GRID, _GRID)] + [(0, _GRID, _GRID, 2 * _GRID)] * self.rest
+        self.lo = self.frame.lo
+        self.centre = self.frame.center
+        # grid unit along x, along band rows and along rest rows
+        self.unit = np.array([self.region.width, *heights]) / _GRID
         # panel keys in sorted order, with the row of each
         self.keys = np.empty(0, complex)
         self.key_rows = np.empty(0, np.intp)
@@ -181,28 +227,73 @@ class _PanelCache:
         self.f_max = np.empty(0)
         self.clearance = np.empty(0)
 
+    def _imag(self, t):
+        """Imaginary parts of the frame at grid rows ``t``; the row map is
+        exact at rows 0, _GRID and 2*_GRID of a folded frame."""
+        y = self.lo.imag + self.unit[1] * t
+        if not self.rest:
+            return y
+        s = np.asarray(t) / _GRID - 1.0
+        return np.where(s > 0.0, self.band * (1.0 - s) + self.top * s, y)
+
+    def _unit_y(self, j):
+        """Grid unit along the rows from ``j`` up."""
+        return self.unit[2] if j >= _GRID else self.unit[1]
+
     def rect(self, box):
-        (ux, uy), lo = self.unit, self.lo
+        """The box's rectangle in the frame."""
+        ux, lo = self.unit[0], self.lo
         i0, j0, i1, j1 = box
         return Rectangle(
-            complex(lo.real + ux * i0, lo.imag + uy * j0),
-            complex(lo.real + ux * i1, lo.imag + uy * j1),
+            complex(lo.real + ux * i0, float(self._imag(j0))),
+            complex(lo.real + ux * i1, float(self._imag(j1))),
         )
 
+    def symmetric(self, box):
+        """True for a box on the real axis of a folded frame."""
+        return self.folded and box[1] == 0
+
+    def weight(self, box):
+        """Roots in the plane per root counted in the box: 2 for a mirrored
+        box, else 1."""
+        return 2 if self.folded and 0 < box[1] and box[3] <= _GRID else 1
+
+    def centre_of(self, box):
+        """The point a box's moment is taken about: its centre, on the real
+        axis for a symmetric box."""
+        c = self.rect(box).center
+        return complex(c.real, 0.0) if self.symmetric(box) else c
+
+    def images(self, box, z):
+        """The roots in the plane that a root ``z`` of the box stands for: a
+        real root for a symmetric box, z and its conjugate for a mirrored
+        one, z mirrored back in a mirrored-up rest."""
+        if self.symmetric(box):
+            return (complex(z.real, 0.0),)
+        if self.weight(box) == 2:
+            return (z, z.conjugate())
+        return (z.conjugate(),) if self.flip and box[1] >= _GRID else (z,)
+
+    def where(self, box):
+        """The box's corners in the plane, for messages."""
+        lo, hi = self.rect(box).lo, self.rect(box).hi
+        if self.flip and box[1] >= _GRID:
+            lo, hi = complex(lo.real, -hi.imag), complex(hi.real, -lo.imag)
+        return f"{lo}..{hi}"
+
     def _fail(self, error, what, box):
-        where = self.rect(box)
-        raise error(f"{what} on {where.lo}..{where.hi}")
+        raise error(f"{what} on {self.where(box)}")
 
     def _integrate(self, axis, fixed, a, b):
-        """Integral of g and of (z - region centre) g, min |F|, max |F| and
+        """Integral of g and of (z - frame centre) g, min |F|, max |F| and
         min |F/F'| over each panel [a, b] on the lines (axis, fixed), from
         one ``values_and_derivatives`` call at their nodes."""
-        (ux, uy), lo = self.unit, self.lo
+        ux, lo = self.unit[0], self.lo
         t = a[:, None] + (b - a)[:, None] * _RULE.nodes
         vertical = (axis == _V)[:, None]
         z = np.empty(t.shape, complex)
         z.real = lo.real + ux * np.where(vertical, fixed[:, None], t)
-        z.imag = lo.imag + uy * np.where(vertical, t, fixed[:, None])
+        z.imag = self._imag(np.where(vertical, t, fixed[:, None]))
         fz, dfz = (v.reshape(z.shape) for v in self.f.values_and_derivatives(z.ravel()))
         mags = np.abs(fz)
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -210,7 +301,7 @@ class _PanelCache:
             ratio = 1.0 / np.abs(g)
         ratio[np.isnan(ratio)] = 0.0  # F = F' = 0 at a node: no clearance
         # z(b) - z(a) of each panel: its length, times i on a vertical line
-        dz = np.where(vertical[:, 0], 1j * uy, ux) * (b - a)
+        dz = np.where(vertical[:, 0], 1j * self.unit[1 + (a >= _GRID)], ux) * (b - a)
         return (
             g @ _RULE.weights * dz,
             ((z - self.centre) * g) @ _RULE.weights * dz,
@@ -224,8 +315,8 @@ class _PanelCache:
         uncached ones first, at most _CHUNK lambdas per batch."""
         size = b - a
         # the key of a panel holds its line and its block's index in the
-        # binary tree of the line, both exact in a float64
-        key = (axis * _LINE + fixed) + 1j * (_GRID // size + a // size)
+        # binary tree over [0, 2 * _GRID], both exact in a float64
+        key = (axis * _LINE + fixed) + 1j * (2 * _GRID // size + a // size)
         pos = np.searchsorted(self.keys, key)
         known = np.zeros(key.size, bool)
         if self.keys.size:
@@ -260,7 +351,11 @@ class _PanelCache:
         the halves' sum then enters the count, negated on the two edges the
         contour runs backwards.  Otherwise its halves replace it, at most
         _MAX_HALVINGS times.  All boxes refine together, with one batch of
-        new panels per round.
+        new panels per round.  A symmetric box is counted on its other three
+        edges: its count is Im(I)/pi and its moment Im(J)/pi about its real
+        centre, with I and J the integrals of g and (z - centre) g along
+        them, and its panels' shares are of the perimeter of the box with
+        its mirror image.
 
         Raises BoundaryDegeneracyError when an edge grazes a zero (an |F|
         sample below _ZERO_GUARD of that edge's maximum),
@@ -271,23 +366,28 @@ class _PanelCache:
         given as (axis, fixed), has min |F/F'| below _CUT_CLEARANCE of its
         length.
         """
-        units = self.unit
         heads, blocks, starts, ends = [], [], [], []
-        for k, (i0, j0, i1, j1) in enumerate(boxes):
-            perimeter = 2.0 * ((i1 - i0) * units[0] + (j1 - j0) * units[1])
+        for k, box in enumerate(boxes):
+            i0, j0, i1, j1 = box
+            ux, uy = self.unit[0], self._unit_y(j0)
+            symmetric = self.symmetric(box)
+            # a symmetric box's perimeter is that of the box and its mirror image
+            perimeter = 2.0 * ((i1 - i0) * ux + (j1 - j0) * uy * (1 + symmetric))
             edges = ((_H, j0, i0, i1, 1.0), (_V, i1, j0, j1, 1.0),
                      (_H, j1, i0, i1, -1.0), (_V, i0, j0, j1, -1.0))
-            for e, (axis, fixed, a, b, sign) in enumerate(edges):
-                target = (b - a) / max(2, min(32, math.ceil((b - a) * units[axis])))
+            # a symmetric box is counted without its edge on the real axis
+            for e, (axis, fixed, a, b, sign) in enumerate(edges[symmetric:], symmetric):
+                unit = uy if axis == _V else ux
+                target = (b - a) / max(2, min(32, math.ceil((b - a) * unit)))
                 points = _dyadic_points(a, b, target)
                 starts += points[:-1]
                 ends += points[1:]
-                heads.append((4 * k + e, sign, axis, fixed, perimeter))
+                heads.append((4 * k + e, sign, axis, fixed, unit, perimeter))
                 blocks.append(len(points) - 1)
-        edge, sign, axis, fixed, perimeter = (np.repeat(c, blocks) for c in zip(*heads))
+        edge, sign, axis, fixed, unit, perimeter = (np.repeat(c, blocks) for c in zip(*heads))
         a, b = np.array(starts), np.array(ends)
         # accepted error of a block, per grid unit along it
-        tol = 2.0 * math.pi * _PANEL_TOL * units[axis] / perimeter
+        tol = 2.0 * math.pi * _PANEL_TOL * unit / perimeter
         depth = 0
         sums = np.zeros(len(boxes), complex)
         moments = np.zeros(len(boxes), complex)
@@ -307,7 +407,7 @@ class _PanelCache:
                 on_cut = np.zeros(edge.size, bool)
                 for cut_axis, cut_fixed in cuts:
                     on_cut |= (axis == cut_axis) & (fixed == cut_fixed)
-                length = (b - a)[on_cut] * units[axis[on_cut]]
+                length = (b - a)[on_cut] * unit[on_cut]
                 clearance = np.min(self.clearance[rw[on_cut]] / length)
                 if not clearance >= _CUT_CLEARANCE:
                     raise _CutTooClose(float(clearance))
@@ -346,26 +446,42 @@ class _PanelCache:
         out = []
         scales = high.reshape(-1, 4).max(axis=1).tolist()
         for box, total, moment, scale in zip(boxes, sums.tolist(), moments.tolist(), scales):
-            val = total / TWO_PI_I
+            moment = moment - (self.centre_of(box) - self.centre) * total
+            if self.symmetric(box):
+                # the lower half contour is the mirror image of the upper one,
+                # so the whole contour integrates to 2i Im(upper half)
+                val, moment = total.imag / math.pi, moment.imag / math.pi
+            else:
+                val, moment = total / TWO_PI_I, moment / TWO_PI_I
             n = int(round(val.real))
             if not (abs(val - n) < 1e-3 and n >= 0):
                 self._fail(QuadratureFailureError, "winding count failed to settle", box)
-            shift = self.rect(box).center - self.centre
-            out.append((n, (moment - shift * total) / TWO_PI_I, scale))
+            out.append((n, moment, scale))
         return out
 
 
-def _count_region(f, rect):
-    """(box, cache, (count, moment, scale)): ``rect`` counted on a fresh panel
-    cache, or on a dilated copy when its contour grazes a zero."""
-    for factor in (1.0,) + _DILATIONS:
-        box = rect if factor == 1.0 else rect.dilated(factor)
-        cache = _PanelCache(f, box)
+def _count_region(f, rect, fold=True):
+    """(cache, counted): the scan's panel cache and the (count, moment,
+    scale) of each of its top-level boxes, ``cache.tops``.  With ``fold`` a
+    folded cache counts its band and its rest together; when either count
+    fails, or without ``fold``, the cache is unfolded and ``rect`` counted
+    whole, on a dilated copy (``cache.region``) when its contour grazes a
+    zero."""
+    cache = _PanelCache(f, rect)
+    if fold and cache.folded:
         try:
-            (counted,) = cache.count([(0, 0, _GRID, _GRID)])
+            return cache, cache.count(cache.tops)
+        except (BoundaryDegeneracyError, QuadratureFailureError):
+            pass
+    for factor in (1.0,) + _DILATIONS:
+        if factor != 1.0:
+            cache = _PanelCache(f, rect.dilated(factor))
+        cache.unfold()
+        try:
+            counted = cache.count(cache.tops)
         except BoundaryDegeneracyError:
             continue
-        return box, cache, counted
+        return cache, counted
     raise BoundaryDegeneracyError(
         f"contour keeps grazing zeros near {rect.lo}..{rect.hi} after dilation retries"
     )
@@ -374,18 +490,18 @@ def _count_region(f, rect):
 def winding_count(f, rect):
     """Zeros (with multiplicity) inside the rectangle: (count, box, moment).
 
-    The count is taken on a fresh panel cache by the same adaptive rule as
-    every count of ``find_zeros`` (see ``_PanelCache.count``), and must sit
-    within 1e-3 of a nonnegative integer.  A contour grazing a zero
-    (boundary sample with |F| below 1e-13 of the edge maximum) triggers
-    dilation retries; a count that never settles raises
-    QuadratureFailureError.  ``box`` is the rectangle the count was taken
-    on (the input or a dilated copy) and ``moment`` the first moment about
-    its centre, so box.center + moment/count is the mean of the enclosed
-    zeros.
+    The count is taken around the whole rectangle, whatever F's data, on a
+    fresh panel cache by the same adaptive rule as every count of
+    ``find_zeros`` (see ``_PanelCache.count``), and must sit within 1e-3 of
+    a nonnegative integer.  A contour grazing a zero (boundary sample with
+    |F| below 1e-13 of the edge maximum) triggers dilation retries; a count
+    that never settles raises QuadratureFailureError.  ``box`` is the
+    rectangle the count was taken on (the input or a dilated copy) and
+    ``moment`` the first moment about its centre, so box.center +
+    moment/count is the mean of the enclosed zeros.
     """
-    box, _, (count, moment, _) = _count_region(f, rect)
-    return count, box, moment
+    cache, ((count, moment, _),) = _count_region(f, rect, fold=False)
+    return count, cache.region, moment
 
 
 def _halton(count, skip=20):
@@ -488,8 +604,10 @@ def _snap(lo, hi, step_index):
 
 def _split(cache, box, count):
     """(children, counted): the first split of an integer box whose children
-    all settle and whose counts sum to ``count``, with each child's (count,
-    moment, scale) from the scan's panel cache.
+    all settle and account for its ``count``, with each child's (count,
+    moment, scale) from the scan's panel cache.  A mirrored child counts
+    twice: a symmetric box cut across gives a symmetric band and a
+    mirrored box, whose roots stand for their conjugates too.
 
     Candidate cuts are tried nearest the middle first.  Elongated boxes are
     halved across the long axis only; keeping the contour away from the
@@ -501,7 +619,7 @@ def _split(cache, box, count):
     """
     i0, j0, i1, j1 = box
     width = (i1 - i0) * cache.unit[0]
-    height = (j1 - j0) * cache.unit[1]
+    height = (j1 - j0) * cache._unit_y(j0)
     close = []
 
     def candidates():
@@ -519,6 +637,7 @@ def _split(cache, box, count):
         for _, _, children in sorted(close):
             yield children, ()
 
+    total = cache.weight(box) * count
     for children, cuts in candidates():
         try:
             counted = cache.count(children, cuts)
@@ -527,22 +646,24 @@ def _split(cache, box, count):
             continue
         except (QuadratureFailureError, BoundaryDegeneracyError):
             continue
-        if sum(c for c, _, _ in counted) == count:
+        if sum(cache.weight(c) * n for c, (n, _, _) in zip(children, counted)) == total:
             return children, counted
-    rect = cache.rect(box)
-    raise BoundaryDegeneracyError(f"could not split {rect.lo}..{rect.hi} consistently")
+    raise BoundaryDegeneracyError(f"could not split {cache.where(box)} consistently")
 
 
 def _subdivide(cache, box, counted, tol, leaves, depth=0):
     """Recursive subdivision by ``_split`` of an integer box, whose (count,
-    moment, scale) is ``counted``, down to single-root (or tiny) leaves,
-    each stored as its box followed by its (count, moment, scale).
+    moment, scale) is ``counted``, down to leaves that hold one root, are
+    tiny, or have a side under 256 grid units (where an edge's first
+    blocks can be one unit long), each stored as its box followed by its
+    (count, moment, scale).
     """
     count = counted[0]
     if count == 0:
         return
     rect = cache.rect(box)
-    if count == 1 or rect.diameter < 64.0 * tol:
+    i0, j0, i1, j1 = box
+    if count == 1 or rect.diameter < 64.0 * tol or min(i1 - i0, j1 - j0) < 256:
         if count > 8:
             raise RootClusterError(
                 f"{count} roots still clustered in a box of diameter {rect.diameter:.3e}"
@@ -566,7 +687,7 @@ def _descend(cache, box, count, tol):
             break
         best = int(np.argmax([c for c, _, _ in counted]))
         box, count = children[best], counted[best][0]
-    return cache.rect(box).center
+    return cache.centre_of(box)
 
 
 def find_zeros(f, rect, tol=1e-10, seed=0):
@@ -581,23 +702,33 @@ def find_zeros(f, rect, tol=1e-10, seed=0):
     raises or leaves its leaf, the root is the centre of the box
     ``_descend`` reaches in that leaf, with -1 iterations.  The sum of
     reported multiplicities always equals the region count.
+
+    When F has real data (``f.is_real``) and the region straddles the real
+    axis, the scan runs on a folded frame (see ``_PanelCache``): the band
+    symmetric about the axis is counted on its upper half contour, a
+    symmetric leaf's root is real (imaginary part exactly 0.0), every root
+    of a mirrored box is reported with its exact conjugate, and roots of a
+    rest below the axis are located on its mirror image and conjugated
+    back.  If either top-level count of the folded frame fails, the region
+    is scanned whole, with the usual dilation retries.
     """
     if detect_identically_zero(f, rect, seed=seed):
         return RootReport(region=rect, region_count=0, roots=(), identically_zero=True, tol=tol)
-    box, cache, counted = _count_region(f, rect)
-    total = counted[0]
+    cache, counted = _count_region(f, rect)
+    total = sum(n for n, _, _ in counted)
     leaves = []
-    _subdivide(cache, (0, 0, _GRID, _GRID), counted, tol, leaves)
+    for top, top_counted in zip(cache.tops, counted):
+        _subdivide(cache, top, top_counted, tol, leaves)
     refined = []
     for leaf_box, count, moment, scale in leaves:
-        leaf = cache.rect(leaf_box)
-        start = leaf.center + moment / count
+        leaf, centre = cache.rect(leaf_box), cache.centre_of(leaf_box)
+        start = centre + moment / count
         if not (cmath.isfinite(start) and leaf.contains(start)):
-            start = leaf.center
+            start = centre
         try:
-            # fence on the whole scan box: early Newton steps overshoot the
-            # leaf routinely, and any migration is caught just below
-            root, iters = newton_refine(f, start, tol, box)
+            # fence on the whole scan frame: early Newton steps overshoot
+            # the leaf routinely, and any migration is caught just below
+            root, iters = newton_refine(f, start, tol, cache.frame)
             # the leaf is the exact rectangle its count was taken on, so a
             # genuine zero lies strictly inside; allow only float-level
             # slack, or a root hugging the far side of a wide leaf passes
@@ -605,10 +736,11 @@ def find_zeros(f, rect, tol=1e-10, seed=0):
                 raise DivergenceError(f"Newton migrated to {root}, out of its leaf")
         except DivergenceError:
             root, iters = _descend(cache, leaf_box, count, tol), -1
-        refined.append((root, count, iters, scale))
+        refined += [(z, count, iters, scale) for z in cache.images(leaf_box, root)]
     merged = _merge_roots(f, refined, tol)
     report = RootReport(
-        region=box, region_count=total, roots=tuple(merged), identically_zero=False, tol=tol
+        region=cache.region, region_count=total, roots=tuple(merged), identically_zero=False,
+        tol=tol,
     )
     if report.total_multiplicity() != total:
         raise RootClusterError(

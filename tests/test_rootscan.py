@@ -1,9 +1,11 @@
+import cmath
 import math
 
 import numpy as np
 import pytest
 
 from charspec import (
+    BoundaryDelayHeat,
     BoundaryFunctional,
     CharFunction,
     FirstDerivative,
@@ -171,6 +173,10 @@ class CountingFn:
         self._fn = fn
         self.calls = []
 
+    @property
+    def is_real(self):
+        return self._fn.is_real
+
     def value(self, lam):
         self.calls.append(("value", np.atleast_1d(lam)))
         return self._fn.value(lam)
@@ -262,17 +268,98 @@ def test_split_retries_cuts_screened_near_zeros(monkeypatch):
         assert min(abs(r.location - z) for r in report.roots) < 1e-9
 
 
+class UnfoldedFn(CountingFn):
+    """A CountingFn that hides the realness of its function's data, so the
+    scan takes the whole region."""
+
+    is_real = False
+
+
 def test_scan_lambda_budget():
     # F evaluations over every entry point are the deterministic cost of a
     # scan; the panel cache integrates each contour panel once
+    wide = Rectangle(-1.0 - 200.0j, 1.0 + 200.0j)
+    for wrapper, wide_budget, big_budget in ((UnfoldedFn, 82_000, 4_146),
+                                             (CountingFn, 34_000, 1_200)):
+        counter = wrapper(periodic_fn())
+        report = find_zeros(counter, wide)
+        assert report.region_count == 63
+        assert sum(lams.size for _, lams in counter.calls) <= wide_budget
+        # a symmetric box whose middle cut runs through the root at 0
+        counter = wrapper(periodic_fn())
+        assert find_zeros(counter, BIG).region_count == 3
+        assert sum(lams.size for _, lams in counter.calls) <= big_budget
+
+
+def test_folded_scan_mirrors_the_rest_below_the_axis():
+    # Im -210..180: the band [-180, 180] is counted on its upper half and
+    # the rest below it on its mirror image [180, 210]; the two share the
+    # line Im 180, and every root's Newton run stays inside the folded frame
     counter = CountingFn(periodic_fn())
-    report = find_zeros(counter, Rectangle(-1.0 - 200.0j, 1.0 + 200.0j))
-    assert report.region_count == 63
-    assert sum(lams.size for _, lams in counter.calls) <= 82_000
-    # a symmetric box whose middle cut runs through the root at 0
-    counter = CountingFn(periodic_fn())
-    assert find_zeros(counter, BIG).region_count == 3
-    assert sum(lams.size for _, lams in counter.calls) <= 4_146
+    region = Rectangle(-1.0 - 210.0j, 1.0 + 180.0j)
+    report = find_zeros(counter, region)
+    assert report.region_count == 62 and report.region == region
+    assert all(r.newton_iterations >= 1 for r in report.roots)
+    located = sorted(r.location.imag for r in report.roots)
+    assert np.allclose(located, [TWO_PI * k for k in range(-33, 29)], rtol=0, atol=1e-9)
+    pairs = np.concatenate([lams for kind, lams in counter.calls if kind == "pair"])
+    assert np.unique(pairs).size == pairs.size
+    assert pairs.imag.min() >= 0.0
+
+
+def _conjugate_closed(report):
+    """Every root whose mirror image lies in the reported region has that
+    exact conjugate, with its multiplicity, in the report."""
+    roots = {r.location: r.multiplicity for r in report.roots}
+    return all(
+        roots.get(z.conjugate()) == m
+        for z, m in roots.items() if report.region.contains(z.conjugate())
+    )
+
+
+def test_real_data_give_real_roots_and_exact_conjugates():
+    # defect 7: a real root came back with an imaginary part near 1e-28,
+    # and the two roots of a conjugate pair were located independently
+    heat = CharFunction(ProblemSpec(kind=BoundaryDelayHeat(atoms=((-1.0, -1.0),))))
+    for fn, region, n_real in (
+        (periodic_fn(), BIG, 1),
+        (heat, Rectangle(-30.0 - 18.0j, 5.0 + 20.0j), 1),
+    ):
+        assert fn.is_real
+        report = find_zeros(fn, region)
+        real = [r.location for r in report.roots if abs(r.location.imag) < 1e-6]
+        assert len(real) == n_real
+        assert all(z.imag == 0.0 for z in real)
+        assert _conjugate_closed(report)
+
+
+def test_symmetric_leaf_puts_its_root_on_the_axis():
+    # the planted product is real on the real axis only up to rounding, so
+    # Newton from a real start drifts off the axis by about 1e-32; the root
+    # of a one-root symmetric box is real, and is reported as such
+    roots = [0.3, 0.5 + 0.4j, 0.5 - 0.4j, -0.2 + 0.7j, -0.2 - 0.7j, -0.6]
+    fn = planted(roots)
+    fn.is_real = True
+    report = find_zeros(fn, Rectangle(-1.0 - 0.9j, 1.0 + 1.0j))
+    assert report.region_count == 6
+    real = [r.location for r in report.roots if abs(r.location.imag) < 1e-6]
+    assert [z.imag for z in real] == [0.0, 0.0]
+    assert np.allclose([z.real for z in real], [-0.6, 0.3], rtol=0, atol=1e-12)
+    assert _conjugate_closed(report)
+
+
+def test_complex_data_take_the_whole_region():
+    # delta_0 - a delta_1 with complex a is not real: the scan counts the
+    # whole region, and returns the very roots it did before the fold
+    a = cmath.exp(0.3 + 0.4j)
+    psi = point_functional(0.0) - point_functional(1.0, weight=a)
+    fn = CharFunction(ProblemSpec(kind=FirstDerivative(), psi=(psi,)))
+    assert not fn.is_real
+    report = find_zeros(fn, Rectangle(-1.0 - 3.0j, 1.0 + 10.0j))
+    assert [(r.location, r.newton_iterations) for r in report.roots] == [
+        (-0.3000000000000001 + 5.883185307179587j, 1),
+        (-0.3 - 0.39999999999999997j, 1),
+    ]
 
 
 def test_winding_moment_locates_the_enclosed_roots():
@@ -430,12 +517,12 @@ def test_find_zeros_without_newton_descends_the_scan_cache(monkeypatch):
 
 def test_find_zeros_at_the_grid_floor(monkeypatch):
     # a region 2e6 wide has grid units of 7e-9 along it, so the splits of a
-    # double root's box reach boxes whose edges hold one-unit panels before
-    # 64 * tol: their counts fail as unsettled, with no divide-by-zero
-    # warning, and the scan reports a box it cannot split
+    # double root's box reach sides under 256 units before 64 * tol; such a
+    # box is a leaf, and Newton polishes its moment estimate in one step
     wide = Rectangle(-1e6 - 1j, 1e6 + 1j)
-    with pytest.raises(BoundaryDegeneracyError):
-        find_zeros(planted([0.3 + 0.1j] * 2), wide, tol=1e-10)
+    (rec,) = find_zeros(planted([0.3 + 0.1j] * 2), wide, tol=1e-10).roots
+    assert abs(rec.location - (0.3 + 0.1j)) < 1e-8
+    assert (rec.multiplicity, rec.newton_iterations) == (2, 1)
     # the fallback descent stops at the same floor, a few units from the root
     def diverging(f, start, tol, rect):
         raise DivergenceError("forced")
