@@ -11,9 +11,9 @@ is 0 exactly when every requested certification passed.
 from __future__ import annotations
 
 import argparse
-import cmath
 import dataclasses
 import json
+import math
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -81,14 +81,22 @@ class JobConfig:
     out_format: str = "csv"
 
 
-def _complex_in(value, where):
-    pair = [value, 0.0] if isinstance(value, (int, float)) else value
+def _real_in(value, where):
+    """``value`` as a float when it is a finite JSON number (a bool is none)."""
     try:
-        if isinstance(pair, list) and len(pair) == 2:
-            z = complex(float(pair[0]), float(pair[1]))
-            if cmath.isfinite(z):
-                return z
-    except (OverflowError, TypeError, ValueError):
+        if type(value) in (int, float) and math.isfinite(value):
+            return float(value)
+    except OverflowError:  # an integer past the float range
+        pass
+    raise ConfigError(f"{where}: expected a finite number, got {value!r}")
+
+
+def _complex_in(value, where):
+    pair = value if isinstance(value, list) else [value, 0]
+    try:
+        if len(pair) == 2:
+            return complex(_real_in(pair[0], where), _real_in(pair[1], where))
+    except ConfigError:
         pass
     raise ConfigError(f"{where}: expected a finite number or [re, im] pair, got {value!r}")
 
@@ -127,8 +135,8 @@ def _functional_in(terms, where):
             if "point" in term:
                 points.append(
                     PointTerm(
-                        location=float(term["point"]),
-                        order=int(term.get("order", 0)),
+                        location=_real_in(term["point"], spot),
+                        order=_exactly(int, term.get("order", 0), spot),
                         weight=_complex_in(term.get("weight", 1), spot),
                     )
                 )
@@ -177,16 +185,15 @@ def _kind_in(name, params):
         if cls is BoundaryDelayHeat:
             if "atoms" not in params:
                 return cls()
-            atoms = tuple(
-                (float(r), _complex_in(w, "problem.parameters.atoms"))
-                for r, w in params["atoms"]
-            )
+            where = "problem.parameters.atoms"
+            atoms = tuple((_real_in(r, where), _complex_in(w, where)) for r, w in params["atoms"])
             return cls(atoms=atoms)
         if cls is DelaySystem:
             return cls(
                 instant=_matrix_in(params["instant"], "problem.parameters.instant"),
                 delays=tuple(
-                    (float(tau), _matrix_in(mat, "problem.parameters.delays"))
+                    (_real_in(tau, "problem.parameters.delays"),
+                     _matrix_in(mat, "problem.parameters.delays"))
                     for tau, mat in params.get("delays", [])
                 ),
             )
@@ -194,6 +201,8 @@ def _kind_in(name, params):
             const_term=_matrix_in(params["const_term"], "problem.parameters.const_term"),
             linear_term=_matrix_in(params["linear_term"], "problem.parameters.linear_term"),
         )
+    except ConfigError:
+        raise
     except (KeyError, OverflowError, TypeError, ValueError) as exc:
         raise ConfigError(f"bad parameters for kind {name!r}: {exc}") from exc
 
@@ -230,12 +239,14 @@ def parse_config(text):
         raise ConfigError("config must be an object with a 'problem' section")
     prob = data["problem"]
     try:
-        region_spec = prob["region"]
-        region = Rectangle(
-            complex(float(region_spec["re"][0]), float(region_spec["im"][0])),
-            complex(float(region_spec["re"][1]), float(region_spec["im"][1])),
-        )
-    except (IndexError, KeyError, OverflowError, TypeError, ValueError) as exc:
+        re, im = prob["region"]["re"], prob["region"]["im"]
+        region = Rectangle(*(
+            complex(_real_in(re[k], "problem.region"), _real_in(im[k], "problem.region"))
+            for k in (0, 1)
+        ))
+    except ConfigError:
+        raise
+    except (IndexError, KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"problem.region must give finite re/im bounds: {exc}") from exc
     kind = _kind_in(prob.get("kind"), prob.get("parameters", {}))
     psi = tuple(
@@ -247,9 +258,11 @@ def parse_config(text):
             kind=kind,
             psi=psi,
             region=region,
-            root_tol=float(prob.get("root_tol", 1e-10)),
-            residual_tol=float(prob.get("residual_tol", 1e-7)),
+            root_tol=_real_in(prob.get("root_tol", 1e-10), "problem.root_tol"),
+            residual_tol=_real_in(prob.get("residual_tol", 1e-7), "problem.residual_tol"),
         )
+    except ConfigError:
+        raise
     except (CharspecError, OverflowError, TypeError, ValueError) as exc:
         raise ConfigError(f"invalid problem spec: {exc}") from exc
     outputs = data.get("outputs", {})

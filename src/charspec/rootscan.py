@@ -74,9 +74,6 @@ _PANEL_TOL = 1e-3
 _MAX_HALVINGS = 16
 # Cut offsets tried when subdividing, in steps of about 1/64 of the side.
 _CUT_STEPS = (0, 1, -1, 2, -2, 3, -3)
-# A cut is screened out when |F/F'| on its first-level panels falls below
-# this fraction of the panel length (a zero that close costs many halvings).
-_CUT_CLEARANCE = 0.05
 # Most lambdas per values_and_derivatives call, which bounds the memory one
 # call takes (0.8 MB for a 3x3 pencil at 1,024 lambdas, twice that at 2,048).
 _CHUNK = 1024
@@ -123,14 +120,6 @@ class Rectangle:
     def diameter(self):
         return abs(self.hi - self.lo)
 
-    def corners(self):
-        return (
-            self.lo,
-            complex(self.hi.real, self.lo.imag),
-            self.hi,
-            complex(self.lo.real, self.hi.imag),
-        )
-
     def contains(self, z, pad=0.0):
         return (
             self.lo.real - pad <= z.real <= self.hi.real + pad
@@ -162,22 +151,17 @@ def _dyadic_points(a, b, target):
     return points
 
 
-class _CutTooClose(Exception):
-    """A candidate cut passes too near a zero; its one argument is the
-    cut's clearance, min |F/F'| over panel length."""
-
-
 class _PanelCache:
     """Contour panels of one scan on a dyadic grid over its scan frame.
 
     A box is (i0, j0, i1, j1) in integer units, _GRID of them per side of
     the frame (per side of each of its two parts when folded).  A panel is
     an aligned dyadic block [a, b] of a horizontal or vertical grid line.
-    From one GL-12 rule over its nodes it holds the
-    integrals of g = F'/F and of (z - frame centre) g from a to b, and
-    min |F|, max |F| and min |F/F'| over the nodes, in one row of the
-    arrays below.  Every count of the scan reads these panels, so each
-    panel is integrated once however many boxes share it.
+    From one GL-12 rule over its nodes it holds the integrals of g = F'/F
+    and of (z - frame centre) g from a to b, and min |F| and max |F| over
+    the nodes, in one row of the arrays below.  Every count of the scan
+    reads these panels, so each panel is integrated once however many
+    boxes share it.
 
     The frame is the region itself, unless F has real data (``f.is_real``)
     and the region straddles the real axis.  Then F(conj z) = conj F(z),
@@ -225,7 +209,6 @@ class _PanelCache:
         self.moment = np.empty(0, complex)
         self.f_min = np.empty(0)
         self.f_max = np.empty(0)
-        self.clearance = np.empty(0)
 
     def _imag(self, t):
         """Imaginary parts of the frame at grid rows ``t``; the row map is
@@ -285,9 +268,9 @@ class _PanelCache:
         raise error(f"{what} on {self.where(box)}")
 
     def _integrate(self, axis, fixed, a, b):
-        """Integral of g and of (z - frame centre) g, min |F|, max |F| and
-        min |F/F'| over each panel [a, b] on the lines (axis, fixed), from
-        one ``values_and_derivatives`` call at their nodes."""
+        """Integral of g and of (z - frame centre) g, min |F| and max |F|
+        over each panel [a, b] on the lines (axis, fixed), from one
+        ``values_and_derivatives`` call at their nodes."""
         ux, lo = self.unit[0], self.lo
         t = a[:, None] + (b - a)[:, None] * _RULE.nodes
         vertical = (axis == _V)[:, None]
@@ -298,8 +281,6 @@ class _PanelCache:
         mags = np.abs(fz)
         with np.errstate(divide="ignore", invalid="ignore"):
             g = dfz / fz
-            ratio = 1.0 / np.abs(g)
-        ratio[np.isnan(ratio)] = 0.0  # F = F' = 0 at a node: no clearance
         # z(b) - z(a) of each panel: its length, times i on a vertical line
         dz = np.where(vertical[:, 0], 1j * self.unit[1 + (a >= _GRID)], ux) * (b - a)
         return (
@@ -307,7 +288,6 @@ class _PanelCache:
             ((z - self.centre) * g) @ _RULE.weights * dz,
             mags.min(axis=1),
             mags.max(axis=1),
-            ratio.min(axis=1),
         )
 
     def _rows(self, axis, fixed, a, b):
@@ -333,14 +313,14 @@ class _PanelCache:
             self.keys = np.insert(self.keys, at, fresh)
             rows = self.integral.size + np.arange(fresh.size)
             self.key_rows = np.insert(self.key_rows, at, rows)
-            columns = (self.integral, self.moment, self.f_min, self.f_max, self.clearance)
-            self.integral, self.moment, self.f_min, self.f_max, self.clearance = (
+            columns = (self.integral, self.moment, self.f_min, self.f_max)
+            self.integral, self.moment, self.f_min, self.f_max = (
                 np.concatenate(column) for column in zip(columns, *parts)
             )
             pos = np.searchsorted(self.keys, key)
         return self.key_rows[pos]
 
-    def count(self, boxes, cuts=()):
+    def count(self, boxes):
         """[(count, moment about the box centre, scale)] for each box, the
         scale being max |F| over every node the count read on its edges.
 
@@ -359,12 +339,9 @@ class _PanelCache:
 
         Raises BoundaryDegeneracyError when an edge grazes a zero (an |F|
         sample below _ZERO_GUARD of that edge's maximum),
-        QuadratureFailureError when an integral is non-finite, an edge has a
-        one-unit block or a count does not settle within 1e-3 of a
-        nonnegative integer, and
-        _CutTooClose when a first-level panel on one of the ``cuts`` lines,
-        given as (axis, fixed), has min |F/F'| below _CUT_CLEARANCE of its
-        length.
+        and QuadratureFailureError when an integral is non-finite, an edge
+        has a one-unit block or a count does not settle within 1e-3 of a
+        nonnegative integer.
         """
         heads, blocks, starts, ends = [], [], [], []
         for k, box in enumerate(boxes):
@@ -403,14 +380,6 @@ class _PanelCache:
                 np.concatenate([a, a, mid]), np.concatenate([b, mid, b]),
             )
             rw, rl, rr = np.split(rows, 3)
-            if depth == 0 and cuts:
-                on_cut = np.zeros(edge.size, bool)
-                for cut_axis, cut_fixed in cuts:
-                    on_cut |= (axis == cut_axis) & (fixed == cut_fixed)
-                length = (b - a)[on_cut] * unit[on_cut]
-                clearance = np.min(self.clearance[rw[on_cut]] / length)
-                if not clearance >= _CUT_CLEARANCE:
-                    raise _CutTooClose(float(clearance))
             # NaN samples are left out of the graze test (fmin, fmax) and
             # fail the count as non-finite below
             for stat, reduce, acc in ((self.f_min, np.fmin, low), (self.f_max, np.fmax, high)):
@@ -609,41 +578,34 @@ def _split(cache, box, count):
     twice: a symmetric box cut across gives a symmetric band and a
     mirrored box, whose roots stand for their conjugates too.
 
-    Candidate cuts are tried nearest the middle first.  Elongated boxes are
+    Candidate cuts are tried in the order of _CUT_STEPS, nearest the
+    middle first; the next is tried when a child's count grazes a zero,
+    does not settle or the children do not add up.  Elongated boxes are
     halved across the long axis only; keeping the contour away from the
     other axis matters because spectra tend to hug a line, and a
-    near-square box is the only safe place for a crossing cut.  A cut
-    screened too close to a zero by its first-level panels is set aside,
-    and those are retried last, clearest first.  Raises
+    near-square box is the only safe place for a crossing cut.  Raises
     BoundaryDegeneracyError when no candidate splits the box.
     """
     i0, j0, i1, j1 = box
     width = (i1 - i0) * cache.unit[0]
     height = (j1 - j0) * cache._unit_y(j0)
-    close = []
-
-    def candidates():
-        for k in _CUT_STEPS:
-            ic, jc = _snap(i0, i1, k), _snap(j0, j1, k)
-            if width >= 2.0 * height:
-                if i0 < ic < i1:
-                    yield ((i0, j0, ic, j1), (ic, j0, i1, j1)), ((_V, ic),)
-            elif height >= 2.0 * width:
-                if j0 < jc < j1:
-                    yield ((i0, j0, i1, jc), (i0, jc, i1, j1)), ((_H, jc),)
-            elif i0 < ic < i1 and j0 < jc < j1:
-                quads = ((i0, j0, ic, jc), (ic, j0, i1, jc), (i0, jc, ic, j1), (ic, jc, i1, j1))
-                yield quads, ((_V, ic), (_H, jc))
-        for _, _, children in sorted(close):
-            yield children, ()
-
     total = cache.weight(box) * count
-    for children, cuts in candidates():
-        try:
-            counted = cache.count(children, cuts)
-        except _CutTooClose as exc:
-            close.append((-exc.args[0], len(close), children))
+    for k in _CUT_STEPS:
+        ic, jc = _snap(i0, i1, k), _snap(j0, j1, k)
+        if width >= 2.0 * height:
+            if not i0 < ic < i1:
+                continue
+            children = ((i0, j0, ic, j1), (ic, j0, i1, j1))
+        elif height >= 2.0 * width:
+            if not j0 < jc < j1:
+                continue
+            children = ((i0, j0, i1, jc), (i0, jc, i1, j1))
+        elif i0 < ic < i1 and j0 < jc < j1:
+            children = ((i0, j0, ic, jc), (ic, j0, i1, jc), (i0, jc, ic, j1), (ic, jc, i1, j1))
+        else:
             continue
+        try:
+            counted = cache.count(children)
         except (QuadratureFailureError, BoundaryDegeneracyError):
             continue
         if sum(cache.weight(c) * n for c, (n, _, _) in zip(children, counted)) == total:

@@ -212,6 +212,27 @@ def test_parse_rejects_malformed():
             '"outputs": {"grid": "5x6"}',
         )
     )
+    # numbers are JSON numbers and a derivative order a JSON integer, never
+    # a string or a boolean standing in for one
+    term = """{"problem": {"kind": "first_derivative",
+        "psi": [[{"point": 0}, {%s}]], "region": {"re": [0, 1], "im": [0, 1]}}}"""
+    bad += tuple(
+        term % field
+        for field in (
+            '"point": 1, "order": 1.5',
+            '"point": 1, "order": true',
+            '"point": 1, "order": "1"',
+            '"point": "0.5"',
+            '"point": true',
+            '"point": 1, "weight": true',
+            '"point": 1, "weight": ["-1", "0"]',
+        )
+    )
+    bad += (
+        '{"problem": {"kind": "boundary_delay_heat", "region": {"re": ["-1", 1], "im": [0, 1]}}}',
+        '{"problem": {"kind": "boundary_delay_heat", "region": {"re": [0, 1], "im": [0, 1]}, "root_tol": "1e-9"}}',
+        '{"problem": {"kind": "boundary_delay_heat", "region": {"re": [0, 1], "im": [0, 1]}, "root_tol": true}}',
+    )
     psi_messages = []
     for text in bad:
         with pytest.raises(ConfigError) as info:
@@ -219,7 +240,7 @@ def test_parse_rejects_malformed():
         if "problem.psi" in str(info.value):
             psi_messages.append(str(info.value))
     # a psi term's message names its location once, with no re-wrapped prefix
-    assert len(psi_messages) == 4
+    assert len(psi_messages) == 11
     for message in psi_messages:
         assert message.count("problem.psi") == 1, message
 

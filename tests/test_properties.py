@@ -10,15 +10,21 @@ analytic derivative.  Two properties are checked:
 - recovery: ``find_zeros`` returns every planted root to 1e-8, with its
   multiplicity.
 
-A third property runs on real scalar delay systems lam = a + b e^{-lam tau},
+A third property plants one to four simple roots in ``BIG``, [-1, 1] x
+[-7, 7], beside the lines on which ``find_zeros`` first tries to cut it,
+Im = 7k/32 for |k| <= 3, each 1e-7 to 1e-2 above or below its own line:
+``find_zeros`` returns every root to 1e-8, with multiplicity 1.
+
+A fourth property runs on real scalar delay systems lam = a + b e^{-lam tau},
 whose roots a + W_k(b tau e^{-a tau})/tau come from the Lambert W branches:
 over a region straddling the real axis unevenly, the scan's half-contour
 count equals ``winding_count`` around the whole region, and its roots are
 closed under conjugation, bit for bit.
 
 The derandomized profile in ``conftest.py`` draws the same examples on
-every run.  Time budget: the module runs in 3.4-4.2 s on a 2-core VM, of
-which the delay property takes 0.55-0.70 s.
+every run.  Time budget: the module runs in 4.8-5.2 s on a 2-core VM, of
+which the delay property takes 0.5-0.7 s and the cut-line property
+1.0-1.3 s (0.4 s at 40 examples).
 """
 
 import pytest
@@ -39,7 +45,7 @@ from charspec import (  # noqa: E402
     find_zeros,
     winding_count,
 )
-from test_rootscan import planted, quadrants  # noqa: E402
+from test_rootscan import BIG, planted, quadrants  # noqa: E402
 
 SQUARE = Rectangle(-1.0 - 1.0j, 1.0 + 1.0j)
 # distance every root keeps from each contour a property integrates over
@@ -91,6 +97,23 @@ def test_find_zeros_recovers_planted_roots(spectrum):
     for z, m in spectrum:
         (rec,) = [r for r in report.roots if abs(r.location - z) < 1e-8]
         assert rec.multiplicity == m
+
+
+# (cut line k, side, log10 of the offset from the line, real part)
+_beside_cut = st.tuples(
+    st.integers(-3, 3), st.sampled_from((-1.0, 1.0)), st.floats(-7.0, -2.0), _coord,
+)
+
+
+@settings(max_examples=60)
+@given(st.lists(_beside_cut, min_size=1, max_size=4, unique_by=lambda r: r[0]))
+def test_find_zeros_recovers_roots_beside_cut_lines(beside):
+    roots = [complex(x, 7.0 * k / 32.0 + side * 10.0**u) for k, side, u, x in beside]
+    report = find_zeros(planted(roots), BIG, tol=1e-10)
+    assert report.region_count == len(roots)
+    for z in roots:
+        (rec,) = [r for r in report.roots if abs(r.location - z) < 1e-8]
+        assert rec.multiplicity == 1
 
 
 def _delay_roots(a, b, tau):

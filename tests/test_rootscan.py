@@ -96,7 +96,6 @@ def test_rectangle_measures():
     assert r.width == 3.0 and r.height == 4.0
     assert r.center == 2.5 + 0.0j
     assert r.diameter == 5.0
-    assert r.corners() == (1.0 - 2.0j, 4.0 - 2.0j, 4.0 + 2.0j, 1.0 + 2.0j)
 
 
 def test_rectangle_contains_and_dilated():
@@ -227,9 +226,9 @@ def test_scan_evaluates_each_contour_node_once(monkeypatch):
     counted = []
     count = rootscan._PanelCache.count
 
-    def recording(cache, boxes, cuts=()):
+    def recording(cache, boxes):
         counted.extend(cache.rect(box) for box in boxes)
-        return count(cache, boxes, cuts)
+        return count(cache, boxes)
 
     monkeypatch.setattr(rootscan._PanelCache, "count", recording)
     counter = CountingFn(periodic_fn())
@@ -246,26 +245,22 @@ def test_scan_evaluates_each_contour_node_once(monkeypatch):
     assert _on_some_edge(batched, counted).max() < 1e-12
 
 
-def test_split_retries_cuts_screened_near_zeros(monkeypatch):
+def test_split_accepts_cuts_near_zeros():
     # BIG is tall, so it is cut across at y = 7k/32 for k = 0, +-1, +-2,
-    # +-3; a zero 0.01 above each of those lines screens every candidate
-    # out, and the scan must fall back to the clearest of them
-    unscreened = []
-    count = rootscan._PanelCache.count
-
-    def recording(cache, boxes, cuts=()):
-        if len(boxes) > 1 and not cuts:
-            unscreened.append(boxes)
-        return count(cache, boxes, cuts)
-
-    monkeypatch.setattr(rootscan._PanelCache, "count", recording)
-    roots = [0.3 + 1j * (7.0 * k / 32.0 + 0.01) for k in (0, 1, -1, 2, -2, 3, -3)]
-    report = find_zeros(planted(roots), BIG, tol=1e-10)
-    assert unscreened
-    assert report.region_count == 7
-    assert sorted(r.multiplicity for r in report.roots) == [1] * 7
-    for z in roots:
-        assert min(abs(r.location - z) for r in report.roots) < 1e-9
+    # +-3; a zero just above each of those lines lies beside every
+    # candidate cut, and per-panel error control alone must take one
+    for gap, budget in ((1e-2, 8_000), (1e-3, None)):
+        roots = [0.3 + 1j * (7.0 * k / 32.0 + gap) for k in (0, 1, -1, 2, -2, 3, -3)]
+        fn, sizes = planted(roots), []
+        # F's lambdas over every entry point: each one evaluates fn once
+        fn = VecFn(lambda z, f=fn._fn: sizes.append(np.size(z)) or f(z), fn._dfn)
+        report = find_zeros(fn, BIG, tol=1e-10)
+        assert report.region_count == 7
+        assert sorted(r.multiplicity for r in report.roots) == [1] * 7
+        for z in roots:
+            assert min(abs(r.location - z) for r in report.roots) < 1e-9
+        if budget is not None:
+            assert sum(sizes) <= budget
 
 
 class UnfoldedFn(CountingFn):
