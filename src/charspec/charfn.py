@@ -270,9 +270,9 @@ def matrix_family(spec, lams, dlam=False):
 
 
 def char_matrix(spec, lam):
-    """M(lambda) at one lambda: the matrix whose determinant is the
-    characteristic value."""
-    return matrix_family(spec, complex(lam))[0]
+    """M(lambda), the matrix whose determinant is the characteristic value,
+    at one lambda or stacked over an array of lambdas."""
+    return matrix_family(spec, lam)[0]
 
 
 def _char_jet(spec, lams, dlam):
@@ -312,6 +312,11 @@ class CharFunction:
         straddling the real axis on its upper half."""
         return self.spec.is_real
 
+    @property
+    def batch_exact(self):
+        """False for the heat kind, whose delay weight at one lambda rounds unlike a batch."""
+        return not isinstance(self.spec.kind, BoundaryDelayHeat)
+
     def value(self, lam):
         """Characteristic value at a single lambda, from a 0-d array."""
         return complex(_char_jet(self.spec, np.asarray(complex(lam)), False)[0])
@@ -326,31 +331,31 @@ class CharFunction:
         return _char_jet(self.spec, lams, True)
 
     def zero_scale_entries(self, lams):
-        """Matrix entries that set the scale for identically-zero detection,
-        stacked over an array of lambdas: Delta = Id - M for the Dirichlet
-        kinds, M itself for delay systems and pencils."""
-        mats = matrix_family(self.spec, lams)[0]
-        if is_dirichlet(self.spec.kind):
-            return np.eye(mats.shape[-1]) - mats
-        return mats
+        """M(lambda) stacked over an array of lambdas: the matrix whose rows
+        bound |F| = |det M| in the identically-zero test (Hadamard)."""
+        return matrix_family(self.spec, lams)[0]
 
 
-def kernel_vectors(spec, lam):
+def kernel_vectors(spec, lam, mats=None):
     """Numerical kernel of the characteristic matrix M(lam) at a root.
 
     The kernel is spanned by the singular vectors whose singular values sit
     within 100 times the spec's root tolerance of max(1, largest singular
     value); with none there, lam is not a root (NotARootError).  Vectors
     come back scaled to unit max-magnitude entry.
+    Over a 1-d array of lambdas (M there from ``mats`` when given) one SVD
+    gives the list of their kernels.
     """
-    lam = complex(lam)
+    lams = np.asarray(lam, dtype=complex)
+    mats = char_matrix(spec, lams) if mats is None else mats
     rtol = 100.0 * spec.root_tol
-    vecs = linop.kernel_basis(matrix_family(spec, lam)[0], rtol=rtol, scale=1.0)
-    if not vecs:
-        raise NotARootError(
-            f"every singular value of M({lam}) exceeds {rtol:.1e} * max(1, the largest)"
-        )
-    return vecs
+    bases = linop.kernel_basis(mats.reshape((-1,) + mats.shape[-2:]), rtol=rtol, scale=1.0)
+    for z, vecs in zip(lams.ravel().tolist(), bases):
+        if not vecs:
+            raise NotARootError(
+                f"every singular value of M({z}) exceeds {rtol:.1e} * max(1, the largest)"
+            )
+    return bases if lams.ndim else bases[0]
 
 
 def eigenfunction(spec, lam, coefficients):

@@ -57,6 +57,8 @@ __all__ = [
 
 CSV_HEADER = "re,im,multiplicity,abs_F,newton_iters,ode_residual,bc_residual,oracle_re,oracle_im,oracle_dist"
 GRID_HEADER = "re,im,F_re,F_im"
+# Roots certified together; bounds the basis jet's memory (chunk x 2001 points)
+_CERTIFY_CHUNK = 8
 
 _KIND_NAMES = {
     "first_derivative": FirstDerivative,
@@ -338,16 +340,19 @@ class JobResult:
     passed: bool
 
 
-def _certify_root(spec, record):
-    """Eigen-defects for one root of the characteristic function."""
-    lam = record.location
-    vecs = kernel_vectors(spec, lam)
-    if is_dirichlet(spec.kind):
-        combo = eigenfunction(spec, lam, vecs[0])
-        return eigen_residual(spec.kind, effective_psi(spec, lam), lam, combo)
-    mat = char_matrix(spec, lam)
-    defect = float(np.max(np.abs(mat @ vecs[0])))
-    return defect, 0.0
+def _certify(spec, lams):
+    """Eigen-defects (ode, bc) at a chunk of roots from one M stack and one SVD
+    (max |M x| for a matrix kind); a root that fails gets its CharspecError."""
+    try:
+        mats = char_matrix(spec, lams)
+        kernels = kernel_vectors(spec, lams, mats)
+        if not is_dirichlet(spec.kind):
+            return [(float(np.max(np.abs(m @ vecs[0]))), 0.0) for m, vecs in zip(mats, kernels)]
+        psis = [effective_psi(spec, lam) for lam in lams]
+        curves = [eigenfunction(spec, lam, vecs[0]) for lam, vecs in zip(lams, kernels)]
+        return eigen_residual(spec.kind, psis, lams, curves)
+    except CharspecError as exc:  # certify the chunk root by root
+        return [exc] if lams.size == 1 else [o for z in lams for o in _certify(spec, z[None])]
 
 
 def _oracle_eigenvalues(cfg, notes):
@@ -417,14 +422,17 @@ def run_job(cfg):
     if cfg.oracle_enabled:
         oracle_fine, oracle_half = _oracle_eigenvalues(cfg, notes)
 
+    lams = np.array([root.location for root in report.roots])
+    chunks = range(0, lams.size, _CERTIFY_CHUNK)
+    certified = [out for at in chunks for out in _certify(spec, lams[at : at + _CERTIFY_CHUNK])]
     records = []
     all_ok = True
-    for root in report.roots:
-        try:
-            ode, bc = _certify_root(spec, root)
-        except CharspecError as exc:
+    for root, outcome in zip(report.roots, certified):
+        if isinstance(outcome, CharspecError):
             ode = bc = float("inf")
-            notes.append(f"certification failed at {root.location}: {exc}")
+            notes.append(f"certification failed at {root.location}: {outcome}")
+        else:
+            ode, bc = outcome
         ok = (
             root.char_residual <= spec.root_tol * max(1.0, root.leaf_scale)
             and ode <= spec.residual_tol

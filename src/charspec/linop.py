@@ -3,7 +3,7 @@
 Solves, inverses, determinants and kernels go through this module, all of
 them LAPACK through numpy and scipy: scipy's ``(lu, piv)`` pair from LU
 with partial pivoting and its triangular solves, numpy's ``slogdet`` for
-determinants, and the singular value decomposition behind
+determinants, and numpy's stacked singular value decomposition behind
 ``kernel_basis``.  On top of that the module keeps an explicit singularity
 threshold with a typed error, and the block identities of G = A + BC: the
 Schur-complement route to a block inverse and the exchange
@@ -120,19 +120,21 @@ def kernel_basis(m, rtol=1e-8, scale=None):
     a wide matrix has no rows for; each comes back scaled to unit
     max-magnitude entry, that entry exactly 1.  Intended for matrices known
     (or constructed) to be singular; a well-conditioned input just yields
-    an empty list.
+    an empty list.  A 3-d stack of matrices gives a list of bases.
     """
-    a = as_matrix(m)
-    _, sv, vh = scipy.linalg.svd(a, check_finite=False)
-    ref = max(float(sv.max(initial=0.0)), float(scale or 0.0))
-    rank = int(np.count_nonzero(sv > rtol * ref))
-    basis = []
-    for v in vh[rank:].conj():
-        k = int(np.argmax(np.abs(v)))
-        v = v / v[k]
-        v[k] = 1.0
-        basis.append(v)
-    return basis
+    stacked = np.ndim(m) == 3
+    a = np.stack([as_matrix(x) for x in m]) if stacked else as_matrix(m)[None]
+    _, sv, vh = np.linalg.svd(a)
+    ref = np.maximum(sv.max(axis=-1, initial=0.0), float(scale or 0.0))
+    bases = []
+    for rank, rows in zip(np.count_nonzero(sv > rtol * ref[:, None], axis=-1).tolist(), vh):
+        bases.append([])
+        for v in rows[rank:].conj():
+            k = int(np.argmax(np.abs(v)))
+            v = v / v[k]
+            v[k] = 1.0
+            bases[-1].append(v)
+    return bases if stacked else bases[0]
 
 
 @dataclass(frozen=True)

@@ -26,6 +26,7 @@ from .catalog import (
     ConvectionDiffusion,
     FirstDerivative,
     SecondDerivative,
+    _basis_jet,
     apply_functional,
 )
 from .errors import (
@@ -389,19 +390,28 @@ def eigen_residual(kind, psi, lam, f):
 
     Returns (ode_residual, bc_residual): the sup of (lambda - A_m) f on the
     sampling grid using f's analytic derivatives, and the largest violation
-    of the boundary functionals psi.
+    of the boundary functionals psi.  Over a 1-d array of lambdas, with one
+    entry each in ``psi`` and ``f``, one basis jet gives the list of pairs.
     """
-    lam = complex(lam)
+    lams = np.asarray(lam, dtype=complex)
+    if lams.ndim == 0:
+        return eigen_residual(kind, (psi,), lams.reshape(1), (f,))[0]
     s = np.linspace(0.0, 1.0, _RESIDUAL_POINTS)
-    vals = np.asarray(f.evaluate(s, 0))
-    scale = float(np.max(np.abs(vals)))
-    if scale == 0.0:
-        raise DimensionError("candidate eigenfunction vanishes identically on the grid")
-    a_f = sum(
-        coef * np.asarray(f.evaluate(s, order)) for order, coef in _generator_terms(kind)
-    )
-    ode = float(np.max(np.abs(lam * vals - a_f))) / scale
-    bc = 0.0
-    for p in psi:
-        bc = max(bc, abs(apply_functional(p, f)) / scale)
-    return ode, bc
+    # every curve at its own lambda, which the residual's lambda may differ from
+    column = _basis_jet(kind, np.array([g.lam for g in f])[:, None], s, False)
+    x = np.array([g.coefficients for g in f], dtype=complex)[:, :, None]
+    def combination(order):  # d^order/ds^order of sum_j x_j f_j
+        return sum(x[:, j] * column(j, order)[0] for j in range(x.shape[1]))
+    vals = combination(0)
+    # one derivative order alive at a time bounds the memory of a chunk
+    a_f = sum(c * (vals if k == 0 else combination(k)) for k, c in _generator_terms(kind))
+    odes = np.max(np.abs(lams[:, None] * vals - a_f), axis=1).tolist()
+    out = []
+    for psi_k, f_k, ode, scale in zip(psi, f, odes, np.max(np.abs(vals), axis=1).tolist()):
+        if scale == 0.0:
+            raise DimensionError("candidate eigenfunction vanishes identically on the grid")
+        bc = 0.0
+        for p in psi_k:
+            bc = max(bc, abs(apply_functional(p, f_k)) / scale)
+        out.append((ode / scale, bc))
+    return out

@@ -9,6 +9,8 @@ identically-zero test; a function without a matrix behind it has none.  An
 optional ``is_real`` attribute, true when F's data are all real so that
 F(conj z) = conj F(z), lets ``find_zeros`` fold a region that straddles
 the real axis onto its upper half; without it the region is scanned whole.
+An optional ``batch_exact``, false when ``values`` can round unlike
+``value``, makes the scan take |F| at its roots by ``value``.
 
 Winding numbers and centred first moments are contour integrals of
 g = F'/F.  Each scan keeps one panel cache: GL-12 panels on a dyadic grid
@@ -18,10 +20,12 @@ Johnson & Tucker, JCAM 228, 2009).  A box's count is the sum over the
 panels of its edges, so children reuse their parent's edges and the two
 sides of a cut share its panels; the same nodes give the box's scale,
 max |F| on its edges.  One split routine cuts boxes at grid points until
-each leaf isolates one root; Newton then polishes it, starting from the
-leaf's moment estimate (the first moment of a one-root box is that root,
-Delves & Lyness 1967).  Where Newton fails, the split routine descends the
-leaf on the same cache to a box 4*tol across.
+each leaf isolates one root, taking a whole subdivision level per call
+and counting all its boxes' children at one cut offset in one batch;
+Newton then polishes each leaf's root, starting from the leaf's moment
+estimate (the first moment of a one-root box is that root, Delves &
+Lyness 1967).  Where Newton fails, the split routine descends the leaf on
+the same cache to a box 4*tol across.
 
 On a folded region the band symmetric about the real axis is counted on
 its upper half contour, as Im(integral of g)/pi, and the rest of the
@@ -264,9 +268,6 @@ class _PanelCache:
             lo, hi = complex(lo.real, -hi.imag), complex(hi.real, -lo.imag)
         return f"{lo}..{hi}"
 
-    def _fail(self, error, what, box):
-        raise error(f"{what} on {self.where(box)}")
-
     def _integrate(self, axis, fixed, a, b):
         """Integral of g and of (z - frame centre) g, min |F| and max |F|
         over each panel [a, b] on the lines (axis, fixed), from one
@@ -321,8 +322,9 @@ class _PanelCache:
         return self.key_rows[pos]
 
     def count(self, boxes):
-        """[(count, moment about the box centre, scale)] for each box, the
-        scale being max |F| over every node the count read on its edges.
+        """One outcome per box: (count, moment about the box centre, scale),
+        the scale being max |F| over every node the count read on its
+        edges, or the error that failed the box, naming it and the stage.
 
         An edge's first panels are its maximal aligned dyadic blocks no
         longer than 1/clip(ceil(length), 2, 32) of it.  A panel is accepted
@@ -331,16 +333,17 @@ class _PanelCache:
         the halves' sum then enters the count, negated on the two edges the
         contour runs backwards.  Otherwise its halves replace it, at most
         _MAX_HALVINGS times.  All boxes refine together, with one batch of
-        new panels per round.  A symmetric box is counted on its other three
-        edges: its count is Im(I)/pi and its moment Im(J)/pi about its real
-        centre, with I and J the integrals of g and (z - centre) g along
-        them, and its panels' shares are of the perimeter of the box with
-        its mirror image.
+        new panels per round; a failed box stops refining and the others
+        carry on, so each outcome is the box's own.  A symmetric box is
+        counted on its other three edges: its count is Im(I)/pi and its
+        moment Im(J)/pi about its real centre, with I and J the integrals of
+        g and (z - centre) g along them, and its panels' shares are of the
+        perimeter of the box with its mirror image.
 
-        Raises BoundaryDegeneracyError when an edge grazes a zero (an |F|
-        sample below _ZERO_GUARD of that edge's maximum),
-        and QuadratureFailureError when an integral is non-finite, an edge
-        has a one-unit block or a count does not settle within 1e-3 of a
+        A box fails with BoundaryDegeneracyError when an edge grazes a zero
+        (an |F| sample below _ZERO_GUARD of that edge's maximum), and with
+        QuadratureFailureError when an integral is non-finite, an edge has
+        a one-unit block or its count does not settle within 1e-3 of a
         nonnegative integer.
         """
         heads, blocks, starts, ends = [], [], [], []
@@ -370,11 +373,20 @@ class _PanelCache:
         moments = np.zeros(len(boxes), complex)
         low = np.full(4 * len(boxes), math.inf)
         high = np.zeros(4 * len(boxes))
+        out = [None] * len(boxes)
+        failed = np.zeros(len(boxes), bool)
+
+        def fail(box_of, error, what):  # the boxes of box_of not failed yet
+            for k in np.unique(box_of[~failed[box_of]]).tolist():
+                out[k] = error(f"{what} on {self.where(boxes[k])}")
+            failed[box_of] = True
+
+        # a one-unit block has no halves; a block under 4 units is never halved
+        fail(edge[b - a < 2] // 4, QuadratureFailureError, "winding count failed to settle")
+        live = ~failed[edge // 4]
+        edge, sign, axis, fixed, tol, a, b = (c[live] for c in (edge, sign, axis, fixed, tol, a, b))
         while edge.size:
             mid = (a + b) // 2
-            if (mid == a).any():  # a one-unit block has no halves on the grid
-                box = boxes[edge[mid == a][0] // 4]
-                self._fail(QuadratureFailureError, "winding count failed to settle", box)
             rows = self._rows(
                 np.tile(axis, 3), np.tile(fixed, 3),
                 np.concatenate([a, a, mid]), np.concatenate([b, mid, b]),
@@ -394,16 +406,12 @@ class _PanelCache:
             more = finite & ~done
             # an edge of zeros grazes; one of NaNs fails as non-finite
             grazing = (low <= _ZERO_GUARD * high).reshape(-1, 4).any(axis=1)
-            broken = set(box_of[~finite].tolist())
-            stuck = set(box_of[more & ((b - a < 4) | (depth == _MAX_HALVINGS))].tolist())
-            for k, box in enumerate(boxes):
-                if grazing[k]:
-                    self._fail(BoundaryDegeneracyError, "contour grazes a zero", box)
-                if k in broken:
-                    self._fail(QuadratureFailureError, "non-finite winding integral", box)
-                if k in stuck:
-                    self._fail(QuadratureFailureError, "winding count failed to settle", box)
-            # each unaccepted block gives way to its two halves
+            fail(np.flatnonzero(grazing), BoundaryDegeneracyError, "contour grazes a zero")
+            fail(box_of[~finite], QuadratureFailureError, "non-finite winding integral")
+            stuck = more & ((b - a < 4) | (depth == _MAX_HALVINGS))
+            fail(box_of[stuck], QuadratureFailureError, "winding count failed to settle")
+            # each unaccepted block of a live box gives way to its two halves
+            more &= ~failed[box_of]
             edge, sign, axis, fixed, tol = (
                 np.repeat(c[more], 2) for c in (edge, sign, axis, fixed, tol)
             )
@@ -412,9 +420,10 @@ class _PanelCache:
                 np.column_stack([mid[more], b[more]]).ravel(),
             )
             depth += 1
-        out = []
         scales = high.reshape(-1, 4).max(axis=1).tolist()
-        for box, total, moment, scale in zip(boxes, sums.tolist(), moments.tolist(), scales):
+        for k, (box, total, moment) in enumerate(zip(boxes, sums.tolist(), moments.tolist())):
+            if failed[k]:
+                continue
             moment = moment - (self.centre_of(box) - self.centre) * total
             if self.symmetric(box):
                 # the lower half contour is the mirror image of the upper one,
@@ -423,9 +432,9 @@ class _PanelCache:
             else:
                 val, moment = total / TWO_PI_I, moment / TWO_PI_I
             n = int(round(val.real))
+            out[k] = (n, moment, scales[k])
             if not (abs(val - n) < 1e-3 and n >= 0):
-                self._fail(QuadratureFailureError, "winding count failed to settle", box)
-            out.append((n, moment, scale))
+                fail(np.array([k]), QuadratureFailureError, "winding count failed to settle")
         return out
 
 
@@ -435,22 +444,22 @@ def _count_region(f, rect, fold=True):
     folded cache counts its band and its rest together; when either count
     fails, or without ``fold``, the cache is unfolded and ``rect`` counted
     whole, on a dilated copy (``cache.region``) when its contour grazes a
-    zero."""
+    zero; a whole count failing otherwise raises its error."""
     cache = _PanelCache(f, rect)
     if fold and cache.folded:
-        try:
-            return cache, cache.count(cache.tops)
-        except (BoundaryDegeneracyError, QuadratureFailureError):
-            pass
+        counted = cache.count(cache.tops)
+        if not any(isinstance(c, Exception) for c in counted):
+            return cache, counted
     for factor in (1.0,) + _DILATIONS:
         if factor != 1.0:
             cache = _PanelCache(f, rect.dilated(factor))
         cache.unfold()
-        try:
-            counted = cache.count(cache.tops)
-        except BoundaryDegeneracyError:
+        (counted,) = cache.count(cache.tops)
+        if isinstance(counted, BoundaryDegeneracyError):
             continue
-        return cache, counted
+        if isinstance(counted, Exception):
+            raise counted
+        return cache, [counted]
     raise BoundaryDegeneracyError(
         f"contour keeps grazing zeros near {rect.lo}..{rect.hi} after dilation retries"
     )
@@ -475,25 +484,20 @@ def winding_count(f, rect):
 
 def _halton(count, skip=20):
     """2-d Halton points (bases 2 and 3), deterministic."""
-    out = np.empty((count, 2))
-    for dim, base in enumerate((2, 3)):
-        for i in range(count):
-            n, denom, x = i + skip, 1.0, 0.0
-            while n:
-                denom *= base
-                n, rem = divmod(n, base)
-                x += rem / denom
-            out[i, dim] = x
-    return out
+    base = np.array([2, 3])
+    n, denom, x = np.repeat(np.arange(skip, skip + count)[:, None], 2, axis=1), 1.0, 0.0
+    while n.any():
+        denom = denom * base
+        n, rem = np.divmod(n, base)
+        x = x + rem / denom
+    return x
 
 
 def detect_identically_zero(f, rect, seed=0):
-    """True when F vanishes identically on the region (degenerate problem).
-
-    |F| is tested at quasi-random points against 1e-13 times a scale built
-    from the median matrix-entry magnitude over all the points, taken from
-    one batched ``zero_scale_entries`` call when the function exposes one.
-    """
+    """True when F vanishes identically on the region (degenerate problem):
+    every sample of F at quasi-random points is at most 1e-13 times the
+    finite Hadamard bound prod_i |row i of M| on |det M|, with M from one
+    batched ``zero_scale_entries`` call, or exactly 0 without that hook."""
     pts = _halton(_ZERO_SAMPLES, skip=20 + 64 * (seed % 1024))
     lams = (
         rect.lo.real
@@ -501,8 +505,9 @@ def detect_identically_zero(f, rect, seed=0):
         + 1j * (rect.lo.imag + pts[:, 1] * rect.height)
     )
     hook = getattr(f, "zero_scale_entries", None)
-    scale = 1.0 + (float(np.median(np.abs(hook(lams)))) if hook is not None else 0.0)
-    return bool(np.all(np.abs(f.values(lams)) < 1e-13 * scale))
+    mats = hook(lams) if hook is not None else np.zeros((lams.size, 1, 1))
+    bound = 1e-13 * np.prod(np.linalg.norm(mats, axis=-1), axis=-1)
+    return bool(np.all((np.abs(f.values(lams)) <= bound) & np.isfinite(bound)))
 
 
 def newton_refine(f, start, tol, rect):
@@ -571,71 +576,84 @@ def _snap(lo, hi, step_index):
     return (lo + side // 2 + step // 2) // step * step + step_index * step
 
 
-def _split(cache, box, count):
-    """(children, counted): the first split of an integer box whose children
-    all settle and account for its ``count``, with each child's (count,
-    moment, scale) from the scan's panel cache.  A mirrored child counts
-    twice: a symmetric box cut across gives a symmetric band and a
-    mirrored box, whose roots stand for their conjugates too.
-
-    Candidate cuts are tried in the order of _CUT_STEPS, nearest the
-    middle first; the next is tried when a child's count grazes a zero,
-    does not settle or the children do not add up.  Elongated boxes are
-    halved across the long axis only; keeping the contour away from the
-    other axis matters because spectra tend to hug a line, and a
-    near-square box is the only safe place for a crossing cut.  Raises
-    BoundaryDegeneracyError when no candidate splits the box.
-    """
+def _cut(cache, box, step_index):
+    """A box's children cut at ``_snap`` offset ``step_index``, or None."""
     i0, j0, i1, j1 = box
     width = (i1 - i0) * cache.unit[0]
     height = (j1 - j0) * cache._unit_y(j0)
-    total = cache.weight(box) * count
-    for k in _CUT_STEPS:
-        ic, jc = _snap(i0, i1, k), _snap(j0, j1, k)
-        if width >= 2.0 * height:
-            if not i0 < ic < i1:
-                continue
-            children = ((i0, j0, ic, j1), (ic, j0, i1, j1))
-        elif height >= 2.0 * width:
-            if not j0 < jc < j1:
-                continue
-            children = ((i0, j0, i1, jc), (i0, jc, i1, j1))
-        elif i0 < ic < i1 and j0 < jc < j1:
-            children = ((i0, j0, ic, jc), (ic, j0, i1, jc), (i0, jc, ic, j1), (ic, jc, i1, j1))
-        else:
-            continue
-        try:
-            counted = cache.count(children)
-        except (QuadratureFailureError, BoundaryDegeneracyError):
-            continue
-        if sum(cache.weight(c) * n for c, (n, _, _) in zip(children, counted)) == total:
-            return children, counted
-    raise BoundaryDegeneracyError(f"could not split {cache.where(box)} consistently")
+    ic, jc = _snap(i0, i1, step_index), _snap(j0, j1, step_index)
+    if width >= 2.0 * height:
+        if i0 < ic < i1:
+            return ((i0, j0, ic, j1), (ic, j0, i1, j1))
+    elif height >= 2.0 * width:
+        if j0 < jc < j1:
+            return ((i0, j0, i1, jc), (i0, jc, i1, j1))
+    elif i0 < ic < i1 and j0 < jc < j1:
+        return ((i0, j0, ic, jc), (ic, j0, i1, jc), (i0, jc, ic, j1), (ic, jc, i1, j1))
 
 
-def _subdivide(cache, box, counted, tol, leaves, depth=0):
-    """Recursive subdivision by ``_split`` of an integer box, whose (count,
-    moment, scale) is ``counted``, down to leaves that hold one root, are
-    tiny, or have a side under 256 grid units (where an edge's first
-    blocks can be one unit long), each stored as its box followed by its
-    (count, moment, scale).
+def _split(cache, parents):
+    """[(children, counted)] for each (box, count) of ``parents``: the first
+    split of the integer box whose children all settle and account for its
+    count, with each child's (count, moment, scale) from the scan's panel
+    cache.  A mirrored child counts twice: a symmetric box cut across gives
+    a symmetric band and a mirrored box, whose roots stand for their
+    conjugates too.
+
+    Candidate cuts are tried in the order of _CUT_STEPS, nearest the
+    middle first, with one ``count`` call for the children of every parent
+    still pending; a parent stays pending when a child's count grazes a
+    zero, does not settle or the children do not add up.  Elongated boxes
+    are halved across the long axis only; keeping the contour away from
+    the other axis matters because spectra tend to hug a line, and a
+    near-square box is the only safe place for a crossing cut.  Raises
+    BoundaryDegeneracyError, naming the first parent no candidate splits.
     """
-    count = counted[0]
-    if count == 0:
-        return
-    rect = cache.rect(box)
-    i0, j0, i1, j1 = box
-    if count == 1 or rect.diameter < 64.0 * tol or min(i1 - i0, j1 - j0) < 256:
-        if count > 8:
-            raise RootClusterError(
-                f"{count} roots still clustered in a box of diameter {rect.diameter:.3e}"
-            )
-        leaves.append((box, *counted))
-        return
-    if depth > 120:
-        raise RootClusterError(f"subdivision depth exhausted near {rect.center}")
-    for child, child_counted in zip(*_split(cache, box, count)):
-        _subdivide(cache, child, child_counted, tol, leaves, depth + 1)
+    found = [None] * len(parents)
+    for k in _CUT_STEPS:
+        cuts = ((p, _cut(cache, box, k)) for p, (box, _) in enumerate(parents) if not found[p])
+        tried = [(p, children) for p, children in cuts if children]
+        outcomes = iter(cache.count([c for _, cs in tried for c in cs]) if tried else ())
+        for p, children in tried:
+            counted = [next(outcomes) for _ in children]
+            box, count = parents[p]
+            if not any(isinstance(c, Exception) for c in counted) and sum(
+                cache.weight(c) * n for c, (n, _, _) in zip(children, counted)
+            ) == cache.weight(box) * count:
+                found[p] = (children, counted)
+    for (box, _), split in zip(parents, found):
+        if split is None:
+            raise BoundaryDegeneracyError(f"could not split {cache.where(box)} consistently")
+    return found
+
+
+def _subdivide(cache, counted, tol):
+    """Subdivision by ``_split``, level by level with one call per level, of
+    the scan's top boxes, whose (count, moment, scale) are ``counted``, down
+    to leaves that hold one root, are tiny, or have a side under 256 grid
+    units (where an edge's first blocks can be one unit long), each given
+    as its integer box followed by its (count, moment, scale).
+    """
+    level, leaves, depth = list(zip(cache.tops, counted)), [], 0
+    while level:
+        parents = []
+        for box, (count, moment, scale) in level:
+            if count == 0:
+                continue
+            rect, (i0, j0, i1, j1) = cache.rect(box), box
+            if count == 1 or rect.diameter < 64.0 * tol or min(i1 - i0, j1 - j0) < 256:
+                if count > 8:
+                    raise RootClusterError(
+                        f"{count} roots still clustered in a box of diameter {rect.diameter:.3e}"
+                    )
+                leaves.append((box, count, moment, scale))
+            elif depth > 120:
+                raise RootClusterError(f"subdivision depth exhausted near {rect.center}")
+            else:
+                parents.append((box, count))
+        level = [pair for split in _split(cache, parents) for pair in zip(*split)]
+        depth += 1
+    return leaves
 
 
 def _descend(cache, box, count, tol):
@@ -644,7 +662,7 @@ def _descend(cache, box, count, tol):
     across or the grid cannot split it."""
     while cache.rect(box).diameter > 4.0 * tol:
         try:
-            children, counted = _split(cache, box, count)
+            ((children, counted),) = _split(cache, [(box, count)])
         except BoundaryDegeneracyError:
             break
         best = int(np.argmax([c for c, _, _ in counted]))
@@ -678,11 +696,8 @@ def find_zeros(f, rect, tol=1e-10, seed=0):
         return RootReport(region=rect, region_count=0, roots=(), identically_zero=True, tol=tol)
     cache, counted = _count_region(f, rect)
     total = sum(n for n, _, _ in counted)
-    leaves = []
-    for top, top_counted in zip(cache.tops, counted):
-        _subdivide(cache, top, top_counted, tol, leaves)
     refined = []
-    for leaf_box, count, moment, scale in leaves:
+    for leaf_box, count, moment, scale in _subdivide(cache, counted, tol):
         leaf, centre = cache.rect(leaf_box), cache.centre_of(leaf_box)
         start = centre + moment / count
         if not (cmath.isfinite(start) and leaf.contains(start)):
@@ -713,11 +728,18 @@ def find_zeros(f, rect, tol=1e-10, seed=0):
 
 def _merge_roots(f, refined, tol):
     """Merge parts within 10*tol into one record at the part of least |F|,
-    with |F| taken once per part by ``f.value``."""
+    with |F| of every part from one ``f.values`` call (``f.value`` each
+    when ``f.batch_exact`` is false)."""
+    if not refined:
+        return []
     refined = sorted(refined, key=lambda r: (r[0].real, r[0].imag))
+    parts = [r[0] for r in refined]
+    exact = getattr(f, "batch_exact", True)
+    values = f.values(np.array(parts)).tolist() if exact else [f.value(z) for z in parts]
+    # Python's abs (libm's hypot) on each value: numpy's abs can round differently
+    resids = [abs(v) for v in values]
     groups = []
-    for root, count, iters, scale in refined:
-        resid = abs(f.value(root))
+    for (root, count, iters, scale), resid in zip(refined, resids):
         for g in groups:
             if abs(root - g["root"]) <= 10.0 * tol:
                 g["count"] += count

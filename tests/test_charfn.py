@@ -465,7 +465,7 @@ def test_char_function_wrapper():
     fn = CharFunction(wentzell_spec())
     lam = 4.0
     assert_allclose(fn.values(np.array([lam, 1.0]))[0], fn.value(lam), rtol=1e-15)
-    assert np.array_equal(fn.zero_scale_entries(lam), delta_matrix(fn.spec, lam))
+    assert np.array_equal(fn.zero_scale_entries(lam), char_matrix(fn.spec, lam))
     pencil = ProblemSpec(
         kind=QuadraticPencil(const_term=((1.0,),), linear_term=((0.0,),))
     )

@@ -1,3 +1,4 @@
+import dataclasses
 import importlib
 import json
 import math
@@ -22,10 +23,18 @@ from charspec import (
     ProblemSpec,
     QuadraticPencil,
     Rectangle,
+    RootRecord,
     SecondDerivative,
+    char_matrix,
+    effective_psi,
+    eigen_residual,
+    eigenfunction,
     integral_functional,
+    is_dirichlet,
+    kernel_vectors,
     point_functional,
 )
+from charspec import cli as cli_module
 from charspec.cli import (
     CSV_HEADER,
     GRID_HEADER,
@@ -293,6 +302,21 @@ def test_run_identically_zero():
     assert any("identically zero" in n for n in result.notes)
 
 
+def test_run_small_nonzero_f_is_not_identically_zero():
+    # lambda^2 + 1e-14 is below 1e-13 all over a region 4e-7 across, yet
+    # it is no zero function: its roots are +-1e-7 i
+    spec = ProblemSpec(
+        kind=QuadraticPencil(const_term=((-1e-14,),), linear_term=((0.0,),)),
+        region=Rectangle(-2e-7 - 2e-7j, 2e-7 + 2e-7j),
+        root_tol=1e-19,
+    )
+    result = run_job(JobConfig(spec=spec))
+    assert not result.report.identically_zero
+    assert result.passed and [r.multiplicity for r in result.records] == [1, 1]
+    for r, z in zip(sorted(result.records, key=lambda r: r.location.imag), (-1e-7j, 1e-7j)):
+        assert abs(r.location - z) <= 1e-18
+
+
 def test_run_oracle_skip_note():
     spec = ProblemSpec(
         kind=BoundaryDelayHeat(), region=Rectangle(-3.0 - 3.0j, 3.0 + 3.0j)
@@ -381,6 +405,112 @@ def test_run_reports_honest_failure():
     result = run_job(dataclasses.replace(cfg, spec=spec))
     assert not result.passed
     assert any(not r.passed for r in result.records)
+
+
+# -- chunked certification ----------------------------------------------------
+
+
+def _certified_specs():
+    """One spec per certificate route, each with several roots in a chunk."""
+    wentzell = tuple(
+        point_functional(x, 2) - point_functional(x, 1) for x in (0.0, 1.0)
+    )
+    rng = np.random.default_rng(7)
+    a, p = (rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)) for _ in range(2))
+    return {
+        "first_derivative": ProblemSpec(
+            kind=FirstDerivative(),
+            psi=(point_functional(0.0) - point_functional(1.0),),
+            region=Rectangle(-1.0 - 14.0j, 1.0 + 14.0j),
+        ),
+        "wentzell": ProblemSpec(
+            kind=SecondDerivative(), psi=wentzell, region=Rectangle(-110.0 - 1.0j, 2.0 + 1.0j)
+        ),
+        "convection_builtin": ProblemSpec(
+            kind=ConvectionDiffusion(c=0.5, k=-0.5), region=Rectangle(-20.0 - 10.0j, 5.0 + 10.0j)
+        ),
+        "convection_psi": ProblemSpec(
+            kind=ConvectionDiffusion(c=0.5, k=-0.5),
+            psi=(point_functional(0.0) - 0.2 * point_functional(1.0),),
+            region=Rectangle(-60.0 - 1.0j, 5.0 + 1.0j),
+        ),
+        "heat_delay": ProblemSpec(
+            kind=BoundaryDelayHeat(atoms=((-1.0, 1.0),)),
+            region=Rectangle(-30.0 - 20.0j, 5.0 + 20.0j),
+        ),
+        "integral": ProblemSpec(
+            kind=FirstDerivative(),
+            psi=(point_functional(0.0) - integral_functional(2.0, "exp", 0.5),),
+            region=Rectangle(-3.0 - 20.0j, 3.0 + 20.0j),
+        ),
+        "delay_system": ProblemSpec(
+            kind=DelaySystem(instant=((0.0,),), delays=((1.0, ((-math.pi / 2,),)),)),
+            region=Rectangle(-6.0 - 30.0j, 2.0 + 30.0j),
+        ),
+        "pencil": ProblemSpec(
+            kind=QuadraticPencil(const_term=tuple(map(tuple, a)), linear_term=tuple(map(tuple, p))),
+            region=Rectangle(-6.0 - 6.0j, 6.0 + 6.0j),
+        ),
+    }
+
+
+@pytest.mark.parametrize("name", list(_certified_specs()))
+def test_chunked_certificate_matches_each_root_alone(name):
+    spec = _certified_specs()[name]
+    result = run_job(JobConfig(spec=spec))
+    assert len(result.records) >= 3 and result.passed
+    for r in result.records:
+        lam = r.location
+        vec = kernel_vectors(spec, lam)[0]
+        if is_dirichlet(spec.kind):
+            alone = eigen_residual(
+                spec.kind, effective_psi(spec, lam), lam, eigenfunction(spec, lam, vec)
+            )
+            assert (r.ode_residual, r.bc_residual) == alone
+        else:
+            mat = char_matrix(spec, lam)
+            alone = float(np.max(np.abs(mat @ vec)))
+            bound = 1e-12 * max(1.0, float(np.linalg.norm(mat)))
+            assert abs(r.ode_residual - alone) <= bound and r.bc_residual == 0.0
+
+
+def test_chunks_of_roots_certify_as_roots_one_at_a_time(monkeypatch):
+    # 2 pi i k for |k| <= 8: chunks of 8, 8 and 1 roots
+    spec = ProblemSpec(
+        kind=FirstDerivative(),
+        psi=(point_functional(0.0) - point_functional(1.0),),
+        region=Rectangle(-1.0 - 52.0j, 1.0 + 52.0j),
+    )
+    chunked = run_job(JobConfig(spec=spec))
+    assert len(chunked.records) == 17
+    monkeypatch.setattr(cli_module, "_CERTIFY_CHUNK", 1)
+    single = run_job(JobConfig(spec=spec))
+    assert chunked.records == single.records and chunked.notes == single.notes
+
+
+def test_a_non_root_fails_only_its_own_record(monkeypatch):
+    cfg = periodic_config(grid=None)
+    honest = run_job(cfg)
+    stranger = RootRecord(
+        location=0.5 + 3.0j, multiplicity=1, char_residual=1.0, newton_iterations=1,
+        leaf_scale=1.0,
+    )
+    scan = cli_module.find_zeros
+
+    def with_a_stranger(f, rect, **kw):
+        report = scan(f, rect, **kw)
+        return dataclasses.replace(
+            report, roots=report.roots + (stranger,), region_count=report.region_count + 1
+        )
+
+    monkeypatch.setattr(cli_module, "find_zeros", with_a_stranger)
+    result = run_job(cfg)
+    *kept, failed = result.records
+    assert tuple(kept) == honest.records and all(r.passed for r in kept)
+    assert not failed.passed and failed.ode_residual == failed.bc_residual == math.inf
+    assert result.notes == (f"certification failed at {stranger.location}: "
+                            f"every singular value of M({stranger.location}) exceeds "
+                            f"1.0e-08 * max(1, the largest)",)
 
 
 # -- report files -------------------------------------------------------------

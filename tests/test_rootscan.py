@@ -220,6 +220,23 @@ def test_winding_pass_evaluates_f_once_per_node():
     assert np.unique(lams).size == lams.size
 
 
+def test_batched_count_fails_only_the_grazing_box():
+    # one batch holds a box whose bottom edge runs through a flat zero and
+    # two clean boxes: each clean box counts exactly as it does alone, and
+    # the grazing box's failure names that box and the stage
+    fn = planted([0.5 - 1.0j] * 8 + [0.3 + 0.5j, 0.7 + 0.6j])
+    region = Rectangle(0.0 - 1.0j, 1.0 + 1.0j)
+    g = rootscan._GRID
+    left, graze, right = (0, g // 2, g // 2, g), (0, 0, g, g // 2), (g // 2, g // 2, g, g)
+    cache = rootscan._PanelCache(fn, region)
+    batch = cache.count([left, graze, right])
+    for box, outcome in zip((left, right), batch[::2]):
+        assert outcome[0] == 1
+        assert outcome == rootscan._PanelCache(fn, region).count([box])[0]
+    assert isinstance(batch[1], BoundaryDegeneracyError)
+    assert str(batch[1]) == f"contour grazes a zero on {cache.where(graze)}"
+
+
 def test_scan_evaluates_each_contour_node_once(monkeypatch):
     # a whole scan shares one panel cache: parent edges serve the children
     # and each cut serves both of its sides
@@ -270,16 +287,27 @@ class UnfoldedFn(CountingFn):
     is_real = False
 
 
-def test_scan_lambda_budget():
+def test_scan_lambda_budget(monkeypatch):
     # F evaluations over every entry point are the deterministic cost of a
-    # scan; the panel cache integrates each contour panel once
+    # scan; the panel cache integrates each contour panel once, and each
+    # subdivision level is counted in one batch
+    batches = []
+    count = rootscan._PanelCache.count
+
+    def recording(cache, boxes):
+        batches.append(len(boxes))
+        return count(cache, boxes)
+
+    monkeypatch.setattr(rootscan._PanelCache, "count", recording)
     wide = Rectangle(-1.0 - 200.0j, 1.0 + 200.0j)
-    for wrapper, wide_budget, big_budget in ((UnfoldedFn, 82_000, 4_146),
-                                             (CountingFn, 34_000, 1_200)):
+    for wrapper, wide_budget, big_budget, count_budget in ((UnfoldedFn, 82_000, 4_146, 10),
+                                                           (CountingFn, 34_000, 1_200, 8)):
         counter = wrapper(periodic_fn())
+        batches.clear()
         report = find_zeros(counter, wide)
         assert report.region_count == 63
         assert sum(lams.size for _, lams in counter.calls) <= wide_budget
+        assert len(batches) <= count_budget
         # a symmetric box whose middle cut runs through the root at 0
         counter = wrapper(periodic_fn())
         assert find_zeros(counter, BIG).region_count == 3
@@ -443,13 +471,14 @@ def test_merge_roots_fallback_part_marks_the_group():
 
 
 def test_merge_roots_takes_abs_f_once_per_part():
-    # two halves of a double root merge into one record: |F| is read once
-    # for each half, and the record keeps the half of least |F| together
-    # with that very |F| as its residual
+    # two halves of a double root merge into one record: |F| is read for
+    # both halves in one batched call, and the record keeps the half of
+    # least |F| together with that very |F| as its residual
     counter = CountingFn(planted([0.0, 0.0]))
     parts = [(complex(-2e-12), 1, 5, 1.0), (complex(1e-12), 1, 4, 1.0)]
     (rec,) = _merge_roots(counter, parts, 1e-10)
-    assert [kind for kind, _ in counter.calls] == ["value", "value"]
+    ((kind, lams),) = counter.calls
+    assert kind == "values" and sorted(lams.real) == [-2e-12, 1e-12]
     assert (rec.location, rec.multiplicity, rec.newton_iterations) == (1e-12, 2, 5)
     assert rec.char_residual == abs(counter._fn.value(1e-12))
 
@@ -529,13 +558,13 @@ def test_find_zeros_at_the_grid_floor(monkeypatch):
 
 def test_find_zeros_reads_leaf_scales_from_the_cache():
     # a leaf's scale is max |F| over the nodes its own count read, so the
-    # 25-point zero check is the scan's one values() call, whatever the
-    # number of leaves
+    # scan's only values() calls are the 25-point zero check and the merge's
+    # one |F| per root, whatever the number of leaves
     counter = CountingFn(periodic_fn())
     report = find_zeros(counter, Rectangle(-1.0 - 40.0j, 1.0 + 40.0j), tol=1e-10)
     assert report.region_count == 13
-    (values,) = [lams for kind, lams in counter.calls if kind == "values"]
-    assert values.size == 25
+    zero, merge = [lams for kind, lams in counter.calls if kind == "values"]
+    assert zero.size == 25 and merge.size == len(report.roots)
     assert all(math.isfinite(r.leaf_scale) and r.leaf_scale > 0 for r in report.roots)
 
 

@@ -36,3 +36,27 @@ def test_tracer_patches_and_restores_every_binding():
         tracer.uninstall()
     for p in points:
         assert binding(*p) is originals[p], p
+
+
+def test_traced_job_times_certification_and_scan():
+    # a batched route that bypassed the patched names would leave these
+    # spans empty, and the next traced benchmark blind to that layer
+    from charspec import ProblemSpec, Rectangle, SecondDerivative, point_functional
+    from charspec import cli
+
+    tracing = _load_tracing()
+    wentzell = tuple(point_functional(x, 2) - point_functional(x, 1) for x in (0.0, 1.0))
+    spec = ProblemSpec(
+        kind=SecondDerivative(), psi=wentzell, region=Rectangle(-50.0 - 1.0j, 2.0 + 1.0j)
+    )
+    tracer = tracing.Tracer()
+    try:
+        tracer.install()
+        result = cli.run_job(cli.JobConfig(spec=spec))
+    finally:
+        tracer.uninstall()
+    assert result.passed and len(result.records) == 4
+    spans = tracer.summary()
+    for name in ("cli.certify", "rootscan.find_zeros"):
+        span = spans.get(name, {"calls": 0, "total_s": 0.0})
+        assert span["calls"] > 0 and span["total_s"] > 0.0, name
