@@ -240,7 +240,8 @@ def matrix_family(spec, lams, dlam=False):
         out = ex - f0 + f1
         d = -ex - df0 + df1 if dlam else None
     elif isinstance(kind, BoundaryDelayHeat):
-        w = delay_weight(kind, lams)
+        # an array even at one lambda, so value rounds like values
+        w = np.asarray(delay_weight(kind, lams))
         c, s, ds = _sqrt_jet(lams[..., None], (1.0, 0.5), dlam)
         # the curve's mean (1 - cosh(sqrt lam))/lam = -2 sinhc(lam, 1/2)^2,
         # entire and free of cancellation
@@ -311,11 +312,6 @@ class CharFunction:
         """The spec's realness: with real data the scanner counts a region
         straddling the real axis on its upper half."""
         return self.spec.is_real
-
-    @property
-    def batch_exact(self):
-        """False for the heat kind, whose delay weight at one lambda rounds unlike a batch."""
-        return not isinstance(self.spec.kind, BoundaryDelayHeat)
 
     def value(self, lam):
         """Characteristic value at a single lambda, from a 0-d array."""

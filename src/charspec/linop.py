@@ -8,6 +8,9 @@ determinants, and numpy's stacked singular value decomposition behind
 threshold with a typed error, and the block identities of G = A + BC: the
 Schur-complement route to a block inverse and the exchange
 (Id - QR)^{-1} = Id + Q (Id - RQ)^{-1} R.
+
+Importing the module loads numpy only: ``scipy.linalg`` is imported inside
+``lu_decompose`` and ``solve``, so it loads on the first LU or solve.
 """
 
 from __future__ import annotations
@@ -16,7 +19,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import DimensionError, SingularMatrixError
 
@@ -62,6 +64,8 @@ def lu_decompose(m):
     singular input: a singular matrix simply comes back with a zero (or
     tiny) diagonal entry in ``lu``.
     """
+    import scipy.linalg
+
     a = as_matrix(m, square=True)
     with warnings.catch_warnings():
         # LAPACK reports an exactly zero pivot; here that is a result
@@ -89,6 +93,8 @@ def solve(m, rhs):
     Raises SingularMatrixError, carrying the smallest upper-diagonal
     magnitude, when it drops below ``SINGULAR_RTOL`` times the largest.
     """
+    import scipy.linalg
+
     lu, piv = lu_decompose(m)
     pivots = np.abs(np.diag(lu)) if lu.size else np.ones(1)
     smallest = float(pivots.min())

@@ -10,6 +10,10 @@ centre; small dense matrices, such as a pencil's companion matrix, go to the
 dense LAPACK driver instead.  Either way every reported eigenvalue is
 certified independently by inverse iteration.  Agreement with the contour
 scanner is then a genuine cross-check of two unrelated computations.
+
+Importing the module loads numpy only: scipy's sparse and dense linear
+algebra is imported inside the functions that use it, so it loads on the
+first oracle call.
 """
 
 from __future__ import annotations
@@ -17,9 +21,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
-import scipy.sparse
-import scipy.sparse.linalg
 
 from . import linop
 from .catalog import (
@@ -133,6 +134,8 @@ def _generator_terms(kind):
 
 def _generator(kind, colloc, n, h):
     """A_m at the collocation points, as a sparse (len(colloc), n + 1) array."""
+    import scipy.sparse
+
     terms = _generator_terms(kind)
     inner = (colloc > 0) & (colloc < n)
     band = sum(coef * _CENTRED[order] / h**order for order, coef in terms)
@@ -162,6 +165,8 @@ def fd_discretize(kind, psi, n):
     substituted; a singular endpoint subblock is reported as unsupported
     rather than silently regularized.
     """
+    import scipy.sparse
+
     if n < 64:
         raise DimensionError(f"grid too coarse (n = {n} < 64)")
     psi = tuple(psi)
@@ -236,6 +241,7 @@ def fd_discretize(kind, psi, n):
 
 def _dense_factor(m):
     """``factor(shift)``: a solver for m - shift Id, or None at a zero pivot."""
+    import scipy.linalg
 
     def factor(shift):
         shifted = m.copy()
@@ -251,6 +257,9 @@ def _dense_factor(m):
 
 def _sparse_factor(a):
     """``factor(shift)`` for a complex CSC array, on SuperLU factors."""
+    import scipy.sparse
+    import scipy.sparse.linalg
+
     eye = scipy.sparse.eye_array(a.shape[0], dtype=complex, format="csc")
 
     def factor(shift):
@@ -320,6 +329,9 @@ def dense_eigenvalues(matrix, window=None):
     reported eigenvalue is then certified by inverse iteration on a dense LU
     factor (see ``_certified``).
     """
+    import scipy.linalg
+    import scipy.sparse
+
     if scipy.sparse.issparse(matrix):
         matrix = matrix.toarray()
     m = linop.as_matrix(matrix, square=True)
@@ -350,6 +362,9 @@ def sparse_eigenvalues(matrix, window):
     sparse LU factors.  ARPACK and factorization failures are
     ConvergenceErrors naming the window and k.
     """
+    import scipy.sparse
+    import scipy.sparse.linalg
+
     a = scipy.sparse.csc_array(matrix, dtype=complex)
     n = a.shape[0]
     factor = _sparse_factor(a)

@@ -9,8 +9,6 @@ identically-zero test; a function without a matrix behind it has none.  An
 optional ``is_real`` attribute, true when F's data are all real so that
 F(conj z) = conj F(z), lets ``find_zeros`` fold a region that straddles
 the real axis onto its upper half; without it the region is scanned whole.
-An optional ``batch_exact``, false when ``values`` can round unlike
-``value``, makes the scan take |F| at its roots by ``value``.
 
 Winding numbers and centred first moments are contour integrals of
 g = F'/F.  Each scan keeps one panel cache: GL-12 panels on a dyadic grid
@@ -728,14 +726,12 @@ def find_zeros(f, rect, tol=1e-10, seed=0):
 
 def _merge_roots(f, refined, tol):
     """Merge parts within 10*tol into one record at the part of least |F|,
-    with |F| of every part from one ``f.values`` call (``f.value`` each
-    when ``f.batch_exact`` is false)."""
+    with |F| of every part from one ``f.values`` call."""
     if not refined:
         return []
     refined = sorted(refined, key=lambda r: (r[0].real, r[0].imag))
     parts = [r[0] for r in refined]
-    exact = getattr(f, "batch_exact", True)
-    values = f.values(np.array(parts)).tolist() if exact else [f.value(z) for z in parts]
+    values = f.values(np.array(parts)).tolist()
     # Python's abs (libm's hypot) on each value: numpy's abs can round differently
     resids = [abs(v) for v in values]
     groups = []

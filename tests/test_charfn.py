@@ -473,6 +473,44 @@ def test_char_function_wrapper():
     assert np.array_equal(fn2.zero_scale_entries(2.0), char_matrix(pencil, 2.0))
 
 
+def _one_spec_per_kind():
+    rng = np.random.default_rng(2024)
+    a, p = (rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)) for _ in range(2))
+    return {
+        "first_derivative": periodic_spec(),
+        "integral": ProblemSpec(
+            kind=FirstDerivative(),
+            psi=(point_functional(0.0) - integral_functional(2.0, "exp", 0.5),),
+        ),
+        "wentzell": wentzell_spec(),
+        "convection_builtin": ProblemSpec(kind=ConvectionDiffusion(c=0.5, k=-0.5)),
+        "convection_psi": ProblemSpec(
+            kind=ConvectionDiffusion(c=0.5, k=-0.5),
+            psi=(point_functional(0.0) - 0.2 * point_functional(1.0),),
+        ),
+        "heat_delay": ProblemSpec(kind=BoundaryDelayHeat(atoms=((-1.0, 1.5112), (-0.3, -0.4)))),
+        "delay_system": ProblemSpec(
+            kind=DelaySystem(
+                instant=((0.0, 1.0), (-2.0, 0.3)), delays=((1.0, ((-0.5, 0.1), (0.2, 0.3))),)
+            )
+        ),
+        "pencil": ProblemSpec(
+            kind=QuadraticPencil(const_term=tuple(map(tuple, a)), linear_term=tuple(map(tuple, p)))
+        ),
+    }
+
+
+@pytest.mark.parametrize("name", list(_one_spec_per_kind()))
+def test_value_rounds_like_values(name):
+    # the scan takes |F| at its roots from one values call; a kind whose
+    # value rounded differently would move abs_F with the batching
+    fn = CharFunction(_one_spec_per_kind()[name])
+    rng = np.random.default_rng(5)
+    zs = rng.uniform(-30.0, 10.0, 200) + 1j * rng.uniform(-30.0, 30.0, 200)
+    batch = fn.values(zs).tolist()
+    assert [fn.value(z) for z in zs.tolist()] == batch
+
+
 # -- kernels and eigenfunctions ----------------------------------------------
 
 

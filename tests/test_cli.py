@@ -659,17 +659,45 @@ def test_module_entry_point(tmp_path):
     assert proc.stdout.startswith(CSV_HEADER)
 
 
-def test_cold_import_leaves_out_scipy_integrate():
-    # scipy.integrate pulls in scipy.special and scipy.optimize: about a
-    # quarter second and 20 MB of every cold start, for nothing charspec uses
+# a fresh interpreter runs the configs given after the output directory
+# through parse_config, run_job and emit_report, then prints whether each
+# passed and how many records it has, and every scipy module it loaded
+_COLD_RUN = """
+import json, sys
+from charspec.cli import emit_report, parse_config, run_job
+out, *texts = sys.argv[1:]
+runs = []
+for i, text in enumerate(texts):
+    result = run_job(parse_config(text))
+    emit_report(result, f"{out}/{i}")
+    runs.append([result.passed, len(result.records)])
+print(json.dumps([runs, sorted(m for m in sys.modules if m.split(".")[0] == "scipy")]))
+"""
+
+
+def _cold_run(tmp_path, *configs):
     proc = subprocess.run(
-        [sys.executable, "-c", "import sys, charspec.cli; print('scipy.integrate' in sys.modules)"],
+        [sys.executable, "-c", _COLD_RUN, str(tmp_path), *map(serialize_config, configs)],
         capture_output=True,
         text=True,
         env=CHILD_ENV,
     )
-    assert proc.returncode == 0
-    assert proc.stdout.strip() == "False"
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
+
+
+def test_cold_jobs_leave_out_scipy(tmp_path):
+    # scipy.linalg alone is over half of a cold start; F, F', kernels and
+    # certificates run on numpy, so only an LU, a solve or the oracle loads it
+    kind, _ = _fixed_pencil(np.random.default_rng((0, 1)), 3)
+    pencil = JobConfig(spec=ProblemSpec(kind=kind, region=Rectangle(-6.0 - 6.0j, 6.0 + 6.0j)))
+    runs, scipy_modules = _cold_run(tmp_path / "plain", periodic_config(), pencil)
+    assert runs == [[True, 3], [True, 6]]
+    assert scipy_modules == []
+    oracle = periodic_config(oracle_enabled=True, oracle_grid=128)
+    runs, scipy_modules = _cold_run(tmp_path / "oracle", oracle)
+    assert runs == [[True, 3]]
+    assert "scipy.sparse.linalg" in scipy_modules
 
 
 def test_every_exported_name_resolves():

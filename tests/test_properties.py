@@ -21,10 +21,16 @@ over a region straddling the real axis unevenly, the scan's half-contour
 count equals ``winding_count`` around the whole region, and its roots are
 closed under conjugation, bit for bit.
 
+A fifth property scales one to four simple planted roots and their square
+by a power of ten from 1e-6 to 1e6, with the diagonal matrix
+diag(lam - r_i) behind F as its ``zero_scale_entries``: the scan gives the
+planted count or a typed error, and never calls F identically zero,
+however small |F| gets.
+
 The derandomized profile in ``conftest.py`` draws the same examples on
 every run.  Time budget: the module runs in 4.8-5.2 s on a 2-core VM, of
 which the delay property takes 0.5-0.7 s and the cut-line property
-1.0-1.3 s (0.4 s at 40 examples).
+1.0-1.3 s (0.4 s at 40 examples), and the scaled property 0.6-0.7 s.
 """
 
 import pytest
@@ -39,6 +45,7 @@ from scipy.special import lambertw  # noqa: E402
 
 from charspec import (  # noqa: E402
     CharFunction,
+    CharspecError,
     DelaySystem,
     ProblemSpec,
     Rectangle,
@@ -151,3 +158,27 @@ def test_half_contour_count_matches_the_whole_contour(a, b, tau, left, right, be
     for z, m in roots.items():
         if region.contains(z.conjugate()):
             assert roots.get(z.conjugate()) == m
+
+
+def _planted_with_matrix(roots):
+    """``planted(roots)`` with M = diag(lam - r_i) behind it, so that the
+    identically-zero test judges F against Hadamard's bound prod |lam - r_i|."""
+    fn = planted(roots)
+    roots = np.asarray(roots, dtype=complex)
+    fn.zero_scale_entries = lambda lams: (lams[..., None] - roots)[..., None] * np.eye(roots.size)
+    return fn
+
+
+@settings(max_examples=50)
+@given(st.lists(st.builds(complex, _coord, _coord), min_size=1, max_size=4), st.integers(-6, 6))
+def test_scaled_planted_roots_are_never_identically_zero(unit_roots, log_scale):
+    assume(_separated([(z, 1) for z in unit_roots]))
+    scale = 10.0**log_scale
+    roots = [scale * z for z in unit_roots]
+    region = Rectangle(scale * SQUARE.lo, scale * SQUARE.hi)
+    try:
+        report = find_zeros(_planted_with_matrix(roots), region, tol=1e-9 * scale)
+    except CharspecError:
+        return
+    assert not report.identically_zero
+    assert report.region_count == report.total_multiplicity() == len(roots)
