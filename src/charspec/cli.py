@@ -104,7 +104,8 @@ def _complex_in(value, where):
 
 
 def _exactly(kind, value, where):
-    """``value`` when its JSON type is ``kind`` (bool or int; a bool is no int)."""
+    """``value`` when its JSON type is ``kind`` (bool, int, list or dict; a
+    bool is no int)."""
     if type(value) is not kind:
         raise ConfigError(f"{where}: expected a JSON {kind.__name__}, got {value!r}")
     return value
@@ -129,7 +130,7 @@ def _matrix_out(rows):
 
 def _functional_in(terms, where):
     points, integrals = [], []
-    for i, term in enumerate(terms):
+    for i, term in enumerate(_exactly(list, terms, where)):
         spot = f"{where}[{i}]"
         if not isinstance(term, dict):
             raise ConfigError(f"{spot}: expected an object")
@@ -174,7 +175,7 @@ def _functional_out(psi):
 def _kind_in(name, params):
     try:
         cls = _KIND_NAMES[name]
-    except KeyError:
+    except (KeyError, TypeError):
         raise ConfigError(f"unknown problem kind {name!r}") from None
     try:
         if cls is FirstDerivative or cls is SecondDerivative:
@@ -239,7 +240,7 @@ def parse_config(text):
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
     if not isinstance(data, dict) or "problem" not in data:
         raise ConfigError("config must be an object with a 'problem' section")
-    prob = data["problem"]
+    prob = _exactly(dict, data["problem"], "problem")
     try:
         re, im = prob["region"]["re"], prob["region"]["im"]
         region = Rectangle(*(
@@ -250,10 +251,11 @@ def parse_config(text):
         raise
     except (IndexError, KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"problem.region must give finite re/im bounds: {exc}") from exc
-    kind = _kind_in(prob.get("kind"), prob.get("parameters", {}))
+    params = _exactly(dict, prob.get("parameters", {}), "problem.parameters")
+    kind = _kind_in(prob.get("kind"), params)
     psi = tuple(
         _functional_in(terms, f"problem.psi[{i}]")
-        for i, terms in enumerate(prob.get("psi", []))
+        for i, terms in enumerate(_exactly(list, prob.get("psi", []), "problem.psi"))
     )
     try:
         spec = ProblemSpec(
@@ -267,7 +269,7 @@ def parse_config(text):
         raise
     except (CharspecError, OverflowError, TypeError, ValueError) as exc:
         raise ConfigError(f"invalid problem spec: {exc}") from exc
-    outputs = data.get("outputs", {})
+    outputs = _exactly(dict, data.get("outputs", {}), "outputs")
     grid = outputs.get("grid")
     if grid is not None:
         if not (isinstance(grid, list) and len(grid) == 2):
@@ -275,7 +277,7 @@ def parse_config(text):
         grid = tuple(_exactly(int, n, "outputs.grid") for n in grid)
         if min(grid) < 2:
             raise ConfigError("outputs.grid must be at least 2x2")
-    oracle = data.get("oracle", {})
+    oracle = _exactly(dict, data.get("oracle", {}), "oracle")
     fmt = data.get("format", "csv")
     if fmt not in ("csv", "structured"):
         raise ConfigError(f"format must be 'csv' or 'structured', got {fmt!r}")
@@ -359,7 +361,8 @@ def _oracle_eigenvalues(cfg, notes):
     """Reference eigenvalues at two grid resolutions, or None if unsupported."""
     spec = cfg.spec
     kind = spec.kind
-    region = spec.region
+    # dilated like a grazing scan's box, so that its roots find their match
+    window = spec.region.dilated(1.05)
     if isinstance(kind, QuadraticPencil):
         n = kind.dim
         eye = np.eye(n)
@@ -369,7 +372,7 @@ def _oracle_eigenvalues(cfg, notes):
                 [np.array(kind.const_term), np.array(kind.linear_term)],
             ]
         )
-        return dense_eigenvalues(comp, window=region), None
+        return dense_eigenvalues(comp, window=window), None
     fd_ok = isinstance(kind, (FirstDerivative, SecondDerivative)) or (
         isinstance(kind, ConvectionDiffusion) and spec.psi
     )
@@ -380,7 +383,6 @@ def _oracle_eigenvalues(cfg, notes):
         return None, None
     fine = fd_discretize(kind, spec.psi, cfg.oracle_grid)
     half = fd_discretize(kind, spec.psi, max(64, cfg.oracle_grid // 2))
-    window = region.dilated(1.05)
     return sparse_eigenvalues(fine.matrix, window), sparse_eigenvalues(half.matrix, window)
 
 
@@ -444,14 +446,18 @@ def run_job(cfg):
             if dist is None:
                 ok = False
                 notes.append(f"oracle produced no eigenvalue near {root.location}")
-            elif oracle_half is not None:
-                # measured-order bound: dist_fine <= 10 * C * h^2 with C taken
-                # from the coarse grid (plus a floor for exactly represented roots)
-                _, dist_half = _nearest(oracle_half, root.location)
-                h_fine = 1.0 / cfg.oracle_grid
-                h_half = 1.0 / max(64, cfg.oracle_grid // 2)
-                c_hat = (dist_half or 0.0) / h_half**2
-                bound = max(10.0 * c_hat * h_fine**2, 1e4 * spec.root_tol)
+            else:
+                # a floor for exactly represented roots; a pencil's companion
+                # eigenvalues have no coarse grid, so the floor is their bound
+                bound = 1e4 * spec.root_tol
+                if oracle_half is not None:
+                    # measured-order bound: dist_fine <= 10 * C * h^2 with C
+                    # taken from the coarse grid
+                    _, dist_half = _nearest(oracle_half, root.location)
+                    h_fine = 1.0 / cfg.oracle_grid
+                    h_half = 1.0 / max(64, cfg.oracle_grid // 2)
+                    c_hat = (dist_half or 0.0) / h_half**2
+                    bound = max(10.0 * c_hat * h_fine**2, bound)
                 if dist > bound:
                     ok = False
                     notes.append(

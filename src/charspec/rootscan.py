@@ -674,12 +674,15 @@ def find_zeros(f, rect, tol=1e-10, seed=0):
     Pipeline: identically-zero short-circuit, total winding count, recursive
     subdivision into single-root leaves, Newton refinement started at each
     leaf's moment estimate centre + moment/count (the leaf centre when that
-    is non-finite or outside the leaf), merge of duplicates within 10*tol,
-    deterministic sort.  Every count reads the scan's one panel cache, and
-    a leaf's scale is max |F| over the nodes its count read.  When Newton
-    raises or leaves its leaf, the root is the centre of the box
-    ``_descend`` reaches in that leaf, with -1 iterations.  The sum of
-    reported multiplicities always equals the region count.
+    is non-finite or outside the leaf), deterministic sort.  Each located
+    root gives one record: a leaf holding k roots (one under 64*tol across,
+    or at the grid floor) gives one record of multiplicity k, so a close
+    pair comes back as two simple records or one double record.  Every
+    count reads the scan's one panel cache, and a leaf's scale is max |F|
+    over the nodes its count read.  When Newton raises or leaves its leaf,
+    the root is the centre of the box ``_descend`` reaches in that leaf,
+    with -1 iterations.  The sum of reported multiplicities always equals
+    the region count.
 
     When F has real data (``f.is_real``) and the region straddles the real
     axis, the scan runs on a folded frame (see ``_PanelCache``): the band
@@ -712,10 +715,9 @@ def find_zeros(f, rect, tol=1e-10, seed=0):
         except DivergenceError:
             root, iters = _descend(cache, leaf_box, count, tol), -1
         refined += [(z, count, iters, scale) for z in cache.images(leaf_box, root)]
-    merged = _merge_roots(f, refined, tol)
     report = RootReport(
-        region=cache.region, region_count=total, roots=tuple(merged), identically_zero=False,
-        tol=tol,
+        region=cache.region, region_count=total, roots=tuple(_records(f, refined)),
+        identically_zero=False, tol=tol,
     )
     if report.total_multiplicity() != total:
         raise RootClusterError(
@@ -724,40 +726,16 @@ def find_zeros(f, rect, tol=1e-10, seed=0):
     return report
 
 
-def _merge_roots(f, refined, tol):
-    """Merge parts within 10*tol into one record at the part of least |F|,
+def _records(f, refined):
+    """One RootRecord per located part, sorted by real then imaginary part,
     with |F| of every part from one ``f.values`` call."""
     if not refined:
         return []
     refined = sorted(refined, key=lambda r: (r[0].real, r[0].imag))
-    parts = [r[0] for r in refined]
-    values = f.values(np.array(parts)).tolist()
+    values = f.values(np.array([r[0] for r in refined])).tolist()
     # Python's abs (libm's hypot) on each value: numpy's abs can round differently
-    resids = [abs(v) for v in values]
-    groups = []
-    for (root, count, iters, scale), resid in zip(refined, resids):
-        for g in groups:
-            if abs(root - g["root"]) <= 10.0 * tol:
-                g["count"] += count
-                g["scale"] = max(g["scale"], scale)
-                # a fallback part (-1) marks the whole group
-                g["iters"] = -1 if -1 in (g["iters"], iters) else max(g["iters"], iters)
-                if resid < g["resid"]:
-                    g["root"], g["resid"] = root, resid
-                break
-        else:
-            groups.append(
-                {"root": root, "count": count, "iters": iters, "scale": scale, "resid": resid}
-            )
-    out = [
-        RootRecord(
-            location=g["root"],
-            multiplicity=g["count"],
-            char_residual=g["resid"],
-            newton_iterations=g["iters"],
-            leaf_scale=g["scale"],
-        )
-        for g in groups
+    return [
+        RootRecord(location=z, multiplicity=count, char_residual=abs(v),
+                   newton_iterations=iters, leaf_scale=scale)
+        for (z, count, iters, scale), v in zip(refined, values)
     ]
-    out.sort(key=lambda r: (r.location.real, r.location.imag))
-    return out

@@ -219,6 +219,9 @@ def test_parse_rejects_malformed():
             '"outputs": {"grid": [5, false]}',
             '"outputs": {"grid": [5, 6, 7]}',
             '"outputs": {"grid": "5x6"}',
+            # config sections of the wrong JSON type
+            '"outputs": []',
+            '"oracle": 3',
         )
     )
     # numbers are JSON numbers and a derivative order a JSON integer, never
@@ -241,6 +244,11 @@ def test_parse_rejects_malformed():
         '{"problem": {"kind": "boundary_delay_heat", "region": {"re": ["-1", 1], "im": [0, 1]}}}',
         '{"problem": {"kind": "boundary_delay_heat", "region": {"re": [0, 1], "im": [0, 1]}, "root_tol": "1e-9"}}',
         '{"problem": {"kind": "boundary_delay_heat", "region": {"re": [0, 1], "im": [0, 1]}, "root_tol": true}}',
+        '{"problem": 3}',
+        '{"problem": {"kind": ["first_derivative"], "region": {"re": [0, 1], "im": [0, 1]}}}',
+        '{"problem": {"kind": "convection_diffusion", "parameters": [1], "region": {"re": [0, 1], "im": [0, 1]}}}',
+        '{"problem": {"kind": "first_derivative", "psi": 5, "region": {"re": [0, 1], "im": [0, 1]}}}',
+        '{"problem": {"kind": "first_derivative", "psi": [5], "region": {"re": [0, 1], "im": [0, 1]}}}',
     )
     psi_messages = []
     for text in bad:
@@ -249,7 +257,7 @@ def test_parse_rejects_malformed():
         if "problem.psi" in str(info.value):
             psi_messages.append(str(info.value))
     # a psi term's message names its location once, with no re-wrapped prefix
-    assert len(psi_messages) == 11
+    assert len(psi_messages) == 13
     for message in psi_messages:
         assert message.count("problem.psi") == 1, message
 
@@ -340,6 +348,33 @@ def test_run_pencil_companion_oracle():
     assert len(result.records) == 4  # lam^4 = 1
     for r in result.records:
         assert r.oracle_dist < 1e-9
+
+
+def test_pencil_oracle_bounds_the_match(monkeypatch):
+    # a pencil has no coarse grid to measure an order from, so its roots
+    # must lie within the floor 1e4 * root_tol of a companion eigenvalue,
+    # which the oracle takes in the scan's dilated window
+    kind, _ = _fixed_pencil(np.random.default_rng(0), 3)
+    spec = ProblemSpec(kind=kind, region=Rectangle(-6.0 - 6.0j, 6.0 + 6.0j))
+    cfg = JobConfig(spec=spec, oracle_enabled=True)
+    windows = []
+    dense = cli_module.dense_eigenvalues
+
+    def shifted(matrix, window=None):
+        windows.append(window)
+        return [v + shift for v in dense(matrix, window=window)]
+
+    monkeypatch.setattr(cli_module, "dense_eigenvalues", shifted)
+    shift = 0.0
+    result = run_job(cfg)
+    assert windows == [spec.region.dilated(1.05)]
+    assert result.passed and len(result.records) == 6
+    assert all(r.oracle_dist <= 1e4 * spec.root_tol for r in result.records)
+    shift = 0.5
+    result = run_job(cfg)
+    assert not result.passed
+    assert not any(r.passed for r in result.records)
+    assert sum("oracle mismatch" in n for n in result.notes) == 6
 
 
 def _fixed_pencil(rng, n):
@@ -598,6 +633,11 @@ def test_main_bad_config_exits_2(tmp_path, capsys):
     cfg_path.write_text("{ not json")
     assert main(["run", str(cfg_path), "--out", str(tmp_path / "out")]) == 2
     assert main(["run", str(tmp_path / "missing.json"), "--out", str(tmp_path / "out")]) == 2
+    # a section of the wrong JSON type is a config error too, not a crash
+    doc = json.loads(PERIODIC_JOB)
+    doc["outputs"] = []
+    cfg_path.write_text(json.dumps(doc))
+    assert main(["run", str(cfg_path), "--out", str(tmp_path / "out")]) == 2
     assert "error" in capsys.readouterr().err
 
 

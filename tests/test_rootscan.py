@@ -24,7 +24,7 @@ from charspec.errors import (
     QuadratureFailureError,
     RootClusterError,
 )
-from charspec.rootscan import _merge_roots, detect_identically_zero
+from charspec.rootscan import _records, detect_identically_zero
 
 TWO_PI = 2.0 * math.pi
 
@@ -459,28 +459,21 @@ def test_newton_raises_when_iterations_run_out():
         newton_refine(planted([0.0, 0.0]), 0.5, 1e-300, box)
 
 
-def test_merge_roots_fallback_part_marks_the_group():
-    # two halves of a double root, one polished by Newton in 4 iterations
-    # and one located by find_zeros's fallback: whichever sorts first,
-    # the merged root reads -1, so a Newton count cannot hide the fallback
-    fn = planted([0.0, 0.0])
-    for a, b in ((-1e-12, 1e-12), (1e-12, -1e-12)):
-        (rec,) = _merge_roots(fn, [(complex(a), 1, -1, 1.0), (complex(b), 1, 4, 1.0)], 1e-10)
-        assert rec.multiplicity == 2
-        assert rec.newton_iterations == -1
-
-
-def test_merge_roots_takes_abs_f_once_per_part():
-    # two halves of a double root merge into one record: |F| is read for
-    # both halves in one batched call, and the record keeps the half of
-    # least |F| together with that very |F| as its residual
+def test_records_take_abs_f_once_per_part():
+    # each located part is its own record, sorted by location: |F| is read
+    # for every part in one batched call, and each record keeps its own |F|
     counter = CountingFn(planted([0.0, 0.0]))
-    parts = [(complex(-2e-12), 1, 5, 1.0), (complex(1e-12), 1, 4, 1.0)]
-    (rec,) = _merge_roots(counter, parts, 1e-10)
+    parts = [(complex(1e-12), 1, 4, 2.0), (complex(-2e-12), 1, 5, 1.0)]
+    records = _records(counter, parts)
     ((kind, lams),) = counter.calls
     assert kind == "values" and sorted(lams.real) == [-2e-12, 1e-12]
-    assert (rec.location, rec.multiplicity, rec.newton_iterations) == (1e-12, 2, 5)
-    assert rec.char_residual == abs(counter._fn.value(1e-12))
+    assert [(r.location, r.multiplicity, r.newton_iterations, r.leaf_scale) for r in records] == [
+        (-2e-12, 1, 5, 1.0),
+        (1e-12, 1, 4, 2.0),
+    ]
+    residuals = [abs(counter._fn.value(z)) for z in (-2e-12, 1e-12)]
+    assert [r.char_residual for r in records] == residuals
+    assert residuals[0] != residuals[1]
 
 
 def test_newton_divergence():
@@ -558,13 +551,13 @@ def test_find_zeros_at_the_grid_floor(monkeypatch):
 
 def test_find_zeros_reads_leaf_scales_from_the_cache():
     # a leaf's scale is max |F| over the nodes its own count read, so the
-    # scan's only values() calls are the 25-point zero check and the merge's
-    # one |F| per root, whatever the number of leaves
+    # scan's only values() calls are the 25-point zero check and the
+    # records' one |F| per root, whatever the number of leaves
     counter = CountingFn(periodic_fn())
     report = find_zeros(counter, Rectangle(-1.0 - 40.0j, 1.0 + 40.0j), tol=1e-10)
     assert report.region_count == 13
-    zero, merge = [lams for kind, lams in counter.calls if kind == "values"]
-    assert zero.size == 25 and merge.size == len(report.roots)
+    zero, records = [lams for kind, lams in counter.calls if kind == "values"]
+    assert zero.size == 25 and records.size == len(report.roots)
     assert all(math.isfinite(r.leaf_scale) and r.leaf_scale > 0 for r in report.roots)
 
 
@@ -581,6 +574,15 @@ def test_find_zeros_double_root():
     assert [r.multiplicity for r in report.roots] == [2, 1]
     assert abs(report.roots[0].location) < 1e-7
     assert abs(report.roots[1].location - 1.0) < 1e-9
+
+
+def test_find_zeros_keeps_a_close_pair_apart():
+    # two simple roots 8 * tol apart land in disjoint leaves, and each is
+    # reported as its own simple root, never as one double root at either
+    report = find_zeros(planted([-4e-10, 4e-10]), Rectangle(-1e-8 - 5e-9j, 1e-8 + 5e-9j), tol=1e-10)
+    assert [r.multiplicity for r in report.roots] == [1, 1]
+    for rec, want in zip(report.roots, (-4e-10, 4e-10)):
+        assert abs(rec.location - want) <= 1e-15
 
 
 def test_find_zeros_empty_region():
