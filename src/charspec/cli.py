@@ -36,7 +36,6 @@ from .charfn import (
     CharFunction,
     ProblemSpec,
     char_matrix,
-    effective_psi,
     eigenfunction,
     kernel_vectors,
 )
@@ -343,16 +342,16 @@ class JobResult:
 
 
 def _certify(spec, lams):
-    """Eigen-defects (ode, bc) at a chunk of roots from one M stack and one SVD
-    (max |M x| for a matrix kind); a root that fails gets its CharspecError."""
+    """Eigen-defects (ode, bc) at a chunk of roots from one M stack and one SVD:
+    max |M x| for a matrix kind, and ``eigen_residual`` on the same M for a
+    boundary-coupled kind; a root that fails gets its CharspecError."""
     try:
         mats = char_matrix(spec, lams)
-        kernels = kernel_vectors(spec, lams, mats)
+        xs = [vecs[0] for vecs in kernel_vectors(spec, lams, mats)]
         if not is_dirichlet(spec.kind):
-            return [(float(np.max(np.abs(m @ vecs[0]))), 0.0) for m, vecs in zip(mats, kernels)]
-        psis = [effective_psi(spec, lam) for lam in lams]
-        curves = [eigenfunction(spec, lam, vecs[0]) for lam, vecs in zip(lams, kernels)]
-        return eigen_residual(spec.kind, psis, lams, curves)
+            return [(float(np.max(np.abs(m @ x))), 0.0) for m, x in zip(mats, xs)]
+        curves = [eigenfunction(spec, lam, x) for lam, x in zip(lams, xs)]
+        return eigen_residual(spec.kind, mats, lams, curves)
     except CharspecError as exc:  # certify the chunk root by root
         return [exc] if lams.size == 1 else [o for z in lams for o in _certify(spec, z[None])]
 

@@ -1,11 +1,11 @@
 """Argument-principle root location for holomorphic scalar functions.
 
-The scanner takes F as an object with three methods: ``value(lam)`` for one
-point, ``values(lams)`` over an array, and ``values_and_derivatives(lams)``
-giving (F, F') over an array in one batched call.  ``CharFunction`` is the
-one production implementation.  An optional ``zero_scale_entries(lams)``
-gives the matrix entries behind F, which set the scale of the
-identically-zero test; a function without a matrix behind it has none.  An
+The scanner takes F as an object with two methods: ``values(lams)`` over
+an array, and ``values_and_derivatives(lams)`` giving (F, F') over an array
+in one batched call.  ``CharFunction`` is the one production
+implementation.  An optional ``zero_scale_entries(lams)`` gives the matrix
+entries behind F, which set the scale of the identically-zero test; a
+function without a matrix behind it has none.  An
 optional ``is_real`` attribute, true when F's data are all real so that
 F(conj z) = conj F(z), lets ``find_zeros`` fold a region that straddles
 the real axis onto its upper half; without it the region is scanned whole.
@@ -682,7 +682,8 @@ def find_zeros(f, rect, tol=1e-10, seed=0):
     over the nodes its count read.  When Newton raises or leaves its leaf,
     the root is the centre of the box ``_descend`` reaches in that leaf,
     with -1 iterations.  The sum of reported multiplicities always equals
-    the region count.
+    the region count.  ``seed`` only shifts the 25 sample points of the
+    identically-zero test.
 
     When F has real data (``f.is_real``) and the region straddles the real
     axis, the scan runs on a folded frame (see ``_PanelCache``): the band

@@ -23,9 +23,9 @@ from charspec import (
     QuadraticPencil,
     Rectangle,
     SecondDerivative,
+    char_matrix,
     delta_matrix,
     determinant,
-    effective_psi,
     eigenfunction,
     find_zeros,
     inverse,
@@ -368,7 +368,7 @@ def test_09_eigenpair_residuals():
             lam = rec.location
             vec = kernel_vectors(spec, lam)[0]
             f = eigenfunction(spec, lam, vec)
-            ode, bc = eigen_residual(spec.kind, effective_psi(spec, lam), lam, f)
+            ode, bc = eigen_residual(spec.kind, char_matrix(spec, lam), lam, f)
             worst_ode, worst_bc = max(worst_ode, ode), max(worst_bc, bc)
             n += 1
     ok = worst_ode < 1e-7 and worst_bc < 1e-7

@@ -26,7 +26,6 @@ from charspec import (
     RootRecord,
     SecondDerivative,
     char_matrix,
-    effective_psi,
     eigen_residual,
     eigenfunction,
     integral_functional,
@@ -499,7 +498,7 @@ def test_chunked_certificate_matches_each_root_alone(name):
         vec = kernel_vectors(spec, lam)[0]
         if is_dirichlet(spec.kind):
             alone = eigen_residual(
-                spec.kind, effective_psi(spec, lam), lam, eigenfunction(spec, lam, vec)
+                spec.kind, char_matrix(spec, lam), lam, eigenfunction(spec, lam, vec)
             )
             assert (r.ode_residual, r.bc_residual) == alone
         else:
@@ -507,6 +506,37 @@ def test_chunked_certificate_matches_each_root_alone(name):
             alone = float(np.max(np.abs(mat @ vec)))
             bound = 1e-12 * max(1.0, float(np.linalg.norm(mat)))
             assert abs(r.ode_residual - alone) <= bound and r.bc_residual == 0.0
+
+
+def test_certification_applies_no_functional(monkeypatch):
+    # the boundary residual is M x on the chunk's own M: no functional is
+    # applied to a curve, and none is integrated by quadrature
+    specs = {name: s for name, s in _certified_specs().items() if is_dirichlet(s.kind)}
+    want = {name: run_job(JobConfig(spec=s)).records for name, s in specs.items()}
+
+    def forbidden(*args):
+        raise AssertionError("a functional applied on the production path")
+
+    for module in (charspec.catalog, charspec.charfn, charspec.oracle):
+        monkeypatch.setattr(module, "apply_functional", forbidden)
+    monkeypatch.setattr(charspec.catalog, "_adaptive_quadrature", forbidden)
+    for name, spec in specs.items():
+        result = run_job(JobConfig(spec=spec))
+        assert result.passed and result.records == want[name], name
+
+
+def test_transport_roots_far_up_the_axis_certify():
+    # at Im 580..640 the integral term's Gauss-Legendre quadrature does not
+    # settle within 256 nodes; the certificate takes it from M's closed form
+    spec = ProblemSpec(
+        kind=FirstDerivative(),
+        psi=(point_functional(0.0) - integral_functional(2.0, "exp", 0.5),),
+        region=Rectangle(3.0 + 580.0j, 8.0 + 640.0j),
+    )
+    result = run_job(JobConfig(spec=spec))
+    assert len(result.records) == 9 and result.passed
+    assert all(r.multiplicity == 1 for r in result.records)
+    assert not any("certification failed" in note for note in result.notes)
 
 
 def test_chunks_of_roots_certify_as_roots_one_at_a_time(monkeypatch):

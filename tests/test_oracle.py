@@ -16,8 +16,11 @@ from charspec import (
     QuadraticPencil,
     Rectangle,
     SecondDerivative,
+    apply_functional,
+    char_matrix,
     dense_eigenvalues,
     dirichlet_basis,
+    effective_psi,
     eigen_residual,
     eigenfunction,
     fd_discretize,
@@ -377,7 +380,8 @@ def test_dense_eigenvalues_dimension_cap():
 def test_residual_exact_eigenpair():
     lam = 2j * math.pi
     (curve,) = dirichlet_basis(FirstDerivative(), lam)
-    ode, bc = eigen_residual(FirstDerivative(), PERIODIC, lam, curve)
+    mat = char_matrix(ProblemSpec(kind=FirstDerivative(), psi=PERIODIC), lam)
+    ode, bc = eigen_residual(FirstDerivative(), mat, lam, curve)
     assert ode < 1e-12
     assert bc < 1e-12
 
@@ -385,17 +389,46 @@ def test_residual_exact_eigenpair():
 def test_residual_sees_perturbation():
     lam = 2j * math.pi
     (curve,) = dirichlet_basis(FirstDerivative(), lam)
-    ode, bc = eigen_residual(FirstDerivative(), PERIODIC, lam + 1e-3, curve)
+    mat = char_matrix(ProblemSpec(kind=FirstDerivative(), psi=PERIODIC), lam)
+    ode, bc = eigen_residual(FirstDerivative(), mat, lam + 1e-3, curve)
     # |(lam + eps) f - f'| = eps on the unit-circle eigenfunction
     assert abs(ode - 1e-3) < 1e-6
     assert bc < 1e-12
+
+
+def test_residual_bc_is_the_functionals_applied_to_f():
+    # off a root, every boundary-coupled kind's bc must read the violation of
+    # its functionals, to the bound M's closed forms are held to
+    exp_psi = point_functional(0.0, 1) - point_functional(1.0) + integral_functional(
+        0.5, "exp", -1.0
+    )
+    specs = (
+        ProblemSpec(
+            kind=FirstDerivative(),
+            psi=(point_functional(0.0) - integral_functional(2.0, "exp", 0.5),),
+        ),
+        ProblemSpec(kind=SecondDerivative(), psi=(exp_psi, WENTZELL[1])),
+        ProblemSpec(kind=ConvectionDiffusion(c=0.5, k=-0.5)),
+        ProblemSpec(kind=ConvectionDiffusion(c=0.5, k=-0.5), psi=(exp_psi,)),
+        ProblemSpec(kind=BoundaryDelayHeat(atoms=((-1.0, 1.0),))),
+    )
+    s = np.linspace(0.0, 1.0, 2001)
+    for spec in specs:
+        for lam in (2.3 + 1.7j, -40.0 + 15.0j):
+            mat = char_matrix(spec, lam)
+            f = eigenfunction(spec, lam, np.ones(mat.shape[-1]))
+            _, bc = eigen_residual(spec.kind, mat, lam, f)
+            applied = max(abs(apply_functional(p, f)) for p in effective_psi(spec, lam))
+            want = applied / np.max(np.abs(f.evaluate(s)))
+            assert want > 1e-3
+            assert_allclose(bc, want, rtol=1e-10)
 
 
 def test_residual_wentzell_reconstruction():
     lam = -math.pi**2
     spec = ProblemSpec(kind=SecondDerivative(), psi=WENTZELL)
     f = eigenfunction(spec, lam, kernel_vectors(spec, lam)[0])
-    ode, bc = eigen_residual(SecondDerivative(), WENTZELL, lam, f)
+    ode, bc = eigen_residual(SecondDerivative(), char_matrix(spec, lam), lam, f)
     assert ode < 1e-8
     assert bc < 1e-8
 
@@ -404,4 +437,4 @@ def test_residual_rejects_zero_function():
     spec = ProblemSpec(kind=FirstDerivative(), psi=PERIODIC)
     zero = eigenfunction(spec, 2j * math.pi, np.array([0.0j]))
     with pytest.raises(DimensionError):
-        eigen_residual(FirstDerivative(), PERIODIC, 2j * math.pi, zero)
+        eigen_residual(FirstDerivative(), char_matrix(spec, 2j * math.pi), 2j * math.pi, zero)

@@ -1,8 +1,10 @@
 import cmath
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from numpy.testing import assert_allclose
 
 from charspec import (
     BoundaryDelayHeat,
@@ -598,6 +600,18 @@ def test_find_zeros_identically_zero_short_circuit():
     assert report.identically_zero
     assert report.roots == ()
     assert report.region_count == 0
+
+
+def test_scanner_takes_no_scalar_value():
+    # the contract is values and values_and_derivatives; F needs no value
+    roots = [0.3 + 0.2j, -0.4 - 0.5j, 0.1 + 0.6j]
+    f = planted(roots)
+    bare = SimpleNamespace(values=f.values, values_and_derivatives=f.values_and_derivatives)
+    count, _, _ = winding_count(bare, BIG)
+    report = find_zeros(bare, BIG)
+    assert count == 3 and report.region_count == 3
+    got = sorted((r.location for r in report.roots), key=lambda z: (z.real, z.imag))
+    assert_allclose(got, sorted(roots, key=lambda z: (z.real, z.imag)), atol=1e-9)
 
 
 def test_find_zeros_deterministic():
