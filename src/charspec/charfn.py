@@ -64,14 +64,15 @@ __all__ = [
     "resolvent_value",
 ]
 
-_KINDS = (
-    FirstDerivative,
-    SecondDerivative,
-    ConvectionDiffusion,
-    BoundaryDelayHeat,
-    DelaySystem,
-    QuadraticPencil,
-)
+# Numbers of boundary functionals each kind takes, keyed by the kind's type.
+_PSI_COUNTS = {
+    FirstDerivative: (1,),
+    SecondDerivative: (2,),
+    ConvectionDiffusion: (0, 1),
+    BoundaryDelayHeat: (0,),
+    DelaySystem: (0,),
+    QuadraticPencil: (0,),
+}
 
 
 @dataclass(frozen=True)
@@ -92,20 +93,13 @@ class ProblemSpec:
     residual_tol: float = 1e-7
 
     def __post_init__(self):
-        if not isinstance(self.kind, _KINDS):
+        expected = _PSI_COUNTS.get(type(self.kind))
+        if expected is None:
             raise UnsupportedKindError(f"unknown problem kind {self.kind!r}")
         psi = tuple(self.psi)
         for p in psi:
             if not isinstance(p, BoundaryFunctional):
                 raise DimensionError(f"psi entries must be BoundaryFunctional, got {p!r}")
-        expected = {
-            FirstDerivative: (1,),
-            SecondDerivative: (2,),
-            ConvectionDiffusion: (0, 1),
-            BoundaryDelayHeat: (0,),
-            DelaySystem: (0,),
-            QuadraticPencil: (0,),
-        }[type(self.kind)]
         if len(psi) not in expected:
             raise DimensionError(
                 f"{type(self.kind).__name__} takes {expected} boundary functionals, "

@@ -165,29 +165,23 @@ class _PanelCache:
     reads these panels, so each panel is integrated once however many
     boxes share it.
 
-    The frame is the region itself, unless F has real data (``f.is_real``)
-    and the region straddles the real axis.  Then F(conj z) = conj F(z),
-    and the frame is folded onto the upper half plane: rows 0.._GRID map
-    the band's upper half [0, m], m = min(-lo.imag, hi.imag), and rows
-    _GRID..2*_GRID the rest of the region up to max(-lo.imag, hi.imag),
-    mirrored up when it lies below the axis.  A box with j0 = 0 is then
-    symmetric: it stands for the box together with its mirror image, and
-    is counted on its upper half contour.  Another band box is mirrored:
-    each of its roots stands for its conjugate too.  Rest boxes are plain.
+    The frame is the region itself, unless ``fold`` is set, F has real
+    data (``f.is_real``) and the region straddles the real axis.  Then
+    F(conj z) = conj F(z), and the frame is folded onto the upper half
+    plane: rows 0.._GRID map the band's upper half [0, m], m =
+    min(-lo.imag, hi.imag), and rows _GRID..2*_GRID the rest of the region
+    up to max(-lo.imag, hi.imag), mirrored up when it lies below the axis.
+    A box with j0 = 0 is then symmetric: it stands for the box together
+    with its mirror image, and is counted on its upper half contour.
+    Another band box is mirrored: each of its roots stands for its
+    conjugate too.  Rest boxes are plain.
     """
 
-    def __init__(self, f, region):
+    def __init__(self, f, region, fold=True):
+        lo, hi = region.lo, region.hi
         self.f = f
         self.region = region
-        self._lay_out(getattr(f, "is_real", False) and region.lo.imag < 0.0 < region.hi.imag)
-
-    def unfold(self):
-        """Lay the cache out on the region itself, dropping every panel."""
-        self._lay_out(False)
-
-    def _lay_out(self, folded):
-        lo, hi = self.region.lo, self.region.hi
-        self.folded = folded
+        self.folded = folded = fold and getattr(f, "is_real", False) and lo.imag < 0 < hi.imag
         self.band, self.top = min(-lo.imag, hi.imag), max(-lo.imag, hi.imag)
         # a folded frame has rows above the band unless the region is
         # symmetric; they are mirrored up when the rest lies below the axis
@@ -197,13 +191,13 @@ class _PanelCache:
             self.frame = Rectangle(complex(lo.real, 0.0), complex(hi.real, self.top))
             heights = (self.band, self.top - self.band)
         else:
-            self.frame = self.region
-            heights = (self.region.height,) * 2
+            self.frame = region
+            heights = (region.height,) * 2
         self.tops = [(0, 0, _GRID, _GRID)] + [(0, _GRID, _GRID, 2 * _GRID)] * self.rest
         self.lo = self.frame.lo
         self.centre = self.frame.center
         # grid unit along x, along band rows and along rest rows
-        self.unit = np.array([self.region.width, *heights]) / _GRID
+        self.unit = np.array([region.width, *heights]) / _GRID
         # panel keys in sorted order, with the row of each
         self.keys = np.empty(0, complex)
         self.key_rows = np.empty(0, np.intp)
@@ -260,9 +254,12 @@ class _PanelCache:
         return (z.conjugate(),) if self.flip and box[1] >= _GRID else (z,)
 
     def where(self, box):
-        """The box's corners in the plane, for messages."""
+        """The box's corners in the plane, for messages: a symmetric box's
+        with its mirror image."""
         lo, hi = self.rect(box).lo, self.rect(box).hi
-        if self.flip and box[1] >= _GRID:
+        if self.symmetric(box):
+            lo = complex(lo.real, -hi.imag)
+        elif self.flip and box[1] >= _GRID:
             lo, hi = complex(lo.real, -hi.imag), complex(hi.real, -lo.imag)
         return f"{lo}..{hi}"
 
@@ -437,27 +434,20 @@ class _PanelCache:
 
 
 def _count_region(f, rect, fold=True):
-    """(cache, counted): the scan's panel cache and the (count, moment,
-    scale) of each of its top-level boxes, ``cache.tops``.  With ``fold`` a
-    folded cache counts its band and its rest together; when either count
-    fails, or without ``fold``, the cache is unfolded and ``rect`` counted
-    whole, on a dilated copy (``cache.region``) when its contour grazes a
-    zero; a whole count failing otherwise raises its error."""
-    cache = _PanelCache(f, rect)
-    if fold and cache.folded:
-        counted = cache.count(cache.tops)
-        if not any(isinstance(c, Exception) for c in counted):
-            return cache, counted
+    """(cache, counted): the scan's panel cache, laid out by
+    ``_PanelCache(f, box, fold)``, and the (count, moment, scale) of each of
+    its top-level boxes, ``cache.tops``.  The box is ``rect`` itself, or a
+    dilated copy (``cache.region``) while a top's contour grazes a zero; a
+    top failing otherwise raises its error."""
     for factor in (1.0,) + _DILATIONS:
-        if factor != 1.0:
-            cache = _PanelCache(f, rect.dilated(factor))
-        cache.unfold()
-        (counted,) = cache.count(cache.tops)
-        if isinstance(counted, BoundaryDegeneracyError):
+        cache = _PanelCache(f, rect if factor == 1.0 else rect.dilated(factor), fold)
+        counted = cache.count(cache.tops)
+        failed = [c for c in counted if isinstance(c, Exception)]
+        if any(isinstance(c, BoundaryDegeneracyError) for c in failed):
             continue
-        if isinstance(counted, Exception):
-            raise counted
-        return cache, [counted]
+        if failed:
+            raise failed[0]
+        return cache, counted
     raise BoundaryDegeneracyError(
         f"contour keeps grazing zeros near {rect.lo}..{rect.hi} after dilation retries"
     )
@@ -691,8 +681,7 @@ def find_zeros(f, rect, tol=1e-10, seed=0):
     symmetric leaf's root is real (imaginary part exactly 0.0), every root
     of a mirrored box is reported with its exact conjugate, and roots of a
     rest below the axis are located on its mirror image and conjugated
-    back.  If either top-level count of the folded frame fails, the region
-    is scanned whole, with the usual dilation retries.
+    back.  A folded frame whose contour grazes a zero is dilated as it is.
     """
     if detect_identically_zero(f, rect, seed=seed):
         return RootReport(region=rect, region_count=0, roots=(), identically_zero=True, tol=tol)

@@ -95,8 +95,12 @@ def test_spec_psi_count_enforced():
 
 
 def test_spec_rejects_junk():
-    with pytest.raises(UnsupportedKindError):
-        ProblemSpec(kind=object())
+    class Sub(FirstDerivative):
+        pass
+
+    for kind in (object(), Sub()):
+        with pytest.raises(UnsupportedKindError):
+            ProblemSpec(kind=kind)
     with pytest.raises(DimensionError):
         ProblemSpec(kind=FirstDerivative(), psi=("not a functional",))
     with pytest.raises(DimensionError):

@@ -332,6 +332,34 @@ def test_folded_scan_mirrors_the_rest_below_the_axis():
     assert pairs.imag.min() >= 0.0
 
 
+def test_folded_frame_dilates_in_place():
+    # the heat-delay probe's top edge grazes the root at Im 20.275: the
+    # folded frame is dilated as it is, so no lambda below the real axis
+    # is asked for and every conjugate pair stays exact
+    heat = CharFunction(ProblemSpec(kind=BoundaryDelayHeat(atoms=((-1.0, 1.5112),))))
+    counter = CountingFn(heat)
+    region = Rectangle(-32.35 - 18.08j, 5.17 + 20.2j)
+    report = find_zeros(counter, region)
+    assert report.region != region and report.region_count == 7
+    pairs = np.concatenate([lams for kind, lams in counter.calls if kind == "pair"])
+    assert pairs.imag.min() >= 0.0 and pairs.size <= 20_000
+    assert _conjugate_closed(report)
+
+
+def test_folded_count_failure_names_the_whole_box():
+    # defect 5: the root at 0 lies on the left edge, so the symmetric band
+    # cannot settle; its error names the box with its mirror image, and the
+    # region is not rescanned whole
+    counter = CountingFn(periodic_fn())
+    with pytest.raises(QuadratureFailureError, match=r" on -7j\.\.\(1\+7j\)$"):
+        find_zeros(counter, Rectangle(0.0 - 7.0j, 1.0 + 7.0j))
+    pairs = np.concatenate([lams for kind, lams in counter.calls if kind == "pair"])
+    assert pairs.imag.min() >= 0.0
+    g = rootscan._GRID
+    cache = rootscan._PanelCache(periodic_fn(), BIG)
+    assert cache.where((0, 0, g // 2, g // 2)) == f"{-1.0 - 3.5j}..{3.5j}"
+
+
 def _conjugate_closed(report):
     """Every root whose mirror image lies in the reported region has that
     exact conjugate, with its multiplicity, in the report."""
@@ -513,9 +541,9 @@ def test_find_zeros_without_newton_descends_the_scan_cache(monkeypatch):
     built = []
     init = rootscan._PanelCache.__init__
 
-    def recording(cache, f, region):
+    def recording(cache, f, region, fold=True):
         built.append(region)
-        init(cache, f, region)
+        init(cache, f, region, fold)
 
     monkeypatch.setattr(rootscan, "newton_refine", diverging)
     monkeypatch.setattr(rootscan._PanelCache, "__init__", recording)
