@@ -71,32 +71,43 @@ _SERIES_TERMS = 8
 
 def _sqrt_jet(lam, u, dlam):
     """(C, S, dS): C = cosh(u sqrt lam), S = sinh(u sqrt lam)/sqrt lam and,
-    when ``dlam``, dS/dlam = (u C - S)/(2 lam) (else None).
+    when ``dlam``, dS/dlam = (u C - S)/(2 lam) (else None), for real u (of a
+    complex u the real part is read).
 
     All three are entire in lam and broadcast over lam and u.  C and S are
     even in sqrt lam, so the principal root serves everywhere; S needs only
-    its limit u at lam = 0.  The quotient for dS cancels near 0, so there it
-    is the even power series u^3 sum_n n (lam u^2)^(n-1)/(2n+1)!.  The
-    lambda-derivative of C is (u/2) S.
+    its limit u at lam = 0.  With u sqrt lam = a + ib, C = cosh a cos b +
+    i sinh a sin b and sinh(a + ib) = sinh a cos b + i cosh a sin b take four
+    real functions, each part to a few ulps.  The quotient for dS cancels
+    near 0, so where |lam u^2| < 1e-2 and u != 0 (at u = 0 it is exactly 0)
+    dS is the series u^3 sum_n n (lam u^2)^(n-1)/(2n+1)!; dC/dlam = (u/2) S.
     """
     lam = np.asarray(lam, dtype=complex)
-    u = np.asarray(u, dtype=complex)
+    u = np.real(u)
     w = np.sqrt(lam)
-    wu = w * u
-    c = np.cosh(wu)
-    zero = w == 0
-    s = np.where(zero, u, np.sinh(wu) / np.where(zero, 1.0, w))
+    a, b = w.real * u, w.imag * u
+    ch, sh, cb, sb = np.cosh(a), np.sinh(a), np.cos(b), np.sin(b)
+    c, s = np.empty(a.shape, dtype=complex), np.empty(a.shape, dtype=complex)
+    c.real, c.imag = ch * cb, sh * sb
+    s.real, s.imag = sh * cb, ch * sb
+    if np.count_nonzero(lam) < lam.size:  # lam = 0 takes the limit u
+        s = np.where(lam == 0, u, s / np.where(lam == 0, 1.0, w))
+    else:
+        s /= w  # in place: at one lambda too an array division, as in a batch
     if not dlam:
         return c, s, None
-    z = lam * u * u
+    z = lam * (u * u)
     near = np.abs(z) < _SERIES_RADIUS
-    # each branch gets harmless stand-ins where the other one is taken
-    z = np.where(near, z, 0.0)
-    top = _SERIES_TERMS - 1
-    acc = top / math.factorial(2 * top + 1)
-    for n in range(top - 1, 0, -1):
-        acc = acc * z + n / math.factorial(2 * n + 1)
-    ds = np.where(near, acc * u ** 3, (u * c - s) / (2.0 * np.where(near, 1.0, lam)))
+    # at one lambda a 0-d array, not a numpy scalar: it rounds as in a batch
+    ds = np.asarray((u * c - s) / (2.0 * np.where(near, 1.0, lam)))
+    near &= u != 0
+    if np.count_nonzero(near):
+        zn = np.asarray(z)[near]
+        top = _SERIES_TERMS - 1
+        acc = top / math.factorial(2 * top + 1)
+        for n in range(top - 1, 0, -1):
+            acc = acc * zn + n / math.factorial(2 * n + 1)
+        ds[near] = acc * np.broadcast_to(u, z.shape)[near] ** 3
     return c, s, ds
 
 

@@ -131,12 +131,20 @@ def _all_real(data):
     return True
 
 
+def _delay_jet(kind, lams, dlam):
+    """(W, dW/dlam or None) for W = sum_j w_j e^{lam r_j}: one exponential per atom."""
+    w, dw = np.zeros(lams.shape, dtype=complex), np.zeros(lams.shape, dtype=complex)
+    for r, wt in kind.atoms:
+        e = np.exp(lams * r)
+        w += wt * e
+        if dlam:
+            dw += wt * r * e
+    return w, (dw if dlam else None)
+
+
 def delay_weight(kind, lams):
     """sum_j w_j e^{lam r_j} for the boundary-delay heat coupling."""
-    lams = np.asarray(lams, dtype=complex)
-    out = np.zeros(lams.shape, dtype=complex)
-    for r, w in kind.atoms:
-        out += w * np.exp(lams * r)
+    out = _delay_jet(kind, np.asarray(lams, dtype=complex), False)[0]
     return complex(out) if out.shape == () else out
 
 
@@ -217,9 +225,10 @@ def matrix_family(spec, lams, dlam=False):
     Returns the stack M of shape lams.shape + (m, m) and, when ``dlam``,
     dM/dlam (else None).  For the Dirichlet kinds M_ij = psi_i(f_j), which
     equals (Id - Delta)_ij because the curves are normalized exactly against
-    the traces; the built-in couplings give their 1x1 form, delay systems
-    and pencils their own matrices.  This is the one assembly behind F, F',
-    char_matrix, the zero-scale entries and the kernel vectors.
+    the traces; the built-in couplings give their 1x1 form (the heat-delay
+    weight and its derivative from one exponential per delay atom), delay
+    systems and pencils their own matrices.  This is the one assembly behind
+    F, F', char_matrix, the zero-scale entries and the kernel vectors.
     """
     kind = spec.kind
     lams = np.asarray(lams, dtype=complex)
@@ -234,17 +243,14 @@ def matrix_family(spec, lams, dlam=False):
         out = ex - f0 + f1
         d = -ex - df0 + df1 if dlam else None
     elif isinstance(kind, BoundaryDelayHeat):
-        # an array even at one lambda, so value rounds like values
-        w = np.asarray(delay_weight(kind, lams))
+        # arrays even at one lambda, so value rounds like values
+        w, dw = _delay_jet(kind, lams, dlam)
         c, s, ds = _sqrt_jet(lams[..., None], (1.0, 0.5), dlam)
         # the curve's mean (1 - cosh(sqrt lam))/lam = -2 sinhc(lam, 1/2)^2,
         # entire and free of cancellation
         mean = -2.0 * s[..., 1] ** 2
         out = c[..., 0] - w * mean
-        d = None
-        if dlam:
-            dw = sum(wt * r * np.exp(lams * r) for r, wt in kind.atoms)
-            d = 0.5 * s[..., 0] - dw * mean + 4.0 * w * s[..., 1] * ds[..., 1]
+        d = 0.5 * s[..., 0] - dw * mean + 4.0 * w * s[..., 1] * ds[..., 1] if dlam else None
     else:
         lam = lams[..., None, None]
         eye = np.eye(kind.dim, dtype=complex)
@@ -270,10 +276,16 @@ def char_matrix(spec, lam):
     return matrix_family(spec, lam)[0]
 
 
+# a 3x3 row read cyclically, so that entries j + 1 and j + 2 (mod 3) are slices
+_WRAP = np.array([0, 1, 2, 0, 1])
+
+
 def _char_jet(spec, lams, dlam):
     """F = det M(lambda) over an array of lambdas and, when ``dlam``, F'
-    (else None): the 1x1 entry, the closed 2x2 form, or LU determinants
-    with Jacobi's formula."""
+    (else None): the 1x1 entry, the closed 2x2 form, for m = 3 row 0 of M
+    times its cofactors C_ij with F' = sum_ij C_ij dM_ij (no factorization,
+    no special case at a singular M, rounding within a few ulps of Hadamard's
+    bound prod_i |row i|), or LU determinants with Jacobi's formula."""
     mats, dmats = matrix_family(spec, lams, dlam)
     m = mats.shape[-1]
     d = None
@@ -287,6 +299,19 @@ def _char_jet(spec, lams, dlam):
         if dlam:
             da, db, dc, dg = (dmats[..., i, j] for i in (0, 1) for j in (0, 1))
             d = da * g + a * dg - db * c - b * dc
+    elif m == 3:
+        # x[j, i] = M_{i, j mod 3}, the lambdas trailing: row i is x[:, i]
+        x = mats.T[_WRAP]
+        r = [x[:, i] for i in range(3)]
+        # row i's cofactors from rows u = i + 1 and v = i + 2
+        cof = [u[1:4] * v[2:5] - u[2:5] * v[1:4]
+               for u, v in ((r[1], r[2]), (r[2], r[0]), (r[0], r[1]))[:3 if dlam else 1]]
+        p = r[0][:3] * cof[0]
+        out = (p[0] + p[1] + p[2]).T
+        if dlam:
+            dt = dmats.T
+            q = cof[0] * dt[:, 0] + cof[1] * dt[:, 1] + cof[2] * dt[:, 2]
+            d = (q[0] + q[1] + q[2]).T
     else:
         out = np.linalg.det(mats)
         if dlam:

@@ -41,7 +41,7 @@ from .charfn import (
 )
 from .errors import CharspecError, ConfigError
 from .oracle import dense_eigenvalues, eigen_residual, fd_discretize, sparse_eigenvalues
-from .rootscan import Rectangle, find_zeros
+from .rootscan import _CHUNK, Rectangle, find_zeros
 
 __all__ = [
     "JobConfig",
@@ -291,10 +291,10 @@ def parse_config(text):
     )
 
 
-def serialize_config(cfg):
-    """Canonical JSON for a JobConfig; parse(serialize(cfg)) == cfg."""
+def _config_doc(cfg):
+    """A JobConfig as the JSON document that ``serialize_config`` writes."""
     kind_name, params = _kind_out(cfg.spec.kind)
-    doc = {
+    return {
         "problem": {
             "kind": kind_name,
             "parameters": params,
@@ -314,7 +314,11 @@ def serialize_config(cfg):
         "seed": cfg.seed,
         "format": cfg.out_format,
     }
-    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+
+
+def serialize_config(cfg):
+    """Canonical JSON for a JobConfig; parse(serialize(cfg)) == cfg."""
+    return json.dumps(_config_doc(cfg), sort_keys=True, indent=2) + "\n"
 
 
 @dataclass(frozen=True)
@@ -486,17 +490,16 @@ def _fmt(x):
 
 
 def _grid_rows(cfg):
-    spec = cfg.spec
-    fn = CharFunction(spec)
+    """The F grid's CSV rows, Im-major: ``values`` on blocks of whole rows, _CHUNK points each."""
+    spec, fn = cfg.spec, CharFunction(cfg.spec)
     n_re, n_im = cfg.grid
     res = np.linspace(spec.region.lo.real, spec.region.hi.real, n_re)
     ims = np.linspace(spec.region.lo.imag, spec.region.hi.imag, n_im)
-    rows = []
-    for im in ims:
-        vals = fn.values(res + 1j * im)
-        for re, v in zip(res, vals):
-            rows.append(f"{_fmt(re)},{_fmt(im)},{_fmt(v.real)},{_fmt(v.imag)}")
-    return rows
+    step = max(1, _CHUNK // n_re)
+    vals = np.concatenate(
+        [fn.values(res + 1j * ims[i:i + step, None]) for i in range(0, n_im, step)])
+    return [f"{_fmt(re)},{_fmt(im)},{_fmt(v.real)},{_fmt(v.imag)}"
+            for im, row in zip(ims, vals) for re, v in zip(res, row)]
 
 
 def emit_report(result, outdir, error=None):
@@ -543,7 +546,7 @@ def emit_report(result, outdir, error=None):
         written.append(path)
 
     doc = {
-        "config": json.loads(serialize_config(cfg)),
+        "config": _config_doc(cfg),
         "identically_zero": bool(result.report.identically_zero)
         if result.report is not None
         else None,

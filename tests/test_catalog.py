@@ -98,6 +98,54 @@ def test_sqrt_jet_matches_mpmath():
                 assert_allclose(_sqrt_jet(lam, u, False)[1], want, rtol=1e-13, atol=0)
 
 
+def test_sqrt_jet_sweep_matches_mpmath():
+    # |lam| from 1e-12 to 1e3 at every argument, across the 1e-2 switch of
+    # the derivative's series in lam u^2 and |u sqrt lam| = 1; u = 0 is the
+    # Wentzell s = 0 column, which takes no series
+    mpmath = pytest.importorskip("mpmath")
+    radii = np.logspace(-12, 3, 31)
+    angles = np.linspace(-np.pi, np.pi, 17)
+    lams = (radii[:, None] * np.exp(1j * angles)).ravel()
+    lams = np.concatenate([lams, [0.0, 0.0099, 0.0101, -0.0101j, 1.0 / 0.09, -1.0 / 0.25]])
+    for u in (0.0, 0.3, -0.3, 0.5, -0.5, 1.0, -1.0):
+        want = []
+        with mpmath.workdps(40):
+            for lam in lams:
+                z = mpmath.mpc(lam)
+                if lam == 0 or u == 0:
+                    want.append((1.0, u, u**3 / 6.0))
+                    continue
+                w = mpmath.sqrt(z)
+                c, s = mpmath.cosh(u * w), mpmath.sinh(u * w) / w
+                want.append((complex(c), complex(s), complex((u * c - s) / (2 * z))))
+        want = np.array(want)
+        got = _sqrt_jet(lams, u, True)
+        for k in range(3):
+            assert_allclose(got[k], want[:, k], rtol=1e-13, atol=0)
+        # a lambda alone, as a 0-d array, rounds as it does in the batch
+        for i in range(0, lams.size, 7):
+            alone = _sqrt_jet(np.asarray(lams[i]), np.asarray(u), True)
+            assert all(np.ndim(x) == 0 for x in alone)
+            assert [complex(x) for x in alone] == [complex(x[i]) for x in got]
+
+
+def test_sqrt_jet_at_the_overflow_edge():
+    # near Re(u sqrt lam) = 709.78 e^x overflows while cosh and sinh need not:
+    # C and S stay finite wherever numpy's own cosh and sinh are
+    b = np.array([0.0, 0.3, 1.0, 2.0, -2.5])
+    for re in (700.0, 708.5, 709.5, 710.4):
+        w = re + 1j * b
+        lams = w * w
+        for u in (1.0, -1.0):
+            c, s, _ = _sqrt_jet(lams, u, False)
+            x = np.sqrt(lams) * u
+            want_c, want_s = np.cosh(x), np.sinh(x) / np.sqrt(lams)
+            assert np.all(np.isfinite(want_c)) and np.all(np.isfinite(want_s))
+            assert np.all(np.isfinite(c)) and np.all(np.isfinite(s))
+            assert_allclose(c, want_c, rtol=1e-13, atol=0)
+            assert_allclose(s, want_s, rtol=1e-13, atol=0)
+
+
 def test_no_cut_along_negative_axis():
     # an actual sqrt branch would jump by a sign across the negative reals
     for lam in (-4.0, -25.0, -1000.0):

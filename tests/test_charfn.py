@@ -281,6 +281,77 @@ def test_analytic_derivative_at_an_exactly_singular_matrix():
     assert_allclose(d[1], 4.0 * (0.5j) ** 3 - 10.0 * 0.5j, rtol=1e-14)
 
 
+def _diagonal_pencil(*roots_squared):
+    """lam^2 Id - diag(roots_squared): det = prod (lam^2 - r), exact at lam = 1."""
+    m = len(roots_squared)
+    const = tuple(tuple(float(r) if i == j else 0.0 for j in range(m))
+                  for i, r in enumerate(roots_squared))
+    zero = tuple((0.0,) * m for _ in range(m))
+    return ProblemSpec(kind=QuadraticPencil(const_term=const, linear_term=zero))
+
+
+def test_cofactor_jet_at_an_exactly_singular_3x3():
+    # the closed 3x3 form: F = 0 exactly at the root lam = 1 of
+    # (lam^2 - 1)(lam^2 - 4)(lam^2 - 9), and F' = 2 (-3)(-8) = 48 exactly
+    f, d = CharFunction(_diagonal_pencil(1, 4, 9)).values_and_derivatives(np.array([1.0, 0.5j]))
+    assert f[0] == 0.0
+    assert d[0] == 48.0
+    z = 0.5j
+    want = 2 * z * ((z**2 - 4) * (z**2 - 9) + (z**2 - 1) * (z**2 - 9) + (z**2 - 1) * (z**2 - 4))
+    assert_allclose(d[1], want, rtol=1e-14)
+
+
+def test_lu_jet_at_an_exactly_singular_4x4():
+    # m >= 4 keeps LU: at an exact root det(M) is 0 and Jacobi's formula has
+    # no inverse, so F' comes from the row-replacement sum
+    f, d = CharFunction(_diagonal_pencil(1, 4, 9, 16)).values_and_derivatives(np.array([1.0]))
+    assert f[0] == 0.0
+    assert_allclose(d[0], 2.0 * (-3.0) * (-8.0) * (-15.0), rtol=1e-14)
+
+
+def test_cofactor_jet_matches_lu_within_hadamard():
+    # F and F' of random complex 3x3 stacks against LU determinants and
+    # Jacobi's formula, within 1e-13 of Hadamard's bound prod_i |row_i|
+    # (for F' the bound of the row-replacement sum)
+    rng = np.random.default_rng(11)
+    for _ in range(20):
+        const, lin = (rng.standard_normal((2, 3, 3)) + 1j * rng.standard_normal((2, 3, 3))) * (
+            10.0 ** rng.uniform(-3, 3)
+        )
+        spec = ProblemSpec(kind=QuadraticPencil(const_term=tuple(map(tuple, const)),
+                                                linear_term=tuple(map(tuple, lin))))
+        lams = rng.standard_normal(64) * 5 + 1j * rng.standard_normal(64) * 5
+        f, d = CharFunction(spec).values_and_derivatives(lams)
+        mats, dmats = matrix_family(spec, lams, True)
+        det = np.linalg.det(mats)
+        jacobi = det * np.trace(np.linalg.solve(mats, dmats), axis1=1, axis2=2)
+        rows, drows = np.linalg.norm(mats, axis=-1), np.linalg.norm(dmats, axis=-1)
+        bound = rows.prod(axis=-1)
+        dbound = sum(drows[:, i] * np.delete(rows, i, axis=-1).prod(axis=-1) for i in range(3))
+        assert np.all(np.abs(f - det) <= 1e-13 * bound)
+        assert np.all(np.abs(d - jacobi) <= 1e-13 * dbound)
+
+
+def test_cofactor_jet_takes_no_factorization(monkeypatch):
+    # the 3x3 F and F' come from the closed cofactor form alone
+    def no_lu(*args, **kwargs):
+        raise AssertionError("LU factorization on the 3x3 path")
+
+    spec = _diagonal_pencil(1, 4, 9)
+    lams = np.array(PROBE_LAMS, dtype=complex)
+    want = [CharFunction(spec).values(lams), CharFunction(spec).values_and_derivatives(lams)]
+    monkeypatch.setattr(np.linalg, "det", no_lu)
+    monkeypatch.setattr(np.linalg, "solve", no_lu)
+    fn = CharFunction(spec)
+    assert np.array_equal(fn.values(lams), want[0])
+    for got, w in zip(fn.values_and_derivatives(lams), want[1]):
+        assert np.array_equal(got, w)
+    # one lambda, as Newton and value take it
+    assert fn.value(lams[1]) == want[0][1]
+    f1, d1 = fn.values_and_derivatives(lams[1:2])
+    assert (f1[0], d1[0]) == (want[1][0][1], want[1][1][1])
+
+
 # -- the two assembly routes agree -------------------------------------------
 
 

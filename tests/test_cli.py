@@ -94,9 +94,9 @@ def test_parse_periodic_job():
     ]
 
 
-def test_roundtrip_all_kinds():
-    region = Rectangle(-2.0 - 2.0j, 2.0 + 2.0j)
-    specs = (
+def all_kind_specs(region):
+    """One spec of every kind, boundary-space sizes 1 and 2, on ``region``."""
+    return (
         ProblemSpec(
             kind=FirstDerivative(),
             psi=(point_functional(0.0) - point_functional(1.0),),
@@ -130,7 +130,10 @@ def test_roundtrip_all_kinds():
             region=region,
         ),
     )
-    for spec in specs:
+
+
+def test_roundtrip_all_kinds():
+    for spec in all_kind_specs(Rectangle(-2.0 - 2.0j, 2.0 + 2.0j)):
         cfg = JobConfig(spec=spec, grid=(3, 3), oracle_enabled=True, seed=5)
         text = serialize_config(cfg)
         again = parse_config(text)
@@ -609,6 +612,40 @@ def test_emit_report_files(tmp_path):
     assert len(doc["records"]) == 3
     assert doc["trailer"] == {"error": None}
     assert doc["config"]["problem"]["kind"] == "first_derivative"
+
+
+def test_grid_and_config_match_their_reference_forms():
+    # the grid takes values on blocks of whole rows (the whole 6x6 grid in
+    # one call), and the report embeds the config document: fgrid rows equal
+    # those of one values call per grid row, and the embedded config is what
+    # serialize_config writes, both byte for byte
+    rng = np.random.default_rng(4)
+    pencils = tuple(
+        ProblemSpec(
+            kind=QuadraticPencil(
+                const_term=tuple(map(tuple, rng.standard_normal((m, m)) * (1 + 1j))),
+                linear_term=tuple(map(tuple, rng.standard_normal((m, m)))),
+            ),
+            region=Rectangle(-2.5 - 1.5j, 2.0 + 3.0j),
+        )
+        for m in (3, 4)
+    )
+    for spec in all_kind_specs(Rectangle(-3.0 - 2.5j, 2.0 + 4.0j)) + pencils:
+        for grid in ((6, 6), (2, 3), (700, 2)):
+            cfg = JobConfig(spec=spec, grid=grid)
+            fn = CharFunction(spec)
+            n_re, n_im = grid
+            res = np.linspace(spec.region.lo.real, spec.region.hi.real, n_re)
+            want = []
+            for im in np.linspace(spec.region.lo.imag, spec.region.hi.imag, n_im):
+                for re, v in zip(res, fn.values(res + 1j * im)):
+                    want.append(
+                        ",".join(format(float(x), ".17g") for x in (re, im, v.real, v.imag))
+                    )
+            assert cli_module._grid_rows(cfg) == want
+        doc = cli_module._config_doc(cfg)
+        text = json.dumps(doc, sort_keys=True, indent=2)
+        assert text == json.dumps(json.loads(serialize_config(cfg)), sort_keys=True, indent=2)
 
 
 def test_reports_are_byte_identical(tmp_path):
