@@ -11,19 +11,19 @@ F(conj z) = conj F(z), lets ``find_zeros`` fold a region that straddles
 the real axis onto its upper half; without it the region is scanned whole.
 
 Winding numbers and centred first moments are contour integrals of
-g = F'/F.  Each scan keeps one panel cache: GL-12 panels on a dyadic grid
-of the scanned region, each integrated once with its own error estimate
-(Kravanja & Van Barel, LNM 1727, ch. 1; segment-by-segment enclosure as in
-Johnson & Tucker, JCAM 228, 2009).  A box's count is the sum over the
-panels of its edges, so children reuse their parent's edges and the two
-sides of a cut share its panels; the same nodes give the box's scale,
-max |F| on its edges.  One split routine cuts boxes at grid points until
-each leaf isolates one root, taking a whole subdivision level per call
-and counting all its boxes' children at one cut offset in one batch;
-Newton then polishes each leaf's root, starting from the leaf's moment
-estimate (the first moment of a one-root box is that root, Delves &
-Lyness 1967).  Where Newton fails, the split routine descends the leaf on
-the same cache to a box 4*tol across.
+g = F'/F.  Each scan keeps one panel table: GL-12 panels on a dyadic grid
+of the scanned region, one row per exact panel key, each integrated once
+with its own error estimate (Kravanja & Van Barel, LNM 1727, ch. 1;
+segment-by-segment enclosure as in Johnson & Tucker, JCAM 228, 2009).  A
+box's count is the sum over the panels of its edges, so children reuse
+their parent's edges and the two sides of a cut share its panels; the same
+nodes give the box's scale, max |F| on its edges.  One split routine cuts
+boxes at grid points until each leaf isolates one root, taking a whole
+subdivision level per call and counting all its boxes' children at one cut
+offset in one batch; Newton then polishes each leaf's root, starting from
+the leaf's moment estimate (the first moment of a one-root box is that
+root, Delves & Lyness 1967).  Where Newton fails, the split routine
+descends the leaf on the same cache to a box 4*tol across.
 
 On a folded region the band symmetric about the real axis is counted on
 its upper half contour, as Im(integral of g)/pi, and the rest of the
@@ -161,8 +161,9 @@ class _PanelCache:
     an aligned dyadic block [a, b] of a horizontal or vertical grid line.
     From one GL-12 rule over its nodes it holds the integrals of g = F'/F
     and of (z - frame centre) g from a to b, and min |F| and max |F| over
-    the nodes, in one row of the arrays below.  Every count of the scan
-    reads these panels, so each panel is integrated once however many
+    the nodes, in one row of four columns, appended as it is integrated;
+    ``index`` maps the panel's exact key to its row.  Every count of the
+    scan reads this table, so each panel is integrated once however many
     boxes share it.
 
     The frame is the region itself, unless ``fold`` is set, F has real
@@ -197,36 +198,35 @@ class _PanelCache:
         self.lo = self.frame.lo
         self.centre = self.frame.center
         # grid unit along x, along band rows and along rest rows
-        self.unit = np.array([region.width, *heights]) / _GRID
-        # panel keys in sorted order, with the row of each
-        self.keys = np.empty(0, complex)
-        self.key_rows = np.empty(0, np.intp)
+        self.unit = tuple(side / _GRID for side in (region.width, *heights))
+        # panel key (see _rows) -> row of the four columns below
+        self.index = {}
         self.integral = np.empty(0, complex)
         self.moment = np.empty(0, complex)
         self.f_min = np.empty(0)
         self.f_max = np.empty(0)
 
     def _imag(self, t):
-        """Imaginary parts of the frame at grid rows ``t``; the row map is
-        exact at rows 0, _GRID and 2*_GRID of a folded frame."""
+        """Imaginary parts of the frame at grid rows ``t``, an int or an
+        array; the row map is exact at rows 0, _GRID and 2*_GRID if folded."""
         y = self.lo.imag + self.unit[1] * t
         if not self.rest:
             return y
-        s = np.asarray(t) / _GRID - 1.0
-        return np.where(s > 0.0, self.band * (1.0 - s) + self.top * s, y)
+        s = t / _GRID - 1.0
+        rest = self.band * (1.0 - s) + self.top * s
+        if isinstance(t, int):
+            return rest if s > 0.0 else y
+        return np.where(s > 0.0, rest, y)
 
-    def _unit_y(self, j):
-        """Grid unit along the rows from ``j`` up."""
-        return self.unit[2] if j >= _GRID else self.unit[1]
+    def corners(self, box):
+        """The box's lower-left and upper-right corners in the frame."""
+        ux, x = self.unit[0], self.lo.real
+        i0, j0, i1, j1 = box
+        return complex(x + ux * i0, self._imag(j0)), complex(x + ux * i1, self._imag(j1))
 
     def rect(self, box):
         """The box's rectangle in the frame."""
-        ux, lo = self.unit[0], self.lo
-        i0, j0, i1, j1 = box
-        return Rectangle(
-            complex(lo.real + ux * i0, float(self._imag(j0))),
-            complex(lo.real + ux * i1, float(self._imag(j1))),
-        )
+        return Rectangle(*self.corners(box))
 
     def symmetric(self, box):
         """True for a box on the real axis of a folded frame."""
@@ -240,7 +240,8 @@ class _PanelCache:
     def centre_of(self, box):
         """The point a box's moment is taken about: its centre, on the real
         axis for a symmetric box."""
-        c = self.rect(box).center
+        lo, hi = self.corners(box)
+        c = 0.5 * (lo + hi)
         return complex(c.real, 0.0) if self.symmetric(box) else c
 
     def images(self, box, z):
@@ -256,7 +257,7 @@ class _PanelCache:
     def where(self, box):
         """The box's corners in the plane, for messages: a symmetric box's
         with its mirror image."""
-        lo, hi = self.rect(box).lo, self.rect(box).hi
+        lo, hi = self.corners(box)
         if self.symmetric(box):
             lo = complex(lo.real, -hi.imag)
         elif self.flip and box[1] >= _GRID:
@@ -278,7 +279,7 @@ class _PanelCache:
         with np.errstate(divide="ignore", invalid="ignore"):
             g = dfz / fz
         # z(b) - z(a) of each panel: its length, times i on a vertical line
-        dz = np.where(vertical[:, 0], 1j * self.unit[1 + (a >= _GRID)], ux) * (b - a)
+        dz = np.where(vertical[:, 0], 1j * np.take(self.unit, 1 + (a >= _GRID)), ux) * (b - a)
         return (
             g @ _RULE.weights * dz,
             ((z - self.centre) * g) @ _RULE.weights * dz,
@@ -287,34 +288,30 @@ class _PanelCache:
         )
 
     def _rows(self, axis, fixed, a, b):
-        """Rows of the panels [a, b] on lines (axis, fixed), integrating the
-        uncached ones first, at most _CHUNK lambdas per batch."""
+        """Rows of the panels [a, b] on lines (axis, fixed), integrating new
+        ones first as they appear, at most _CHUNK lambdas per batch."""
         size = b - a
         # the key of a panel holds its line and its block's index in the
         # binary tree over [0, 2 * _GRID], both exact in a float64
         key = (axis * _LINE + fixed) + 1j * (2 * _GRID // size + a // size)
-        pos = np.searchsorted(self.keys, key)
-        known = np.zeros(key.size, bool)
-        if self.keys.size:
-            known = self.keys[np.minimum(pos, self.keys.size - 1)] == key
-        if not known.all():
-            fresh, first = np.unique(key[~known], return_index=True)
-            pick = np.flatnonzero(~known)[first]
+        rows, fresh = [], []
+        for k, panel in enumerate(key.tolist()):
+            row = self.index.get(panel)
+            if row is None:
+                row = self.index[panel] = len(self.index)
+                fresh.append(k)
+            rows.append(row)
+        if fresh:
             step = _CHUNK // _RULE.nodes.size
             parts = [
                 self._integrate(axis[s], fixed[s], a[s], b[s])
-                for s in (pick[i : i + step] for i in range(0, pick.size, step))
+                for s in (fresh[i : i + step] for i in range(0, len(fresh), step))
             ]
-            at = np.searchsorted(self.keys, fresh)
-            self.keys = np.insert(self.keys, at, fresh)
-            rows = self.integral.size + np.arange(fresh.size)
-            self.key_rows = np.insert(self.key_rows, at, rows)
             columns = (self.integral, self.moment, self.f_min, self.f_max)
             self.integral, self.moment, self.f_min, self.f_max = (
                 np.concatenate(column) for column in zip(columns, *parts)
             )
-            pos = np.searchsorted(self.keys, key)
-        return self.key_rows[pos]
+        return np.array(rows)
 
     def count(self, boxes):
         """One outcome per box: (count, moment about the box centre, scale),
@@ -344,7 +341,7 @@ class _PanelCache:
         heads, blocks, starts, ends = [], [], [], []
         for k, box in enumerate(boxes):
             i0, j0, i1, j1 = box
-            ux, uy = self.unit[0], self._unit_y(j0)
+            ux, uy = self.unit[0], self.unit[1 + (j0 >= _GRID)]
             symmetric = self.symmetric(box)
             # a symmetric box's perimeter is that of the box and its mirror image
             perimeter = 2.0 * ((i1 - i0) * ux + (j1 - j0) * uy * (1 + symmetric))
@@ -568,7 +565,7 @@ def _cut(cache, box, step_index):
     """A box's children cut at ``_snap`` offset ``step_index``, or None."""
     i0, j0, i1, j1 = box
     width = (i1 - i0) * cache.unit[0]
-    height = (j1 - j0) * cache._unit_y(j0)
+    height = (j1 - j0) * cache.unit[1 + (j0 >= _GRID)]
     ic, jc = _snap(i0, i1, step_index), _snap(j0, j1, step_index)
     if width >= 2.0 * height:
         if i0 < ic < i1:
@@ -628,15 +625,15 @@ def _subdivide(cache, counted, tol):
         for box, (count, moment, scale) in level:
             if count == 0:
                 continue
-            rect, (i0, j0, i1, j1) = cache.rect(box), box
-            if count == 1 or rect.diameter < 64.0 * tol or min(i1 - i0, j1 - j0) < 256:
+            (lo, hi), (i0, j0, i1, j1) = cache.corners(box), box
+            if count == 1 or abs(hi - lo) < 64.0 * tol or min(i1 - i0, j1 - j0) < 256:
                 if count > 8:
                     raise RootClusterError(
-                        f"{count} roots still clustered in a box of diameter {rect.diameter:.3e}"
+                        f"{count} roots still clustered in a box of diameter {abs(hi - lo):.3e}"
                     )
                 leaves.append((box, count, moment, scale))
             elif depth > 120:
-                raise RootClusterError(f"subdivision depth exhausted near {rect.center}")
+                raise RootClusterError(f"subdivision depth exhausted near {0.5 * (lo + hi)}")
             else:
                 parents.append((box, count))
         level = [pair for split in _split(cache, parents) for pair in zip(*split)]
@@ -648,13 +645,15 @@ def _descend(cache, box, count, tol):
     """Centre of the box reached from a leaf by following, split by split,
     the child that holds the most roots, until the box is at most 4*tol
     across or the grid cannot split it."""
-    while cache.rect(box).diameter > 4.0 * tol:
+    lo, hi = cache.corners(box)
+    while abs(hi - lo) > 4.0 * tol:
         try:
             ((children, counted),) = _split(cache, [(box, count)])
         except BoundaryDegeneracyError:
             break
         best = int(np.argmax([c for c, _, _ in counted]))
         box, count = children[best], counted[best][0]
+        lo, hi = cache.corners(box)
     return cache.centre_of(box)
 
 

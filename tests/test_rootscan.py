@@ -230,13 +230,23 @@ def test_batched_count_fails_only_the_grazing_box():
     region = Rectangle(0.0 - 1.0j, 1.0 + 1.0j)
     g = rootscan._GRID
     left, graze, right = (0, g // 2, g // 2, g), (0, 0, g, g // 2), (g // 2, g // 2, g, g)
-    cache = rootscan._PanelCache(fn, region)
+    forward = CountingFn(fn)
+    cache = rootscan._PanelCache(forward, region)
     batch = cache.count([left, graze, right])
     for box, outcome in zip((left, right), batch[::2]):
         assert outcome[0] == 1
         assert outcome == rootscan._PanelCache(fn, region).count([box])[0]
     assert isinstance(batch[1], BoundaryDegeneracyError)
     assert str(batch[1]) == f"contour grazes a zero on {cache.where(graze)}"
+    # in reverse order a fresh cache integrates its new panels in another
+    # order: it asks for the same lambdas and gives every outcome bit for bit
+    backward = CountingFn(fn)
+    reverse = rootscan._PanelCache(backward, region).count([right, graze, left])[::-1]
+    assert reverse[::2] == batch[::2]
+    assert (type(reverse[1]), str(reverse[1])) == (type(batch[1]), str(batch[1]))
+    asked = [np.concatenate([lams for _, lams in c.calls]) for c in (forward, backward)]
+    assert not np.array_equal(*asked)
+    assert np.array_equal(*map(np.sort_complex, asked))
 
 
 def test_scan_evaluates_each_contour_node_once(monkeypatch):
@@ -358,6 +368,37 @@ def test_folded_count_failure_names_the_whole_box():
     g = rootscan._GRID
     cache = rootscan._PanelCache(periodic_fn(), BIG)
     assert cache.where((0, 0, g // 2, g // 2)) == f"{-1.0 - 3.5j}..{3.5j}"
+
+
+def test_folded_row_map_is_exact_at_the_seams():
+    # Im -210..180 folds onto the band [0, 180] and the rest below the axis
+    # mirrored up to [180, 210]: the row map hits both seams and the top
+    # exactly, an int row maps as that row of an array does, and the rest's
+    # corners come back below the axis
+    g = rootscan._GRID
+    cache = rootscan._PanelCache(periodic_fn(), Rectangle(-1.0 - 210.0j, 1.0 + 180.0j))
+    assert [cache.corners((0, j, g, j + g))[0].imag for j in (0, g)] == [0.0, 180.0]
+    assert cache.corners((0, g, g, 2 * g))[1].imag == 210.0
+    rows = [0, 1, g // 3, g - 1, g, g + 1, g + g // 7, 2 * g - 1, 2 * g]
+    assert [cache._imag(j) for j in rows] == cache._imag(np.array(rows)).tolist()
+    assert cache.where((0, g, g, 2 * g)) == f"{-1.0 - 210.0j}..{1.0 - 180.0j}"
+
+
+def test_scan_builds_no_rectangle_per_box(monkeypatch):
+    # box geometry comes from the integer boxes: a Rectangle is built for
+    # the folded frame, and per leaf for its Newton check and fence only
+    built = []
+    post_init = Rectangle.__post_init__
+
+    def recording(rect):
+        built.append(rect)
+        post_init(rect)
+
+    region = Rectangle(-1.0 - 40.0j, 1.0 + 40.0j)
+    monkeypatch.setattr(Rectangle, "__post_init__", recording)
+    report = find_zeros(periodic_fn(), region)
+    assert report.region_count == len(report.roots) == 13
+    assert len(built) <= 2 * len(report.roots) + 2
 
 
 def _conjugate_closed(report):
