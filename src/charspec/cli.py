@@ -71,14 +71,13 @@ _KIND_NAMES = {
 
 @dataclass(frozen=True)
 class JobConfig:
-    """One batch job: problem spec, output selection, oracle toggle, seed."""
+    """One batch job: problem spec, output selection, oracle toggle, format."""
 
     spec: ProblemSpec
     spectrum: bool = True
     grid: tuple | None = None
     oracle_enabled: bool = False
     oracle_grid: int = 512
-    seed: int = 0
     out_format: str = "csv"
 
 
@@ -286,7 +285,6 @@ def parse_config(text):
         grid=grid,
         oracle_enabled=_exactly(bool, oracle.get("enabled", False), "oracle.enabled"),
         oracle_grid=_exactly(int, oracle.get("grid", 512), "oracle.grid"),
-        seed=_exactly(int, data.get("seed", 0), "seed"),
         out_format=fmt,
     )
 
@@ -311,7 +309,6 @@ def _config_doc(cfg):
             "grid": list(cfg.grid) if cfg.grid else None,
         },
         "oracle": {"enabled": cfg.oracle_enabled, "grid": cfg.oracle_grid},
-        "seed": cfg.seed,
         "format": cfg.out_format,
     }
 
@@ -409,7 +406,7 @@ def run_job(cfg):
     spec = cfg.spec
     fn = CharFunction(spec)
     notes = []
-    report = find_zeros(fn, spec.region, tol=spec.root_tol, seed=cfg.seed)
+    report = find_zeros(fn, spec.region, tol=spec.root_tol)
     if report.identically_zero:
         notes.append("characteristic function is identically zero on the region")
         return JobResult(config=cfg, report=report, records=(), notes=tuple(notes), passed=True)
@@ -586,7 +583,6 @@ def main(argv=None):
     run.add_argument("--out", default="out", help="output directory (default: out)")
     run.add_argument("--oracle", choices=["on", "off"], help="override the oracle toggle")
     run.add_argument("--grid", type=int, help="override the oracle grid size")
-    run.add_argument("--seed", type=int, help="override the sampling seed")
     run.add_argument(
         "--format", choices=["csv", "structured"], help="summary format on stdout"
     )
@@ -601,8 +597,6 @@ def main(argv=None):
         cfg = dataclasses.replace(cfg, oracle_enabled=args.oracle == "on")
     if args.grid is not None:
         cfg = dataclasses.replace(cfg, oracle_grid=args.grid)
-    if args.seed is not None:
-        cfg = dataclasses.replace(cfg, seed=args.seed)
     if args.format is not None:
         cfg = dataclasses.replace(cfg, out_format=args.format)
 

@@ -85,8 +85,6 @@ _H, _V = 0, 1  # panel axis: along a horizontal or a vertical line
 # frame takes up to 2 * _GRID
 _LINE = 4 * _GRID
 _ZERO_GUARD = 1e-13
-# Quasi-random points of the identically-zero test.
-_ZERO_SAMPLES = 25
 # Newton iterations before newton_refine gives up.
 _NEWTON_MAX_ITER = 50
 
@@ -467,28 +465,15 @@ def winding_count(f, rect):
     return count, cache.region, moment
 
 
-def _halton(count, skip=20):
-    """2-d Halton points (bases 2 and 3), deterministic."""
-    base = np.array([2, 3])
-    n, denom, x = np.repeat(np.arange(skip, skip + count)[:, None], 2, axis=1), 1.0, 0.0
-    while n.any():
-        denom = denom * base
-        n, rem = np.divmod(n, base)
-        x = x + rem / denom
-    return x
-
-
-def detect_identically_zero(f, rect, seed=0):
+def detect_identically_zero(f, rect):
     """True when F vanishes identically on the region (degenerate problem):
-    every sample of F at quasi-random points is at most 1e-13 times the
-    finite Hadamard bound prod_i |row i of M| on |det M|, with M from one
-    batched ``zero_scale_entries`` call, or exactly 0 without that hook."""
-    pts = _halton(_ZERO_SAMPLES, skip=20 + 64 * (seed % 1024))
-    lams = (
-        rect.lo.real
-        + pts[:, 0] * rect.width
-        + 1j * (rect.lo.imag + pts[:, 1] * rect.height)
-    )
+    F at the 48 GL-12 nodes of the rectangle's four edges is at most 1e-13
+    times the finite Hadamard bound prod_i |row i of M| on |det M|, with M
+    from one batched ``zero_scale_entries`` call, or exactly 0 without that
+    hook."""
+    corners = np.array([rect.lo, complex(rect.hi.real, rect.lo.imag), rect.hi,
+                        complex(rect.lo.real, rect.hi.imag)])
+    lams = (corners[:, None] + (np.roll(corners, -1) - corners)[:, None] * _RULE.nodes).ravel()
     hook = getattr(f, "zero_scale_entries", None)
     mats = hook(lams) if hook is not None else np.zeros((lams.size, 1, 1))
     bound = 1e-13 * np.prod(np.linalg.norm(mats, axis=-1), axis=-1)
@@ -657,22 +642,24 @@ def _descend(cache, box, count, tol):
     return cache.centre_of(box)
 
 
-def find_zeros(f, rect, tol=1e-10, seed=0):
+def find_zeros(f, rect, tol=1e-10):
     """All zeros of F inside the rectangle, with multiplicities.
 
-    Pipeline: identically-zero short-circuit, total winding count, recursive
-    subdivision into single-root leaves, Newton refinement started at each
-    leaf's moment estimate centre + moment/count (the leaf centre when that
-    is non-finite or outside the leaf), deterministic sort.  Each located
-    root gives one record: a leaf holding k roots (one under 64*tol across,
-    or at the grid floor) gives one record of multiplicity k, so a close
-    pair comes back as two simple records or one double record.  Every
-    count reads the scan's one panel cache, and a leaf's scale is max |F|
-    over the nodes its count read.  When Newton raises or leaves its leaf,
-    the root is the centre of the box ``_descend`` reaches in that leaf,
-    with -1 iterations.  The sum of reported multiplicities always equals
-    the region count.  ``seed`` only shifts the 25 sample points of the
-    identically-zero test.
+    Pipeline: total winding count, recursive subdivision into single-root
+    leaves, Newton refinement started at each leaf's moment estimate
+    centre + moment/count (the leaf centre when that is non-finite or
+    outside the leaf), deterministic sort.  Each located root gives one
+    record: a leaf holding k roots (one under 64*tol across, or at the grid
+    floor) gives one record of multiplicity k, so a close pair comes back as
+    two simple records or one double record.  Every count reads the scan's
+    one panel cache, and a leaf's scale is max |F| over the nodes its count
+    read.  When Newton raises or leaves its leaf, the root is the centre of
+    the box ``_descend`` reaches in that leaf, with -1 iterations.  The sum
+    of reported multiplicities always equals the region count.  When the
+    region count grazes or fails to settle, ``detect_identically_zero``
+    judges F on the region's edges: if F vanishes there identically, the
+    report has no roots and ``identically_zero`` set, and otherwise the
+    count's error is raised.
 
     When F has real data (``f.is_real``) and the region straddles the real
     axis, the scan runs on a folded frame (see ``_PanelCache``): the band
@@ -682,9 +669,12 @@ def find_zeros(f, rect, tol=1e-10, seed=0):
     rest below the axis are located on its mirror image and conjugated
     back.  A folded frame whose contour grazes a zero is dilated as it is.
     """
-    if detect_identically_zero(f, rect, seed=seed):
+    try:
+        cache, counted = _count_region(f, rect)
+    except (BoundaryDegeneracyError, QuadratureFailureError):
+        if not detect_identically_zero(f, rect):
+            raise
         return RootReport(region=rect, region_count=0, roots=(), identically_zero=True, tol=tol)
-    cache, counted = _count_region(f, rect)
     total = sum(n for n, _, _ in counted)
     refined = []
     for leaf_box, count, moment, scale in _subdivide(cache, counted, tol):

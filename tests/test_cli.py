@@ -134,11 +134,20 @@ def all_kind_specs(region):
 
 def test_roundtrip_all_kinds():
     for spec in all_kind_specs(Rectangle(-2.0 - 2.0j, 2.0 + 2.0j)):
-        cfg = JobConfig(spec=spec, grid=(3, 3), oracle_enabled=True, seed=5)
+        cfg = JobConfig(spec=spec, grid=(3, 3), oracle_enabled=True)
         text = serialize_config(cfg)
         again = parse_config(text)
         assert again == cfg
         assert serialize_config(again) == text
+
+
+def test_parse_ignores_a_seed():
+    # perfbench and older configs carry "seed": 0; nothing reads it
+    doc = json.loads(PERIODIC_JOB)
+    assert doc.pop("seed") == 0
+    cfg = parse_config(PERIODIC_JOB)
+    assert cfg == parse_config(json.dumps(doc))
+    assert "seed" not in json.loads(serialize_config(cfg))
 
 
 def test_parse_default_atoms():
@@ -214,9 +223,6 @@ def test_parse_rejects_malformed():
             '"oracle": {"enabled": 1}',
             '"oracle": {"grid": 256.0}',
             '"oracle": {"grid": true}',
-            '"seed": 2.5',
-            '"seed": true',
-            '"seed": "3"',
             '"outputs": {"grid": [5.7, 6]}',
             '"outputs": {"grid": [5, false]}',
             '"outputs": {"grid": [5, 6, 7]}',
@@ -685,13 +691,12 @@ def test_main_overrides_land_in_report(tmp_path, capsys):
     cfg_path.write_text(PERIODIC_JOB)
     out = tmp_path / "out"
     code = main(
-        ["run", str(cfg_path), "--out", str(out), "--oracle", "on", "--grid", "128", "--seed", "7"]
+        ["run", str(cfg_path), "--out", str(out), "--oracle", "on", "--grid", "128"]
     )
     assert code == 0
     capsys.readouterr()
     doc = json.loads((out / "report.json").read_text())
     assert doc["config"]["oracle"] == {"enabled": True, "grid": 128}
-    assert doc["config"]["seed"] == 7
     assert all(r["oracle_dist"] is not None for r in doc["records"])
 
 

@@ -487,7 +487,7 @@ def test_zero_detection_assembles_all_points_in_one_call():
     assert not detect_identically_zero(counter, BIG)
     hooks = [lams for kind, lams in counter.calls if kind == "zero_scale"]
     (values,) = [lams for kind, lams in counter.calls if kind == "values"]
-    assert len(hooks) == 1 and hooks[0].size == 25
+    assert len(hooks) == 1 and hooks[0].size == 48
     assert np.array_equal(hooks[0], values)
 
 
@@ -622,13 +622,13 @@ def test_find_zeros_at_the_grid_floor(monkeypatch):
 
 def test_find_zeros_reads_leaf_scales_from_the_cache():
     # a leaf's scale is max |F| over the nodes its own count read, so the
-    # scan's only values() calls are the 25-point zero check and the
-    # records' one |F| per root, whatever the number of leaves
+    # scan's only values() call is the records' one |F| per root, whatever
+    # the number of leaves
     counter = CountingFn(periodic_fn())
     report = find_zeros(counter, Rectangle(-1.0 - 40.0j, 1.0 + 40.0j), tol=1e-10)
     assert report.region_count == 13
-    zero, records = [lams for kind, lams in counter.calls if kind == "values"]
-    assert zero.size == 25 and records.size == len(report.roots)
+    (records,) = [lams for kind, lams in counter.calls if kind == "values"]
+    assert records.size == len(report.roots)
     assert all(math.isfinite(r.leaf_scale) and r.leaf_scale > 0 for r in report.roots)
 
 
@@ -664,11 +664,37 @@ def test_find_zeros_empty_region():
 
 
 def test_find_zeros_identically_zero_short_circuit():
-    fn = CharFunction(ProblemSpec(kind=FirstDerivative(), psi=(BoundaryFunctional(),)))
-    report = find_zeros(fn, BIG, tol=1e-10)
-    assert report.identically_zero
-    assert report.roots == ()
-    assert report.region_count == 0
+    # the count of a zero function grazes through every dilation; the
+    # verdict is then taken on the region as given, not a dilated copy
+    degenerate = CharFunction(ProblemSpec(kind=FirstDerivative(), psi=(BoundaryFunctional(),)))
+    cases = (
+        (degenerate, BIG),
+        (degenerate, Rectangle(-1.0 + 1.0j, 1.0 + 7.0j)),  # off the axis: unfolded
+        (VecFn(np.zeros_like, np.zeros_like), BIG),  # no zero_scale_entries hook
+    )
+    for fn, rect in cases:
+        report = find_zeros(fn, rect, tol=1e-10)
+        assert report.identically_zero
+        assert report.region == rect
+        assert report.roots == ()
+        assert report.region_count == 0
+
+
+def test_counting_job_never_asks_for_m():
+    # the identically-zero test runs only when the region count fails
+    counter = CountingFn(periodic_fn())
+    report = find_zeros(counter, Rectangle(-1.0 - 40.0j, 1.0 + 40.0j), tol=1e-10)
+    assert report.region_count == 13
+    assert not any(kind == "zero_scale" for kind, _ in counter.calls)
+    # defect 5: the count fails to settle, F is judged once at the 48 edge
+    # nodes and found nonzero, and the count's own error is raised
+    counter = CountingFn(periodic_fn())
+    settle = r"^winding count failed to settle on -7j\.\.\(1\+7j\)$"
+    with pytest.raises(QuadratureFailureError, match=settle):
+        find_zeros(counter, Rectangle(0.0 - 7.0j, 1.0 + 7.0j))
+    (hook,) = [lams for kind, lams in counter.calls if kind == "zero_scale"]
+    (values,) = [lams for kind, lams in counter.calls if kind == "values"]
+    assert hook.size == 48 and np.array_equal(hook, values)
 
 
 def test_scanner_takes_no_scalar_value():
