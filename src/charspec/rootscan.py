@@ -10,27 +10,35 @@ optional ``is_real`` attribute, true when F's data are all real so that
 F(conj z) = conj F(z), lets ``find_zeros`` fold a region that straddles
 the real axis onto its upper half; without it the region is scanned whole.
 
-Winding numbers and centred first moments are contour integrals of
-g = F'/F.  Each scan keeps one panel table: GL-12 panels on a dyadic grid
-of the scanned region, one row per exact panel key, each integrated once
-with its own error estimate (Kravanja & Van Barel, LNM 1727, ch. 1;
+Winding numbers and contour moments are contour integrals of g = F'/F.
+Each scan keeps one panel table: GL-12 panels on a dyadic grid of the
+scanned region, one row per exact panel key, each integrated once with its
+own error estimate (Kravanja & Van Barel, LNM 1727, ch. 1;
 segment-by-segment enclosure as in Johnson & Tucker, JCAM 228, 2009).  A
 box's count is the sum over the panels of its edges, so children reuse
 their parent's edges and the two sides of a cut share its panels; the same
-nodes give the box's scale, max |F| on its edges.  One split routine cuts
-boxes at grid points until each leaf isolates one root, taking a whole
-subdivision level per call and counting all its boxes' children at one cut
-offset in one batch; Newton then polishes each leaf's root, starting from
-the leaf's moment estimate (the first moment of a one-root box is that
-root, Delves & Lyness 1967).  Where Newton fails, the split routine
-descends the leaf on the same cache to a box 4*tol across.
+nodes give the box's scale, max |F| on its edges, and its moments.  One
+split routine cuts boxes at grid points, taking a whole subdivision level
+per call and counting all its boxes' children at one cut offset in one
+batch, until each leaf holds at most six roots (_LEAF_ROOTS).  The p-th
+moment of g around a box is the p-th power sum of the roots inside it
+(Delves & Lyness, Math. Comp. 21, 1967), and those roots are the
+eigenvalues of the Hankel pencil of the moments (Kravanja & Van Barel,
+ch. 1); Newton polishes each eigenvalue, and the box is a leaf when it
+finds as many distinct roots inside it as the box counts.  Otherwise the
+box is split as before: a one-root box that Newton cannot polish is
+descended on the same cache to a box 4*tol across, and multiple roots
+and clusters reach a box 64*tol across, where k roots are one root of
+multiplicity k polished from their mean.
 
 On a folded region the band symmetric about the real axis is counted on
 its upper half contour, as Im(integral of g)/pi, and the rest of the
 region, mirrored up when it lies below the axis, as a plain box on the
 same cache.  A band box off the axis stands for its mirror image too, so
-its roots are mirrored exactly instead of located twice, and a one-root
-box on the axis holds a real root, reported with imaginary part 0.0.
+its roots are mirrored exactly instead of located twice.  A box on the
+axis has real moments; its roots within 64*tol of the axis are real,
+reported with imaginary part 0.0, and each other one stands for a
+conjugate pair.
 """
 
 from __future__ import annotations
@@ -74,6 +82,8 @@ _GRID = 1 << 48
 _PANEL_TOL = 1e-3
 # Halvings of a first-level panel before its count is declared unsettled.
 _MAX_HALVINGS = 16
+# Most roots of a box whose roots are taken from its contour moments.
+_LEAF_ROOTS = 6
 # Cut offsets tried when subdividing, in steps of about 1/64 of the side.
 _CUT_STEPS = (0, 1, -1, 2, -2, 3, -3)
 # Most lambdas per values_and_derivatives call, which bounds the memory one
@@ -157,12 +167,14 @@ class _PanelCache:
     A box is (i0, j0, i1, j1) in integer units, _GRID of them per side of
     the frame (per side of each of its two parts when folded).  A panel is
     an aligned dyadic block [a, b] of a horizontal or vertical grid line.
-    From one GL-12 rule over its nodes it holds the integrals of g = F'/F
-    and of (z - frame centre) g from a to b, and min |F| and max |F| over
-    the nodes, in one row of four columns, appended as it is integrated;
-    ``index`` maps the panel's exact key to its row.  Every count of the
-    scan reads this table, so each panel is integrated once however many
-    boxes share it.
+    From one GL-12 rule over its nodes it holds the integral of g = F'/F
+    from a to b, min |F| and max |F| over the nodes, and the 12 nodes z
+    with their weighted values g w dz, in one row of five columns (the
+    last two 12 wide), appended as it is integrated; ``index`` maps the
+    panel's exact key to its row.  Every count of the scan reads this
+    table, so each panel is integrated once however many boxes share it,
+    and ``panels`` keeps the rows that each settled box's count accepted,
+    from which ``moments`` sums the box's contour moments.
 
     The frame is the region itself, unless ``fold`` is set, F has real
     data (``f.is_real``) and the region straddles the real axis.  Then
@@ -194,15 +206,17 @@ class _PanelCache:
             heights = (region.height,) * 2
         self.tops = [(0, 0, _GRID, _GRID)] + [(0, _GRID, _GRID, 2 * _GRID)] * self.rest
         self.lo = self.frame.lo
-        self.centre = self.frame.center
         # grid unit along x, along band rows and along rest rows
         self.unit = tuple(side / _GRID for side in (region.width, *heights))
-        # panel key (see _rows) -> row of the four columns below
+        # panel key (see _rows) -> row of the five columns below
         self.index = {}
         self.integral = np.empty(0, complex)
-        self.moment = np.empty(0, complex)
         self.f_min = np.empty(0)
         self.f_max = np.empty(0)
+        self.nodes = np.empty((0, _RULE.nodes.size), complex)
+        self.weighted = np.empty((0, _RULE.nodes.size), complex)
+        # settled box -> (rows, signs) of the panels its count accepted
+        self.panels = {}
 
     def _imag(self, t):
         """Imaginary parts of the frame at grid rows ``t``, an int or an
@@ -243,11 +257,11 @@ class _PanelCache:
         return complex(c.real, 0.0) if self.symmetric(box) else c
 
     def images(self, box, z):
-        """The roots in the plane that a root ``z`` of the box stands for: a
-        real root for a symmetric box, z and its conjugate for a mirrored
-        one, z mirrored back in a mirrored-up rest."""
+        """The roots in the plane that a root ``z`` of the box stands for: z
+        and its conjugate for a mirrored box, or for a symmetric one unless
+        z is real (Im exactly 0.0), z mirrored back in a mirrored-up rest."""
         if self.symmetric(box):
-            return (complex(z.real, 0.0),)
+            return (z,) if z.imag == 0.0 else (z, z.conjugate())
         if self.weight(box) == 2:
             return (z, z.conjugate())
         return (z.conjugate(),) if self.flip and box[1] >= _GRID else (z,)
@@ -263,8 +277,9 @@ class _PanelCache:
         return f"{lo}..{hi}"
 
     def _integrate(self, axis, fixed, a, b):
-        """Integral of g and of (z - frame centre) g, min |F| and max |F|
-        over each panel [a, b] on the lines (axis, fixed), from one
+        """Integral of g, min |F|, max |F|, the 12 nodes z and the weighted
+        values g w dz (which sum to the integral up to rounding) of each
+        panel [a, b] on the lines (axis, fixed), from one
         ``values_and_derivatives`` call at their nodes."""
         ux, lo = self.unit[0], self.lo
         t = a[:, None] + (b - a)[:, None] * _RULE.nodes
@@ -280,9 +295,10 @@ class _PanelCache:
         dz = np.where(vertical[:, 0], 1j * np.take(self.unit, 1 + (a >= _GRID)), ux) * (b - a)
         return (
             g @ _RULE.weights * dz,
-            ((z - self.centre) * g) @ _RULE.weights * dz,
             mags.min(axis=1),
             mags.max(axis=1),
+            z,
+            g * _RULE.weights * dz[:, None],
         )
 
     def _rows(self, axis, fixed, a, b):
@@ -305,16 +321,19 @@ class _PanelCache:
                 self._integrate(axis[s], fixed[s], a[s], b[s])
                 for s in (fresh[i : i + step] for i in range(0, len(fresh), step))
             ]
-            columns = (self.integral, self.moment, self.f_min, self.f_max)
-            self.integral, self.moment, self.f_min, self.f_max = (
+            columns = (self.integral, self.f_min, self.f_max, self.nodes, self.weighted)
+            self.integral, self.f_min, self.f_max, self.nodes, self.weighted = (
                 np.concatenate(column) for column in zip(columns, *parts)
             )
         return np.array(rows)
 
     def count(self, boxes):
-        """One outcome per box: (count, moment about the box centre, scale),
-        the scale being max |F| over every node the count read on its
-        edges, or the error that failed the box, naming it and the stage.
+        """One outcome per box: (count, scale), the scale being max |F|
+        over every node the count read on its edges, or the error that
+        failed the box, naming it and the stage.  For each box it settles,
+        ``panels[box]`` keeps the rows and signs of the panels whose sum is
+        its count, so that ``moments`` reads the box's contour integrals
+        from the same nodes.
 
         An edge's first panels are its maximal aligned dyadic blocks no
         longer than 1/clip(ceil(length), 2, 32) of it.  A panel is accepted
@@ -325,9 +344,8 @@ class _PanelCache:
         _MAX_HALVINGS times.  All boxes refine together, with one batch of
         new panels per round; a failed box stops refining and the others
         carry on, so each outcome is the box's own.  A symmetric box is
-        counted on its other three edges: its count is Im(I)/pi and its
-        moment Im(J)/pi about its real centre, with I and J the integrals of
-        g and (z - centre) g along them, and its panels' shares are of the
+        counted on its other three edges: its count is Im(I)/pi, with I the
+        integral of g along them, and its panels' shares are of the
         perimeter of the box with its mirror image.
 
         A box fails with BoundaryDegeneracyError when an edge grazes a zero
@@ -360,7 +378,8 @@ class _PanelCache:
         tol = 2.0 * math.pi * _PANEL_TOL * unit / perimeter
         depth = 0
         sums = np.zeros(len(boxes), complex)
-        moments = np.zeros(len(boxes), complex)
+        # per round: the box, left and right half rows and sign of each accepted block
+        accepted = []
         low = np.full(4 * len(boxes), math.inf)
         high = np.zeros(4 * len(boxes))
         out = [None] * len(boxes)
@@ -392,7 +411,7 @@ class _PanelCache:
             done = error <= tol * (b - a)
             box_of = edge // 4
             np.add.at(sums, box_of[done], sign[done] * halves[done])
-            np.add.at(moments, box_of[done], (sign * (self.moment[rl] + self.moment[rr]))[done])
+            accepted.append((box_of[done], rl[done], rr[done], sign[done]))
             more = finite & ~done
             # an edge of zeros grazes; one of NaNs fails as non-finite
             grazing = (low <= _ZERO_GUARD * high).reshape(-1, 4).any(axis=1)
@@ -411,33 +430,66 @@ class _PanelCache:
             )
             depth += 1
         scales = high.reshape(-1, 4).max(axis=1).tolist()
-        for k, (box, total, moment) in enumerate(zip(boxes, sums.tolist(), moments.tolist())):
+        if accepted:
+            owner, left, right, signs = (np.concatenate(c) for c in zip(*accepted))
+            order = np.argsort(owner, kind="stable")
+            bounds = np.searchsorted(owner[order], np.arange(len(boxes) + 1)).tolist()
+        for k, (box, total) in enumerate(zip(boxes, sums.tolist())):
             if failed[k]:
                 continue
-            moment = moment - (self.centre_of(box) - self.centre) * total
             if self.symmetric(box):
                 # the lower half contour is the mirror image of the upper one,
                 # so the whole contour integrates to 2i Im(upper half)
-                val, moment = total.imag / math.pi, moment.imag / math.pi
+                val = total.imag / math.pi
             else:
-                val, moment = total / TWO_PI_I, moment / TWO_PI_I
+                val = total / TWO_PI_I
             n = int(round(val.real))
-            out[k] = (n, moment, scales[k])
             if not (abs(val - n) < 1e-3 and n >= 0):
                 fail(np.array([k]), QuadratureFailureError, "winding count failed to settle")
+                continue
+            out[k] = (n, scales[k])
+            own = order[bounds[k] : bounds[k + 1]]
+            self.panels[box] = (np.concatenate([left[own], right[own]]), np.tile(signs[own], 2))
         return out
 
+    def moments(self, box, n):
+        """(c, r, s) for a settled box: c = ``centre_of(box)``, r its half
+        diagonal (for a symmetric box, from its real centre to a top
+        corner) and s_p, p < n, the normalized moments (1/2 pi i) of the
+        integral of g w^p dz around its contour, w = (z - c)/r, so that
+        |w| <= 1 on it and s_p is the p-th power sum of the box's roots in w
+        (Delves & Lyness 1967).  They are summed over the nodes of the panels
+        its count accepted; a symmetric box takes Im(upper half)/pi, which
+        is real."""
+        rows, signs = self.panels[box]
+        c = self.centre_of(box)
+        r = abs(self.corners(box)[1] - c)
+        w = (self.nodes[rows] - c) / r
+        # running powers of w, summed node by node (no BLAS product)
+        term = self.weighted[rows] * signs[:, None]
+        sums = []
+        for _ in range(n):
+            sums.append(term.sum())
+            term *= w
+        s = np.array(sums)
+        return c, r, (s.imag / math.pi if self.symmetric(box) else s / TWO_PI_I)
 
-def _count_region(f, rect, fold=True):
+
+def _count_region(f, rect, fold=True, zero_test=False):
     """(cache, counted): the scan's panel cache, laid out by
-    ``_PanelCache(f, box, fold)``, and the (count, moment, scale) of each of
-    its top-level boxes, ``cache.tops``.  The box is ``rect`` itself, or a
+    ``_PanelCache(f, box, fold)``, and the (count, scale) of each of its
+    top-level boxes, ``cache.tops``.  The box is ``rect`` itself, or a
     dilated copy (``cache.region``) while a top's contour grazes a zero; a
-    top failing otherwise raises its error."""
+    top failing otherwise raises its error.  With ``zero_test``, a failure
+    on ``rect`` itself, a graze included, first asks
+    ``detect_identically_zero(f, rect)``, and None is returned when it
+    holds; the test is not repeated on a dilated copy."""
     for factor in (1.0,) + _DILATIONS:
         cache = _PanelCache(f, rect if factor == 1.0 else rect.dilated(factor), fold)
         counted = cache.count(cache.tops)
         failed = [c for c in counted if isinstance(c, Exception)]
+        if failed and zero_test and factor == 1.0 and detect_identically_zero(f, rect):
+            return None
         if any(isinstance(c, BoundaryDegeneracyError) for c in failed):
             continue
         if failed:
@@ -461,8 +513,9 @@ def winding_count(f, rect):
     ``moment`` the first moment about its centre, so box.center +
     moment/count is the mean of the enclosed zeros.
     """
-    cache, ((count, moment, _),) = _count_region(f, rect, fold=False)
-    return count, cache.region, moment
+    cache, ((count, _),) = _count_region(f, rect, fold=False)
+    _, r, s = cache.moments(cache.tops[0], 2)
+    return count, cache.region, r * complex(s[1])
 
 
 def detect_identically_zero(f, rect):
@@ -490,7 +543,9 @@ def newton_refine(f, start, tol, rect):
     iterations), when _NEWTON_MAX_ITER iterations do not converge, or when
     an iterate leaves a 2x-dilated copy of ``rect``.
     """
-    fence = rect.dilated(2.0)
+    # the fence is rect dilated 2x about its centre: its half-sides are
+    # rect's whole width and height
+    centre, half_x, half_y = rect.center, rect.width, rect.height
     lam = complex(start)
     if not rect.contains(lam):
         raise DivergenceError(f"start {lam} outside the search rectangle")
@@ -503,7 +558,7 @@ def newton_refine(f, start, tol, rect):
             raise DivergenceError(f"F' = 0 at Newton iterate {lam}")
         step = val / deriv
         lam -= step
-        if not fence.contains(lam):
+        if not (abs(lam.real - centre.real) <= half_x and abs(lam.imag - centre.imag) <= half_y):
             raise DivergenceError(f"Newton iterate {lam} left the search region")
         steps.append(abs(step))
         if abs(step) <= tol:
@@ -565,9 +620,9 @@ def _cut(cache, box, step_index):
 def _split(cache, parents):
     """[(children, counted)] for each (box, count) of ``parents``: the first
     split of the integer box whose children all settle and account for its
-    count, with each child's (count, moment, scale) from the scan's panel
-    cache.  A mirrored child counts twice: a symmetric box cut across gives
-    a symmetric band and a mirrored box, whose roots stand for their
+    count, with each child's (count, scale) from the scan's panel cache.
+    A mirrored child counts twice: a symmetric box cut across gives a
+    symmetric band and a mirrored box, whose roots stand for their
     conjugates too.
 
     Candidate cuts are tried in the order of _CUT_STEPS, nearest the
@@ -588,7 +643,7 @@ def _split(cache, parents):
             counted = [next(outcomes) for _ in children]
             box, count = parents[p]
             if not any(isinstance(c, Exception) for c in counted) and sum(
-                cache.weight(c) * n for c, (n, _, _) in zip(children, counted)
+                cache.weight(c) * n for c, (n, _) in zip(children, counted)
             ) == cache.weight(box) * count:
                 found[p] = (children, counted)
     for (box, _), split in zip(parents, found):
@@ -597,33 +652,108 @@ def _split(cache, parents):
     return found
 
 
-def _subdivide(cache, counted, tol):
-    """Subdivision by ``_split``, level by level with one call per level, of
-    the scan's top boxes, whose (count, moment, scale) are ``counted``, down
-    to leaves that hold one root, are tiny, or have a side under 256 grid
-    units (where an edge's first blocks can be one unit long), each given
-    as its integer box followed by its (count, moment, scale).
+def _subdivide(f, cache, counted, tol):
+    """The located parts (root, multiplicity, Newton iterations, scale) of
+    the scan's top boxes, whose (count, scale) are ``counted``, split by
+    ``_split`` level by level with one call per level.
+
+    A box stops being split when its roots are found.  At the floor (a box
+    under 64*tol across, or with a side under 256 grid units, where an
+    edge's first blocks can be one unit long) its k roots are one part of
+    multiplicity k, polished from the mean c + r s_1/k of ``moments``.  A
+    box of at most _LEAF_ROOTS roots is a leaf when ``_moment_leaf`` finds
+    them all, each a simple part; otherwise a one-root box is located by
+    ``_descend`` with -1 iterations, and any other box is split.
     """
-    level, leaves, depth = list(zip(cache.tops, counted)), [], 0
+    level, parts, depth = list(zip(cache.tops, counted)), [], 0
     while level:
         parents = []
-        for box, (count, moment, scale) in level:
+        for box, (count, scale) in level:
             if count == 0:
                 continue
             (lo, hi), (i0, j0, i1, j1) = cache.corners(box), box
-            if count == 1 or abs(hi - lo) < 64.0 * tol or min(i1 - i0, j1 - j0) < 256:
+            if abs(hi - lo) < 64.0 * tol or min(i1 - i0, j1 - j0) < 256:
                 if count > 8:
                     raise RootClusterError(
                         f"{count} roots still clustered in a box of diameter {abs(hi - lo):.3e}"
                     )
-                leaves.append((box, count, moment, scale))
+                c, r, s = cache.moments(box, 2)
+                try:
+                    root, iters = _polish(f, cache, box, c + r * complex(s[1]) / count, tol)
+                except DivergenceError:
+                    root, iters = _descend(cache, box, count, tol), -1
+                if cache.symmetric(box):
+                    root = complex(root.real, 0.0)
+                parts += [(z, count, iters, scale) for z in cache.images(box, root)]
+            elif count <= _LEAF_ROOTS and (roots := _moment_leaf(f, cache, box, count, tol)):
+                parts += [(z, 1, iters, scale) for root, iters in roots
+                          for z in cache.images(box, root)]
+            elif count == 1:
+                parts += [(z, 1, -1, scale) for z in cache.images(box, _descend(cache, box, 1, tol))]
             elif depth > 120:
                 raise RootClusterError(f"subdivision depth exhausted near {0.5 * (lo + hi)}")
             else:
                 parents.append((box, count))
         level = [pair for split in _split(cache, parents) for pair in zip(*split)]
         depth += 1
-    return leaves
+    return parts
+
+
+def _polish(f, cache, box, start, tol):
+    """(root, iterations) from ``newton_refine`` started at ``start``, or
+    at the box's ``centre_of`` when that is non-finite or outside the box;
+    DivergenceError when Newton fails or its root lies outside the box."""
+    leaf = cache.rect(box)
+    if not (cmath.isfinite(start) and leaf.contains(start)):
+        start = cache.centre_of(box)
+    # fence on the whole scan frame: early Newton steps overshoot the leaf
+    # routinely, and any migration is caught just below
+    root, iters = newton_refine(f, start, tol, cache.frame)
+    # the leaf is the exact rectangle its count was taken on, so a genuine
+    # zero lies strictly inside; allow only float-level slack, or a root
+    # hugging the far side of a wide leaf passes
+    if not leaf.contains(root, pad=1e-6 * leaf.diameter + 10.0 * tol):
+        raise DivergenceError(f"Newton migrated to {root}, out of its leaf")
+    return root, iters
+
+
+def _moment_leaf(f, cache, box, count, tol):
+    """[(root, iterations)] for the ``count`` simple roots of a settled box,
+    or None when they are not all found.
+
+    With c, r and the moments s_p, p < 2N, from ``cache.moments`` (N the
+    count), Newton starts at c + r e for each eigenvalue e of the Hankel
+    pencil (H1, H0), H0 = [s_{i+j}] and H1 = [s_{i+j+1}], i, j < N: the
+    roots in w (Kravanja & Van Barel, LNM 1727, ch. 1).  A symmetric box's
+    pencil is real, and only its eigenvalues with Im >= 0 are taken; each
+    polished root is real when |Im| <= 64*tol (Im set to 0.0) and stands
+    for itself and its conjugate otherwise.  The box is a leaf when every
+    root lies in it (the pad of ``_polish``) and their images in the
+    plane, ``cache.images``, are ``weight(box) * N`` points pairwise more
+    than 64*tol apart.  A singular pencil, a Newton failure or a root found
+    twice fails the box."""
+    c, r, s = cache.moments(box, 2 * count)
+    hankel = np.add.outer(np.arange(count), np.arange(count))
+    try:
+        eigs = np.linalg.eigvals(np.linalg.solve(s[hankel], s[hankel + 1]))
+    except np.linalg.LinAlgError:
+        return None
+    symmetric, roots, points = cache.symmetric(box), [], []
+    for e in eigs.tolist():
+        if symmetric and e.imag < 0.0:
+            continue
+        try:
+            root, iters = _polish(f, cache, box, c + r * e, tol)
+        except DivergenceError:
+            return None
+        if symmetric and abs(root.imag) <= 64.0 * tol:
+            root = complex(root.real, 0.0)
+        for z in cache.images(box, root):
+            if any(abs(z - p) <= 64.0 * tol for p in points):
+                return None
+            points.append(z)
+        roots.append((root, iters))
+    return roots if len(points) == cache.weight(box) * count else None
 
 
 def _descend(cache, box, count, tol):
@@ -636,7 +766,7 @@ def _descend(cache, box, count, tol):
             ((children, counted),) = _split(cache, [(box, count)])
         except BoundaryDegeneracyError:
             break
-        best = int(np.argmax([c for c, _, _ in counted]))
+        best = int(np.argmax([n for n, _ in counted]))
         box, count = children[best], counted[best][0]
         lo, hi = cache.corners(box)
     return cache.centre_of(box)
@@ -645,55 +775,41 @@ def _descend(cache, box, count, tol):
 def find_zeros(f, rect, tol=1e-10):
     """All zeros of F inside the rectangle, with multiplicities.
 
-    Pipeline: total winding count, recursive subdivision into single-root
-    leaves, Newton refinement started at each leaf's moment estimate
-    centre + moment/count (the leaf centre when that is non-finite or
-    outside the leaf), deterministic sort.  Each located root gives one
-    record: a leaf holding k roots (one under 64*tol across, or at the grid
-    floor) gives one record of multiplicity k, so a close pair comes back as
-    two simple records or one double record.  Every count reads the scan's
-    one panel cache, and a leaf's scale is max |F| over the nodes its count
-    read.  When Newton raises or leaves its leaf, the root is the centre of
-    the box ``_descend`` reaches in that leaf, with -1 iterations.  The sum
-    of reported multiplicities always equals the region count.  When the
-    region count grazes or fails to settle, ``detect_identically_zero``
-    judges F on the region's edges: if F vanishes there identically, the
-    report has no roots and ``identically_zero`` set, and otherwise the
-    count's error is raised.
+    Pipeline: total winding count, subdivision to leaves of at most
+    _LEAF_ROOTS roots, Newton refinement, deterministic sort.  A box of N
+    <= _LEAF_ROOTS roots starts Newton at the eigenvalues of the Hankel
+    pencil of its contour moments (see ``_moment_leaf``; for N = 1 that is
+    the first moment), and is a leaf when Newton finds N distinct roots
+    inside it, each a record of multiplicity 1 with its own iterations.
+    Otherwise it is split; a one-root box whose Newton fails is located by
+    ``_descend``, the centre of a box 4*tol across reached on the same
+    cache, with -1 iterations.  A box under 64*tol across, or at the grid
+    floor, holding k roots gives one record of multiplicity k, polished
+    from their mean, so a close pair comes back as two simple records or
+    one double record.  Every count reads the scan's one panel cache, and a
+    leaf's scale is max |F| over the nodes its count read.  The sum of
+    reported multiplicities always equals the region count.  When the
+    region count fails on the region as given, ``detect_identically_zero``
+    judges F on the region's edges before any dilation: if F vanishes
+    there identically, the report has no roots and ``identically_zero``
+    set, and otherwise the count goes on (dilating a grazing contour) or
+    raises its error.
 
     When F has real data (``f.is_real``) and the region straddles the real
     axis, the scan runs on a folded frame (see ``_PanelCache``): the band
-    symmetric about the axis is counted on its upper half contour, a
-    symmetric leaf's root is real (imaginary part exactly 0.0), every root
-    of a mirrored box is reported with its exact conjugate, and roots of a
-    rest below the axis are located on its mirror image and conjugated
-    back.  A folded frame whose contour grazes a zero is dilated as it is.
+    symmetric about the axis is counted on its upper half contour, a root
+    of a symmetric leaf within 64*tol of the axis is real (imaginary part
+    exactly 0.0), every other root of the band is reported with its exact
+    conjugate, and roots of a rest below the axis are located on its
+    mirror image and conjugated back.  A folded frame whose contour grazes
+    a zero is dilated as it is.
     """
-    try:
-        cache, counted = _count_region(f, rect)
-    except (BoundaryDegeneracyError, QuadratureFailureError):
-        if not detect_identically_zero(f, rect):
-            raise
+    scan = _count_region(f, rect, zero_test=True)
+    if scan is None:
         return RootReport(region=rect, region_count=0, roots=(), identically_zero=True, tol=tol)
-    total = sum(n for n, _, _ in counted)
-    refined = []
-    for leaf_box, count, moment, scale in _subdivide(cache, counted, tol):
-        leaf, centre = cache.rect(leaf_box), cache.centre_of(leaf_box)
-        start = centre + moment / count
-        if not (cmath.isfinite(start) and leaf.contains(start)):
-            start = centre
-        try:
-            # fence on the whole scan frame: early Newton steps overshoot
-            # the leaf routinely, and any migration is caught just below
-            root, iters = newton_refine(f, start, tol, cache.frame)
-            # the leaf is the exact rectangle its count was taken on, so a
-            # genuine zero lies strictly inside; allow only float-level
-            # slack, or a root hugging the far side of a wide leaf passes
-            if not leaf.contains(root, pad=1e-6 * leaf.diameter + 10.0 * tol):
-                raise DivergenceError(f"Newton migrated to {root}, out of its leaf")
-        except DivergenceError:
-            root, iters = _descend(cache, leaf_box, count, tol), -1
-        refined += [(z, count, iters, scale) for z in cache.images(leaf_box, root)]
+    cache, counted = scan
+    total = sum(n for n, _ in counted)
+    refined = _subdivide(f, cache, counted, tol)
     report = RootReport(
         region=cache.region, region_count=total, roots=tuple(_records(f, refined)),
         identically_zero=False, tol=tol,

@@ -34,11 +34,19 @@ the pair's separation plus 4*tol of both, or raises a typed error, and
 never reports one simple root for the pair; its 40 examples give 25 pairs
 of simple roots and 15 double roots.
 
+A seventh property plants two to six simple roots in ``SQUARE``, few
+enough for ``find_zeros`` to take them from one box's contour moments:
+real data (real roots and conjugate pairs, some of them 1e-7 to 1e-3 off
+the axis, with ``is_real`` set so that the scan folds) or complex data.
+Every root comes back within 1e-8 with multiplicity 1, polished by Newton,
+the count is never wrong, and the roots of real data are closed under
+conjugation, bit for bit.
+
 The derandomized profile in ``conftest.py`` draws the same examples on
-every run.  Time budget: the module runs in 4.5-5.2 s on a 2-core VM, of
-which the delay property takes 0.4-0.7 s and the cut-line property
-0.7-1.3 s (0.4 s at 40 examples), the scaled property 0.6-0.7 s and the
-close-pair property 0.4-0.5 s.
+every run.  Time budget: the module runs in 4.0-6.0 s on a 2-core VM, of
+which the delay property takes 0.3-0.5 s, the cut-line property
+0.25-0.4 s, the scaled property 0.2-0.3 s, the close-pair property
+0.4-0.6 s and the moment-leaf property 0.3-0.5 s.
 """
 
 import pytest
@@ -60,7 +68,7 @@ from charspec import (  # noqa: E402
     find_zeros,
     winding_count,
 )
-from test_rootscan import BIG, planted, quadrants  # noqa: E402
+from test_rootscan import BIG, _conjugate_closed, planted, quadrants  # noqa: E402
 
 SQUARE = Rectangle(-1.0 - 1.0j, 1.0 + 1.0j)
 # distance every root keeps from each contour a property integrates over
@@ -98,10 +106,11 @@ def test_split_counts_add_up(spectrum, fx, fy):
     assert sum(counts) == winding_count(fn, SQUARE)[0] == total
 
 
-# a double root costs about 0.03 s against 0.001 s for a simple one: the
-# scan subdivides its box down to 64 * tol, and Newton then needs one
-# iteration from the moment estimate.  36 examples take 1.4-1.8 s and the
-# module 1.9-2.4 s on a 2-core VM (40 examples reach 3.0 s)
+# a double root costs about 0.04 s against 0.001 s for a simple one: the
+# scan subdivides its box down to 64 * tol, running Newton from the Hankel
+# pencil's eigenvalues on every level on the way, and Newton then needs one
+# iteration from the moment estimate.  36 examples take 1.9-2.8 s on a
+# 2-core VM
 @settings(max_examples=36)
 @given(spectra)
 def test_find_zeros_recovers_planted_roots(spectrum):
@@ -112,6 +121,43 @@ def test_find_zeros_recovers_planted_roots(spectrum):
     for z, m in spectrum:
         (rec,) = [r for r in report.roots if abs(r.location - z) < 1e-8]
         assert rec.multiplicity == m
+
+
+def _real_spectrum(parts):
+    """Real roots and conjugate pairs from (x, y) draws: the real root x
+    for y = 0, else the pair x +- iy.  The lower roots come last, so that
+    the planted product is real on the real axis only up to rounding."""
+    upper = [complex(x, y) for x, y in parts]
+    return upper + [z.conjugate() for z in upper if z.imag]
+
+
+# (real part, 0 for a real root, else the pair's distance from the axis:
+# 0.05-0.9, or 1e-7-1e-3)
+_real_part = st.tuples(_coord, st.one_of(
+    st.just(0.0), st.floats(0.05, 0.9), st.floats(-7.0, -3.0).map(lambda u: 10.0**u),
+))
+
+
+@settings(max_examples=60)
+@given(st.one_of(
+    st.lists(_real_part, min_size=1, max_size=4).map(lambda parts: (_real_spectrum(parts), True)),
+    st.lists(st.builds(complex, _coord, _coord), min_size=2, max_size=6).map(lambda r: (r, False)),
+))
+def test_find_zeros_recovers_moment_leaf_roots(drawn):
+    roots, real = drawn
+    assume(2 <= len(roots) <= 6)
+    # a near-real pair is close to its own conjugate only
+    distinct = [z for z in roots if z.imag >= 0.0] if real else roots
+    assume(_separated([(z, 1) for z in distinct]))
+    fn = planted(roots)
+    fn.is_real = real
+    report = find_zeros(fn, SQUARE, tol=1e-10)
+    assert report.region_count == len(roots)
+    for z in roots:
+        (rec,) = [r for r in report.roots if abs(r.location - z) < 1e-8]
+        assert rec.multiplicity == 1 and rec.newton_iterations >= 1
+    if real:
+        assert _conjugate_closed(report)
 
 
 # (cut line k, side, log10 of the offset from the line, real part)

@@ -251,7 +251,8 @@ def test_batched_count_fails_only_the_grazing_box():
 
 def test_scan_evaluates_each_contour_node_once(monkeypatch):
     # a whole scan shares one panel cache: parent edges serve the children
-    # and each cut serves both of its sides
+    # and each cut serves both of its sides; 13 roots are more than one
+    # box's moments resolve, so the region is split
     counted = []
     count = rootscan._PanelCache.count
 
@@ -261,8 +262,8 @@ def test_scan_evaluates_each_contour_node_once(monkeypatch):
 
     monkeypatch.setattr(rootscan._PanelCache, "count", recording)
     counter = CountingFn(periodic_fn())
-    report = find_zeros(counter, BIG, tol=1e-10)
-    assert report.region_count == 3
+    report = find_zeros(counter, Rectangle(-1.0 - 40.0j, 1.0 + 40.0j), tol=1e-10)
+    assert report.region_count == 13
     pairs = [lams for kind, lams in counter.calls if kind == "pair"]
     # across every (F, F') batch of the scan, Newton's included, no lambda repeats
     lams = np.concatenate(pairs)
@@ -451,9 +452,52 @@ def test_complex_data_take_the_whole_region():
     assert not fn.is_real
     report = find_zeros(fn, Rectangle(-1.0 - 3.0j, 1.0 + 10.0j))
     assert [(r.location, r.newton_iterations) for r in report.roots] == [
-        (-0.3000000000000001 + 5.883185307179587j, 1),
-        (-0.3 - 0.39999999999999997j, 1),
+        (-0.30000000000000016 + 5.883185307179587j, 1),
+        (-0.30000000000000004 - 0.39999999999999997j, 1),
     ]
+
+
+def test_moment_leaf_settles_the_top_box(monkeypatch):
+    # BIG holds 0 and +-2*pi*i, three roots: the top count is the scan's
+    # only count, and its moments give Newton's starts, so every lambda
+    # after the top contour's comes from Newton, one at a time
+    counter = CountingFn(periodic_fn())
+    seen = []
+    count = rootscan._PanelCache.count
+
+    def recording(cache, boxes):
+        outcomes = count(cache, boxes)
+        seen.append(len(counter.calls))
+        return outcomes
+
+    monkeypatch.setattr(rootscan._PanelCache, "count", recording)
+    report = find_zeros(counter, BIG, tol=1e-10)
+    assert report.region_count == 3
+    assert [(r.multiplicity, r.newton_iterations >= 1) for r in report.roots] == [(1, True)] * 3
+    (top,) = seen
+    newton = [lams for kind, lams in counter.calls[top:] if kind == "pair"]
+    assert newton and all(lams.size == 1 for lams in newton)
+
+
+def test_moment_leaf_falls_back_to_splitting_on_a_double_root(monkeypatch):
+    # a double root defeats the Hankel pencil (Newton finds a twice), so
+    # the box is split as before: the double root comes back as one record
+    # of multiplicity 2 from its 64 * tol leaf, the simple one alone
+    a, b = 0.3 + 0.2j, -0.4 - 0.5j
+    batches = []
+    count = rootscan._PanelCache.count
+
+    def recording(cache, boxes):
+        batches.append(len(boxes))
+        return count(cache, boxes)
+
+    monkeypatch.setattr(rootscan._PanelCache, "count", recording)
+    report = find_zeros(planted([a, a, b]), Rectangle(-1.0 - 1.0j, 1.0 + 1.0j), tol=1e-10)
+    assert len(batches) > 1
+    assert report.region_count == 3
+    (simple, double) = report.roots
+    assert (simple.multiplicity, double.multiplicity) == (1, 2)
+    assert abs(simple.location - b) < 1e-9 and abs(double.location - a) < 1e-7
 
 
 def test_winding_moment_locates_the_enclosed_roots():
@@ -498,6 +542,21 @@ def test_newton_polishes_simple_root():
     root, iters = newton_refine(periodic_fn(), 0.1 + 6.0j, 1e-12, BIG)
     assert abs(root - TWO_PI * 1j) < 1e-12
     assert iters < 10
+
+
+def test_newton_builds_no_rectangle(monkeypatch):
+    # the fence is tested against rect's centre and sides, not built
+    built = []
+    post_init = Rectangle.__post_init__
+
+    def recording(rect):
+        built.append(rect)
+        post_init(rect)
+
+    monkeypatch.setattr(Rectangle, "__post_init__", recording)
+    root, _ = newton_refine(periodic_fn(), 0.1 + 6.0j, 1e-12, BIG)
+    assert abs(root - TWO_PI * 1j) < 1e-12
+    assert built == []
 
 
 def test_newton_exact_start():
@@ -678,6 +737,18 @@ def test_find_zeros_identically_zero_short_circuit():
         assert report.region == rect
         assert report.roots == ()
         assert report.region_count == 0
+
+
+def test_identically_zero_verdict_at_the_first_graze():
+    # a zero F grazes on the undilated frame, and is judged there: no
+    # dilated frame is counted.  The lambdas are the first round of the
+    # frame's panels (648) and the test's 48 edge nodes, for F and for M
+    degenerate = CharFunction(ProblemSpec(kind=FirstDerivative(), psi=(BoundaryFunctional(),)))
+    counter = CountingFn(degenerate)
+    report = find_zeros(counter, BIG)
+    assert report.identically_zero and report.region == BIG
+    assert sum(lams.size for _, lams in counter.calls) <= 750
+    assert [kind for kind, _ in counter.calls].count("zero_scale") == 1
 
 
 def test_counting_job_never_asks_for_m():
