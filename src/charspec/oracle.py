@@ -8,8 +8,9 @@ stencil plus the few rows next to the eliminated endpoints.  Its eigenvalues
 in a window come from shift-invert Arnoldi (ARPACK) around the window
 centre; small dense matrices, such as a pencil's companion matrix, go to the
 dense LAPACK driver instead.  Either way every reported eigenvalue is
-certified independently by inverse iteration.  Agreement with the contour
-scanner is then a genuine cross-check of two unrelated computations.
+certified by the residual of the eigenvector its own solver returns.
+Agreement with the contour scanner is then a genuine cross-check of two
+unrelated computations.
 ``eigen_residual`` checks a claimed eigenpair against the M it is given.
 
 Importing the module loads numpy only: scipy's sparse and dense linear
@@ -42,8 +43,6 @@ __all__ = [
 ]
 
 _MAX_DENSE_DIM = 2048
-# moves of a certificate's shift off an exactly singular factor, times max |M_ij|
-_BUMPS = (0.0, 1e-12, 1e-10, 1e-8)
 # moves of the Arnoldi shift, times the window's circumradius R: ARPACK
 # resolves an eigenvalue lam to about eps |lam - sigma|^2 / min_i |lam_i - sigma|,
 # so a shift 1e-12 |M| off an eigenvalue would blur the window's far side
@@ -235,80 +234,25 @@ def fd_discretize(kind, psi, n):
     )
 
 
-def _dense_factor(m):
-    """``factor(shift)``: a solver for m - shift Id, or None at a zero pivot."""
-    import scipy.linalg
-
-    def factor(shift):
-        shifted = m.copy()
-        shifted.flat[:: m.shape[0] + 1] -= shift
-        lu, piv = linop.lu_decompose(shifted)
-        if not np.abs(np.diag(lu)).min() > 0.0:
-            return None
-        # not linop.solve: its singularity gate would refuse this factor
-        return lambda v: scipy.linalg.lu_solve((lu, piv), v, check_finite=False)
-
-    return factor
-
-
-def _sparse_factor(a):
-    """``factor(shift)`` for a complex CSC array, on SuperLU factors."""
-    import scipy.sparse
-    import scipy.sparse.linalg
-
-    eye = scipy.sparse.eye_array(a.shape[0], dtype=complex, format="csc")
-
-    def factor(shift):
-        try:
-            return scipy.sparse.linalg.splu(a - shift * eye).solve
-        except RuntimeError:  # "Factor is exactly singular"
-            return None
-
-    return factor
-
-
-def _factor_near(factor, lam, bumps, scale):
-    """First shift lam + bump * scale whose factor exists, as (shift, solve).
-
-    The shift is ``lam`` itself unless its factor has an exactly zero pivot,
-    which the triangular solves cannot divide by.
-    """
-    for bump in bumps:
-        shift = lam + bump * scale
-        solve = factor(shift)
-        if solve is not None:
-            return shift, solve
-    raise ConvergenceError(f"could not factor shifted matrix at {lam}")
-
-
-def _certified(m, vals, window, factor):
+def _certified(m, vals, vecs, window):
     """The eigenvalues ``vals`` in ``window``, each certified, sorted.
 
-    Each gets three inverse-iteration sweeps from one seeded start vector;
-    a nearly singular factor at the computed eigenvalue is what makes them
-    converge.  The certificate is ||(M - lam Id) v||_inf < 1e-8 ||M||_inf
-    for the unit-max iterate v.
+    Each is certified from its eigensolver's own vector, the column of
+    ``vecs`` beside it: ||(M - lam Id) v||_inf < 1e-8 ||M||_inf for v scaled
+    to unit max.  A zero or non-finite vector certifies nothing.
     """
     norm = float(abs(m).sum(axis=1).max()) or 1.0
-    scale = float(abs(m).max()) or 1.0
-    rng = np.random.default_rng(12345)
-    start = rng.standard_normal(m.shape[0]) + 1j * rng.standard_normal(m.shape[0])
-    start /= np.max(np.abs(start))
     out = []
-    for lam in vals:
+    for lam, v in zip(vals, vecs.T):
         lam = complex(lam)
         if window is not None and not window.contains(lam):
             continue
-        _, solve = _factor_near(factor, lam, _BUMPS, scale)
-        v = start
-        for _ in range(3):
-            v = solve(v)
-            peak = np.max(np.abs(v))
-            if not np.isfinite(peak):
-                raise ConvergenceError(f"inverse iteration overflowed at {lam}")
-            v = v / peak
+        peak = np.max(np.abs(v))
+        if not 0.0 < peak < np.inf:
+            raise ConvergenceError(f"eigensolver returned no usable vector at {lam}")
+        v = v / peak
         residual = float(np.max(np.abs(m @ v - lam * v)))
-        if residual >= 1e-8 * norm:
+        if not residual < 1e-8 * norm:
             raise ConvergenceError(
                 f"eigenvalue {lam} failed certification (residual {residual:.3e})"
             )
@@ -321,9 +265,9 @@ def dense_eigenvalues(matrix, window=None):
     """Certified eigenvalues of a matrix (optionally inside a window).
 
     A sparse input is densified.  The eigensolve itself is delegated to the
-    LAPACK nonsymmetric driver (Hessenberg reduction plus shifted QR); every
-    reported eigenvalue is then certified by inverse iteration on a dense LU
-    factor (see ``_certified``).
+    LAPACK nonsymmetric driver (Hessenberg reduction plus shifted QR), which
+    also returns the right eigenvectors; every reported eigenvalue is
+    certified from its own vector (see ``_certified``).
     """
     import scipy.linalg
     import scipy.sparse
@@ -337,10 +281,10 @@ def dense_eigenvalues(matrix, window=None):
     if n == 0:
         return []
     try:
-        vals = scipy.linalg.eigvals(np.asarray(matrix))
+        vals, vecs = scipy.linalg.eig(np.asarray(matrix))
     except np.linalg.LinAlgError as exc:
         raise ConvergenceError(f"dense eigensolver failed: {exc}") from exc
-    return _certified(m, vals, window, _dense_factor(m))
+    return _certified(m, vals, vecs, window)
 
 
 def sparse_eigenvalues(matrix, window):
@@ -355,7 +299,7 @@ def sparse_eigenvalues(matrix, window):
     farther from it than the circumradius plus that move, so completeness
     never rests on a count; when k would reach n - 1 the matrix goes to
     ``dense_eigenvalues``.  The certificate is dense_eigenvalues', on
-    sparse LU factors.  ARPACK and factorization failures are
+    ARPACK's Ritz vectors.  ARPACK and factorization failures are
     ConvergenceErrors naming the window and k.
     """
     import scipy.sparse
@@ -363,7 +307,7 @@ def sparse_eigenvalues(matrix, window):
 
     a = scipy.sparse.csc_array(matrix, dtype=complex)
     n = a.shape[0]
-    factor = _sparse_factor(a)
+    eye = scipy.sparse.eye_array(n, dtype=complex, format="csc")
     rng = np.random.default_rng(12345)
     start = rng.standard_normal(n) + 1j * rng.standard_normal(n)
     k = 8
@@ -371,15 +315,16 @@ def sparse_eigenvalues(matrix, window):
     try:
         for rung, bump in enumerate(_SHIFT_BUMPS):
             sigma = window.center + bump * radius
-            solve = factor(sigma)
-            if solve is None:
+            try:
+                solve = scipy.sparse.linalg.splu(a - sigma * eye).solve
+            except RuntimeError:  # "Factor is exactly singular"
                 continue
             op = scipy.sparse.linalg.LinearOperator(a.shape, matvec=solve, dtype=complex)
             while k < n - 1:
                 # a seeded start and rng (ARPACK draws from it on a breakdown)
                 # keep reruns byte-identical
-                vals = scipy.sparse.linalg.eigs(
-                    a, k, sigma=sigma, OPinv=op, v0=start, rng=rng, return_eigenvectors=False
+                vals, vecs = scipy.sparse.linalg.eigs(
+                    a, k, sigma=sigma, OPinv=op, v0=start, rng=rng
                 )
                 if np.max(np.abs(vals - sigma)) > radius + bump * radius:
                     break
@@ -388,7 +333,7 @@ def sparse_eigenvalues(matrix, window):
                 break  # k would reach n - 1
             last = rung == len(_SHIFT_BUMPS) - 1
             if last or np.min(np.abs(vals - sigma)) >= _SHIFT_CLEARANCE * radius:
-                return _certified(a, vals, window, factor)
+                return _certified(a, vals, vecs, window)
         else:
             raise ConvergenceError(f"could not factor shifted matrix at {window.center}")
     except (ConvergenceError, scipy.sparse.linalg.ArpackError) as exc:

@@ -213,6 +213,8 @@ def test_dense_eigenvalues_hand_cases():
     assert dense_eigenvalues(np.diag([3.0, 1.0, 2.0])) == [1.0, 2.0, 3.0]
     eigs = dense_eigenvalues(np.array([[0.0, 1.0], [-4.0, 0.0]]))
     assert_allclose(eigs, [-2.0j, 2.0j], atol=1e-12)
+    # defective: both eigenvalues exact, M - lam Id exactly singular
+    assert dense_eigenvalues(np.array([[0.0, 1.0], [0.0, 0.0]])) == [0.0, 0.0]
     assert dense_eigenvalues(np.zeros((0, 0))) == []
 
 
@@ -222,7 +224,8 @@ def test_dense_eigenvalues_window():
     assert dense_eigenvalues(m, window=window) == [1.0, 2.0]
 
 
-def test_dense_eigenvalues_factor_each_shift_once(monkeypatch):
+def test_dense_eigenvalues_take_no_lu(monkeypatch):
+    # the certificate uses LAPACK's own eigenvectors: no factorization
     d = fd_discretize(FirstDerivative(), PERIODIC, 256)
     calls = []
     factor = linop.lu_decompose
@@ -234,16 +237,43 @@ def test_dense_eigenvalues_factor_each_shift_once(monkeypatch):
     monkeypatch.setattr(linop, "lu_decompose", counting)
     eigs = dense_eigenvalues(d.matrix, window=Rectangle(-1.0 - 20.0j, 1.0 + 20.0j))
     assert len(eigs) == 7
-    assert calls == [(256, 256)] * len(eigs)
+    assert calls == []
 
 
 def test_dense_eigenvalues_rejects_inaccurate_eigenvalues(monkeypatch):
     # the certificate, not the eigensolver, decides: a solver answer off by
     # 1e-3 leaves a residual far above 1e-8 ||M|| and must be refused
     d = fd_discretize(FirstDerivative(), PERIODIC, 256)
-    exact = scipy.linalg.eigvals
-    monkeypatch.setattr(scipy.linalg, "eigvals", lambda a: exact(a) + 1e-3)
+    exact = scipy.linalg.eig
+
+    def shifted(a):
+        vals, vecs = exact(a)
+        return vals + 1e-3, vecs
+
+    monkeypatch.setattr(scipy.linalg, "eig", shifted)
     with pytest.raises(ConvergenceError, match="failed certification"):
+        dense_eigenvalues(d.matrix, window=Rectangle(-1.0 - 20.0j, 1.0 + 20.0j))
+
+
+@pytest.mark.parametrize(
+    "corrupt, message",
+    [("rolled", "failed certification"), ("nan", "no usable vector")],
+    ids=["rolled", "nan"],
+)
+def test_dense_eigenvalues_refuse_unusable_vectors(monkeypatch, corrupt, message):
+    # exact eigenvalues, wrong vectors: the certificate trusts only the pair
+    d = fd_discretize(FirstDerivative(), PERIODIC, 256)
+    exact = scipy.linalg.eig
+
+    def corrupted(a):
+        vals, vecs = exact(a)
+        if corrupt == "rolled":
+            return vals, np.roll(vecs, 1, axis=1)
+        vecs[:, np.argmin(np.abs(vals))] = np.nan
+        return vals, vecs
+
+    monkeypatch.setattr(scipy.linalg, "eig", corrupted)
+    with pytest.raises(ConvergenceError, match=message):
         dense_eigenvalues(d.matrix, window=Rectangle(-1.0 - 20.0j, 1.0 + 20.0j))
 
 
@@ -300,9 +330,19 @@ def test_sparse_eigenvalues_complete_by_distance(monkeypatch):
     m = fd_discretize(FirstDerivative(), PERIODIC, 512).matrix
     window = Rectangle(-1.0 - 100.0j, 1.0 + 100.0j)
     ks = spy_on_eigs(monkeypatch)
+    factors = []
+    splu = scipy.sparse.linalg.splu
+
+    def counting(a):
+        lu = splu(a)  # raises at the centre, the exact eigenvalue 0
+        factors.append(a.shape)
+        return lu
+
+    monkeypatch.setattr(scipy.sparse.linalg, "splu", counting)
     found = sparse_eigenvalues(m, window)
     assert len(found) == 33
     assert ks == [8, 16, 32, 64, 128]
+    assert len(factors) == 1  # the shift's own; the certificate factors nothing
     dense = dense_eigenvalues(m, window=window)
     assert len(dense) == 33
     assert max(abs(nearest(found, e) - e) for e in dense) < 1e-9
@@ -329,7 +369,12 @@ def test_sparse_eigenvalues_shift_near_an_eigenvalue(periodic_512, offset):
 def test_sparse_eigenvalues_rejects_inaccurate_eigenvalues(monkeypatch):
     d = fd_discretize(FirstDerivative(), PERIODIC, 512)
     exact = scipy.sparse.linalg.eigs
-    monkeypatch.setattr(scipy.sparse.linalg, "eigs", lambda *a, **kw: exact(*a, **kw) + 1e-3)
+
+    def shifted(*a, **kw):
+        vals, vecs = exact(*a, **kw)
+        return vals + 1e-3, vecs
+
+    monkeypatch.setattr(scipy.sparse.linalg, "eigs", shifted)
     with pytest.raises(ConvergenceError, match="failed certification"):
         sparse_eigenvalues(d.matrix, Rectangle(-1.0 - 100.0j, 1.0 + 100.0j))
 
