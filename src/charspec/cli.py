@@ -109,6 +109,14 @@ def _exactly(kind, value, where):
     return value
 
 
+def _oracle_grid_in(n):
+    """``n`` when it is a usable oracle grid: its half grid, the oracle's
+    coarse model, needs the 64 points ``fd_discretize`` takes at least."""
+    if n < 128:
+        raise ConfigError(f"oracle.grid: must be at least 128, got {n}")
+    return n
+
+
 def _complex_out(z):
     z = complex(z)
     return [z.real, z.imag]
@@ -284,7 +292,7 @@ def parse_config(text):
         spectrum=_exactly(bool, outputs.get("spectrum", True), "outputs.spectrum"),
         grid=grid,
         oracle_enabled=_exactly(bool, oracle.get("enabled", False), "oracle.enabled"),
-        oracle_grid=_exactly(int, oracle.get("grid", 512), "oracle.grid"),
+        oracle_grid=_oracle_grid_in(_exactly(int, oracle.get("grid", 512), "oracle.grid")),
         out_format=fmt,
     )
 
@@ -382,7 +390,7 @@ def _oracle_eigenvalues(cfg, notes):
         )
         return None, None
     fine = fd_discretize(kind, spec.psi, cfg.oracle_grid)
-    half = fd_discretize(kind, spec.psi, max(64, cfg.oracle_grid // 2))
+    half = fd_discretize(kind, spec.psi, cfg.oracle_grid // 2)
     return sparse_eigenvalues(fine.matrix, window), sparse_eigenvalues(half.matrix, window)
 
 
@@ -455,7 +463,7 @@ def run_job(cfg):
                     # taken from the coarse grid
                     _, dist_half = _nearest(oracle_half, root.location)
                     h_fine = 1.0 / cfg.oracle_grid
-                    h_half = 1.0 / max(64, cfg.oracle_grid // 2)
+                    h_half = 1.0 / (cfg.oracle_grid // 2)
                     c_hat = (dist_half or 0.0) / h_half**2
                     bound = max(10.0 * c_hat * h_fine**2, bound)
                 if dist > bound:
@@ -590,13 +598,13 @@ def main(argv=None):
 
     try:
         cfg = parse_config(Path(args.config).read_text())
+        if args.grid is not None:
+            cfg = dataclasses.replace(cfg, oracle_grid=_oracle_grid_in(args.grid))
     except (OSError, ConfigError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     if args.oracle is not None:
         cfg = dataclasses.replace(cfg, oracle_enabled=args.oracle == "on")
-    if args.grid is not None:
-        cfg = dataclasses.replace(cfg, oracle_grid=args.grid)
     if args.format is not None:
         cfg = dataclasses.replace(cfg, out_format=args.format)
 

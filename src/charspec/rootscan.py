@@ -26,10 +26,9 @@ moment of g around a box is the p-th power sum of the roots inside it
 eigenvalues of the Hankel pencil of the moments (Kravanja & Van Barel,
 ch. 1); Newton polishes each eigenvalue, and the box is a leaf when it
 finds as many distinct roots inside it as the box counts.  Otherwise the
-box is split as before: a one-root box that Newton cannot polish is
-descended on the same cache to a box 4*tol across, and multiple roots
-and clusters reach a box 64*tol across, where k roots are one root of
-multiplicity k polished from their mean.
+box is split, down to a box 64*tol across (or at the grid floor), where
+its k roots are one root of multiplicity k polished from their mean; the
+mean stands as the root when Newton fails there.
 
 On a folded region the band symmetric about the real axis is counted on
 its upper half contour, as Im(integral of g)/pi, and the rest of the
@@ -570,7 +569,12 @@ def newton_refine(f, start, tol, rect):
 
 @dataclass(frozen=True)
 class RootRecord:
-    """One located root with its certification bookkeeping."""
+    """One located root with its certification bookkeeping.
+
+    ``newton_iterations`` counts the Newton steps that polished the root;
+    0 means Newton failed on a box at the subdivision floor (see
+    ``find_zeros``), and ``location`` is the mean of that box's roots,
+    taken from its contour moments."""
 
     location: complex
     multiplicity: int
@@ -660,10 +664,10 @@ def _subdivide(f, cache, counted, tol):
     A box stops being split when its roots are found.  At the floor (a box
     under 64*tol across, or with a side under 256 grid units, where an
     edge's first blocks can be one unit long) its k roots are one part of
-    multiplicity k, polished from the mean c + r s_1/k of ``moments``.  A
-    box of at most _LEAF_ROOTS roots is a leaf when ``_moment_leaf`` finds
-    them all, each a simple part; otherwise a one-root box is located by
-    ``_descend`` with -1 iterations, and any other box is split.
+    multiplicity k, polished from the mean c + r s_1/k of ``moments``, or
+    the mean itself with 0 iterations when ``_polish`` fails.  A box of at
+    most _LEAF_ROOTS roots is a leaf when ``_moment_leaf`` finds them all,
+    each a simple part; any other box is split.
     """
     level, parts, depth = list(zip(cache.tops, counted)), [], 0
     while level:
@@ -678,18 +682,17 @@ def _subdivide(f, cache, counted, tol):
                         f"{count} roots still clustered in a box of diameter {abs(hi - lo):.3e}"
                     )
                 c, r, s = cache.moments(box, 2)
+                mean = c + r * complex(s[1]) / count
                 try:
-                    root, iters = _polish(f, cache, box, c + r * complex(s[1]) / count, tol)
+                    root, iters = _polish(f, cache, box, mean, tol)
                 except DivergenceError:
-                    root, iters = _descend(cache, box, count, tol), -1
+                    root, iters = mean, 0
                 if cache.symmetric(box):
                     root = complex(root.real, 0.0)
                 parts += [(z, count, iters, scale) for z in cache.images(box, root)]
             elif count <= _LEAF_ROOTS and (roots := _moment_leaf(f, cache, box, count, tol)):
                 parts += [(z, 1, iters, scale) for root, iters in roots
                           for z in cache.images(box, root)]
-            elif count == 1:
-                parts += [(z, 1, -1, scale) for z in cache.images(box, _descend(cache, box, 1, tol))]
             elif depth > 120:
                 raise RootClusterError(f"subdivision depth exhausted near {0.5 * (lo + hi)}")
             else:
@@ -756,22 +759,6 @@ def _moment_leaf(f, cache, box, count, tol):
     return roots if len(points) == cache.weight(box) * count else None
 
 
-def _descend(cache, box, count, tol):
-    """Centre of the box reached from a leaf by following, split by split,
-    the child that holds the most roots, until the box is at most 4*tol
-    across or the grid cannot split it."""
-    lo, hi = cache.corners(box)
-    while abs(hi - lo) > 4.0 * tol:
-        try:
-            ((children, counted),) = _split(cache, [(box, count)])
-        except BoundaryDegeneracyError:
-            break
-        best = int(np.argmax([n for n, _ in counted]))
-        box, count = children[best], counted[best][0]
-        lo, hi = cache.corners(box)
-    return cache.centre_of(box)
-
-
 def find_zeros(f, rect, tol=1e-10):
     """All zeros of F inside the rectangle, with multiplicities.
 
@@ -781,13 +768,13 @@ def find_zeros(f, rect, tol=1e-10):
     pencil of its contour moments (see ``_moment_leaf``; for N = 1 that is
     the first moment), and is a leaf when Newton finds N distinct roots
     inside it, each a record of multiplicity 1 with its own iterations.
-    Otherwise it is split; a one-root box whose Newton fails is located by
-    ``_descend``, the centre of a box 4*tol across reached on the same
-    cache, with -1 iterations.  A box under 64*tol across, or at the grid
-    floor, holding k roots gives one record of multiplicity k, polished
-    from their mean, so a close pair comes back as two simple records or
-    one double record.  Every count reads the scan's one panel cache, and a
-    leaf's scale is max |F| over the nodes its count read.  The sum of
+    Otherwise it is split, a one-root box whose Newton fails included.  A
+    box under 64*tol across, or at the grid floor, holding k roots gives
+    one record of multiplicity k, polished from their mean, so a close pair
+    comes back as two simple records or one double record; when Newton
+    fails there, the mean is the record's location, with 0 iterations.
+    Every count reads the scan's one panel cache, and a leaf's scale is
+    max |F| over the nodes its count read.  The sum of
     reported multiplicities always equals the region count.  When the
     region count fails on the region as given, ``detect_identically_zero``
     judges F on the region's edges before any dilation: if F vanishes

@@ -223,6 +223,8 @@ def test_parse_rejects_malformed():
             '"oracle": {"enabled": 1}',
             '"oracle": {"grid": 256.0}',
             '"oracle": {"grid": true}',
+            # the oracle's half grid needs at least 64 points
+            '"oracle": {"grid": 64}',
             '"outputs": {"grid": [5.7, 6]}',
             '"outputs": {"grid": [5, false]}',
             '"outputs": {"grid": [5, 6, 7]}',
@@ -396,9 +398,9 @@ def _fixed_pencil(rng, n):
 
 
 def test_fixed_pencils_refine_every_root_by_newton():
-    # these draws used to send 22 roots to the bisection fallback
-    # (newton_iterations == -1), leaving 2 of the 3x3 / 5x5 roots and 9 of
-    # the n = 8 roots uncertified
+    # these draws used to send 22 roots to a bisection fallback that took
+    # no Newton step, leaving 2 of the 3x3 / 5x5 roots and 9 of the n = 8
+    # roots uncertified
     cases = []
     for seed, n in [((0, i), 3) for i in range(9)] + [(0, 5)]:
         kind, eigs = _fixed_pencil(np.random.default_rng(seed), n)
@@ -412,7 +414,7 @@ def test_fixed_pencils_refine_every_root_by_newton():
     cases.append((kind, eigs, Rectangle(complex(-r, -r), complex(r, r))))
     for kind, eigs, region in cases:
         result = run_job(JobConfig(spec=ProblemSpec(kind=kind, region=region)))
-        assert all(rec.newton_iterations != -1 for rec in result.records)
+        assert all(rec.newton_iterations >= 1 for rec in result.records)
         assert result.passed
         assert all(rec.passed for rec in result.records)
         found = [rec.location for rec in result.records for _ in range(rec.multiplicity)]
@@ -711,6 +713,33 @@ def test_main_bad_config_exits_2(tmp_path, capsys):
     cfg_path.write_text(json.dumps(doc))
     assert main(["run", str(cfg_path), "--out", str(tmp_path / "out")]) == 2
     assert "error" in capsys.readouterr().err
+
+
+def test_main_rejects_a_small_oracle_grid_before_scanning(tmp_path, capsys, monkeypatch):
+    # at a grid under 128 the oracle's half grid is under fd_discretize's
+    # 64 points: a config or --grid giving one is a config error, raised
+    # before the scan starts
+    scans = []
+    real = cli_module.find_zeros
+
+    def recording(*args, **kw):
+        scans.append(args)
+        return real(*args, **kw)
+
+    monkeypatch.setattr(cli_module, "find_zeros", recording)
+    doc = json.loads(PERIODIC_JOB)
+    cfg_path, out = tmp_path / "job.json", str(tmp_path / "out")
+    doc["oracle"] = {"enabled": True, "grid": 64}
+    cfg_path.write_text(json.dumps(doc))
+    assert main(["run", str(cfg_path), "--out", out]) == 2
+    assert "oracle.grid" in capsys.readouterr().err
+    doc["oracle"]["grid"] = 128
+    cfg_path.write_text(json.dumps(doc))
+    assert main(["run", str(cfg_path), "--out", out, "--grid", "64"]) == 2
+    assert "oracle.grid" in capsys.readouterr().err
+    assert scans == []
+    assert main(["run", str(cfg_path), "--out", out]) == 0
+    assert len(scans) == 1
 
 
 def test_main_failed_certification_exits_1(tmp_path, capsys):

@@ -576,7 +576,7 @@ def test_newton_double_root():
     assert root == 0.0
     assert iters >= 0
     # F' = 0 with F != 0 (z^2 - 1 at 0) gives Newton no step: it raises,
-    # and find_zeros locates such a root by descending its leaf
+    # and find_zeros splits such a root's box and polishes it from a child
     with pytest.raises(DivergenceError):
         newton_refine(planted([1.0, -1.0]), 0.0, 1e-8, box)
 
@@ -632,9 +632,10 @@ def test_find_zeros_periodic_spectrum():
         assert record.char_residual <= report.tol * max(1.0, record.leaf_scale)
 
 
-def test_find_zeros_without_newton_descends_the_scan_cache(monkeypatch):
-    # with Newton forced to fail, find_zeros locates every root by
-    # descending its leaf on the scan's one panel cache
+def test_find_zeros_without_newton_takes_floor_means_on_the_scan_cache(monkeypatch):
+    # with Newton forced to fail, every box is split down to the floor on
+    # the scan's one panel cache, and each root is its floor box's moment
+    # mean, taken with 0 Newton iterations
     def diverging(f, start, tol, rect):
         raise DivergenceError("forced")
 
@@ -659,7 +660,7 @@ def test_find_zeros_without_newton_descends_the_scan_cache(monkeypatch):
         assert len(report.roots) == len(truth)
         for z, m in truth:
             (rec,) = [r for r in report.roots if abs(r.location - z) <= 2.0 * tol]
-            assert (rec.multiplicity, rec.newton_iterations) == (m, -1)
+            assert (rec.multiplicity, rec.newton_iterations) == (m, 0)
 
 
 def test_find_zeros_at_the_grid_floor(monkeypatch):
@@ -670,13 +671,34 @@ def test_find_zeros_at_the_grid_floor(monkeypatch):
     (rec,) = find_zeros(planted([0.3 + 0.1j] * 2), wide, tol=1e-10).roots
     assert abs(rec.location - (0.3 + 0.1j)) < 1e-8
     assert (rec.multiplicity, rec.newton_iterations) == (2, 1)
-    # the fallback descent stops at the same floor, a few units from the root
+    # without Newton the same floor box's moment mean is the root
     def diverging(f, start, tol, rect):
         raise DivergenceError("forced")
 
     monkeypatch.setattr(rootscan, "newton_refine", diverging)
     (rec,) = find_zeros(planted([0.3 + 0.1j]), wide, tol=1e-10).roots
-    assert abs(rec.location - (0.3 + 0.1j)) < 1e-7 and rec.newton_iterations == -1
+    assert abs(rec.location - (0.3 + 0.1j)) < 1e-9 and rec.newton_iterations == 0
+
+
+def test_find_zeros_splits_a_one_root_box_whose_newton_fails(monkeypatch):
+    # Newton fails on the top box only: the box is split like any other,
+    # and the child holding the root is a moment leaf that Newton polishes
+    fn, region = planted([0.3 + 0.2j]), Rectangle(-1.0 - 1.0j, 1.0 + 1.0j)
+    (top,) = find_zeros(fn, region, tol=1e-10).roots
+    real, starts = rootscan.newton_refine, []
+
+    def failing_once(f, start, tol, rect):
+        starts.append(start)
+        if len(starts) == 1:
+            raise DivergenceError("forced")
+        return real(f, start, tol, rect)
+
+    monkeypatch.setattr(rootscan, "newton_refine", failing_once)
+    (rec,) = find_zeros(fn, region, tol=1e-10).roots
+    assert len(starts) >= 2
+    assert abs(rec.location - (0.3 + 0.2j)) <= 1e-10 and rec.newton_iterations >= 1
+    # the deeper leaf's edges lie nearer the root than the top box's
+    assert rec.leaf_scale < top.leaf_scale
 
 
 def test_find_zeros_reads_leaf_scales_from_the_cache():
