@@ -6,6 +6,10 @@ eigenfunction defects, optional discretization oracle) and hands a record
 table to ``emit_report``, which writes the CSV spectrum table, an optional
 F-sample lattice, and a structured twin of the whole report.  Exit status
 is 0 exactly when every requested certification passed.
+
+A ``JobConfig`` checks its own option ranges however it is built (from a
+config file, with a ``--grid`` override, or in Python), and the region's
+``re`` and ``im`` bounds are [lo, hi] pairs.
 """
 
 from __future__ import annotations
@@ -71,7 +75,8 @@ _KIND_NAMES = {
 
 @dataclass(frozen=True)
 class JobConfig:
-    """One batch job: problem spec, output selection, oracle toggle, format."""
+    """One batch job: problem spec, output selection, oracle toggle, format;
+    a ConfigError when an option is out of range, however it is built."""
 
     spec: ProblemSpec
     spectrum: bool = True
@@ -79,6 +84,16 @@ class JobConfig:
     oracle_enabled: bool = False
     oracle_grid: int = 512
     out_format: str = "csv"
+
+    def __post_init__(self):
+        if self.grid is not None and min(self.grid) < 2:
+            raise ConfigError("outputs.grid must be at least 2x2")
+        # the oracle's half grid, its coarse model, needs the 64 points
+        # fd_discretize takes at least
+        if self.oracle_grid < 128:
+            raise ConfigError(f"oracle.grid: must be at least 128, got {self.oracle_grid}")
+        if self.out_format not in ("csv", "structured"):
+            raise ConfigError(f"format must be 'csv' or 'structured', got {self.out_format!r}")
 
 
 def _real_in(value, where):
@@ -109,17 +124,13 @@ def _exactly(kind, value, where):
     return value
 
 
-def _oracle_grid_in(n):
-    """``n`` when it is a usable oracle grid: its half grid, the oracle's
-    coarse model, needs the 64 points ``fd_discretize`` takes at least."""
-    if n < 128:
-        raise ConfigError(f"oracle.grid: must be at least 128, got {n}")
-    return n
-
-
-def _complex_out(z):
-    z = complex(z)
-    return [z.real, z.imag]
+def _json_out(value):
+    """``value`` as JSON data: a complex number as [re, im], a tuple as a list."""
+    if isinstance(value, complex):
+        return [value.real, value.imag]
+    if isinstance(value, tuple):
+        return [_json_out(v) for v in value]
+    return value
 
 
 def _matrix_in(value, where):
@@ -128,10 +139,6 @@ def _matrix_in(value, where):
     return tuple(
         tuple(_complex_in(x, where) for x in row) for row in value
     )
-
-
-def _matrix_out(rows):
-    return [[_complex_out(x) for x in row] for row in rows]
 
 
 def _functional_in(terms, where):
@@ -169,73 +176,49 @@ def _functional_in(terms, where):
 def _functional_out(psi):
     out = []
     for t in psi.points:
-        out.append({"point": t.location, "order": t.order, "weight": _complex_out(t.weight)})
+        out.append({"point": t.location, "order": t.order, "weight": _json_out(t.weight)})
     for t in psi.integrals:
-        term = {"integral": t.kernel, "weight": _complex_out(t.weight)}
+        term = {"integral": t.kernel, "weight": _json_out(t.weight)}
         if t.kernel == "exp":
-            term["rate"] = _complex_out(t.rate)
+            term["rate"] = _json_out(t.rate)
         out.append(term)
     return out
 
 
+def _pairs_in(read):
+    """A reader of [real, read(...)] pairs: delay atoms and delay terms."""
+    return lambda value, where: tuple((_real_in(r, where), read(x, where)) for r, x in value)
+
+
+# the reader of each kind dataclass field, by field name
+_FIELD_IN = {
+    "c": _complex_in,
+    "k": _complex_in,
+    "atoms": _pairs_in(_complex_in),
+    "instant": _matrix_in,
+    "delays": _pairs_in(_matrix_in),
+    "const_term": _matrix_in,
+    "linear_term": _matrix_in,
+}
+
+
 def _kind_in(name, params):
+    """The kind ``name`` built from each field that ``params`` gives or
+    that has no default, read in field order."""
     try:
         cls = _KIND_NAMES[name]
     except (KeyError, TypeError):
         raise ConfigError(f"unknown problem kind {name!r}") from None
     try:
-        if cls is FirstDerivative or cls is SecondDerivative:
-            return cls()
-        if cls is ConvectionDiffusion:
-            return cls(
-                c=_complex_in(params.get("c", 0), "problem.parameters.c"),
-                k=_complex_in(params.get("k", 0), "problem.parameters.k"),
-            )
-        if cls is BoundaryDelayHeat:
-            if "atoms" not in params:
-                return cls()
-            where = "problem.parameters.atoms"
-            atoms = tuple((_real_in(r, where), _complex_in(w, where)) for r, w in params["atoms"])
-            return cls(atoms=atoms)
-        if cls is DelaySystem:
-            return cls(
-                instant=_matrix_in(params["instant"], "problem.parameters.instant"),
-                delays=tuple(
-                    (_real_in(tau, "problem.parameters.delays"),
-                     _matrix_in(mat, "problem.parameters.delays"))
-                    for tau, mat in params.get("delays", [])
-                ),
-            )
-        return cls(
-            const_term=_matrix_in(params["const_term"], "problem.parameters.const_term"),
-            linear_term=_matrix_in(params["linear_term"], "problem.parameters.linear_term"),
-        )
+        return cls(**{
+            f.name: _FIELD_IN[f.name](params[f.name], f"problem.parameters.{f.name}")
+            for f in dataclasses.fields(cls)
+            if f.name in params or f.default is dataclasses.MISSING
+        })
     except ConfigError:
         raise
     except (KeyError, OverflowError, TypeError, ValueError) as exc:
         raise ConfigError(f"bad parameters for kind {name!r}: {exc}") from exc
-
-
-def _kind_out(kind):
-    if isinstance(kind, FirstDerivative):
-        return "first_derivative", {}
-    if isinstance(kind, SecondDerivative):
-        return "second_derivative", {}
-    if isinstance(kind, ConvectionDiffusion):
-        return "convection_diffusion", {"c": _complex_out(kind.c), "k": _complex_out(kind.k)}
-    if isinstance(kind, BoundaryDelayHeat):
-        return "boundary_delay_heat", {
-            "atoms": [[r, _complex_out(w)] for r, w in kind.atoms]
-        }
-    if isinstance(kind, DelaySystem):
-        return "delay_system", {
-            "instant": _matrix_out(kind.instant),
-            "delays": [[tau, _matrix_out(mat)] for tau, mat in kind.delays],
-        }
-    return "quadratic_pencil", {
-        "const_term": _matrix_out(kind.const_term),
-        "linear_term": _matrix_out(kind.linear_term),
-    }
 
 
 def parse_config(text):
@@ -249,6 +232,8 @@ def parse_config(text):
     prob = _exactly(dict, data["problem"], "problem")
     try:
         re, im = prob["region"]["re"], prob["region"]["im"]
+        if len(re) != 2 or len(im) != 2:
+            raise ConfigError(f"problem.region: bounds must be [lo, hi] pairs, got {re!r}, {im!r}")
         region = Rectangle(*(
             complex(_real_in(re[k], "problem.region"), _real_in(im[k], "problem.region"))
             for k in (0, 1)
@@ -281,29 +266,26 @@ def parse_config(text):
         if not (isinstance(grid, list) and len(grid) == 2):
             raise ConfigError(f"outputs.grid must be [n_re, n_im], got {grid!r}")
         grid = tuple(_exactly(int, n, "outputs.grid") for n in grid)
-        if min(grid) < 2:
-            raise ConfigError("outputs.grid must be at least 2x2")
     oracle = _exactly(dict, data.get("oracle", {}), "oracle")
-    fmt = data.get("format", "csv")
-    if fmt not in ("csv", "structured"):
-        raise ConfigError(f"format must be 'csv' or 'structured', got {fmt!r}")
     return JobConfig(
         spec=spec,
         spectrum=_exactly(bool, outputs.get("spectrum", True), "outputs.spectrum"),
         grid=grid,
         oracle_enabled=_exactly(bool, oracle.get("enabled", False), "oracle.enabled"),
-        oracle_grid=_oracle_grid_in(_exactly(int, oracle.get("grid", 512), "oracle.grid")),
-        out_format=fmt,
+        oracle_grid=_exactly(int, oracle.get("grid", 512), "oracle.grid"),
+        out_format=data.get("format", "csv"),
     )
 
 
 def _config_doc(cfg):
     """A JobConfig as the JSON document that ``serialize_config`` writes."""
-    kind_name, params = _kind_out(cfg.spec.kind)
+    kind = cfg.spec.kind
     return {
         "problem": {
-            "kind": kind_name,
-            "parameters": params,
+            "kind": next(name for name, cls in _KIND_NAMES.items() if cls is type(kind)),
+            "parameters": {
+                f.name: _json_out(getattr(kind, f.name)) for f in dataclasses.fields(kind)
+            },
             "psi": [_functional_out(p) for p in cfg.spec.psi],
             "region": {
                 "re": [cfg.spec.region.lo.real, cfg.spec.region.hi.real],
@@ -314,7 +296,7 @@ def _config_doc(cfg):
         },
         "outputs": {
             "spectrum": cfg.spectrum,
-            "grid": list(cfg.grid) if cfg.grid else None,
+            "grid": _json_out(cfg.grid),
         },
         "oracle": {"enabled": cfg.oracle_enabled, "grid": cfg.oracle_grid},
         "format": cfg.out_format,
@@ -491,7 +473,8 @@ def run_job(cfg):
 
 
 def _fmt(x):
-    return format(float(x), ".17g")
+    """A CSV field: 17 significant digits (an int as ``str`` writes it), None empty."""
+    return "" if x is None else format(float(x), ".17g")
 
 
 def _grid_rows(cfg):
@@ -522,25 +505,10 @@ def emit_report(result, outdir, error=None):
     if cfg.spectrum:
         lines = [CSV_HEADER]
         for r in records:
-            o_re = _fmt(r.oracle.real) if r.oracle is not None else ""
-            o_im = _fmt(r.oracle.imag) if r.oracle is not None else ""
-            o_d = _fmt(r.oracle_dist) if r.oracle_dist is not None else ""
-            lines.append(
-                ",".join(
-                    [
-                        _fmt(r.location.real),
-                        _fmt(r.location.imag),
-                        str(r.multiplicity),
-                        _fmt(r.abs_f),
-                        str(r.newton_iterations),
-                        _fmt(r.ode_residual),
-                        _fmt(r.bc_residual),
-                        o_re,
-                        o_im,
-                        o_d,
-                    ]
-                )
-            )
+            oracle = (None, None) if r.oracle is None else (r.oracle.real, r.oracle.imag)
+            row = (r.location.real, r.location.imag, r.multiplicity, r.abs_f,
+                   r.newton_iterations, r.ode_residual, r.bc_residual, *oracle, r.oracle_dist)
+            lines.append(",".join(map(_fmt, row)))
         path = outdir / "spectrum.csv"
         path.write_text("\n".join(lines) + "\n")
         written.append(path)
@@ -565,7 +533,7 @@ def emit_report(result, outdir, error=None):
                 "newton_iters": r.newton_iterations,
                 "ode_residual": r.ode_residual,
                 "bc_residual": r.bc_residual,
-                "oracle": _complex_out(r.oracle) if r.oracle is not None else None,
+                "oracle": _json_out(r.oracle),
                 "oracle_dist": r.oracle_dist,
                 "passed": r.passed,
             }
@@ -598,15 +566,12 @@ def main(argv=None):
 
     try:
         cfg = parse_config(Path(args.config).read_text())
-        if args.grid is not None:
-            cfg = dataclasses.replace(cfg, oracle_grid=_oracle_grid_in(args.grid))
+        given = {"oracle_grid": args.grid, "out_format": args.format,
+                 "oracle_enabled": None if args.oracle is None else args.oracle == "on"}
+        cfg = dataclasses.replace(cfg, **{k: v for k, v in given.items() if v is not None})
     except (OSError, ConfigError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    if args.oracle is not None:
-        cfg = dataclasses.replace(cfg, oracle_enabled=args.oracle == "on")
-    if args.format is not None:
-        cfg = dataclasses.replace(cfg, out_format=args.format)
 
     try:
         result = run_job(cfg)

@@ -667,9 +667,12 @@ def _subdivide(f, cache, counted, tol):
     multiplicity k, polished from the mean c + r s_1/k of ``moments``, or
     the mean itself with 0 iterations when ``_polish`` fails.  A box of at
     most _LEAF_ROOTS roots is a leaf when ``_moment_leaf`` finds them all,
-    each a simple part; any other box is split.
+    each a simple part; any other box is split.  A level cuts a side of each
+    box it splits to at most side/2 + 3.5*step <= 0.555*side (``_snap``,
+    step <= side/64), so a box at level L has one side cut >= L/2 times, and
+    48 cuts take a 2^48-unit side under the floor: no box splits past level 94.
     """
-    level, parts, depth = list(zip(cache.tops, counted)), [], 0
+    level, parts = list(zip(cache.tops, counted)), []
     while level:
         parents = []
         for box, (count, scale) in level:
@@ -693,12 +696,9 @@ def _subdivide(f, cache, counted, tol):
             elif count <= _LEAF_ROOTS and (roots := _moment_leaf(f, cache, box, count, tol)):
                 parts += [(z, 1, iters, scale) for root, iters in roots
                           for z in cache.images(box, root)]
-            elif depth > 120:
-                raise RootClusterError(f"subdivision depth exhausted near {0.5 * (lo + hi)}")
             else:
                 parents.append((box, count))
         level = [pair for split in _split(cache, parents) for pair in zip(*split)]
-        depth += 1
     return parts
 
 

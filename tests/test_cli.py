@@ -259,7 +259,33 @@ def test_parse_rejects_malformed():
         '{"problem": {"kind": "convection_diffusion", "parameters": [1], "region": {"re": [0, 1], "im": [0, 1]}}}',
         '{"problem": {"kind": "first_derivative", "psi": 5, "region": {"re": [0, 1], "im": [0, 1]}}}',
         '{"problem": {"kind": "first_derivative", "psi": [5], "region": {"re": [0, 1], "im": [0, 1]}}}',
+        # region bounds are [lo, hi] pairs, with no entry dropped
+        '{"problem": {"kind": "boundary_delay_heat", "region": {"re": [0, 1, 99], "im": [0, 1]}}}',
     )
+    # kind parameters, each read by its field's reader, keep their messages
+    params = '{"problem": {"kind": "%s", "parameters": {%s}, "region": {"re": [0, 1], "im": [0, 1]}}}'
+    kind_params = {
+        ("quadratic_pencil", '"const_term": [[1]]'):
+            "bad parameters for kind 'quadratic_pencil': 'linear_term'",
+        ("delay_system", '"instant": [[-1]], "delays": [[1]]'):
+            "bad parameters for kind 'delay_system': not enough values to unpack (expected 2, got 1)",
+        ("boundary_delay_heat", '"atoms": 3'):
+            "bad parameters for kind 'boundary_delay_heat': 'int' object is not iterable",
+        ("boundary_delay_heat", '"atoms": [[-2, 1]]'):
+            "bad parameters for kind 'boundary_delay_heat': delay position -2.0 outside [-1, 0]",
+        ("convection_diffusion", '"c": "x"'):
+            "problem.parameters.c: expected a finite number or [re, im] pair, got 'x'",
+        ("delay_system", '"instant": [[1, 2]]'):
+            "bad parameters for kind 'delay_system': "
+            "expected a square coefficient matrix, got shape (1, 2)",
+        ("delay_system", '"instant": [[-1]], "delays": [[1, [[1, 0], [0, 1]]]]'):
+            "bad parameters for kind 'delay_system': "
+            "delay coefficient size differs from instant term",
+    }
+    for (kind, given), message in kind_params.items():
+        with pytest.raises(ConfigError) as info:
+            parse_config(params % (kind, given))
+        assert str(info.value) == message
     psi_messages = []
     for text in bad:
         with pytest.raises(ConfigError) as info:
@@ -737,6 +763,17 @@ def test_main_rejects_a_small_oracle_grid_before_scanning(tmp_path, capsys, monk
     cfg_path.write_text(json.dumps(doc))
     assert main(["run", str(cfg_path), "--out", out, "--grid", "64"]) == 2
     assert "oracle.grid" in capsys.readouterr().err
+    # a JobConfig built or replaced in Python checks the same ranges
+    cfg = periodic_config()
+    for option, where in (
+        ({"oracle_grid": 64}, "oracle.grid"),
+        ({"grid": (1, 5)}, "outputs.grid"),
+        ({"out_format": "xml"}, "format"),
+    ):
+        for build in (lambda: JobConfig(cfg.spec, **option),
+                      lambda: dataclasses.replace(cfg, **option)):
+            with pytest.raises(ConfigError, match=where):
+                run_job(build())
     assert scans == []
     assert main(["run", str(cfg_path), "--out", out]) == 0
     assert len(scans) == 1
