@@ -253,8 +253,8 @@ def matrix_family(spec, lams, dlam=False):
         d = 0.5 * s[..., 0] - dw * mean + 4.0 * w * s[..., 1] * ds[..., 1] if dlam else None
     else:
         lam = lams[..., None, None]
-        eye = np.eye(kind.dim, dtype=complex)
         if isinstance(kind, DelaySystem):
+            eye = np.eye(kind.dim, dtype=complex)
             stack = lam * eye - np.array(kind.instant, dtype=complex)
             dstack = np.broadcast_to(eye, stack.shape).copy() if dlam else None
             for tau, mat in kind.delays:
@@ -263,9 +263,18 @@ def matrix_family(spec, lams, dlam=False):
                 if dlam:
                     dstack += tau * term
         else:
-            p = np.array(kind.linear_term, dtype=complex)
-            stack = lam * lam * eye - lam * p - np.array(kind.const_term, dtype=complex)
-            dstack = 2.0 * lam * eye - p if dlam else None
+            m, p = kind.dim, np.array(kind.linear_term, dtype=complex)
+            # each stack is built in place, with no other (lams, m, m) array;
+            # an entry rounds as in lam^2 I - lam P - K: -(lam p_ij) is exact,
+            # and lam^2 is added on the diagonal (a strided view) before k_ij
+            stack = lam * -p
+            stack.reshape(lams.shape + (m * m,))[..., :: m + 1] += (lams * lams)[..., None]
+            stack -= np.array(kind.const_term, dtype=complex)
+            dstack = None
+            if dlam:
+                dstack = np.empty_like(stack)
+                dstack[...] = -p
+                dstack.reshape(lams.shape + (m * m,))[..., :: m + 1] += (2.0 * lams)[..., None]
         return stack, dstack
     return out[..., None, None], (d[..., None, None] if dlam else None)
 

@@ -86,8 +86,10 @@ class JobConfig:
     out_format: str = "csv"
 
     def __post_init__(self):
-        if self.grid is not None and min(self.grid) < 2:
-            raise ConfigError("outputs.grid must be at least 2x2")
+        grid = self.grid
+        if grid is not None and not (isinstance(grid, tuple) and len(grid) == 2
+                                     and all(type(n) is int and n >= 2 for n in grid)):
+            raise ConfigError(f"outputs.grid must be two integers, each at least 2, got {grid!r}")
         # the oracle's half grid, its coarse model, needs the 64 points
         # fd_discretize takes at least
         if self.oracle_grid < 128:
@@ -263,9 +265,7 @@ def parse_config(text):
     outputs = _exactly(dict, data.get("outputs", {}), "outputs")
     grid = outputs.get("grid")
     if grid is not None:
-        if not (isinstance(grid, list) and len(grid) == 2):
-            raise ConfigError(f"outputs.grid must be [n_re, n_im], got {grid!r}")
-        grid = tuple(_exactly(int, n, "outputs.grid") for n in grid)
+        grid = tuple(_exactly(list, grid, "outputs.grid"))
     oracle = _exactly(dict, data.get("oracle", {}), "oracle")
     return JobConfig(
         spec=spec,

@@ -20,15 +20,18 @@ their parent's edges and the two sides of a cut share its panels; the same
 nodes give the box's scale, max |F| on its edges, and its moments.  One
 split routine cuts boxes at grid points, taking a whole subdivision level
 per call and counting all its boxes' children at one cut offset in one
-batch, until each leaf holds at most six roots (_LEAF_ROOTS).  The p-th
-moment of g around a box is the p-th power sum of the roots inside it
-(Delves & Lyness, Math. Comp. 21, 1967), and those roots are the
-eigenvalues of the Hankel pencil of the moments (Kravanja & Van Barel,
-ch. 1); Newton polishes each eigenvalue, and the box is a leaf when it
-finds as many distinct roots inside it as the box counts.  Otherwise the
-box is split, down to a box 64*tol across (or at the grid floor), where
-its k roots are one root of multiplicity k polished from their mean; the
-mean stands as the root when Newton fails there.
+batch, until each leaf holds at most ten roots (_LEAF_ROOTS), about where
+the moments' Hankel pencil grows ill-conditioned (Kravanja, Sakurai & Van
+Barel, BIT 39, 1999).  The p-th moment of g around a box is the p-th
+power sum of the roots inside it (Delves & Lyness, Math. Comp. 21, 1967),
+and those roots are the eigenvalues of the Hankel pencil of the moments
+(Kravanja & Van Barel, ch. 1).  Newton polishes the eigenvalues of every
+box of a level in one batch, one (F, F') call per iteration over the
+iterates still running, and a box is a leaf when it finds as many
+distinct roots inside it as the box counts.  Otherwise the box is split,
+down to a box 64*tol across (or at the grid floor), where its k roots are
+one root of multiplicity k polished from their mean, in the same batch;
+the mean stands as the root when Newton fails there.
 
 On a folded region the band symmetric about the real axis is counted on
 its upper half contour, as Im(integral of g)/pi, and the rest of the
@@ -82,7 +85,7 @@ _PANEL_TOL = 1e-3
 # Halvings of a first-level panel before its count is declared unsettled.
 _MAX_HALVINGS = 16
 # Most roots of a box whose roots are taken from its contour moments.
-_LEAF_ROOTS = 6
+_LEAF_ROOTS = 10
 # Cut offsets tried when subdividing, in steps of about 1/64 of the side.
 _CUT_STEPS = (0, 1, -1, 2, -2, 3, -3)
 # Most lambdas per values_and_derivatives call, which bounds the memory one
@@ -170,7 +173,8 @@ class _PanelCache:
     from a to b, min |F| and max |F| over the nodes, and the 12 nodes z
     with their weighted values g w dz, in one row of five columns (the
     last two 12 wide), appended as it is integrated; ``index`` maps the
-    panel's exact key to its row.  Every count of the scan reads this
+    panel's exact key to its row, and its size is the number of live rows
+    (the columns grow by doubling).  Every count of the scan reads this
     table, so each panel is integrated once however many boxes share it,
     and ``panels`` keeps the rows that each settled box's count accepted,
     from which ``moments`` sums the box's contour moments.
@@ -315,15 +319,22 @@ class _PanelCache:
                 fresh.append(k)
             rows.append(row)
         if fresh:
-            step = _CHUNK // _RULE.nodes.size
-            parts = [
-                self._integrate(axis[s], fixed[s], a[s], b[s])
-                for s in (fresh[i : i + step] for i in range(0, len(fresh), step))
-            ]
+            stop = len(self.index)
+            start = stop - len(fresh)
             columns = (self.integral, self.f_min, self.f_max, self.nodes, self.weighted)
-            self.integral, self.f_min, self.f_max, self.nodes, self.weighted = (
-                np.concatenate(column) for column in zip(columns, *parts)
-            )
+            if stop > len(self.integral):
+                # the columns double, so that a row is copied O(1) times on average
+                capacity = max(stop, 2 * len(self.integral))
+                columns = tuple(
+                    np.concatenate([c[:start], np.empty((capacity - start, *c.shape[1:]), c.dtype)])
+                    for c in columns
+                )
+                self.integral, self.f_min, self.f_max, self.nodes, self.weighted = columns
+            step = _CHUNK // _RULE.nodes.size
+            for i in range(0, len(fresh), step):
+                s = fresh[i : i + step]
+                for column, part in zip(columns, self._integrate(axis[s], fixed[s], a[s], b[s])):
+                    column[start + i : start + i + len(s)] = part
         return np.array(rows)
 
     def count(self, boxes):
@@ -540,31 +551,62 @@ def newton_refine(f, start, tol, rect):
     is returned as it stands).  Raises DivergenceError when F' = 0 with
     F != 0, when the steps stall (shrinking by less than 10% over five
     iterations), when _NEWTON_MAX_ITER iterations do not converge, or when
-    an iterate leaves a 2x-dilated copy of ``rect``.
+    an iterate leaves a 2x-dilated copy of ``rect``.  This is the one-start
+    case of ``_newton_batch``.
     """
+    (out,) = _newton_batch(f, [start], tol, rect)
+    if isinstance(out, DivergenceError):
+        raise out
+    return out
+
+
+def _newton_batch(f, starts, tol, rect):
+    """Newton iteration from every start at once, by ``newton_refine``'s
+    rules for each iterate: one (root, iterations) or DivergenceError per
+    start, with one ``values_and_derivatives`` call per iteration (at most
+    _CHUNK lambdas each) over the iterates still running."""
     # the fence is rect dilated 2x about its centre: its half-sides are
     # rect's whole width and height
     centre, half_x, half_y = rect.center, rect.width, rect.height
-    lam = complex(start)
-    if not rect.contains(lam):
-        raise DivergenceError(f"start {lam} outside the search rectangle")
-    steps = []
+    out, live = [None] * len(starts), []
+    for k, start in enumerate(starts):
+        lam = complex(start)
+        if rect.contains(lam):
+            live.append((k, lam, []))
+        else:
+            out[k] = DivergenceError(f"start {lam} outside the search rectangle")
     for it in range(1, _NEWTON_MAX_ITER + 1):
-        val, deriv = (complex(x[0]) for x in f.values_and_derivatives(np.array([lam])))
-        if val == 0:
-            return lam, it
-        if deriv == 0:
-            raise DivergenceError(f"F' = 0 at Newton iterate {lam}")
-        step = val / deriv
-        lam -= step
-        if not (abs(lam.real - centre.real) <= half_x and abs(lam.imag - centre.imag) <= half_y):
-            raise DivergenceError(f"Newton iterate {lam} left the search region")
-        steps.append(abs(step))
-        if abs(step) <= tol:
-            return lam, it
-        if len(steps) >= 6 and steps[-1] > 0.9 * steps[-6]:
-            raise DivergenceError(f"Newton stalled at {lam}")
-    raise DivergenceError(f"Newton took {_NEWTON_MAX_ITER} iterations from {start}")
+        if not live:
+            break
+        lams = np.array([lam for _, lam, _ in live])
+        pairs = [f.values_and_derivatives(lams[i : i + _CHUNK])
+                 for i in range(0, lams.size, _CHUNK)]
+        values, derivs = (np.concatenate(c, dtype=complex).tolist() for c in zip(*pairs))
+        running = []
+        for (k, lam, steps), val, deriv in zip(live, values, derivs):
+            if val == 0:
+                out[k] = (lam, it)
+                continue
+            if deriv == 0:
+                out[k] = DivergenceError(f"F' = 0 at Newton iterate {lam}")
+                continue
+            step = val / deriv
+            lam -= step
+            if not (abs(lam.real - centre.real) <= half_x
+                    and abs(lam.imag - centre.imag) <= half_y):
+                out[k] = DivergenceError(f"Newton iterate {lam} left the search region")
+                continue
+            steps.append(abs(step))
+            if abs(step) <= tol:
+                out[k] = (lam, it)
+            elif len(steps) >= 6 and steps[-1] > 0.9 * steps[-6]:
+                out[k] = DivergenceError(f"Newton stalled at {lam}")
+            else:
+                running.append((k, lam, steps))
+        live = running
+    for k, _, _ in live:
+        out[k] = DivergenceError(f"Newton took {_NEWTON_MAX_ITER} iterations from {starts[k]}")
+    return out
 
 
 @dataclass(frozen=True)
@@ -665,35 +707,57 @@ def _subdivide(f, cache, counted, tol):
     under 64*tol across, or with a side under 256 grid units, where an
     edge's first blocks can be one unit long) its k roots are one part of
     multiplicity k, polished from the mean c + r s_1/k of ``moments``, or
-    the mean itself with 0 iterations when ``_polish`` fails.  A box of at
-    most _LEAF_ROOTS roots is a leaf when ``_moment_leaf`` finds them all,
-    each a simple part; any other box is split.  A level cuts a side of each
-    box it splits to at most side/2 + 3.5*step <= 0.555*side (``_snap``,
-    step <= side/64), so a box at level L has one side cut >= L/2 times, and
-    48 cuts take a 2^48-unit side under the floor: no box splits past level 94.
+    the mean itself with 0 iterations when Newton fails.  A box of at most
+    _LEAF_ROOTS (ten) roots is a leaf when Newton from its ``_hankel_roots``
+    finds them all (``_leaf_roots``), each a simple part; any other box is
+    split.  Each level takes one Newton batch, ``_newton_batch`` over the
+    starts of all its boxes, fenced by the scan frame (early steps overshoot
+    a leaf routinely); a start that is non-finite or outside its box is
+    replaced by the box's ``centre_of``, and a root outside its box, past
+    float-level slack, fails like a Newton failure.  A level cuts a side of
+    each box it splits to at most side/2 + 3.5*step <= 0.555*side
+    (``_snap``, step <= side/64), so a box at level L has one side cut >=
+    L/2 times, and 48 cuts take a 2^48-unit side under the floor: no box
+    splits past level 94.
     """
     level, parts = list(zip(cache.tops, counted)), []
     while level:
-        parents = []
+        tried, starts = [], []
         for box, (count, scale) in level:
             if count == 0:
                 continue
             (lo, hi), (i0, j0, i1, j1) = cache.corners(box), box
-            if abs(hi - lo) < 64.0 * tol or min(i1 - i0, j1 - j0) < 256:
+            floor = abs(hi - lo) < 64.0 * tol or min(i1 - i0, j1 - j0) < 256
+            if floor:
                 if count > 8:
                     raise RootClusterError(
                         f"{count} roots still clustered in a box of diameter {abs(hi - lo):.3e}"
                     )
                 c, r, s = cache.moments(box, 2)
-                mean = c + r * complex(s[1]) / count
-                try:
-                    root, iters = _polish(f, cache, box, mean, tol)
-                except DivergenceError:
-                    root, iters = mean, 0
+                guesses = [c + r * complex(s[1]) / count]
+            else:
+                guesses = _hankel_roots(cache, box, count) if count <= _LEAF_ROOTS else []
+            leaf = cache.rect(box) if guesses else None
+            tried.append((box, count, scale, floor, guesses, leaf, len(starts)))
+            starts += [z if cmath.isfinite(z) and leaf.contains(z) else cache.centre_of(box)
+                       for z in guesses]
+        polished = _newton_batch(f, starts, tol, cache.frame)
+        parents = []
+        for box, count, scale, floor, guesses, leaf, at in tried:
+            roots = polished[at : at + len(guesses)]
+            # the leaf is the exact rectangle its count was taken on, so a
+            # genuine zero lies strictly inside; allow only float-level
+            # slack, or a root hugging the far side of a wide leaf passes
+            if any(isinstance(x, DivergenceError)
+                   or not leaf.contains(x[0], pad=1e-6 * leaf.diameter + 10.0 * tol)
+                   for x in roots):
+                roots = None
+            if floor:
+                root, iters = roots[0] if roots else (guesses[0], 0)
                 if cache.symmetric(box):
                     root = complex(root.real, 0.0)
                 parts += [(z, count, iters, scale) for z in cache.images(box, root)]
-            elif count <= _LEAF_ROOTS and (roots := _moment_leaf(f, cache, box, count, tol)):
+            elif roots is not None and (roots := _leaf_roots(cache, box, count, roots, tol)):
                 parts += [(z, 1, iters, scale) for root, iters in roots
                           for z in cache.images(box, root)]
             else:
@@ -702,53 +766,35 @@ def _subdivide(f, cache, counted, tol):
     return parts
 
 
-def _polish(f, cache, box, start, tol):
-    """(root, iterations) from ``newton_refine`` started at ``start``, or
-    at the box's ``centre_of`` when that is non-finite or outside the box;
-    DivergenceError when Newton fails or its root lies outside the box."""
-    leaf = cache.rect(box)
-    if not (cmath.isfinite(start) and leaf.contains(start)):
-        start = cache.centre_of(box)
-    # fence on the whole scan frame: early Newton steps overshoot the leaf
-    # routinely, and any migration is caught just below
-    root, iters = newton_refine(f, start, tol, cache.frame)
-    # the leaf is the exact rectangle its count was taken on, so a genuine
-    # zero lies strictly inside; allow only float-level slack, or a root
-    # hugging the far side of a wide leaf passes
-    if not leaf.contains(root, pad=1e-6 * leaf.diameter + 10.0 * tol):
-        raise DivergenceError(f"Newton migrated to {root}, out of its leaf")
-    return root, iters
-
-
-def _moment_leaf(f, cache, box, count, tol):
-    """[(root, iterations)] for the ``count`` simple roots of a settled box,
-    or None when they are not all found.
+def _hankel_roots(cache, box, count):
+    """Estimates of the ``count`` roots of a settled box from its contour
+    moments, or [] when the pencil is singular.
 
     With c, r and the moments s_p, p < 2N, from ``cache.moments`` (N the
-    count), Newton starts at c + r e for each eigenvalue e of the Hankel
-    pencil (H1, H0), H0 = [s_{i+j}] and H1 = [s_{i+j+1}], i, j < N: the
-    roots in w (Kravanja & Van Barel, LNM 1727, ch. 1).  A symmetric box's
-    pencil is real, and only its eigenvalues with Im >= 0 are taken; each
-    polished root is real when |Im| <= 64*tol (Im set to 0.0) and stands
-    for itself and its conjugate otherwise.  The box is a leaf when every
-    root lies in it (the pad of ``_polish``) and their images in the
-    plane, ``cache.images``, are ``weight(box) * N`` points pairwise more
-    than 64*tol apart.  A singular pencil, a Newton failure or a root found
-    twice fails the box."""
+    count), they are c + r e for each eigenvalue e of the Hankel pencil
+    (H1, H0), H0 = [s_{i+j}] and H1 = [s_{i+j+1}], i, j < N: the roots in w
+    (Kravanja & Van Barel, LNM 1727, ch. 1).  A symmetric box's pencil is
+    real, and only its eigenvalues with Im >= 0 are taken."""
     c, r, s = cache.moments(box, 2 * count)
     hankel = np.add.outer(np.arange(count), np.arange(count))
     try:
         eigs = np.linalg.eigvals(np.linalg.solve(s[hankel], s[hankel + 1]))
     except np.linalg.LinAlgError:
-        return None
+        return []
+    symmetric = cache.symmetric(box)
+    return [c + r * e for e in eigs.tolist() if not (symmetric and e.imag < 0.0)]
+
+
+def _leaf_roots(cache, box, count, polished, tol):
+    """The [(root, iterations)] Newton ``polished`` from a box's
+    ``_hankel_roots``, when they are its ``count`` simple roots, else None.
+
+    A symmetric box's root is real when |Im| <= 64*tol (Im set to 0.0) and
+    stands for itself and its conjugate otherwise.  The roots are the box's
+    when their images in the plane, ``cache.images``, are ``weight(box) *
+    count`` points pairwise more than 64*tol apart."""
     symmetric, roots, points = cache.symmetric(box), [], []
-    for e in eigs.tolist():
-        if symmetric and e.imag < 0.0:
-            continue
-        try:
-            root, iters = _polish(f, cache, box, c + r * e, tol)
-        except DivergenceError:
-            return None
+    for root, iters in polished:
         if symmetric and abs(root.imag) <= 64.0 * tol:
             root = complex(root.real, 0.0)
         for z in cache.images(box, root):
@@ -762,12 +808,13 @@ def _moment_leaf(f, cache, box, count, tol):
 def find_zeros(f, rect, tol=1e-10):
     """All zeros of F inside the rectangle, with multiplicities.
 
-    Pipeline: total winding count, subdivision to leaves of at most
-    _LEAF_ROOTS roots, Newton refinement, deterministic sort.  A box of N
-    <= _LEAF_ROOTS roots starts Newton at the eigenvalues of the Hankel
-    pencil of its contour moments (see ``_moment_leaf``; for N = 1 that is
-    the first moment), and is a leaf when Newton finds N distinct roots
-    inside it, each a record of multiplicity 1 with its own iterations.
+    Pipeline: total winding count, subdivision to leaves of at most ten
+    roots (_LEAF_ROOTS) with one Newton batch per level, deterministic
+    sort.  A box of N <= _LEAF_ROOTS roots starts Newton at the eigenvalues
+    of the Hankel pencil of its contour moments (see ``_hankel_roots``; for
+    N = 1 that is the first moment), and is a leaf when Newton finds N
+    distinct roots inside it (``_leaf_roots``), each a record of
+    multiplicity 1 with its own iterations.
     Otherwise it is split, a one-root box whose Newton fails included.  A
     box under 64*tol across, or at the grid floor, holding k roots gives
     one record of multiplicity k, polished from their mean, so a close pair

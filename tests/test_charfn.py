@@ -472,6 +472,36 @@ def test_matrix_family_is_pointwise_in_lambda():
                     assert np.array_equal(got.reshape(want[1].shape), want[1])
 
 
+def test_pencil_jet_keeps_its_bits():
+    # the pencil's stacks are built in place, each entry rounding as in
+    # lam^2 I - lam P - K and 2 lam I - P; F and F' at seeded lambdas keep
+    # the bits of that whole-array form, for m = 3 (cofactors) and 5 (LU)
+    pinned = {  # F then F' at each lambda, as real and imaginary parts
+        3: ("-0x1.5c6a34aa04967p+11 0x1.0aa754b596a72p+12",
+            "0x1.b24329b7dad8cp+12 -0x1.d0facf5c22e32p+10",
+            "0x1.e0dbd1fbe33ccp+6 -0x1.914b4ee14b765p+6",
+            "0x1.82220280b7dc0p+8 0x1.2ebdf5a1e0554p+7",
+            "0x1.c34c2a97fb49ap+10 0x1.4308ac6837670p+9",
+            "0x1.933d33416e355p+9 0x1.7b0f324bbde4ep+11"),
+        5: ("-0x1.f358fc0721869p+20 -0x1.02fa8710ea4e4p+20",
+            "-0x1.dc9166f096690p+21 -0x1.8bc978d29873ap+21",
+            "-0x1.18a3314071e28p+16 -0x1.0f4f0a7086537p+17",
+            "0x1.34d1e422a449fp+18 0x1.0c73ff4f9e26dp+18",
+            "-0x1.9982cfc282d63p+18 -0x1.3872592578d8ap+19",
+            "-0x1.b0f9dc2771104p+18 0x1.a99aae7b31694p+20"),
+    }
+    rng = np.random.default_rng(29)
+    for m, want in pinned.items():
+        k, p = (rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m)) for _ in range(2))
+        fn = CharFunction(ProblemSpec(kind=QuadraticPencil(
+            const_term=tuple(map(tuple, k)), linear_term=tuple(map(tuple, p)))))
+        lams = 3.0 * (rng.standard_normal(3) + 1j * rng.standard_normal(3))
+        f, df = fn.values_and_derivatives(lams)
+        got = [f"{z.real.hex()} {z.imag.hex()}" for pair in zip(f.tolist(), df.tolist())
+               for z in pair]
+        assert got == list(want)
+
+
 def test_delta_matrix_periodic_is_exp():
     spec = periodic_spec()
     # Phi = L - Psi = delta_1, so Delta(lam) is the 1x1 matrix [e^lam]

@@ -763,11 +763,14 @@ def test_main_rejects_a_small_oracle_grid_before_scanning(tmp_path, capsys, monk
     cfg_path.write_text(json.dumps(doc))
     assert main(["run", str(cfg_path), "--out", out, "--grid", "64"]) == 2
     assert "oracle.grid" in capsys.readouterr().err
-    # a JobConfig built or replaced in Python checks the same ranges
+    # a JobConfig built or replaced in Python checks the same ranges, and
+    # takes only a pair as its grid
     cfg = periodic_config()
     for option, where in (
         ({"oracle_grid": 64}, "oracle.grid"),
         ({"grid": (1, 5)}, "outputs.grid"),
+        ({"grid": ()}, "outputs.grid"),
+        ({"grid": (3, 3, 3)}, "outputs.grid"),
         ({"out_format": "xml"}, "format"),
     ):
         for build in (lambda: JobConfig(cfg.spec, **option),

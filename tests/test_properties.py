@@ -34,7 +34,7 @@ the pair's separation plus 4*tol of both, or raises a typed error, and
 never reports one simple root for the pair; its 40 examples give 25 pairs
 of simple roots and 15 double roots.
 
-A seventh property plants two to six simple roots in ``SQUARE``, few
+A seventh property plants two to ten simple roots in ``SQUARE``, few
 enough for ``find_zeros`` to take them from one box's contour moments:
 real data (real roots and conjugate pairs, some of them 1e-7 to 1e-3 off
 the axis, with ``is_real`` set so that the scan folds) or complex data.
@@ -42,11 +42,19 @@ Every root comes back within 1e-8 with multiplicity 1, polished by Newton,
 the count is never wrong, and the roots of real data are closed under
 conjugation, bit for bit.
 
+An eighth property runs Newton from up to nine starts in one batch, one
+of them ending each of the ways ``newton_refine`` ends (a start on a
+root, a step within tol, F' = 0, leaving the fence, a stall, the
+iteration cap, a start outside the rectangle): every start gives what
+``newton_refine`` gives from it alone, the same root and iteration count
+or the same DivergenceError.
+
 The derandomized profile in ``conftest.py`` draws the same examples on
-every run.  Time budget: the module runs in 4.0-6.0 s on a 2-core VM, of
+every run.  Time budget: the module runs in 4.5-7.5 s on a 2-core VM, of
 which the delay property takes 0.3-0.5 s, the cut-line property
 0.25-0.4 s, the scaled property 0.2-0.3 s, the close-pair property
-0.4-0.6 s and the moment-leaf property 0.3-0.5 s.
+0.3-0.6 s, the moment-leaf property 0.3-0.7 s and the Newton batch
+property 0.6-0.7 s.
 """
 
 import pytest
@@ -66,9 +74,12 @@ from charspec import (  # noqa: E402
     ProblemSpec,
     Rectangle,
     find_zeros,
+    newton_refine,
+    rootscan,
     winding_count,
 )
-from test_rootscan import BIG, _conjugate_closed, planted, quadrants  # noqa: E402
+from charspec.errors import DivergenceError  # noqa: E402
+from test_rootscan import BIG, VecFn, _conjugate_closed, planted, quadrants  # noqa: E402
 
 SQUARE = Rectangle(-1.0 - 1.0j, 1.0 + 1.0j)
 # distance every root keeps from each contour a property integrates over
@@ -141,11 +152,11 @@ _real_part = st.tuples(_coord, st.one_of(
 @settings(max_examples=60)
 @given(st.one_of(
     st.lists(_real_part, min_size=1, max_size=4).map(lambda parts: (_real_spectrum(parts), True)),
-    st.lists(st.builds(complex, _coord, _coord), min_size=2, max_size=6).map(lambda r: (r, False)),
+    st.lists(st.builds(complex, _coord, _coord), min_size=2, max_size=10).map(lambda r: (r, False)),
 ))
 def test_find_zeros_recovers_moment_leaf_roots(drawn):
     roots, real = drawn
-    assume(2 <= len(roots) <= 6)
+    assume(2 <= len(roots) <= 10)
     # a near-real pair is close to its own conjugate only
     distinct = [z for z in roots if z.imag >= 0.0] if real else roots
     assume(_separated([(z, 1) for z in distinct]))
@@ -263,3 +274,42 @@ def test_close_pair_is_two_simple_roots_or_one_double(log_width, log_sep, fx, fy
         ((z, m),) = found
         assert m == 2
         assert all(abs(z - p) <= sep + 4 * tol for p in pair)
+
+
+# (F, rectangle, start, tol, how newton_refine ends from that start): a
+# start on a root, a step within tol, F' = 0 with F != 0, an iterate out of
+# the 2x fence, a stall (exp takes steps of exactly 1), the iteration cap
+# (steps halving on a double root) and a start outside the rectangle
+_NEWTON_ENDS = (
+    (planted([0.0, 0.0]), SQUARE, 0.0, 1e-8, None),
+    (planted([0.3 + 0.2j, -0.5j]), SQUARE, 0.5 + 0.1j, 1e-10, None),
+    (planted([1.0, -1.0]), SQUARE, 0.0, 1e-8, "F' = 0 at Newton iterate"),
+    (planted([1j, -1j]), SQUARE, 0.1, 1e-10, "left the search region"),
+    (VecFn(np.exp, np.exp), Rectangle(-100.0 - 100.0j, 100.0 + 100.0j), 0.0, 1e-10, "stalled"),
+    (planted([0.0, 0.0]), SQUARE, 0.5, 1e-300, "Newton took 50 iterations"),
+    (planted([0.3]), SQUARE, 5.0, 1e-10, "outside the search rectangle"),
+)
+
+
+@settings(max_examples=25)
+@given(st.lists(st.builds(complex, _coord, _coord), max_size=8), st.integers(0, 8))
+def test_newton_batch_runs_each_start_as_newton_refine(others, at):
+    # the scan polishes a level's starts in one batch; each start ends as
+    # newton_refine ends from it alone: the same root and iteration count,
+    # or the same DivergenceError, with each way of ending among the starts
+    for fn, rect, start, tol, ending in _NEWTON_ENDS:
+        half = 0.5 * rect.width, 0.5 * rect.height
+        starts = [rect.center + complex(z.real * half[0], z.imag * half[1]) for z in others]
+        starts.insert(min(at, len(starts)), start)
+        batch = rootscan._newton_batch(fn, starts, tol, rect)
+        assert len(batch) == len(starts)
+        for z, got in zip(starts, batch):
+            try:
+                want = newton_refine(fn, z, tol, rect)
+            except DivergenceError as exc:
+                assert isinstance(got, DivergenceError) and str(got) == str(exc)
+            else:
+                assert got == want
+            if z is start:
+                assert (ending is None) == (not isinstance(got, DivergenceError))
+                assert ending is None or ending in str(got)

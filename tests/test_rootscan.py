@@ -253,26 +253,27 @@ def test_scan_evaluates_each_contour_node_once(monkeypatch):
     # a whole scan shares one panel cache: parent edges serve the children
     # and each cut serves both of its sides; 13 roots are more than one
     # box's moments resolve, so the region is split
-    counted = []
+    counted, contour = [], []
     count = rootscan._PanelCache.count
+    counter = CountingFn(periodic_fn())
 
     def recording(cache, boxes):
         counted.extend(cache.rect(box) for box in boxes)
-        return count(cache, boxes)
+        before = len(counter.calls)
+        outcomes = count(cache, boxes)
+        contour.extend(lams for _, lams in counter.calls[before:])
+        return outcomes
 
     monkeypatch.setattr(rootscan._PanelCache, "count", recording)
-    counter = CountingFn(periodic_fn())
     report = find_zeros(counter, Rectangle(-1.0 - 40.0j, 1.0 + 40.0j), tol=1e-10)
     assert report.region_count == 13
     pairs = [lams for kind, lams in counter.calls if kind == "pair"]
     # across every (F, F') batch of the scan, Newton's included, no lambda repeats
     lams = np.concatenate(pairs)
     assert np.unique(lams).size == lams.size
-    # every contour batch (Newton asks for one lambda at a time) lies on
-    # an edge of a box the scan counted
-    batched = np.concatenate([lams for lams in pairs if lams.size > 1])
+    # every batch a count asks for lies on an edge of a box the scan counted
     assert len(counted) > 1
-    assert _on_some_edge(batched, counted).max() < 1e-12
+    assert _on_some_edge(np.concatenate(contour), counted).max() < 1e-12
 
 
 def test_split_accepts_cuts_near_zeros():
@@ -460,8 +461,9 @@ def test_complex_data_take_the_whole_region():
 def test_moment_leaf_settles_the_top_box(monkeypatch):
     # BIG holds 0 and +-2*pi*i, three roots: the top count is the scan's
     # only count, and its moments give Newton's starts, so every lambda
-    # after the top contour's comes from Newton, one at a time
-    counter = CountingFn(periodic_fn())
+    # after the top contour's comes from Newton, all starts in one batch:
+    # three on the whole region, two (0 and 2*pi*i) on the folded frame,
+    # whose symmetric top box stands for the conjugate root too
     seen = []
     count = rootscan._PanelCache.count
 
@@ -471,12 +473,16 @@ def test_moment_leaf_settles_the_top_box(monkeypatch):
         return outcomes
 
     monkeypatch.setattr(rootscan._PanelCache, "count", recording)
-    report = find_zeros(counter, BIG, tol=1e-10)
-    assert report.region_count == 3
-    assert [(r.multiplicity, r.newton_iterations >= 1) for r in report.roots] == [(1, True)] * 3
-    (top,) = seen
-    newton = [lams for kind, lams in counter.calls[top:] if kind == "pair"]
-    assert newton and all(lams.size == 1 for lams in newton)
+    for wrapper, starts in ((UnfoldedFn, 3), (CountingFn, 2)):
+        counter, seen[:] = wrapper(periodic_fn()), []
+        report = find_zeros(counter, BIG, tol=1e-10)
+        assert report.region_count == 3
+        polished = [(r.multiplicity, r.newton_iterations >= 1) for r in report.roots]
+        assert polished == [(1, True)] * 3
+        (top,) = seen
+        newton = [lams for kind, lams in counter.calls[top:] if kind == "pair"]
+        assert newton[0].size == starts
+        assert all(lams.size <= starts for lams in newton)
 
 
 def test_moment_leaf_falls_back_to_splitting_on_a_double_root(monkeypatch):
@@ -636,8 +642,8 @@ def test_find_zeros_without_newton_takes_floor_means_on_the_scan_cache(monkeypat
     # with Newton forced to fail, every box is split down to the floor on
     # the scan's one panel cache, and each root is its floor box's moment
     # mean, taken with 0 Newton iterations
-    def diverging(f, start, tol, rect):
-        raise DivergenceError("forced")
+    def diverging(f, starts, tol, rect):
+        return [DivergenceError("forced") for _ in starts]
 
     built = []
     init = rootscan._PanelCache.__init__
@@ -646,7 +652,7 @@ def test_find_zeros_without_newton_takes_floor_means_on_the_scan_cache(monkeypat
         built.append(region)
         init(cache, f, region, fold)
 
-    monkeypatch.setattr(rootscan, "newton_refine", diverging)
+    monkeypatch.setattr(rootscan, "_newton_batch", diverging)
     monkeypatch.setattr(rootscan._PanelCache, "__init__", recording)
     tol = 1e-10
     cases = (
@@ -672,10 +678,10 @@ def test_find_zeros_at_the_grid_floor(monkeypatch):
     assert abs(rec.location - (0.3 + 0.1j)) < 1e-8
     assert (rec.multiplicity, rec.newton_iterations) == (2, 1)
     # without Newton the same floor box's moment mean is the root
-    def diverging(f, start, tol, rect):
-        raise DivergenceError("forced")
+    def diverging(f, starts, tol, rect):
+        return [DivergenceError("forced") for _ in starts]
 
-    monkeypatch.setattr(rootscan, "newton_refine", diverging)
+    monkeypatch.setattr(rootscan, "_newton_batch", diverging)
     (rec,) = find_zeros(planted([0.3 + 0.1j]), wide, tol=1e-10).roots
     assert abs(rec.location - (0.3 + 0.1j)) < 1e-9 and rec.newton_iterations == 0
 
@@ -685,17 +691,17 @@ def test_find_zeros_splits_a_one_root_box_whose_newton_fails(monkeypatch):
     # and the child holding the root is a moment leaf that Newton polishes
     fn, region = planted([0.3 + 0.2j]), Rectangle(-1.0 - 1.0j, 1.0 + 1.0j)
     (top,) = find_zeros(fn, region, tol=1e-10).roots
-    real, starts = rootscan.newton_refine, []
+    real, batches = rootscan._newton_batch, []
 
-    def failing_once(f, start, tol, rect):
-        starts.append(start)
-        if len(starts) == 1:
-            raise DivergenceError("forced")
-        return real(f, start, tol, rect)
+    def failing_once(f, starts, tol, rect):
+        batches.append(starts)
+        if len(batches) == 1:
+            return [DivergenceError("forced") for _ in starts]
+        return real(f, starts, tol, rect)
 
-    monkeypatch.setattr(rootscan, "newton_refine", failing_once)
+    monkeypatch.setattr(rootscan, "_newton_batch", failing_once)
     (rec,) = find_zeros(fn, region, tol=1e-10).roots
-    assert len(starts) >= 2
+    assert len(batches) >= 2 and len(batches[0]) == 1
     assert abs(rec.location - (0.3 + 0.2j)) <= 1e-10 and rec.newton_iterations >= 1
     # the deeper leaf's edges lie nearer the root than the top box's
     assert rec.leaf_scale < top.leaf_scale
