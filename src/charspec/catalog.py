@@ -315,21 +315,13 @@ class QuadraticPencil:
         return len(self.const_term)
 
 
-_DIRICHLET_DIMS = {
-    FirstDerivative: 1,
-    SecondDerivative: 2,
-    ConvectionDiffusion: 1,
-    BoundaryDelayHeat: 1,
-}
-
-
 def is_dirichlet(kind):
-    return type(kind) in _DIRICHLET_DIMS
+    return type(kind) in _TRACES
 
 
 def boundary_dimension(kind):
     try:
-        return _DIRICHLET_DIMS[type(kind)]
+        return len(_TRACES[type(kind)])
     except KeyError:
         raise UnsupportedKindError(f"{type(kind).__name__} has no boundary trace space")
 
@@ -487,6 +479,8 @@ def _adaptive_quadrature(sample):
 # ---------------------------------------------------------------------------
 # Dirichlet curves
 
+# The Dirichlet kinds' traces, (location, order) per functional: the one
+# kind table behind is_dirichlet and boundary_dimension.
 _TRACES = {
     FirstDerivative: (((0.0, 0),),),
     SecondDerivative: (((0.0, 0),), ((0.0, 1),)),

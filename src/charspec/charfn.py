@@ -287,14 +287,26 @@ def char_matrix(spec, lam):
 
 # a 3x3 row read cyclically, so that entries j + 1 and j + 2 (mod 3) are slices
 _WRAP = np.array([0, 1, 2, 0, 1])
+# Most lambdas in one M(lambda) stack, which bounds the memory an F batch
+# takes (0.8 MB for a 3x3 pencil at 1,024 lambdas, twice that at 2,048).
+_CHUNK = 1024
 
 
 def _char_jet(spec, lams, dlam):
-    """F = det M(lambda) over an array of lambdas and, when ``dlam``, F'
-    (else None): the 1x1 entry, the closed 2x2 form, for m = 3 row 0 of M
-    times its cofactors C_ij with F' = sum_ij C_ij dM_ij (no factorization,
-    no special case at a singular M, rounding within a few ulps of Hadamard's
-    bound prod_i |row i|), or LU determinants with Jacobi's formula."""
+    """F = det M(lambda) over an array of lambdas of any shape and, when
+    ``dlam``, F' (else None), from M stacks of at most _CHUNK lambdas, each
+    lambda's F and F' the same however the array is cut: the 1x1 entry, the
+    closed 2x2 form, for m = 3 row 0 of M times its cofactors C_ij with
+    F' = sum_ij C_ij dM_ij (no factorization, no special case at a singular
+    M, rounding within a few ulps of Hadamard's bound prod_i |row i|), or LU
+    determinants with Jacobi's formula."""
+    lams = np.asarray(lams, dtype=complex)
+    if lams.size > _CHUNK:
+        flat = lams.ravel()
+        f, d = zip(*(_char_jet(spec, flat[i : i + _CHUNK], dlam)
+                     for i in range(0, flat.size, _CHUNK)))
+        return (np.concatenate(f).reshape(lams.shape),
+                np.concatenate(d).reshape(lams.shape) if dlam else None)
     mats, dmats = matrix_family(spec, lams, dlam)
     m = mats.shape[-1]
     d = None

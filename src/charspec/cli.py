@@ -45,7 +45,7 @@ from .charfn import (
 )
 from .errors import CharspecError, ConfigError
 from .oracle import dense_eigenvalues, eigen_residual, fd_discretize, sparse_eigenvalues
-from .rootscan import _CHUNK, Rectangle, find_zeros
+from .rootscan import Rectangle, find_zeros
 
 __all__ = [
     "JobConfig",
@@ -76,7 +76,8 @@ _KIND_NAMES = {
 @dataclass(frozen=True)
 class JobConfig:
     """One batch job: problem spec, output selection, oracle toggle, format;
-    a ConfigError when an option is out of range, however it is built."""
+    a ConfigError when an option has the wrong type or is out of range,
+    however it is built."""
 
     spec: ProblemSpec
     spectrum: bool = True
@@ -86,13 +87,15 @@ class JobConfig:
     out_format: str = "csv"
 
     def __post_init__(self):
+        _exactly(bool, self.spectrum, "outputs.spectrum")
         grid = self.grid
         if grid is not None and not (isinstance(grid, tuple) and len(grid) == 2
                                      and all(type(n) is int and n >= 2 for n in grid)):
             raise ConfigError(f"outputs.grid must be two integers, each at least 2, got {grid!r}")
+        _exactly(bool, self.oracle_enabled, "oracle.enabled")
         # the oracle's half grid, its coarse model, needs the 64 points
         # fd_discretize takes at least
-        if self.oracle_grid < 128:
+        if _exactly(int, self.oracle_grid, "oracle.grid") < 128:
             raise ConfigError(f"oracle.grid: must be at least 128, got {self.oracle_grid}")
         if self.out_format not in ("csv", "structured"):
             raise ConfigError(f"format must be 'csv' or 'structured', got {self.out_format!r}")
@@ -269,10 +272,10 @@ def parse_config(text):
     oracle = _exactly(dict, data.get("oracle", {}), "oracle")
     return JobConfig(
         spec=spec,
-        spectrum=_exactly(bool, outputs.get("spectrum", True), "outputs.spectrum"),
+        spectrum=outputs.get("spectrum", True),
         grid=grid,
-        oracle_enabled=_exactly(bool, oracle.get("enabled", False), "oracle.enabled"),
-        oracle_grid=_exactly(int, oracle.get("grid", 512), "oracle.grid"),
+        oracle_enabled=oracle.get("enabled", False),
+        oracle_grid=oracle.get("grid", 512),
         out_format=data.get("format", "csv"),
     )
 
@@ -478,14 +481,12 @@ def _fmt(x):
 
 
 def _grid_rows(cfg):
-    """The F grid's CSV rows, Im-major: ``values`` on blocks of whole rows, _CHUNK points each."""
+    """The F grid's CSV rows, Im-major, from one ``values`` call on the lattice."""
     spec, fn = cfg.spec, CharFunction(cfg.spec)
     n_re, n_im = cfg.grid
     res = np.linspace(spec.region.lo.real, spec.region.hi.real, n_re)
     ims = np.linspace(spec.region.lo.imag, spec.region.hi.imag, n_im)
-    step = max(1, _CHUNK // n_re)
-    vals = np.concatenate(
-        [fn.values(res + 1j * ims[i:i + step, None]) for i in range(0, n_im, step)])
+    vals = fn.values(res + 1j * ims[:, None])
     return [f"{_fmt(re)},{_fmt(im)},{_fmt(v.real)},{_fmt(v.imag)}"
             for im, row in zip(ims, vals) for re, v in zip(res, row)]
 

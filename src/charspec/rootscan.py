@@ -2,13 +2,14 @@
 
 The scanner takes F as an object with two methods: ``values(lams)`` over
 an array, and ``values_and_derivatives(lams)`` giving (F, F') over an array
-in one batched call.  ``CharFunction`` is the one production
-implementation.  An optional ``zero_scale_entries(lams)`` gives the matrix
-entries behind F, which set the scale of the identically-zero test; a
-function without a matrix behind it has none.  An
-optional ``is_real`` attribute, true when F's data are all real so that
-F(conj z) = conj F(z), lets ``find_zeros`` fold a region that straddles
-the real axis onto its upper half; without it the region is scanned whole.
+in one batched call, of any size: F bounds its own memory.
+``CharFunction`` is the one production implementation.  An optional
+``zero_scale_entries(lams)`` gives the matrix entries behind F, which set
+the scale of the identically-zero test; a function without a matrix behind
+it has none.  An optional ``is_real`` attribute, true when F's data are
+all real so that F(conj z) = conj F(z), lets ``find_zeros`` fold a region
+that straddles the real axis onto its upper half; without it the region is
+scanned whole.
 
 Winding numbers and contour moments are contour integrals of g = F'/F.
 Each scan keeps one panel table: GL-12 panels on a dyadic grid of the
@@ -88,9 +89,6 @@ _MAX_HALVINGS = 16
 _LEAF_ROOTS = 10
 # Cut offsets tried when subdividing, in steps of about 1/64 of the side.
 _CUT_STEPS = (0, 1, -1, 2, -2, 3, -3)
-# Most lambdas per values_and_derivatives call, which bounds the memory one
-# call takes (0.8 MB for a 3x3 pencil at 1,024 lambdas, twice that at 2,048).
-_CHUNK = 1024
 _RULE = gauss_legendre(12)
 _H, _V = 0, 1  # panel axis: along a horizontal or a vertical line
 # line code of a panel: axis * _LINE + fixed coordinate, which a folded
@@ -306,7 +304,7 @@ class _PanelCache:
 
     def _rows(self, axis, fixed, a, b):
         """Rows of the panels [a, b] on lines (axis, fixed), integrating new
-        ones first as they appear, at most _CHUNK lambdas per batch."""
+        ones first as they appear, all in one batch."""
         size = b - a
         # the key of a panel holds its line and its block's index in the
         # binary tree over [0, 2 * _GRID], both exact in a float64
@@ -330,11 +328,9 @@ class _PanelCache:
                     for c in columns
                 )
                 self.integral, self.f_min, self.f_max, self.nodes, self.weighted = columns
-            step = _CHUNK // _RULE.nodes.size
-            for i in range(0, len(fresh), step):
-                s = fresh[i : i + step]
-                for column, part in zip(columns, self._integrate(axis[s], fixed[s], a[s], b[s])):
-                    column[start + i : start + i + len(s)] = part
+            new = self._integrate(axis[fresh], fixed[fresh], a[fresh], b[fresh])
+            for column, part in zip(columns, new):
+                column[start:stop] = part
         return np.array(rows)
 
     def count(self, boxes):
@@ -563,8 +559,8 @@ def newton_refine(f, start, tol, rect):
 def _newton_batch(f, starts, tol, rect):
     """Newton iteration from every start at once, by ``newton_refine``'s
     rules for each iterate: one (root, iterations) or DivergenceError per
-    start, with one ``values_and_derivatives`` call per iteration (at most
-    _CHUNK lambdas each) over the iterates still running."""
+    start, with one ``values_and_derivatives`` call per iteration over the
+    iterates still running."""
     # the fence is rect dilated 2x about its centre: its half-sides are
     # rect's whole width and height
     centre, half_x, half_y = rect.center, rect.width, rect.height
@@ -578,10 +574,8 @@ def _newton_batch(f, starts, tol, rect):
     for it in range(1, _NEWTON_MAX_ITER + 1):
         if not live:
             break
-        lams = np.array([lam for _, lam, _ in live])
-        pairs = [f.values_and_derivatives(lams[i : i + _CHUNK])
-                 for i in range(0, lams.size, _CHUNK)]
-        values, derivs = (np.concatenate(c, dtype=complex).tolist() for c in zip(*pairs))
+        pair = f.values_and_derivatives(np.array([lam for _, lam, _ in live]))
+        values, derivs = (np.asarray(c, dtype=complex).tolist() for c in pair)
         running = []
         for (k, lam, steps), val, deriv in zip(live, values, derivs):
             if val == 0:
@@ -836,8 +830,11 @@ def find_zeros(f, rect, tol=1e-10):
     exactly 0.0), every other root of the band is reported with its exact
     conjugate, and roots of a rest below the axis are located on its
     mirror image and conjugated back.  A folded frame whose contour grazes
-    a zero is dilated as it is.
+    a zero is dilated as it is.  A ``tol`` that is not positive and finite
+    raises DimensionError.
     """
+    if not 0.0 < tol < math.inf:
+        raise DimensionError("tolerances must be positive and finite")
     scan = _count_region(f, rect, zero_test=True)
     if scan is None:
         return RootReport(region=rect, region_count=0, roots=(), identically_zero=True, tol=tol)

@@ -31,7 +31,7 @@ from charspec.catalog import (
     is_dirichlet,
     phi_from_psi,
 )
-from charspec import catalog
+from charspec import catalog, charfn
 from charspec.charfn import delay_weight, matrix_family
 from charspec.errors import (
     DimensionError,
@@ -500,6 +500,35 @@ def test_pencil_jet_keeps_its_bits():
         got = [f"{z.real.hex()} {z.imag.hex()}" for pair in zip(f.tolist(), df.tolist())
                for z in pair]
         assert got == list(want)
+
+
+def test_char_function_bounds_its_own_stacks(monkeypatch):
+    # a batch of any shape is evaluated in M stacks of at most _CHUNK
+    # lambdas, and each lambda's F and F' keep their bits however the
+    # batch is cut
+    rng = np.random.default_rng(30)
+    k, p = (rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5)) for _ in range(2))
+    pencil = ProblemSpec(kind=QuadraticPencil(
+        const_term=tuple(map(tuple, k)), linear_term=tuple(map(tuple, p))))
+    lams = 4.0 * (rng.standard_normal((50, 51)) + 1j * rng.standard_normal((50, 51)))
+    sizes, family = [], charfn.matrix_family
+
+    def spy(spec, lams, dlam=False):
+        sizes.append(np.size(lams))
+        return family(spec, lams, dlam)
+
+    monkeypatch.setattr(charfn, "matrix_family", spy)
+    for spec in (pencil, wentzell_spec()):
+        fn = CharFunction(spec)
+        sizes.clear()
+        f, df = fn.values_and_derivatives(lams)
+        assert f.shape == df.shape == lams.shape
+        assert sum(sizes) == lams.size and max(sizes) <= charfn._CHUNK
+        flat = lams.ravel()
+        # cut at other offsets than the stacks: 1000 lambdas at a time
+        pieces = [fn.values_and_derivatives(flat[i : i + 1000]) for i in range(0, flat.size, 1000)]
+        for got, want in zip((f, df), zip(*pieces)):
+            assert got.ravel().tobytes() == np.concatenate(want).tobytes()
 
 
 def test_delta_matrix_periodic_is_exp():

@@ -413,6 +413,20 @@ def test_pencil_oracle_bounds_the_match(monkeypatch):
     assert sum("oracle mismatch" in n for n in result.notes) == 6
 
 
+def test_oracle_without_a_nearby_eigenvalue_fails_each_record(monkeypatch):
+    # lam^2 = 1 has two roots; an oracle that finds no eigenvalue leaves
+    # each record without a match, failed, with a note naming its root
+    spec = ProblemSpec(kind=QuadraticPencil(const_term=((1.0,),), linear_term=((0.0,),)),
+                       region=Rectangle(-2.0 - 2.0j, 2.0 + 2.0j))
+    monkeypatch.setattr(cli_module, "dense_eigenvalues", lambda matrix, window=None: [])
+    result = run_job(JobConfig(spec=spec, oracle_enabled=True))
+    assert not result.passed and len(result.records) == 2
+    for r in result.records:
+        assert not r.passed and r.oracle is None and r.oracle_dist is None
+    assert result.notes == tuple(
+        f"oracle produced no eigenvalue near {r.location}" for r in result.records)
+
+
 def _fixed_pencil(rng, n):
     """Complex Gaussian pencil drawn like the benchmark's, with its
     companion eigenvalues (const_term first, then linear_term)."""
@@ -763,11 +777,16 @@ def test_main_rejects_a_small_oracle_grid_before_scanning(tmp_path, capsys, monk
     cfg_path.write_text(json.dumps(doc))
     assert main(["run", str(cfg_path), "--out", out, "--grid", "64"]) == 2
     assert "oracle.grid" in capsys.readouterr().err
-    # a JobConfig built or replaced in Python checks the same ranges, and
-    # takes only a pair as its grid
+    # a JobConfig built or replaced in Python checks the same types and
+    # ranges, and takes only a pair as its grid
     cfg = periodic_config()
     for option, where in (
         ({"oracle_grid": 64}, "oracle.grid"),
+        ({"oracle_grid": 512.5, "oracle_enabled": True}, "oracle.grid"),
+        ({"oracle_grid": "512"}, "oracle.grid"),
+        ({"oracle_grid": True}, "oracle.grid"),
+        ({"oracle_enabled": "off"}, "oracle.enabled"),
+        ({"spectrum": 1}, "outputs.spectrum"),
         ({"grid": (1, 5)}, "outputs.grid"),
         ({"grid": ()}, "outputs.grid"),
         ({"grid": (3, 3, 3)}, "outputs.grid"),

@@ -743,6 +743,25 @@ def test_find_zeros_keeps_a_close_pair_apart():
         assert abs(rec.location - want) <= 1e-15
 
 
+def test_find_zeros_rejects_a_tolerance_that_is_not_positive_and_finite():
+    # a tol of 0 or below runs every box down to the grid floor, and a NaN
+    # one makes the leaf pad NaN: either way the roots come back as floor
+    # means with 0 Newton iterations
+    for tol in (0.0, -1.0, math.nan, math.inf):
+        with pytest.raises(DimensionError, match="^tolerances must be positive and finite$"):
+            find_zeros(periodic_fn(), BIG, tol=tol)
+
+
+def test_split_names_the_box_no_cut_splits(monkeypatch):
+    # 31 roots need a split; with no candidate cut the top box, a symmetric
+    # box, is named with its mirror image
+    monkeypatch.setattr(rootscan, "_CUT_STEPS", ())
+    wide = Rectangle(-1.0 - 100.0j, 1.0 + 100.0j)
+    with pytest.raises(BoundaryDegeneracyError,
+                       match=r"^could not split \(-1-100j\)\.\.\(1\+100j\) consistently$"):
+        find_zeros(periodic_fn(), wide)
+
+
 def test_find_zeros_empty_region():
     report = find_zeros(periodic_fn(), Rectangle(0.5 - 1.0j, 1.5 + 1.0j), tol=1e-10)
     assert report.roots == ()
