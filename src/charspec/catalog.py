@@ -102,12 +102,9 @@ def _sqrt_jet(lam, u, dlam):
     ds = np.asarray((u * c - s) / (2.0 * np.where(near, 1.0, lam)))
     near &= u != 0
     if np.count_nonzero(near):
-        zn = np.asarray(z)[near]
-        top = _SERIES_TERMS - 1
-        acc = top / math.factorial(2 * top + 1)
-        for n in range(top - 1, 0, -1):
-            acc = acc * zn + n / math.factorial(2 * n + 1)
-        ds[near] = acc * np.broadcast_to(u, z.shape)[near] ** 3
+        coef = [n / math.factorial(2 * n + 1) for n in range(1, _SERIES_TERMS)]
+        series = np.polynomial.polynomial.polyval(np.asarray(z)[near], coef)
+        ds[near] = series * np.broadcast_to(u, z.shape)[near] ** 3
     return c, s, ds
 
 
@@ -122,10 +119,8 @@ def _moment_series(z, k):
     at most e^2/(k + 1) while |m_k| >= e^-2/(k + 1), so cancellation costs at
     most a factor e^4.
     """
-    acc = 0.0
-    for i in range(_MOMENT_TERMS - 1, -1, -1):
-        acc = acc * z + 1.0 / math.factorial(i) / (i + k + 1)
-    return acc
+    coef = [1.0 / math.factorial(i) / (i + k + 1) for i in range(_MOMENT_TERMS)]
+    return np.polynomial.polynomial.polyval(z, coef, tensor=False)
 
 
 def _exprel_jet(z, dlam):
@@ -707,38 +702,23 @@ def functional_on_basis(kind, psis, lams, dlam=False):
 # sampled-function helpers (resolvent route)
 
 
-def _cumulative_simpson(y, h):
-    """int_0^{s_i} of samples ``y`` on a uniform grid of spacing ``h``, for every i.
-
-    Each interval takes the integral of the parabola through its own two
-    samples and one neighbour: the next one on even intervals, the previous
-    one on odd intervals and on the last.  Pairs of intervals then add up to
-    composite Simpson, and an even sample count ends on the same three-point
-    correction as ``scipy.integrate.simpson``.
-    """
-    ahead = (5.0 * y[:-2] + 8.0 * y[1:-1] - y[2:]) * (h / 12.0)
-    behind = (5.0 * y[2:] + 8.0 * y[1:-1] - y[:-2]) * (h / 12.0)
-    pieces = np.empty(y.size - 1, dtype=y.dtype)
-    pieces[:-1:2] = ahead[::2]
-    pieces[1::2] = behind[::2]
-    pieces[-1] = behind[-1]
-    return np.concatenate(([0.0], np.cumsum(pieces)))
-
-
 def resolvent_apply(lam, g):
     """Base resolvent of the first-derivative generator on sampled data.
 
     ``g`` holds samples on the uniform grid over [0,1]; the result samples
     f(s) = -int_0^s e^{lam (s-t)} g(t) dt, the unique solution of
-    lam f - f' = g with f(0) = 0.  Cumulative Simpson quadrature keeps the
-    error at O(h^3) on smooth data.
+    lam f - f' = g with f(0) = 0, by ``scipy.integrate.cumulative_simpson``
+    (imported on the first call): O(h^3) error on smooth data.
     """
+    import scipy.integrate
+
     g = np.asarray(g, dtype=complex)
     if g.ndim != 1 or g.size < 9:
         raise DimensionError("need a 1-d sample vector with at least 9 points")
     lam = complex(lam)
     s = np.linspace(0.0, 1.0, g.size)
-    return -np.exp(lam * s) * _cumulative_simpson(np.exp(-lam * s) * g, s[1] - s[0])
+    y = np.exp(-lam * s) * g
+    return -np.exp(lam * s) * scipy.integrate.cumulative_simpson(y, dx=s[1] - s[0], initial=0)
 
 
 def apply_functional_to_samples(psi, values):
@@ -746,8 +726,11 @@ def apply_functional_to_samples(psi, values):
     the uniform grid over [0,1].
 
     Point terms use a local degree-6 polynomial fit (derivatives up to 2),
-    integral terms composite Simpson.
+    integral terms composite Simpson: the last entry of scipy's
+    ``cumulative_simpson`` (imported on the first call).
     """
+    import scipy.integrate
+
     values = np.asarray(values, dtype=complex)
     if values.ndim != 1 or values.size < 9:
         raise DimensionError("need a 1-d sample vector with at least 9 points")
@@ -756,7 +739,8 @@ def apply_functional_to_samples(psi, values):
     for t in psi.points:
         total += t.weight * _sampled_derivative_at(values, s, t.location, t.order)
     for t in psi.integrals:
-        integral = _cumulative_simpson(t.kernel_values(s) * values, s[1] - s[0])[-1]
+        y = t.kernel_values(s) * values
+        integral = scipy.integrate.cumulative_simpson(y, dx=s[1] - s[0], initial=0)[-1]
         total += t.weight * complex(integral)
     return total
 

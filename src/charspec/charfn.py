@@ -353,14 +353,12 @@ class CharFunction:
         straddling the real axis on its upper half."""
         return self.spec.is_real
 
-    def value(self, lam):
-        """Characteristic value at a single lambda, from a 0-d array."""
-        return complex(_char_jet(self.spec, np.asarray(complex(lam)), False)[0])
-
     def values(self, lams):
         """Vectorized characteristic values; a complex for a 0-d input."""
         out = _char_jet(self.spec, lams, False)[0]
         return complex(out) if out.shape == () else out
+
+    value = values  # one lambda is a 0-d batch
 
     def values_and_derivatives(self, lams):
         """(F, F') over an array of lambdas, from the same formulas as values."""

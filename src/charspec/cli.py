@@ -60,8 +60,6 @@ __all__ = [
 
 CSV_HEADER = "re,im,multiplicity,abs_F,newton_iters,ode_residual,bc_residual,oracle_re,oracle_im,oracle_dist"
 GRID_HEADER = "re,im,F_re,F_im"
-# Roots certified together; bounds the basis jet's memory (chunk x 2001 points)
-_CERTIFY_CHUNK = 8
 
 _KIND_NAMES = {
     "first_derivative": FirstDerivative,
@@ -87,6 +85,8 @@ class JobConfig:
     out_format: str = "csv"
 
     def __post_init__(self):
+        if not isinstance(self.spec, ProblemSpec) or self.spec.region is None:
+            raise ConfigError("problem.region: a job needs a ProblemSpec with a region")
         _exactly(bool, self.spectrum, "outputs.spectrum")
         grid = self.grid
         if grid is not None and not (isinstance(grid, tuple) and len(grid) == 2
@@ -336,9 +336,9 @@ class JobResult:
 
 
 def _certify(spec, lams):
-    """Eigen-defects (ode, bc) at a chunk of roots from one M stack and one SVD:
-    max |M x| for a matrix kind, and ``eigen_residual`` on the same M for a
-    boundary-coupled kind; a root that fails gets its CharspecError."""
+    """Eigen-defects (ode, bc) at a 1-d array of roots from one M stack and one
+    SVD: max |M x| for a matrix kind, and ``eigen_residual`` on the same M for
+    a boundary-coupled kind; a root that fails gets its CharspecError."""
     try:
         mats = char_matrix(spec, lams)
         xs = [vecs[0] for vecs in kernel_vectors(spec, lams, mats)]
@@ -346,7 +346,7 @@ def _certify(spec, lams):
             return [(float(np.max(np.abs(m @ x))), 0.0) for m, x in zip(mats, xs)]
         curves = [eigenfunction(spec, lam, x) for lam, x in zip(lams, xs)]
         return eigen_residual(spec.kind, mats, lams, curves)
-    except CharspecError as exc:  # certify the chunk root by root
+    except CharspecError as exc:  # certify root by root
         return [exc] if lams.size == 1 else [o for z in lams for o in _certify(spec, z[None])]
 
 
@@ -418,8 +418,7 @@ def run_job(cfg):
         oracle_fine, oracle_half = _oracle_eigenvalues(cfg, notes)
 
     lams = np.array([root.location for root in report.roots])
-    chunks = range(0, lams.size, _CERTIFY_CHUNK)
-    certified = [out for at in chunks for out in _certify(spec, lams[at : at + _CERTIFY_CHUNK])]
+    certified = _certify(spec, lams) if lams.size else []
     records = []
     all_ok = True
     for root, outcome in zip(report.roots, certified):
@@ -566,11 +565,11 @@ def main(argv=None):
     args = parser.parse_args(argv)
 
     try:
-        cfg = parse_config(Path(args.config).read_text())
+        cfg = parse_config(Path(args.config).read_text(encoding="utf-8"))
         given = {"oracle_grid": args.grid, "out_format": args.format,
                  "oracle_enabled": None if args.oracle is None else args.oracle == "on"}
         cfg = dataclasses.replace(cfg, **{k: v for k, v in given.items() if v is not None})
-    except (OSError, ConfigError) as exc:
+    except (OSError, UnicodeDecodeError, ConfigError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -52,6 +52,8 @@ _SHIFT_BUMPS = (0.0, 1e-3, 1e-2, 1e-1)
 _SHIFT_CLEARANCE = 5e-4
 # points of the uniform grid on which eigen_residual samples a candidate
 _RESIDUAL_POINTS = 2001
+# candidates per basis jet in eigen_residual; bounds its memory (8 x 2001 points)
+_RESIDUAL_CHUNK = 8
 
 
 @dataclass(frozen=True)
@@ -348,11 +350,15 @@ def eigen_residual(kind, mats, lam, f):
     the boundary functionals on f (M_ij = psi_i(f_j)).  Returns (ode_residual,
     bc_residual): the sup of (lambda - A_m) f on the sampling grid using f's
     analytic derivatives, and max |M x|.  Over a 1-d array of lambdas, with a
-    stack ``mats`` and one curve each in ``f``, one basis jet gives the list.
+    stack ``mats`` and one curve each in ``f``, one basis jet per
+    _RESIDUAL_CHUNK of them gives the list.
     """
     lams = np.asarray(lam, dtype=complex)
     if lams.ndim == 0:
         return eigen_residual(kind, np.asarray(mats)[None], lams.reshape(1), (f,))[0]
+    if lams.size > _RESIDUAL_CHUNK:
+        cuts = [slice(at, at + _RESIDUAL_CHUNK) for at in range(0, lams.size, _RESIDUAL_CHUNK)]
+        return [out for c in cuts for out in eigen_residual(kind, mats[c], lams[c], f[c])]
     s = np.linspace(0.0, 1.0, _RESIDUAL_POINTS)
     # every curve at its own lambda, which the residual's lambda may differ from
     column = _basis_jet(kind, np.array([g.lam for g in f])[:, None], s, False)

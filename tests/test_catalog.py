@@ -17,7 +17,7 @@ from charspec.catalog import (
     QuadraticPencil,
     SecondDerivative,
     _basis_jet,
-    _cumulative_simpson,
+    _moment_series,
     _sqrt_jet,
     apply_functional,
     apply_functional_to_samples,
@@ -127,6 +127,44 @@ def test_sqrt_jet_sweep_matches_mpmath():
             alone = _sqrt_jet(np.asarray(lams[i]), np.asarray(u), True)
             assert all(np.ndim(x) == 0 for x in alone)
             assert [complex(x) for x in alone] == [complex(x[i]) for x in got]
+
+
+def test_series_keep_their_bits():
+    # dS's series near lam = 0 and the moment series below |z| = 2 are
+    # polyval's Horner rule; at seeded points they keep these bits
+    def bits(a):
+        return [f"{z.real.hex()} {z.imag.hex()}" for z in np.ravel(a).tolist()]
+
+    rng = np.random.default_rng(31)
+    lams = 5e-3 * (rng.standard_normal(3) + 1j * rng.standard_normal(3))
+    u = np.array([0.4, 1.0])
+    assert np.all(np.abs(lams[:, None] * u * u) < 1e-2)
+    assert bits(_sqrt_jet(lams[:, None], u, True)[2]) == [
+        "0x1.5d83a7ce87dd5p-7 -0x1.bd5d8815ff732p-21",
+        "0x1.55440e634fcefp-3 -0x1.53bf1adad502fp-14",
+        "0x1.5d885fd8e6719p-7 0x1.5fb1f936d906fp-21",
+        "0x1.5560dc22244b2p-3 0x1.0c57e895480b3p-14",
+        "0x1.5d8ad4d5e6488p-7 0x1.d36a485ec25f7p-23",
+        "0x1.556fdc8deaf68p-3 0x1.64aca74c33b3ep-16",
+    ]
+    z = 0.8 * (rng.standard_normal(3) + 1j * rng.standard_normal(3))
+    assert np.all(np.abs(z) < 2.0)
+    assert bits(_moment_series(z, 0)) == [
+        "0x1.3e58a7bdf6d14p+0 -0x1.180a4c00453bep-1",
+        "0x1.84e7de2bbad8ep-1 0x1.61110577b5befp-1",
+        "0x1.59b4c95be3ccdp+0 0x1.ad2cbbd6daec6p-1",
+    ]
+    assert bits(_moment_series(z, 1)) == [
+        "0x1.4ef8c4fa93029p-1 -0x1.84a8ce7582627p-2",
+        "0x1.3e3ad7b66ae6ap-2 0x1.ce60a28bced2cp-2",
+        "0x1.6f81a3cb2f5ecp-1 0x1.2ea9d785703a4p-1",
+    ]
+    assert bits(_moment_series(complex(z[0]), np.arange(4))) == [
+        "0x1.3e58a7bdf6d14p+0 -0x1.180a4c00453bep-1",
+        "0x1.4ef8c4fa93029p-1 -0x1.84a8ce7582627p-2",
+        "0x1.c7b5908421510p-2 -0x1.2a6de3a8b7cbdp-2",
+        "0x1.5930a405bad9ep-2 -0x1.e4eca37f1061cp-3",
+    ]
 
 
 def test_sqrt_jet_at_the_overflow_edge():
@@ -528,19 +566,16 @@ def test_functional_on_basis_point_terms_sum_in_psi_order():
 
 @pytest.mark.parametrize("n", [9, 10, 2001, 2000])
 def test_simpson_matches_scipy(n):
-    # the numpy composite Simpson rule and its cumulative form against
-    # scipy.integrate, imported here only, on odd and even sample counts
+    # the sampled-resolvent route against scipy.integrate on complex samples,
+    # odd and even sample counts: at lam = 0 resolvent_apply is minus the
+    # cumulative Simpson integral, and a functional's integral term is simpson's
     integrate = pytest.importorskip("scipy.integrate")
     s = np.linspace(0.0, 1.0, n)
     y = np.exp((0.7 - 3.0j) * s) * (1.0 + s * s)
-    h = s[1] - s[0]
-    got = _cumulative_simpson(y, h)
-    # scipy's cumulative rule drops imaginary parts, so it sees them one at a time
-    for part in (np.real, np.imag):
-        want = integrate.cumulative_simpson(part(y), dx=h, initial=0.0)
-        assert_allclose(part(got), want, rtol=1e-14, atol=1e-14 * np.max(np.abs(want)))
-    want = integrate.simpson(y, dx=h)
-    assert abs(got[-1] - want) <= 1e-14 * abs(want)
+    want = -integrate.cumulative_simpson(y, dx=s[1] - s[0], initial=0.0)
+    assert want.dtype == complex and np.all(want[1:].imag != 0)
+    got = resolvent_apply(0.0, y)
+    assert_allclose(got, want, rtol=1e-14, atol=1e-14 * np.max(np.abs(want)))
     psi = integral_functional(2.0, "exp", -1.5)
     want = 2.0 * integrate.simpson(np.exp(-1.5 * s) * y, x=s)
     assert abs(apply_functional_to_samples(psi, y) - want) <= 1e-14 * abs(want)

@@ -599,7 +599,7 @@ def test_chunks_of_roots_certify_as_roots_one_at_a_time(monkeypatch):
     )
     chunked = run_job(JobConfig(spec=spec))
     assert len(chunked.records) == 17
-    monkeypatch.setattr(cli_module, "_CERTIFY_CHUNK", 1)
+    monkeypatch.setattr(charspec.oracle, "_RESIDUAL_CHUNK", 1)
     single = run_job(JobConfig(spec=spec))
     assert chunked.records == single.records and chunked.notes == single.notes
 
@@ -747,12 +747,27 @@ def test_main_bad_config_exits_2(tmp_path, capsys):
     cfg_path.write_text("{ not json")
     assert main(["run", str(cfg_path), "--out", str(tmp_path / "out")]) == 2
     assert main(["run", str(tmp_path / "missing.json"), "--out", str(tmp_path / "out")]) == 2
+    # JSON is UTF-8: other bytes are a config error too, reported before any scan
+    cfg_path.write_bytes(b"\xff\xfe{")
+    assert main(["run", str(cfg_path), "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err.count("error: ") == 3 and not (tmp_path / "out").exists()
     # a section of the wrong JSON type is a config error too, not a crash
     doc = json.loads(PERIODIC_JOB)
     doc["outputs"] = []
     cfg_path.write_text(json.dumps(doc))
     assert main(["run", str(cfg_path), "--out", str(tmp_path / "out")]) == 2
     assert "error" in capsys.readouterr().err
+
+
+def test_job_config_needs_a_spec_with_a_region():
+    # a JobConfig built in Python without a region, or without a spec at all,
+    # is a config error, not an AttributeError inside the scan
+    cfg = periodic_config()
+    psi = point_functional(0.0) - point_functional(1.0)
+    for spec in (ProblemSpec(kind=FirstDerivative(), psi=(psi,)), "nonsense", None):
+        for build in (lambda: JobConfig(spec=spec), lambda: dataclasses.replace(cfg, spec=spec)):
+            with pytest.raises(ConfigError, match="problem.region"):
+                build()
 
 
 def test_main_rejects_a_small_oracle_grid_before_scanning(tmp_path, capsys, monkeypatch):

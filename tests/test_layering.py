@@ -1,8 +1,9 @@
-"""The scanner and the CLI use only the public names of other charspec modules.
+"""Each charspec module uses only the public names of the others.
 
 A private name (one with a leading underscore) belongs to the module that
-defines it; importing one into ``rootscan`` or ``cli`` would make a policy
-of that module, such as the size of an F batch, a policy of two.
+defines it; importing one elsewhere would make a policy of that module,
+such as the size of an F batch, a policy of two.  The imports that exist
+are listed below; the list may only shrink.
 """
 
 import ast
@@ -12,16 +13,21 @@ import pytest
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "charspec"
 
+ALLOWED = {
+    "charfn": {".catalog: _basis_jet", ".catalog: _sqrt_jet"},
+    "oracle": {".catalog: _basis_jet"},
+}
 
-@pytest.mark.parametrize("module", ["rootscan", "cli"])
+
+@pytest.mark.parametrize("module", sorted(p.stem for p in PACKAGE.glob("*.py")))
 def test_no_private_name_is_imported_from_another_module(module):
     tree = ast.parse((PACKAGE / f"{module}.py").read_text())
-    leaks = [
+    leaks = {
         f"{'.' * node.level}{node.module or ''}: {alias.name}"
         for node in ast.walk(tree)
         if isinstance(node, ast.ImportFrom)
         and (node.level > 0 or (node.module or "").split(".")[0] == "charspec")
         for alias in node.names
         if alias.name.startswith("_")
-    ]
-    assert leaks == []
+    }
+    assert leaks == ALLOWED.get(module, set())
