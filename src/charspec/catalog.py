@@ -45,7 +45,6 @@ __all__ = [
     "BoundaryFunctional",
     "point_functional",
     "integral_functional",
-    "QuadratureRule",
     "gauss_legendre",
     "CurveCombination",
     "is_dirichlet",
@@ -369,10 +368,6 @@ class BoundaryFunctional:
     points: tuple = ()
     integrals: tuple = ()
 
-    @property
-    def is_zero(self):
-        return not self.points and not self.integrals
-
     def scaled(self, factor):
         factor = complex(factor)
         return BoundaryFunctional(
@@ -427,23 +422,16 @@ def integral_functional(weight=1.0, kernel="const", rate=0.0):
 # quadrature
 
 
-@dataclass(frozen=True)
-class QuadratureRule:
-    """Nodes/weights on [0,1]; exact for polynomials up to ``degree``."""
-
-    nodes: np.ndarray
-    weights: np.ndarray
-    degree: int
-
-
 @lru_cache(maxsize=None)
 def gauss_legendre(n):
+    """The n-point rule on [0, 1] as read-only (nodes, weights), exact for
+    polynomials of degree up to 2n - 1."""
     x, w = np.polynomial.legendre.leggauss(n)
     nodes = 0.5 * (x + 1.0)
     weights = 0.5 * w
     nodes.setflags(write=False)
     weights.setflags(write=False)
-    return QuadratureRule(nodes=nodes, weights=weights, degree=2 * n - 1)
+    return nodes, weights
 
 
 _QUAD_BASE = 32
@@ -457,12 +445,12 @@ def _adaptive_quadrature(sample):
     ``sample`` maps a node array to integrand values (last axis = nodes).
     """
     n = _QUAD_BASE
-    rule = gauss_legendre(n)
-    prev = sample(rule.nodes) @ rule.weights.astype(complex)
+    nodes, weights = gauss_legendre(n)
+    prev = sample(nodes) @ weights.astype(complex)
     while n < _QUAD_MAX:
         n *= 2
-        rule = gauss_legendre(n)
-        cur = sample(rule.nodes) @ rule.weights.astype(complex)
+        nodes, weights = gauss_legendre(n)
+        cur = sample(nodes) @ weights.astype(complex)
         if np.max(np.abs(cur - prev)) <= _QUAD_RTOL * (1.0 + np.max(np.abs(cur))):
             return cur
         prev = cur

@@ -97,6 +97,11 @@ class JobConfig:
         # fd_discretize takes at least
         if _exactly(int, self.oracle_grid, "oracle.grid") < 128:
             raise ConfigError(f"oracle.grid: must be at least 128, got {self.oracle_grid}")
+        # Simpson's rule takes an integral term on N and N // 2 subintervals, both even
+        if self.oracle_enabled and self.oracle_grid % 4 and any(
+                p.integrals for p in self.spec.psi):
+            raise ConfigError(
+                f"oracle.grid: integral terms need a multiple of 4, got {self.oracle_grid}")
         if self.out_format not in ("csv", "structured"):
             raise ConfigError(f"format must be 'csv' or 'structured', got {self.out_format!r}")
 
@@ -227,7 +232,8 @@ def _kind_in(name, params):
 
 
 def parse_config(text):
-    """Parse a JSON job config into a validated JobConfig."""
+    """Parse a JSON job config into a validated JobConfig.  Only the keys the
+    file gives reach ``ProblemSpec`` and ``JobConfig``: each default is theirs."""
     try:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -254,30 +260,24 @@ def parse_config(text):
         for i, terms in enumerate(_exactly(list, prob.get("psi", []), "problem.psi"))
     )
     try:
-        spec = ProblemSpec(
-            kind=kind,
-            psi=psi,
-            region=region,
-            root_tol=_real_in(prob.get("root_tol", 1e-10), "problem.root_tol"),
-            residual_tol=_real_in(prob.get("residual_tol", 1e-7), "problem.residual_tol"),
-        )
+        tols = {key: _real_in(prob[key], f"problem.{key}")
+                for key in ("root_tol", "residual_tol") if key in prob}
+        spec = ProblemSpec(kind=kind, psi=psi, region=region, **tols)
     except ConfigError:
         raise
     except (CharspecError, OverflowError, TypeError, ValueError) as exc:
         raise ConfigError(f"invalid problem spec: {exc}") from exc
     outputs = _exactly(dict, data.get("outputs", {}), "outputs")
-    grid = outputs.get("grid")
-    if grid is not None:
-        grid = tuple(_exactly(list, grid, "outputs.grid"))
+    if outputs.get("grid") is not None:
+        outputs = {**outputs, "grid": tuple(_exactly(list, outputs["grid"], "outputs.grid"))}
     oracle = _exactly(dict, data.get("oracle", {}), "oracle")
-    return JobConfig(
-        spec=spec,
-        spectrum=outputs.get("spectrum", True),
-        grid=grid,
-        oracle_enabled=oracle.get("enabled", False),
-        oracle_grid=oracle.get("grid", 512),
-        out_format=data.get("format", "csv"),
-    )
+    # each JobConfig option at its place in the file; one left out keeps its default
+    places = {"spectrum": (outputs, "spectrum"), "grid": (outputs, "grid"),
+              "oracle_enabled": (oracle, "enabled"), "oracle_grid": (oracle, "grid"),
+              "out_format": (data, "format")}
+    return JobConfig(spec=spec, **{
+        name: section[key] for name, (section, key) in places.items() if key in section
+    })
 
 
 def _config_doc(cfg):
@@ -338,7 +338,8 @@ class JobResult:
 def _certify(spec, lams):
     """Eigen-defects (ode, bc) at a 1-d array of roots from one M stack and one
     SVD: max |M x| for a matrix kind, and ``eigen_residual`` on the same M for
-    a boundary-coupled kind; a root that fails gets its CharspecError."""
+    a boundary-coupled kind.  When the stack raises, its two halves are
+    certified alone, recursively, so a root that fails gets its CharspecError."""
     try:
         mats = char_matrix(spec, lams)
         xs = [vecs[0] for vecs in kernel_vectors(spec, lams, mats)]
@@ -346,8 +347,10 @@ def _certify(spec, lams):
             return [(float(np.max(np.abs(m @ x))), 0.0) for m, x in zip(mats, xs)]
         curves = [eigenfunction(spec, lam, x) for lam, x in zip(lams, xs)]
         return eigen_residual(spec.kind, mats, lams, curves)
-    except CharspecError as exc:  # certify root by root
-        return [exc] if lams.size == 1 else [o for z in lams for o in _certify(spec, z[None])]
+    except CharspecError as exc:  # certify each half alone
+        if lams.size == 1:
+            return [exc]
+        return [o for half in np.array_split(lams, 2) for o in _certify(spec, half)]
 
 
 def _oracle_eigenvalues(cfg, notes):
@@ -479,6 +482,13 @@ def _fmt(x):
     return "" if x is None else format(float(x), ".17g")
 
 
+def _csv_row(record):
+    """A report.json record's fields in CSV_HEADER's order, the oracle pair split."""
+    oracle_re, oracle_im = record["oracle"] or (None, None)
+    fields = dict(record, oracle_re=oracle_re, oracle_im=oracle_im)
+    return ",".join(_fmt(fields[name]) for name in CSV_HEADER.split(","))
+
+
 def _grid_rows(cfg):
     """The F grid's CSV rows, Im-major, from one ``values`` call on the lattice."""
     spec, fn = cfg.spec, CharFunction(cfg.spec)
@@ -493,22 +503,24 @@ def _grid_rows(cfg):
 def emit_report(result, outdir, error=None):
     """Write the spectrum CSV, optional F grid, and the structured twin.
 
-    Returns the list of files written.  ``error`` serializes into the
-    structured report's trailer when a job died before producing records.
+    Each root's record is built once: report.json holds the records, and each
+    spectrum.csv row is read from its record.  Returns the list of files written.
+    ``error`` serializes into the trailer when a job died before producing records.
     """
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     written = []
     cfg = result.config
 
-    records = sorted(result.records, key=lambda r: (r.location.imag, r.location.real))
+    records = [
+        {"re": r.location.real, "im": r.location.imag, "multiplicity": r.multiplicity,
+         "abs_F": r.abs_f, "newton_iters": r.newton_iterations,
+         "ode_residual": r.ode_residual, "bc_residual": r.bc_residual,
+         "oracle": _json_out(r.oracle), "oracle_dist": r.oracle_dist, "passed": r.passed}
+        for r in sorted(result.records, key=lambda r: (r.location.imag, r.location.real))
+    ]
     if cfg.spectrum:
-        lines = [CSV_HEADER]
-        for r in records:
-            oracle = (None, None) if r.oracle is None else (r.oracle.real, r.oracle.imag)
-            row = (r.location.real, r.location.imag, r.multiplicity, r.abs_f,
-                   r.newton_iterations, r.ode_residual, r.bc_residual, *oracle, r.oracle_dist)
-            lines.append(",".join(map(_fmt, row)))
+        lines = [CSV_HEADER] + [_csv_row(record) for record in records]
         path = outdir / "spectrum.csv"
         path.write_text("\n".join(lines) + "\n")
         written.append(path)
@@ -524,21 +536,7 @@ def emit_report(result, outdir, error=None):
         if result.report is not None
         else None,
         "region_count": result.report.region_count if result.report is not None else None,
-        "records": [
-            {
-                "re": r.location.real,
-                "im": r.location.imag,
-                "multiplicity": r.multiplicity,
-                "abs_F": r.abs_f,
-                "newton_iters": r.newton_iterations,
-                "ode_residual": r.ode_residual,
-                "bc_residual": r.bc_residual,
-                "oracle": _json_out(r.oracle),
-                "oracle_dist": r.oracle_dist,
-                "passed": r.passed,
-            }
-            for r in records
-        ],
+        "records": records,
         "notes": list(result.notes),
         "passed": result.passed,
         "trailer": {"error": error},
@@ -570,7 +568,8 @@ def main(argv=None):
                  "oracle_enabled": None if args.oracle is None else args.oracle == "on"}
         cfg = dataclasses.replace(cfg, **{k: v for k, v in given.items() if v is not None})
     except (OSError, UnicodeDecodeError, ConfigError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        named = f"{args.config} is not UTF-8: " if isinstance(exc, UnicodeDecodeError) else ""
+        print(f"error: {named}{exc}", file=sys.stderr)
         return 2
 
     try:

@@ -89,7 +89,7 @@ _MAX_HALVINGS = 16
 _LEAF_ROOTS = 10
 # Cut offsets tried when subdividing, in steps of about 1/64 of the side.
 _CUT_STEPS = (0, 1, -1, 2, -2, 3, -3)
-_RULE = gauss_legendre(12)
+_NODES, _WEIGHTS = gauss_legendre(12)
 _H, _V = 0, 1  # panel axis: along a horizontal or a vertical line
 # line code of a panel: axis * _LINE + fixed coordinate, which a folded
 # frame takes up to 2 * _GRID
@@ -214,8 +214,8 @@ class _PanelCache:
         self.integral = np.empty(0, complex)
         self.f_min = np.empty(0)
         self.f_max = np.empty(0)
-        self.nodes = np.empty((0, _RULE.nodes.size), complex)
-        self.weighted = np.empty((0, _RULE.nodes.size), complex)
+        self.nodes = np.empty((0, _NODES.size), complex)
+        self.weighted = np.empty((0, _NODES.size), complex)
         # settled box -> (rows, signs) of the panels its count accepted
         self.panels = {}
 
@@ -283,7 +283,7 @@ class _PanelCache:
         panel [a, b] on the lines (axis, fixed), from one
         ``values_and_derivatives`` call at their nodes."""
         ux, lo = self.unit[0], self.lo
-        t = a[:, None] + (b - a)[:, None] * _RULE.nodes
+        t = a[:, None] + (b - a)[:, None] * _NODES
         vertical = (axis == _V)[:, None]
         z = np.empty(t.shape, complex)
         z.real = lo.real + ux * np.where(vertical, fixed[:, None], t)
@@ -295,11 +295,11 @@ class _PanelCache:
         # z(b) - z(a) of each panel: its length, times i on a vertical line
         dz = np.where(vertical[:, 0], 1j * np.take(self.unit, 1 + (a >= _GRID)), ux) * (b - a)
         return (
-            g @ _RULE.weights * dz,
+            g @ _WEIGHTS * dz,
             mags.min(axis=1),
             mags.max(axis=1),
             z,
-            g * _RULE.weights * dz[:, None],
+            g * _WEIGHTS * dz[:, None],
         )
 
     def _rows(self, axis, fixed, a, b):
@@ -532,7 +532,7 @@ def detect_identically_zero(f, rect):
     hook."""
     corners = np.array([rect.lo, complex(rect.hi.real, rect.lo.imag), rect.hi,
                         complex(rect.lo.real, rect.hi.imag)])
-    lams = (corners[:, None] + (np.roll(corners, -1) - corners)[:, None] * _RULE.nodes).ravel()
+    lams = (corners[:, None] + (np.roll(corners, -1) - corners)[:, None] * _NODES).ravel()
     hook = getattr(f, "zero_scale_entries", None)
     mats = hook(lams) if hook is not None else np.zeros((lams.size, 1, 1))
     bound = 1e-13 * np.prod(np.linalg.norm(mats, axis=-1), axis=-1)
@@ -627,7 +627,6 @@ class RootReport:
     region_count: int
     roots: tuple
     identically_zero: bool
-    tol: float
 
     def total_multiplicity(self):
         return sum(r.multiplicity for r in self.roots)
@@ -837,14 +836,12 @@ def find_zeros(f, rect, tol=1e-10):
         raise DimensionError("tolerances must be positive and finite")
     scan = _count_region(f, rect, zero_test=True)
     if scan is None:
-        return RootReport(region=rect, region_count=0, roots=(), identically_zero=True, tol=tol)
+        return RootReport(region=rect, region_count=0, roots=(), identically_zero=True)
     cache, counted = scan
     total = sum(n for n, _ in counted)
     refined = _subdivide(f, cache, counted, tol)
-    report = RootReport(
-        region=cache.region, region_count=total, roots=tuple(_records(f, refined)),
-        identically_zero=False, tol=tol,
-    )
+    report = RootReport(region=cache.region, region_count=total,
+                        roots=tuple(_records(f, refined)), identically_zero=False)
     if report.total_multiplicity() != total:
         raise RootClusterError(
             f"bookkeeping mismatch: {report.total_multiplicity()} attributed vs {total} counted"

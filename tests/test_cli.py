@@ -94,6 +94,18 @@ def test_parse_periodic_job():
     ]
 
 
+def test_parse_leaves_every_default_to_the_dataclasses():
+    # with no options and no tolerances, the config is the spec alone
+    cfg = parse_config(
+        """{"problem": {"kind": "first_derivative",
+            "psi": [[{"point": 0.0}, {"point": 1.0, "weight": -1}]],
+            "region": {"re": [-1, 1], "im": [-7, 7]}}}"""
+    )
+    psi = point_functional(0.0) - point_functional(1.0)
+    region = Rectangle(-1.0 - 7.0j, 1.0 + 7.0j)
+    assert cfg == JobConfig(spec=ProblemSpec(FirstDerivative(), (psi,), region))
+
+
 def all_kind_specs(region):
     """One spec of every kind, boundary-space sizes 1 and 2, on ``region``."""
     return (
@@ -605,8 +617,15 @@ def test_chunks_of_roots_certify_as_roots_one_at_a_time(monkeypatch):
 
 
 def test_a_non_root_fails_only_its_own_record(monkeypatch):
+    # 2 pi i k for |k| <= 8, and one non-root after them: a stack that
+    # raises is certified by halves, so the non-root costs one stack per
+    # halving level, not a certification of every root alone
     cfg = periodic_config(grid=None)
+    cfg = dataclasses.replace(
+        cfg, spec=dataclasses.replace(cfg.spec, region=Rectangle(-1.0 - 52.0j, 1.0 + 52.0j))
+    )
     honest = run_job(cfg)
+    assert len(honest.records) == 17
     stranger = RootRecord(
         location=0.5 + 3.0j, multiplicity=1, char_residual=1.0, newton_iterations=1,
         leaf_scale=1.0,
@@ -619,8 +638,17 @@ def test_a_non_root_fails_only_its_own_record(monkeypatch):
             report, roots=report.roots + (stranger,), region_count=report.region_count + 1
         )
 
+    stacks = []
+    real_kernels = cli_module.kernel_vectors
+
+    def counted(spec, lams, mats):
+        stacks.append(len(lams))
+        return real_kernels(spec, lams, mats)
+
     monkeypatch.setattr(cli_module, "find_zeros", with_a_stranger)
+    monkeypatch.setattr(cli_module, "kernel_vectors", counted)
     result = run_job(cfg)
+    assert stacks[0] == 18 and len(stacks) <= 1 + 2 * math.ceil(math.log2(18))
     *kept, failed = result.records
     assert tuple(kept) == honest.records and all(r.passed for r in kept)
     assert not failed.passed and failed.ode_residual == failed.bc_residual == math.inf
@@ -660,6 +688,24 @@ def test_emit_report_files(tmp_path):
     assert len(doc["records"]) == 3
     assert doc["trailer"] == {"error": None}
     assert doc["config"]["problem"]["kind"] == "first_derivative"
+
+
+def test_each_csv_row_is_its_json_record(tmp_path):
+    # spectrum.csv rows are the report.json records read in CSV_HEADER's
+    # order, the oracle pair split in two: once with oracle matches, once without
+    for name, cfg in (("plain", periodic_config()),
+                      ("oracle", periodic_config(oracle_enabled=True, oracle_grid=128))):
+        emit_report(run_job(cfg), tmp_path / name)
+        header, *rows = (tmp_path / name / "spectrum.csv").read_text().splitlines()
+        records = json.loads((tmp_path / name / "report.json").read_text())["records"]
+        assert len(rows) == len(records) == 3
+        assert all((r["oracle"] is not None) == cfg.oracle_enabled for r in records)
+        for row, record in zip(rows, records):
+            record["oracle_re"], record["oracle_im"] = record.pop("oracle") or (None, None)
+            assert row.split(",") == [
+                "" if record[key] is None else format(float(record[key]), ".17g")
+                for key in header.split(",")
+            ]
 
 
 def test_grid_and_config_match_their_reference_forms():
@@ -750,7 +796,10 @@ def test_main_bad_config_exits_2(tmp_path, capsys):
     # JSON is UTF-8: other bytes are a config error too, reported before any scan
     cfg_path.write_bytes(b"\xff\xfe{")
     assert main(["run", str(cfg_path), "--out", str(tmp_path / "out")]) == 2
-    assert capsys.readouterr().err.count("error: ") == 3 and not (tmp_path / "out").exists()
+    err = capsys.readouterr().err
+    assert err.count("error: ") == 3 and not (tmp_path / "out").exists()
+    # that message names the file, as a missing file's does
+    assert f"error: {cfg_path} is not UTF-8: " in err.splitlines()[-1]
     # a section of the wrong JSON type is a config error too, not a crash
     doc = json.loads(PERIODIC_JOB)
     doc["outputs"] = []
@@ -814,6 +863,49 @@ def test_main_rejects_a_small_oracle_grid_before_scanning(tmp_path, capsys, monk
     assert scans == []
     assert main(["run", str(cfg_path), "--out", out]) == 0
     assert len(scans) == 1
+
+
+def test_an_odd_oracle_half_grid_is_refused_before_scanning(tmp_path, capsys, monkeypatch):
+    # Simpson's rule takes an integral term on the oracle's grid and on its
+    # half grid, so with the oracle on the grid must be a multiple of 4:
+    # 130 halves to 65 subintervals, refused before the scan and before
+    # any output is written
+    scans = []
+    real = cli_module.find_zeros
+
+    def recording(*args, **kw):
+        scans.append(args)
+        return real(*args, **kw)
+
+    monkeypatch.setattr(cli_module, "find_zeros", recording)
+    doc = json.loads(PERIODIC_JOB)
+    doc["problem"]["psi"] = [[{"point": 0.0}, {"integral": "exp", "weight": -2, "rate": 0.5}]]
+    doc["problem"]["region"] = {"re": [-3, 3], "im": [-20, 20]}
+    doc["oracle"] = {"enabled": True, "grid": 130}
+    cfg_path, out = tmp_path / "job.json", tmp_path / "out"
+    cfg_path.write_text(json.dumps(doc))
+    assert main(["run", str(cfg_path), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        "error: oracle.grid: integral terms need a multiple of 4, got 130\n"
+    )
+    cfg = dataclasses.replace(parse_config(json.dumps(doc | {"oracle": {}})), oracle_enabled=True)
+    assert cfg.oracle_grid == 512
+    cfg_path.write_text(serialize_config(cfg))
+    assert main(["run", str(cfg_path), "--out", str(out), "--grid", "134"]) == 2
+    assert "error: oracle.grid: " in capsys.readouterr().err
+    for grid in (129, 130, 254):
+        with pytest.raises(ConfigError, match="oracle.grid"):
+            dataclasses.replace(cfg, oracle_grid=grid)
+    assert scans == [] and not out.exists()
+    # with the oracle off, or without an integral term, any grid of 128 or more will do
+    assert dataclasses.replace(cfg, oracle_enabled=False, oracle_grid=130).oracle_grid == 130
+    assert periodic_config(oracle_enabled=True, oracle_grid=130).oracle_grid == 130
+    assert main(["run", str(cfg_path), "--out", str(out), "--grid", "132"]) == 0
+    capsys.readouterr()
+    report = json.loads((out / "report.json").read_text())
+    assert len(scans) == 1 and report["config"]["oracle"]["grid"] == 132
+    assert len(report["records"]) == 5
+    assert all(r["oracle_dist"] is not None for r in report["records"])
 
 
 def test_main_failed_certification_exits_1(tmp_path, capsys):

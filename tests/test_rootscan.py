@@ -625,7 +625,8 @@ def test_newton_divergence():
 
 
 def test_find_zeros_periodic_spectrum():
-    report = find_zeros(periodic_fn(), BIG, tol=1e-10)
+    tol = 1e-10
+    report = find_zeros(periodic_fn(), BIG, tol=tol)
     assert not report.identically_zero
     assert report.region_count == 3
     assert report.total_multiplicity() == 3
@@ -635,7 +636,7 @@ def test_find_zeros_periodic_spectrum():
     for record, want in zip(located, truth):
         assert abs(record.location - want) < 1e-9
         assert record.multiplicity == 1
-        assert record.char_residual <= report.tol * max(1.0, record.leaf_scale)
+        assert record.char_residual <= tol * max(1.0, record.leaf_scale)
 
 
 def test_find_zeros_without_newton_takes_floor_means_on_the_scan_cache(monkeypatch):
