@@ -49,6 +49,7 @@ __all__ = [
     "CurveCombination",
     "is_dirichlet",
     "boundary_dimension",
+    "generator_terms",
     "trace_operator",
     "phi_from_psi",
     "dirichlet_basis",
@@ -318,6 +319,17 @@ def boundary_dimension(kind):
         return len(_TRACES[type(kind)])
     except KeyError:
         raise UnsupportedKindError(f"{type(kind).__name__} has no boundary trace space")
+
+
+def generator_terms(kind):
+    """A_m as (derivative order, coefficient) pairs: f' for the
+    first-derivative kind, f'' - 2c f' + k f for convection-diffusion, and
+    f'' for the others."""
+    if isinstance(kind, FirstDerivative):
+        return ((1, 1.0),)
+    if isinstance(kind, ConvectionDiffusion):
+        return ((2, 1.0), (1, -2.0 * kind.c), (0, kind.k))
+    return ((2, 1.0),)
 
 
 # ---------------------------------------------------------------------------

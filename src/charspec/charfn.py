@@ -9,6 +9,7 @@ lambdas, once per kind: ``CharFunction`` (F, F' and the zero-scale
 entries the scanner evaluates), ``char_matrix`` and ``kernel_vectors`` all
 take M from it; with user functionals it is
 ``catalog.functional_on_basis``, one pass over all rows and curves.
+``eigen_residual`` certifies an eigenpair on M and ``generator_terms``.
 ``delta_matrix`` builds Delta(lambda) = Phi L_lambda entry by entry through
 the generic functional machinery instead; it stays as the reference the
 tests hold the family to.
@@ -40,6 +41,7 @@ from .catalog import (
     apply_functional_to_samples,
     dirichlet_basis,
     functional_on_basis,
+    generator_terms,
     is_dirichlet,
     phi_from_psi,
     resolvent_apply,
@@ -61,6 +63,7 @@ __all__ = [
     "char_matrix",
     "kernel_vectors",
     "eigenfunction",
+    "eigen_residual",
     "resolvent_value",
 ]
 
@@ -290,6 +293,10 @@ _WRAP = np.array([0, 1, 2, 0, 1])
 # Most lambdas in one M(lambda) stack, which bounds the memory an F batch
 # takes (0.8 MB for a 3x3 pencil at 1,024 lambdas, twice that at 2,048).
 _CHUNK = 1024
+# points of the uniform grid on which eigen_residual samples a candidate
+_RESIDUAL_POINTS = 2001
+# candidates per basis jet in eigen_residual; bounds its memory (8 x 2001 points)
+_RESIDUAL_CHUNK = 8
 
 
 def _char_jet(spec, lams, dlam):
@@ -397,6 +404,40 @@ def eigenfunction(spec, lam, coefficients):
     combination checks x against the kind's boundary dimension, and raises
     UnsupportedKindError for kinds whose eigenvectors are plain vectors."""
     return CurveCombination(spec.kind, lam, np.asarray(coefficients).ravel())
+
+
+def eigen_residual(kind, mats, lam, f):
+    """Defect of a claimed eigenpair, after unit-sup normalization of f.
+
+    ``mats`` is M at the curve f = L_mu x's own lambda mu, so that M x gives
+    the boundary functionals on f (M_ij = psi_i(f_j)).  Returns (ode_residual,
+    bc_residual): the sup of (lambda - A_m) f on the sampling grid using f's
+    analytic derivatives, and max |M x|.  Over a 1-d array of lambdas, with a
+    stack ``mats`` and one curve each in ``f``, one basis jet per
+    _RESIDUAL_CHUNK of them gives the list.
+    """
+    lams = np.asarray(lam, dtype=complex)
+    if lams.ndim == 0:
+        return eigen_residual(kind, np.asarray(mats)[None], lams.reshape(1), (f,))[0]
+    if lams.size > _RESIDUAL_CHUNK:
+        cuts = [slice(at, at + _RESIDUAL_CHUNK) for at in range(0, lams.size, _RESIDUAL_CHUNK)]
+        return [out for c in cuts for out in eigen_residual(kind, mats[c], lams[c], f[c])]
+    s = np.linspace(0.0, 1.0, _RESIDUAL_POINTS)
+    # every curve at its own lambda, which the residual's lambda may differ from
+    column = _basis_jet(kind, np.array([g.lam for g in f])[:, None], s, False)
+    x = np.array([g.coefficients for g in f], dtype=complex)
+    def combination(order):  # d^order/ds^order of sum_j x_j f_j
+        return sum(x[:, j, None] * column(j, order)[0] for j in range(x.shape[1]))
+    vals = combination(0)
+    # one derivative order alive at a time bounds the memory of a chunk
+    a_f = sum(c * (vals if k == 0 else combination(k)) for k, c in generator_terms(kind))
+    odes = np.max(np.abs(lams[:, None] * vals - a_f), axis=1).tolist()
+    out = []
+    for m, x_k, ode, scale in zip(mats, x, odes, np.max(np.abs(vals), axis=1).tolist()):
+        if scale == 0.0:
+            raise DimensionError("candidate eigenfunction vanishes identically on the grid")
+        out.append((ode / scale, float(np.max(np.abs(m @ x_k))) / scale))
+    return out
 
 
 def resolvent_value(spec, lam, g, form="boundary"):

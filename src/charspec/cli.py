@@ -8,8 +8,8 @@ F-sample lattice, and a structured twin of the whole report.  Exit status
 is 0 exactly when every requested certification passed.
 
 A ``JobConfig`` checks its own option ranges however it is built (from a
-config file, with a ``--grid`` override, or in Python), and the region's
-``re`` and ``im`` bounds are [lo, hi] pairs.
+config file with its command-line overrides, or in Python), and the
+region's ``re`` and ``im`` bounds are [lo, hi] pairs.
 """
 
 from __future__ import annotations
@@ -40,11 +40,12 @@ from .charfn import (
     CharFunction,
     ProblemSpec,
     char_matrix,
+    eigen_residual,
     eigenfunction,
     kernel_vectors,
 )
 from .errors import CharspecError, ConfigError
-from .oracle import dense_eigenvalues, eigen_residual, fd_discretize, sparse_eigenvalues
+from .oracle import dense_eigenvalues, fd_discretize, sparse_eigenvalues
 from .rootscan import Rectangle, find_zeros
 
 __all__ = [
@@ -231,9 +232,10 @@ def _kind_in(name, params):
         raise ConfigError(f"bad parameters for kind {name!r}: {exc}") from exc
 
 
-def parse_config(text):
+def parse_config(text, **overrides):
     """Parse a JSON job config into a validated JobConfig.  Only the keys the
-    file gives reach ``ProblemSpec`` and ``JobConfig``: each default is theirs."""
+    file gives reach ``ProblemSpec`` and ``JobConfig``: each default is theirs,
+    and ``overrides`` (options by name) replace the file's before the check."""
     try:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -277,7 +279,7 @@ def parse_config(text):
               "out_format": (data, "format")}
     return JobConfig(spec=spec, **{
         name: section[key] for name, (section, key) in places.items() if key in section
-    })
+    } | overrides)
 
 
 def _config_doc(cfg):
@@ -332,7 +334,11 @@ class JobResult:
     report: object
     records: tuple
     notes: tuple
-    passed: bool
+
+    @property
+    def passed(self):
+        """True when the job has a report and every record passed."""
+        return self.report is not None and all(r.passed for r in self.records)
 
 
 def _certify(spec, lams):
@@ -405,7 +411,7 @@ def run_job(cfg):
     report = find_zeros(fn, spec.region, tol=spec.root_tol)
     if report.identically_zero:
         notes.append("characteristic function is identically zero on the region")
-        return JobResult(config=cfg, report=report, records=(), notes=tuple(notes), passed=True)
+        return JobResult(config=cfg, report=report, records=(), notes=tuple(notes))
     if report.region != spec.region:
         # a grazing contour was dilated; the roots are those of the scanned box
         box = report.region
@@ -423,7 +429,6 @@ def run_job(cfg):
     lams = np.array([root.location for root in report.roots])
     certified = _certify(spec, lams) if lams.size else []
     records = []
-    all_ok = True
     for root, outcome in zip(report.roots, certified):
         if isinstance(outcome, CharspecError):
             ode = bc = float("inf")
@@ -458,7 +463,6 @@ def run_job(cfg):
                     notes.append(
                         f"oracle mismatch at {root.location}: {dist:.3e} > {bound:.3e}"
                     )
-        all_ok = all_ok and ok
         records.append(
             SpectrumRecord(
                 location=root.location,
@@ -472,9 +476,7 @@ def run_job(cfg):
                 passed=ok,
             )
         )
-    return JobResult(
-        config=cfg, report=report, records=tuple(records), notes=tuple(notes), passed=all_ok
-    )
+    return JobResult(config=cfg, report=report, records=tuple(records), notes=tuple(notes))
 
 
 def _fmt(x):
@@ -530,12 +532,11 @@ def emit_report(result, outdir, error=None):
         path.write_text("\n".join([GRID_HEADER] + _grid_rows(cfg)) + "\n")
         written.append(path)
 
+    report = result.report
     doc = {
         "config": _config_doc(cfg),
-        "identically_zero": bool(result.report.identically_zero)
-        if result.report is not None
-        else None,
-        "region_count": result.report.region_count if result.report is not None else None,
+        "identically_zero": None if report is None else report.identically_zero,
+        "region_count": None if report is None else report.region_count,
         "records": records,
         "notes": list(result.notes),
         "passed": result.passed,
@@ -563,10 +564,10 @@ def main(argv=None):
     args = parser.parse_args(argv)
 
     try:
-        cfg = parse_config(Path(args.config).read_text(encoding="utf-8"))
         given = {"oracle_grid": args.grid, "out_format": args.format,
                  "oracle_enabled": None if args.oracle is None else args.oracle == "on"}
-        cfg = dataclasses.replace(cfg, **{k: v for k, v in given.items() if v is not None})
+        cfg = parse_config(Path(args.config).read_text(encoding="utf-8"),
+                           **{k: v for k, v in given.items() if v is not None})
     except (OSError, UnicodeDecodeError, ConfigError) as exc:
         named = f"{args.config} is not UTF-8: " if isinstance(exc, UnicodeDecodeError) else ""
         print(f"error: {named}{exc}", file=sys.stderr)
@@ -575,18 +576,15 @@ def main(argv=None):
     try:
         result = run_job(cfg)
     except CharspecError as exc:
-        empty = JobResult(config=cfg, report=None, records=(), notes=(), passed=False)
+        empty = JobResult(config=cfg, report=None, records=(), notes=())
         emit_report(empty, args.out, error=f"{type(exc).__name__}: {exc}")
         print(f"error: {exc}", file=sys.stderr)
         return 2
     emit_report(result, args.out)
 
     if cfg.out_format == "structured":
-        summary = {
-            "roots": len(result.records),
-            "region_count": result.report.region_count,
-            "passed": result.passed,
-        }
+        summary = {"roots": len(result.records), "region_count": result.report.region_count,
+                   "passed": result.passed}
         print(json.dumps(summary, sort_keys=True))
     elif cfg.spectrum:
         print((Path(args.out) / "spectrum.csv").read_text(), end="")

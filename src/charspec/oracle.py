@@ -10,8 +10,8 @@ centre; small dense matrices, such as a pencil's companion matrix, go to the
 dense LAPACK driver instead.  Either way every reported eigenvalue is
 certified by the residual of the eigenvector its own solver returns.
 Agreement with the contour scanner is then a genuine cross-check of two
-unrelated computations.
-``eigen_residual`` checks a claimed eigenpair against the M it is given.
+unrelated computations: the module imports nothing from ``charfn`` or
+``rootscan``, so it cannot reach F or M.
 
 Importing the module loads numpy only: scipy's sparse and dense linear
 algebra is imported inside the functions that use it, so it loads on the
@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linop
-from .catalog import ConvectionDiffusion, FirstDerivative, SecondDerivative, _basis_jet
+from .catalog import ConvectionDiffusion, FirstDerivative, SecondDerivative, generator_terms
 from .catalog import apply_functional  # noqa: F401  perfbench patches this binding
 from .errors import (
     ConvergenceError,
@@ -39,7 +39,6 @@ __all__ = [
     "fd_discretize",
     "dense_eigenvalues",
     "sparse_eigenvalues",
-    "eigen_residual",
 ]
 
 _MAX_DENSE_DIM = 2048
@@ -50,10 +49,6 @@ _SHIFT_BUMPS = (0.0, 1e-3, 1e-2, 1e-1)
 # a shift closer than this (times R) to an eigenvalue moves one rung on; half
 # the first rung, so one move off an eigenvalue at the centre clears it
 _SHIFT_CLEARANCE = 5e-4
-# points of the uniform grid on which eigen_residual samples a candidate
-_RESIDUAL_POINTS = 2001
-# candidates per basis jet in eigen_residual; bounds its memory (8 x 2001 points)
-_RESIDUAL_CHUNK = 8
 
 
 @dataclass(frozen=True)
@@ -118,22 +113,11 @@ def _functional_row(psi, n, h, grid):
     return row
 
 
-def _generator_terms(kind):
-    """A_m as (derivative order, coefficient) pairs: f' for the
-    first-derivative kind, f'' - 2c f' + k f for convection-diffusion, and
-    f'' for the others."""
-    if isinstance(kind, FirstDerivative):
-        return ((1, 1.0),)
-    if isinstance(kind, ConvectionDiffusion):
-        return ((2, 1.0), (1, -2.0 * kind.c), (0, kind.k))
-    return ((2, 1.0),)
-
-
 def _generator(kind, colloc, n, h):
     """A_m at the collocation points, as a sparse (len(colloc), n + 1) array."""
     import scipy.sparse
 
-    terms = _generator_terms(kind)
+    terms = generator_terms(kind)
     inner = (colloc > 0) & (colloc < n)
     band = sum(coef * _CENTRED[order] / h**order for order, coef in terms)
     rows = [np.repeat(np.flatnonzero(inner), 3)]
@@ -341,37 +325,3 @@ def sparse_eigenvalues(matrix, window):
     except (ConvergenceError, scipy.sparse.linalg.ArpackError) as exc:
         raise ConvergenceError(f"sparse eigensolve in {window} at k = {k}: {exc}") from exc
     return dense_eigenvalues(matrix, window)
-
-
-def eigen_residual(kind, mats, lam, f):
-    """Defect of a claimed eigenpair, after unit-sup normalization of f.
-
-    ``mats`` is M at the curve f = L_mu x's own lambda mu, so that M x gives
-    the boundary functionals on f (M_ij = psi_i(f_j)).  Returns (ode_residual,
-    bc_residual): the sup of (lambda - A_m) f on the sampling grid using f's
-    analytic derivatives, and max |M x|.  Over a 1-d array of lambdas, with a
-    stack ``mats`` and one curve each in ``f``, one basis jet per
-    _RESIDUAL_CHUNK of them gives the list.
-    """
-    lams = np.asarray(lam, dtype=complex)
-    if lams.ndim == 0:
-        return eigen_residual(kind, np.asarray(mats)[None], lams.reshape(1), (f,))[0]
-    if lams.size > _RESIDUAL_CHUNK:
-        cuts = [slice(at, at + _RESIDUAL_CHUNK) for at in range(0, lams.size, _RESIDUAL_CHUNK)]
-        return [out for c in cuts for out in eigen_residual(kind, mats[c], lams[c], f[c])]
-    s = np.linspace(0.0, 1.0, _RESIDUAL_POINTS)
-    # every curve at its own lambda, which the residual's lambda may differ from
-    column = _basis_jet(kind, np.array([g.lam for g in f])[:, None], s, False)
-    x = np.array([g.coefficients for g in f], dtype=complex)
-    def combination(order):  # d^order/ds^order of sum_j x_j f_j
-        return sum(x[:, j, None] * column(j, order)[0] for j in range(x.shape[1]))
-    vals = combination(0)
-    # one derivative order alive at a time bounds the memory of a chunk
-    a_f = sum(c * (vals if k == 0 else combination(k)) for k, c in _generator_terms(kind))
-    odes = np.max(np.abs(lams[:, None] * vals - a_f), axis=1).tolist()
-    out = []
-    for m, x_k, ode, scale in zip(mats, x, odes, np.max(np.abs(vals), axis=1).tolist()):
-        if scale == 0.0:
-            raise DimensionError("candidate eigenfunction vanishes identically on the grid")
-        out.append((ode / scale, float(np.max(np.abs(m @ x_k))) / scale))
-    return out

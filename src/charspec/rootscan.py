@@ -26,10 +26,10 @@ the moments' Hankel pencil grows ill-conditioned (Kravanja, Sakurai & Van
 Barel, BIT 39, 1999).  The p-th moment of g around a box is the p-th
 power sum of the roots inside it (Delves & Lyness, Math. Comp. 21, 1967),
 and those roots are the eigenvalues of the Hankel pencil of the moments
-(Kravanja & Van Barel, ch. 1).  Newton polishes the eigenvalues of every
-box of a level in one batch, one (F, F') call per iteration over the
-iterates still running, and a box is a leaf when it finds as many
-distinct roots inside it as the box counts.  Otherwise the box is split,
+(Kravanja & Van Barel, ch. 1).  ``newton_refine`` polishes the
+eigenvalues of every box of a level in one batch, one (F, F') call per
+iteration over the iterates still running, and a box is a leaf when it
+finds as many distinct roots inside it as it counts.  Otherwise it is split,
 down to a box 64*tol across (or at the grid floor), where its k roots are
 one root of multiplicity k polished from their mean, in the same batch;
 the mean stands as the root when Newton fails there.
@@ -539,28 +539,18 @@ def detect_identically_zero(f, rect):
     return bool(np.all((np.abs(f.values(lams)) <= bound) & np.isfinite(bound)))
 
 
-def newton_refine(f, start, tol, rect):
-    """Polish one root by Newton iteration on F's ``values_and_derivatives``.
+def newton_refine(f, starts, tol, rect):
+    """Newton iteration on F's ``values_and_derivatives`` from every start
+    at once, one call per iteration over the iterates still running: one
+    (root, iterations) or DivergenceError per start.
 
-    Returns (root, iterations), iterations >= 1, once a step is at most
-    ``tol`` or an iterate has F exactly zero (so a start on a multiple root
-    is returned as it stands).  Raises DivergenceError when F' = 0 with
-    F != 0, when the steps stall (shrinking by less than 10% over five
-    iterations), when _NEWTON_MAX_ITER iterations do not converge, or when
-    an iterate leaves a 2x-dilated copy of ``rect``.  This is the one-start
-    case of ``_newton_batch``.
+    An iterate ends as (root, iterations), iterations >= 1, once a step is
+    at most ``tol`` or F is exactly zero there (so a start on a multiple
+    root is returned as it stands); as a DivergenceError when its start lies
+    outside ``rect``, F' = 0 with F != 0, its steps stall (shrinking by less
+    than 10% over five iterations), _NEWTON_MAX_ITER iterations do not
+    converge, or it leaves a 2x-dilated copy of ``rect``.
     """
-    (out,) = _newton_batch(f, [start], tol, rect)
-    if isinstance(out, DivergenceError):
-        raise out
-    return out
-
-
-def _newton_batch(f, starts, tol, rect):
-    """Newton iteration from every start at once, by ``newton_refine``'s
-    rules for each iterate: one (root, iterations) or DivergenceError per
-    start, with one ``values_and_derivatives`` call per iteration over the
-    iterates still running."""
     # the fence is rect dilated 2x about its centre: its half-sides are
     # rect's whole width and height
     centre, half_x, half_y = rect.center, rect.width, rect.height
@@ -703,7 +693,7 @@ def _subdivide(f, cache, counted, tol):
     the mean itself with 0 iterations when Newton fails.  A box of at most
     _LEAF_ROOTS (ten) roots is a leaf when Newton from its ``_hankel_roots``
     finds them all (``_leaf_roots``), each a simple part; any other box is
-    split.  Each level takes one Newton batch, ``_newton_batch`` over the
+    split.  Each level takes one Newton batch, ``newton_refine`` over the
     starts of all its boxes, fenced by the scan frame (early steps overshoot
     a leaf routinely); a start that is non-finite or outside its box is
     replaced by the box's ``centre_of``, and a root outside its box, past
@@ -734,7 +724,7 @@ def _subdivide(f, cache, counted, tol):
             tried.append((box, count, scale, floor, guesses, leaf, len(starts)))
             starts += [z if cmath.isfinite(z) and leaf.contains(z) else cache.centre_of(box)
                        for z in guesses]
-        polished = _newton_batch(f, starts, tol, cache.frame)
+        polished = newton_refine(f, starts, tol, cache.frame)
         parents = []
         for box, count, scale, floor, guesses, leaf, at in tried:
             roots = polished[at : at + len(guesses)]

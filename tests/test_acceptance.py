@@ -26,6 +26,7 @@ from charspec import (
     char_matrix,
     delta_matrix,
     determinant,
+    eigen_residual,
     eigenfunction,
     find_zeros,
     inverse,
@@ -38,7 +39,7 @@ from charspec import (
     winding_count,
 )
 from charspec.catalog import grid_derivative, resolvent_apply
-from charspec.oracle import dense_eigenvalues, eigen_residual, fd_discretize
+from charspec.oracle import dense_eigenvalues, fd_discretize
 
 TWO_PI = 2.0 * math.pi
 

@@ -611,7 +611,7 @@ def test_chunks_of_roots_certify_as_roots_one_at_a_time(monkeypatch):
     )
     chunked = run_job(JobConfig(spec=spec))
     assert len(chunked.records) == 17
-    monkeypatch.setattr(charspec.oracle, "_RESIDUAL_CHUNK", 1)
+    monkeypatch.setattr(charspec.charfn, "_RESIDUAL_CHUNK", 1)
     single = run_job(JobConfig(spec=spec))
     assert chunked.records == single.records and chunked.notes == single.notes
 
@@ -906,6 +906,48 @@ def test_an_odd_oracle_half_grid_is_refused_before_scanning(tmp_path, capsys, mo
     assert len(scans) == 1 and report["config"]["oracle"]["grid"] == 132
     assert len(report["records"]) == 5
     assert all(r["oracle_dist"] is not None for r in report["records"])
+
+
+def test_an_override_is_checked_with_the_file_once(tmp_path, capsys, monkeypatch):
+    # --grid replaces the file's oracle grid before JobConfig checks it, so
+    # an override mends a file that fails alone, and a bad override over a
+    # good file fails as the file would, before the scan and any output
+    scans = []
+    real = cli_module.find_zeros
+
+    def recording(*args, **kw):
+        scans.append(args)
+        return real(*args, **kw)
+
+    monkeypatch.setattr(cli_module, "find_zeros", recording)
+    integral = json.loads(PERIODIC_JOB)
+    integral["problem"]["psi"] = [
+        [{"point": 0.0}, {"integral": "exp", "weight": -2, "rate": 0.5}]
+    ]
+    integral["problem"]["region"] = {"re": [-3, 3], "im": [-20, 20]}
+    periodic = json.loads(PERIODIC_JOB)
+    cfg_path = tmp_path / "job.json"
+    for doc, grid, override in ((integral, 130, 132), (periodic, 64, 128)):
+        doc["oracle"] = {"enabled": True, "grid": grid}
+        cfg_path.write_text(json.dumps(doc))
+        with pytest.raises(ConfigError, match="oracle.grid"):
+            parse_config(cfg_path.read_text())
+        assert parse_config(cfg_path.read_text(), oracle_grid=override).oracle_grid == override
+        out = tmp_path / f"out{grid}"
+        assert main(["run", str(cfg_path), "--out", str(out), "--grid", str(override)]) == 0
+        capsys.readouterr()
+        report = json.loads((out / "report.json").read_text())
+        assert report["config"]["oracle"] == {"enabled": True, "grid": override}
+        assert report["records"] and all(r["oracle_dist"] is not None for r in report["records"])
+    assert len(scans) == 2
+    integral["oracle"]["grid"] = 132
+    cfg_path.write_text(json.dumps(integral))
+    out = tmp_path / "bad"
+    assert main(["run", str(cfg_path), "--out", str(out), "--grid", "130"]) == 2
+    assert capsys.readouterr().err == (
+        "error: oracle.grid: integral terms need a multiple of 4, got 130\n"
+    )
+    assert len(scans) == 2 and not out.exists()
 
 
 def test_main_failed_certification_exits_1(tmp_path, capsys):

@@ -15,7 +15,6 @@ PACKAGE = Path(__file__).resolve().parents[1] / "src" / "charspec"
 
 ALLOWED = {
     "charfn": {".catalog: _basis_jet", ".catalog: _sqrt_jet"},
-    "oracle": {".catalog: _basis_jet"},
 }
 
 
@@ -31,3 +30,19 @@ def test_no_private_name_is_imported_from_another_module(module):
         if alias.name.startswith("_")
     }
     assert leaks == ALLOWED.get(module, set())
+
+
+def test_the_oracle_reaches_neither_f_nor_m():
+    # the oracle cross-checks the scan, so it must not build F or M: it
+    # imports nothing from the module that assembles them or the scanner
+    tree = ast.parse((PACKAGE / "oracle.py").read_text())
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported |= {a.name.removeprefix("charspec.") for a in node.names}
+        elif isinstance(node, ast.ImportFrom):
+            module = (node.module or "").removeprefix("charspec").lstrip(".")
+            internal = node.level > 0 or (node.module or "").split(".")[0] == "charspec"
+            if internal:
+                imported |= {module.split(".")[0]} if module else {a.name for a in node.names}
+    assert "catalog" in imported and not imported & {"charfn", "rootscan"}

@@ -46,8 +46,8 @@ An eighth property runs Newton from up to nine starts in one batch, one
 of them ending each of the ways ``newton_refine`` ends (a start on a
 root, a step within tol, F' = 0, leaving the fence, a stall, the
 iteration cap, a start outside the rectangle): every start gives what
-``newton_refine`` gives from it alone, the same root and iteration count
-or the same DivergenceError.
+``newton_refine`` gives from it alone in a batch of one, the same root and
+iteration count or the same DivergenceError.
 
 The derandomized profile in ``conftest.py`` draws the same examples on
 every run.  Time budget: the module runs in 4.5-7.5 s on a 2-core VM, of
@@ -75,7 +75,6 @@ from charspec import (  # noqa: E402
     Rectangle,
     find_zeros,
     newton_refine,
-    rootscan,
     winding_count,
 )
 from charspec.errors import DivergenceError  # noqa: E402
@@ -301,13 +300,12 @@ def test_newton_batch_runs_each_start_as_newton_refine(others, at):
         half = 0.5 * rect.width, 0.5 * rect.height
         starts = [rect.center + complex(z.real * half[0], z.imag * half[1]) for z in others]
         starts.insert(min(at, len(starts)), start)
-        batch = rootscan._newton_batch(fn, starts, tol, rect)
+        batch = newton_refine(fn, starts, tol, rect)
         assert len(batch) == len(starts)
         for z, got in zip(starts, batch):
-            try:
-                want = newton_refine(fn, z, tol, rect)
-            except DivergenceError as exc:
-                assert isinstance(got, DivergenceError) and str(got) == str(exc)
+            (want,) = newton_refine(fn, [z], tol, rect)
+            if isinstance(want, DivergenceError):
+                assert isinstance(got, DivergenceError) and str(got) == str(want)
             else:
                 assert got == want
             if z is start:

@@ -545,7 +545,7 @@ def test_zero_detection_assembles_all_points_in_one_call():
 
 
 def test_newton_polishes_simple_root():
-    root, iters = newton_refine(periodic_fn(), 0.1 + 6.0j, 1e-12, BIG)
+    ((root, iters),) = newton_refine(periodic_fn(), [0.1 + 6.0j], 1e-12, BIG)
     assert abs(root - TWO_PI * 1j) < 1e-12
     assert iters < 10
 
@@ -560,39 +560,39 @@ def test_newton_builds_no_rectangle(monkeypatch):
         post_init(rect)
 
     monkeypatch.setattr(Rectangle, "__post_init__", recording)
-    root, _ = newton_refine(periodic_fn(), 0.1 + 6.0j, 1e-12, BIG)
+    ((root, _),) = newton_refine(periodic_fn(), [0.1 + 6.0j], 1e-12, BIG)
     assert abs(root - TWO_PI * 1j) < 1e-12
     assert built == []
 
 
 def test_newton_exact_start():
-    root, iters = newton_refine(periodic_fn(), 0.0, 1e-12, BIG)
+    ((root, iters),) = newton_refine(periodic_fn(), [0.0], 1e-12, BIG)
     assert root == 0.0
     assert iters <= 1
 
 
 def test_newton_double_root():
     box = Rectangle(-1.0 - 1.0j, 1.0 + 1.0j)
-    root, iters = newton_refine(planted([0.0, 0.0]), 0.5, 1e-10, box)
+    ((root, iters),) = newton_refine(planted([0.0, 0.0]), [0.5], 1e-10, box)
     assert abs(root) < 1e-9
     assert iters <= 50
     # a start exactly on the double root is the root: F = 0 is checked
     # before F' = 0, so Newton returns the start instead of raising
-    root, iters = newton_refine(planted([0.0, 0.0]), 0.0, 1e-8, box)
+    ((root, iters),) = newton_refine(planted([0.0, 0.0]), [0.0], 1e-8, box)
     assert root == 0.0
     assert iters >= 0
-    # F' = 0 with F != 0 (z^2 - 1 at 0) gives Newton no step: it raises,
+    # F' = 0 with F != 0 (z^2 - 1 at 0) gives Newton no step: it fails,
     # and find_zeros splits such a root's box and polishes it from a child
-    with pytest.raises(DivergenceError):
-        newton_refine(planted([1.0, -1.0]), 0.0, 1e-8, box)
+    (out,) = newton_refine(planted([1.0, -1.0]), [0.0], 1e-8, box)
+    assert isinstance(out, DivergenceError)
 
 
 def test_newton_raises_when_iterations_run_out():
     # on a double root Newton halves its step each iteration, so after 50
     # steps from 0.5 it is still 4e-16 off, far above a 1e-300 tolerance
     box = Rectangle(-1.0 - 1.0j, 1.0 + 1.0j)
-    with pytest.raises(DivergenceError):
-        newton_refine(planted([0.0, 0.0]), 0.5, 1e-300, box)
+    (out,) = newton_refine(planted([0.0, 0.0]), [0.5], 1e-300, box)
+    assert isinstance(out, DivergenceError)
 
 
 def test_records_take_abs_f_once_per_part():
@@ -614,11 +614,11 @@ def test_records_take_abs_f_once_per_part():
 
 def test_newton_divergence():
     box = Rectangle(-1.0 - 1.0j, 1.0 + 1.0j)
-    with pytest.raises(DivergenceError):
-        # real start on z^2 + 1: first step lands at -4.95, far out of fence
-        newton_refine(planted([1j, -1j]), 0.1, 1e-10, box)
-    with pytest.raises(DivergenceError):
-        newton_refine(periodic_fn(), 5.0, 1e-10, box)  # start outside
+    # real start on z^2 + 1: first step lands at -4.95, far out of fence
+    (out,) = newton_refine(planted([1j, -1j]), [0.1], 1e-10, box)
+    assert isinstance(out, DivergenceError)
+    (out,) = newton_refine(periodic_fn(), [5.0], 1e-10, box)  # start outside
+    assert isinstance(out, DivergenceError)
 
 
 # -- find_zeros ---------------------------------------------------------------
@@ -653,7 +653,7 @@ def test_find_zeros_without_newton_takes_floor_means_on_the_scan_cache(monkeypat
         built.append(region)
         init(cache, f, region, fold)
 
-    monkeypatch.setattr(rootscan, "_newton_batch", diverging)
+    monkeypatch.setattr(rootscan, "newton_refine", diverging)
     monkeypatch.setattr(rootscan._PanelCache, "__init__", recording)
     tol = 1e-10
     cases = (
@@ -682,7 +682,7 @@ def test_find_zeros_at_the_grid_floor(monkeypatch):
     def diverging(f, starts, tol, rect):
         return [DivergenceError("forced") for _ in starts]
 
-    monkeypatch.setattr(rootscan, "_newton_batch", diverging)
+    monkeypatch.setattr(rootscan, "newton_refine", diverging)
     (rec,) = find_zeros(planted([0.3 + 0.1j]), wide, tol=1e-10).roots
     assert abs(rec.location - (0.3 + 0.1j)) < 1e-9 and rec.newton_iterations == 0
 
@@ -692,7 +692,7 @@ def test_find_zeros_splits_a_one_root_box_whose_newton_fails(monkeypatch):
     # and the child holding the root is a moment leaf that Newton polishes
     fn, region = planted([0.3 + 0.2j]), Rectangle(-1.0 - 1.0j, 1.0 + 1.0j)
     (top,) = find_zeros(fn, region, tol=1e-10).roots
-    real, batches = rootscan._newton_batch, []
+    real, batches = rootscan.newton_refine, []
 
     def failing_once(f, starts, tol, rect):
         batches.append(starts)
@@ -700,7 +700,7 @@ def test_find_zeros_splits_a_one_root_box_whose_newton_fails(monkeypatch):
             return [DivergenceError("forced") for _ in starts]
         return real(f, starts, tol, rect)
 
-    monkeypatch.setattr(rootscan, "_newton_batch", failing_once)
+    monkeypatch.setattr(rootscan, "newton_refine", failing_once)
     (rec,) = find_zeros(fn, region, tol=1e-10).roots
     assert len(batches) >= 2 and len(batches[0]) == 1
     assert abs(rec.location - (0.3 + 0.2j)) <= 1e-10 and rec.newton_iterations >= 1

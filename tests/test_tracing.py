@@ -57,6 +57,6 @@ def test_traced_job_times_certification_and_scan():
         tracer.uninstall()
     assert result.passed and len(result.records) == 4
     spans = tracer.summary()
-    for name in ("cli.certify", "rootscan.find_zeros"):
+    for name in ("cli.certify", "rootscan.find_zeros", "rootscan.newton_refine"):
         span = spans.get(name, {"calls": 0, "total_s": 0.0})
         assert span["calls"] > 0 and span["total_s"] > 0.0, name
