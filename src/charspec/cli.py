@@ -135,6 +135,13 @@ def _exactly(kind, value, where):
     return value
 
 
+def _known(section, keys, where):
+    """A ConfigError on the first key of ``section`` that is not in ``keys``."""
+    for key in section:
+        if key not in keys:
+            raise ConfigError(f"{where}: unknown key {key!r}")
+
+
 def _json_out(value):
     """``value`` as JSON data: a complex number as [re, im], a tuple as a list."""
     if isinstance(value, complex):
@@ -181,6 +188,8 @@ def _functional_in(terms, where):
             raise
         except (OverflowError, TypeError, ValueError) as exc:
             raise ConfigError(f"{spot}: {exc}") from exc
+        _known(term, ("point", "order", "weight") if "point" in term
+               else ("integral", "weight", "rate"), spot)
     return BoundaryFunctional(points=tuple(points), integrals=tuple(integrals))
 
 
@@ -235,7 +244,8 @@ def _kind_in(name, params):
 def parse_config(text, **overrides):
     """Parse a JSON job config into a validated JobConfig.  Only the keys the
     file gives reach ``ProblemSpec`` and ``JobConfig``: each default is theirs,
-    and ``overrides`` (options by name) replace the file's before the check."""
+    and ``overrides`` (options by name) replace the file's before the check.
+    A section's unknown key is a ConfigError; the top level is open."""
     try:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -255,8 +265,10 @@ def parse_config(text, **overrides):
         raise
     except (IndexError, KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"problem.region must give finite re/im bounds: {exc}") from exc
+    _known(prob["region"], ("re", "im"), "problem.region")
     params = _exactly(dict, prob.get("parameters", {}), "problem.parameters")
     kind = _kind_in(prob.get("kind"), params)
+    _known(params, [f.name for f in dataclasses.fields(kind)], "problem.parameters")
     psi = tuple(
         _functional_in(terms, f"problem.psi[{i}]")
         for i, terms in enumerate(_exactly(list, prob.get("psi", []), "problem.psi"))
@@ -269,6 +281,7 @@ def parse_config(text, **overrides):
         raise
     except (CharspecError, OverflowError, TypeError, ValueError) as exc:
         raise ConfigError(f"invalid problem spec: {exc}") from exc
+    _known(prob, ("kind", "parameters", "psi", "region", "root_tol", "residual_tol"), "problem")
     outputs = _exactly(dict, data.get("outputs", {}), "outputs")
     if outputs.get("grid") is not None:
         outputs = {**outputs, "grid": tuple(_exactly(list, outputs["grid"], "outputs.grid"))}
@@ -277,9 +290,12 @@ def parse_config(text, **overrides):
     places = {"spectrum": (outputs, "spectrum"), "grid": (outputs, "grid"),
               "oracle_enabled": (oracle, "enabled"), "oracle_grid": (oracle, "grid"),
               "out_format": (data, "format")}
-    return JobConfig(spec=spec, **{
+    cfg = JobConfig(spec=spec, **{
         name: section[key] for name, (section, key) in places.items() if key in section
     } | overrides)
+    _known(outputs, ("spectrum", "grid"), "outputs")
+    _known(oracle, ("enabled", "grid"), "oracle")
+    return cfg
 
 
 def _config_doc(cfg):
@@ -385,7 +401,7 @@ def _oracle_eigenvalues(cfg, notes):
         return None, None
     fine = fd_discretize(kind, spec.psi, cfg.oracle_grid)
     half = fd_discretize(kind, spec.psi, cfg.oracle_grid // 2)
-    return sparse_eigenvalues(fine.matrix, window), sparse_eigenvalues(half.matrix, window)
+    return sparse_eigenvalues(fine, window), sparse_eigenvalues(half, window)
 
 
 def _nearest(values, z):
@@ -514,13 +530,16 @@ def emit_report(result, outdir, error=None):
     written = []
     cfg = result.config
 
-    records = [
+    rows = (
         {"re": r.location.real, "im": r.location.imag, "multiplicity": r.multiplicity,
          "abs_F": r.abs_f, "newton_iters": r.newton_iterations,
          "ode_residual": r.ode_residual, "bc_residual": r.bc_residual,
          "oracle": _json_out(r.oracle), "oracle_dist": r.oracle_dist, "passed": r.passed}
         for r in sorted(result.records, key=lambda r: (r.location.imag, r.location.real))
-    ]
+    )
+    # a non-finite number (a failed certification's inf) is null, an empty CSV field
+    records = [{key: None if isinstance(v, float) and not math.isfinite(v) else v
+                for key, v in row.items()} for row in rows]
     if cfg.spectrum:
         lines = [CSV_HEADER] + [_csv_row(record) for record in records]
         path = outdir / "spectrum.csv"
@@ -543,7 +562,7 @@ def emit_report(result, outdir, error=None):
         "trailer": {"error": error},
     }
     path = outdir / "report.json"
-    path.write_text(json.dumps(doc, sort_keys=True, indent=2) + "\n")
+    path.write_text(json.dumps(doc, sort_keys=True, indent=2, allow_nan=False) + "\n")
     written.append(path)
     return written
 
@@ -571,6 +590,11 @@ def main(argv=None):
     except (OSError, UnicodeDecodeError, ConfigError) as exc:
         named = f"{args.config} is not UTF-8: " if isinstance(exc, UnicodeDecodeError) else ""
         print(f"error: {named}{exc}", file=sys.stderr)
+        return 2
+    try:  # before the scan, so that a bad directory costs no scan
+        Path(args.out).mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        print(f"error: {args.out}: {exc}", file=sys.stderr)
         return 2
 
     try:

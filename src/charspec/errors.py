@@ -31,15 +31,7 @@ class DimensionError(CharspecError, ValueError):
 
 
 class SingularMatrixError(CharspecError, ArithmeticError):
-    """Matrix is singular to working tolerance.
-
-    Carries the offending pivot magnitude in ``smallest_pivot`` when the
-    failure was detected inside an elimination.
-    """
-
-    def __init__(self, message, smallest_pivot=None):
-        super().__init__(message)
-        self.smallest_pivot = smallest_pivot
+    """Matrix is singular to working tolerance."""
 
 
 class UnsupportedKindError(CharspecError, TypeError):

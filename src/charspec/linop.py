@@ -1,13 +1,12 @@
 """Dense complex linear algebra kernel, on LAPACK's own formats.
 
-Solves, inverses, determinants and kernels go through this module, all of
-them LAPACK through numpy and scipy: scipy's ``(lu, piv)`` pair from LU
-with partial pivoting and its triangular solves, numpy's ``slogdet`` for
-determinants, and numpy's stacked singular value decomposition behind
-``kernel_basis``.  On top of that the module keeps an explicit singularity
-threshold with a typed error, and the block identities of G = A + BC: the
-Schur-complement route to a block inverse and the exchange
-(Id - QR)^{-1} = Id + Q (Id - RQ)^{-1} R.
+Solves, inverses and kernels go through this module, all of them LAPACK
+through numpy and scipy: scipy's ``(lu, piv)`` pair from LU with partial
+pivoting and its triangular solves, and numpy's stacked singular value
+decomposition behind ``kernel_basis``.  On top of that the module keeps an
+explicit singularity threshold with a typed error, and the block identities
+of G = A + BC: the Schur-complement route to a block inverse and the
+exchange (Id - QR)^{-1} = Id + Q (Id - RQ)^{-1} R.
 
 Importing the module loads numpy only: ``scipy.linalg`` is imported inside
 ``lu_decompose`` and ``solve``, so it loads on the first LU or solve.
@@ -26,7 +25,6 @@ __all__ = [
     "BlockMatrix",
     "as_matrix",
     "lu_decompose",
-    "determinant",
     "solve",
     "inverse",
     "kernel_basis",
@@ -73,24 +71,10 @@ def lu_decompose(m):
         return scipy.linalg.lu_factor(a, check_finite=False)
 
 
-def determinant(m):
-    """Determinant of a square matrix from numpy's ``slogdet``.  0x0 gives 1.
-
-    LAPACK's pivots are summed as logarithms, so long products cannot
-    overflow before the final exponential; there a real or imaginary part
-    that is exactly zero in the sign stays zero (inf times that zero would
-    read nan), and a magnitude beyond the doubles reads inf.
-    """
-    sign, logabs = np.linalg.slogdet(as_matrix(m, square=True))
-    with np.errstate(over="ignore"):
-        mag = np.exp(logabs)
-    return complex(sign.real and sign.real * mag, sign.imag and sign.imag * mag)
-
-
 def solve(m, rhs):
     """Solve ``m @ x = rhs`` (rhs may be a vector or a matrix of columns).
 
-    Raises SingularMatrixError, carrying the smallest upper-diagonal
+    Raises SingularMatrixError, naming the smallest upper-diagonal
     magnitude, when it drops below ``SINGULAR_RTOL`` times the largest.
     """
     import scipy.linalg
@@ -99,10 +83,7 @@ def solve(m, rhs):
     pivots = np.abs(np.diag(lu)) if lu.size else np.ones(1)
     smallest = float(pivots.min())
     if smallest < SINGULAR_RTOL * max(float(pivots.max()), 1e-300):
-        raise SingularMatrixError(
-            f"matrix is singular to tolerance (pivot {smallest:.3e})",
-            smallest_pivot=smallest,
-        )
+        raise SingularMatrixError(f"matrix is singular to tolerance (pivot {smallest:.3e})")
     b = np.asarray(rhs, dtype=complex)
     if b.shape[0] != lu.shape[0]:
         raise DimensionError(f"rhs has {b.shape[0]} rows, matrix has {lu.shape[0]}")

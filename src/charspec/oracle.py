@@ -3,15 +3,15 @@
 The reference eigenvalues never touch the characteristic function.  A
 problem is discretized on a uniform grid with second-order stencils, the
 boundary functionals become algebraic constraints that eliminate the
-endpoint unknowns, and the reduced matrix is assembled sparse: a banded
-stencil plus the few rows next to the eliminated endpoints.  Its eigenvalues
-in a window come from shift-invert Arnoldi (ARPACK) around the window
-centre; small dense matrices, such as a pencil's companion matrix, go to the
-dense LAPACK driver instead.  Either way every reported eigenvalue is
-certified by the residual of the eigenvector its own solver returns.
-Agreement with the contour scanner is then a genuine cross-check of two
-unrelated computations: the module imports nothing from ``charfn`` or
-``rootscan``, so it cannot reach F or M.
+endpoint unknowns, and ``fd_discretize`` returns the reduced matrix,
+assembled sparse: a banded stencil plus the few rows next to the eliminated
+endpoints.  Its eigenvalues in a window come from shift-invert Arnoldi
+(ARPACK) around the window centre; small dense matrices, such as a pencil's
+companion matrix, go to the dense LAPACK driver instead.  Either way every
+reported eigenvalue is certified by the residual of the eigenvector its own
+solver returns.  Agreement with the contour scanner is then a genuine
+cross-check of two unrelated computations: the module imports nothing from
+``charfn`` or ``rootscan``, so it cannot reach F or M.
 
 Importing the module loads numpy only: scipy's sparse and dense linear
 algebra is imported inside the functions that use it, so it loads on the
@@ -19,8 +19,6 @@ first oracle call.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -35,7 +33,6 @@ from .errors import (
 )
 
 __all__ = [
-    "Discretization",
     "fd_discretize",
     "dense_eigenvalues",
     "sparse_eigenvalues",
@@ -49,27 +46,6 @@ _SHIFT_BUMPS = (0.0, 1e-3, 1e-2, 1e-1)
 # a shift closer than this (times R) to an eigenvalue moves one rung on; half
 # the first rung, so one move off an eigenvalue at the centre clears it
 _SHIFT_CLEARANCE = 5e-4
-
-
-@dataclass(frozen=True)
-class Discretization:
-    """Reduced standard eigenproblem for a boundary-constrained generator.
-
-    ``matrix`` (a CSR ``scipy.sparse`` array) acts on the unknowns at
-    ``grid[keep]``; the eliminated endpoint values are recovered as
-    ``transfer @ kept_values``.  The raw constraint rows are retained so
-    tests can replay them against apply_functional.
-    """
-
-    kind: object
-    psi: tuple
-    n: int
-    grid: np.ndarray
-    matrix: scipy.sparse.csr_array
-    boundary_rows: np.ndarray
-    keep: np.ndarray
-    eliminated: np.ndarray
-    transfer: np.ndarray
 
 
 # third-order one-sided stencils at the endpoints: one order above the
@@ -144,7 +120,9 @@ def fd_discretize(kind, psi, n):
     functional (the built-in coupling depends on lambda and has no linear
     eigenproblem).  Boundary rows are solved for the endpoint unknowns and
     substituted; a singular endpoint subblock is reported as unsupported
-    rather than silently regularized.
+    rather than silently regularized.  Returns the reduced matrix, a CSR
+    ``scipy.sparse`` array (real when every entry is) acting on the
+    unknowns left after the elimination.
     """
     import scipy.sparse
 
@@ -205,19 +183,7 @@ def fd_discretize(kind, psi, n):
         shape=(n + 1, keep.size),
     )
     matrix = _generator(kind, colloc, n, h) @ prolong
-    if not np.any(matrix.data.imag):
-        matrix = matrix.real
-    return Discretization(
-        kind=kind,
-        psi=psi,
-        n=n,
-        grid=grid,
-        matrix=matrix,
-        boundary_rows=boundary_rows,
-        keep=keep,
-        eliminated=eliminated,
-        transfer=transfer,
-    )
+    return matrix if np.any(matrix.data.imag) else matrix.real
 
 
 def _certified(m, vals, vecs, window):

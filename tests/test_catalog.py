@@ -25,7 +25,6 @@ from charspec.catalog import (
     dirichlet_basis,
     functional_on_basis,
     gauss_legendre,
-    grid_derivative,
     integral_functional,
     is_dirichlet,
     phi_from_psi,
@@ -34,6 +33,7 @@ from charspec.catalog import (
     trace_operator,
 )
 from charspec.errors import DimensionError, QuadratureFailureError, UnsupportedKindError
+from sampled import grid_derivative
 
 ALL_DIRICHLET = (
     FirstDerivative(),

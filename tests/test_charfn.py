@@ -17,7 +17,6 @@ from charspec import (
     SecondDerivative,
     char_matrix,
     delta_matrix,
-    determinant,
     effective_psi,
     eigenfunction,
     integral_functional,
@@ -27,7 +26,6 @@ from charspec import (
 )
 from charspec.catalog import (
     apply_functional_to_samples,
-    grid_derivative,
     is_dirichlet,
     phi_from_psi,
 )
@@ -39,6 +37,7 @@ from charspec.errors import (
     ResolventUndefinedError,
     UnsupportedKindError,
 )
+from sampled import grid_derivative
 
 
 def periodic_spec(**kw):
@@ -394,7 +393,7 @@ def test_value_equals_matrix_determinant():
         for lam in PROBE_LAMS:
             direct = CharFunction(spec).value(lam)
             mat = char_matrix(spec, lam)
-            via_det = determinant(mat)
+            via_det = np.linalg.det(mat)
             assert abs(direct - via_det) <= 5e-13 * max(1.0, abs(direct))
             if is_dirichlet(spec.kind):
                 # the entry-by-entry Delta(lam) = Phi L_lam is the reference

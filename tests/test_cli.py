@@ -162,6 +162,35 @@ def test_parse_ignores_a_seed():
     assert "seed" not in json.loads(serialize_config(cfg))
 
 
+def test_parse_refuses_an_unknown_key():
+    # a misspelt key would otherwise be dropped silently: a misspelt weight
+    # left at 1 solves f(0) + f(1) = 0, a misspelt c leaves c = 0
+    region = {"re": [0, 1], "im": [0, 1]}
+    point = [{"point": 0.0}, {"point": 1.0, "wieght": -0.5}]
+    both = [{"point": 0.0}, {"point": 1.0, "integral": "const"}]
+    integral = [{"point": 0.0}, {"integral": "exp", "weight": 1, "rat": 2}]
+    cases = {
+        "problem: unknown key 'root_tl'": {"root_tl": 1e-9},
+        "problem.region: unknown key 'ree'": {"region": dict(region, ree=[0, 1])},
+        "problem.parameters: unknown key 'cc'": {
+            "kind": "convection_diffusion", "parameters": {"cc": 3.0}, "psi": []},
+        "problem.psi[0][1]: unknown key 'wieght'": {"psi": [point]},
+        "problem.psi[0][1]: unknown key 'integral'": {"psi": [both]},
+        "problem.psi[0][1]: unknown key 'rat'": {"psi": [integral]},
+        "outputs: unknown key 'gird'": {"outputs": {"gird": [5, 7]}},
+        "oracle: unknown key 'enable'": {"oracle": {"enable": True}},
+    }
+    for message, change in cases.items():
+        doc = json.loads(PERIODIC_JOB)
+        for key in ("outputs", "oracle"):
+            if key in change:
+                doc[key] = change.pop(key)
+        doc["problem"].update(change)
+        with pytest.raises(ConfigError) as info:
+            parse_config(json.dumps(doc))
+        assert str(info.value) == message
+
+
 def test_parse_default_atoms():
     # atoms may be omitted; the kind's own default applies
     cfg = parse_config(
@@ -616,7 +645,7 @@ def test_chunks_of_roots_certify_as_roots_one_at_a_time(monkeypatch):
     assert chunked.records == single.records and chunked.notes == single.notes
 
 
-def test_a_non_root_fails_only_its_own_record(monkeypatch):
+def test_a_non_root_fails_only_its_own_record(monkeypatch, tmp_path):
     # 2 pi i k for |k| <= 8, and one non-root after them: a stack that
     # raises is certified by halves, so the non-root costs one stack per
     # halving level, not a certification of every root alone
@@ -655,6 +684,19 @@ def test_a_non_root_fails_only_its_own_record(monkeypatch):
     assert result.notes == (f"certification failed at {stranger.location}: "
                             f"every singular value of M({stranger.location}) exceeds "
                             f"1.0e-08 * max(1, the largest)",)
+    # the report is strict JSON: the failed residuals are null, empty in the CSV
+    emit_report(result, tmp_path)
+
+    def refuse(constant):
+        raise ValueError(f"{constant} is not JSON")
+
+    doc = json.loads((tmp_path / "report.json").read_text(), parse_constant=refuse)
+    [record] = [r for r in doc["records"] if not r["passed"]]
+    assert record["ode_residual"] is record["bc_residual"] is None
+    header, *rows = (tmp_path / "spectrum.csv").read_text().splitlines()
+    [row] = [dict(zip(header.split(","), row.split(","))) for row in rows
+             if float(row.split(",")[0]) == stranger.location.real]
+    assert row["ode_residual"] == row["bc_residual"] == ""
 
 
 # -- report files -------------------------------------------------------------
@@ -806,6 +848,20 @@ def test_main_bad_config_exits_2(tmp_path, capsys):
     cfg_path.write_text(json.dumps(doc))
     assert main(["run", str(cfg_path), "--out", str(tmp_path / "out")]) == 2
     assert "error" in capsys.readouterr().err
+
+
+def test_main_refuses_an_output_directory_before_scanning(tmp_path, capsys, monkeypatch):
+    # a file, or a path beneath one, cannot hold the reports: a config
+    # error (exit 2) found before the scan, not a traceback after it
+    scans = []
+    monkeypatch.setattr(cli_module, "find_zeros", lambda *a, **kw: scans.append(a))
+    cfg_path, afile = tmp_path / "job.json", tmp_path / "afile"
+    cfg_path.write_text(PERIODIC_JOB)
+    afile.write_text("")
+    for out in (afile, afile / "sub"):
+        assert main(["run", str(cfg_path), "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {out}: ")
+    assert scans == []
 
 
 def test_job_config_needs_a_spec_with_a_region():

@@ -9,7 +9,6 @@ from charspec.errors import DimensionError, SingularMatrixError
 from charspec.linop import (
     BlockMatrix,
     block_invert,
-    determinant,
     inverse,
     kernel_basis,
     lu_decompose,
@@ -39,8 +38,11 @@ def test_lu_pivot_ties_in_one_norm():
         [-1.0j, 2.0 - 2.0j, 1.0],
     ])
     x = np.array([1.0, -2.0j, 0.5 + 0.5j])
-    assert_allclose(scipy.linalg.lu_solve(lu_decompose(a), a @ x), x, atol=1e-14)
-    assert_allclose(determinant(a), np.linalg.det(a), rtol=1e-13)
+    lu, piv = lu_decompose(a)
+    assert_allclose(scipy.linalg.lu_solve((lu, piv), a @ x), x, atol=1e-14)
+    # det = (-1)^(row interchanges) times the product of U's diagonal
+    swaps = np.count_nonzero(piv != np.arange(3))
+    assert_allclose((-1) ** swaps * np.prod(np.diag(lu)), np.linalg.det(a), rtol=1e-13)
 
 
 def test_lu_never_raises_on_singular():
@@ -48,65 +50,6 @@ def test_lu_never_raises_on_singular():
         warnings.simplefilter("error")
         lu, _ = lu_decompose(np.ones((3, 3)))
     assert np.abs(np.diag(lu)).min() < 1e-14
-
-
-def test_determinant_hand_values():
-    # 2x2 by cofactors: 2*1 - 1*1 = 1
-    assert_allclose(determinant([[2.0, 1.0], [1.0, 1.0]]), 1.0 + 0j, atol=1e-14)
-    # swap matrix: parity -1
-    assert_allclose(determinant([[0.0, 1.0], [1.0, 0.0]]), -1.0 + 0j, atol=1e-14)
-    # (1+i)(4-i) - 6 = -1 + 3i
-    assert_allclose(
-        determinant([[1 + 1j, 2.0], [3.0, 4 - 1j]]), -1 + 3j, atol=1e-13
-    )
-    assert determinant(np.zeros((0, 0))) == 1.0 + 0j
-
-
-def permutation_sign(perm):
-    # (-1)^(n - cycles): a cycle of length k is k - 1 transpositions
-    seen = np.zeros(len(perm), dtype=bool)
-    cycles = 0
-    for start in range(len(perm)):
-        if not seen[start]:
-            cycles += 1
-            i = start
-            while not seen[i]:
-                seen[i] = True
-                i = perm[i]
-    return -1 if (len(perm) - cycles) % 2 else 1
-
-
-def test_determinant_of_permutation_matrices():
-    rng = np.random.default_rng(3)
-    signs = set()
-    for n in (2, 3, 5, 8, 17, 33, 64):
-        for _ in range(4):
-            perm = rng.permutation(n)
-            sign = permutation_sign(perm)
-            signs.add(sign)
-            assert determinant(np.eye(n)[perm]) == sign
-    assert signs == {-1, 1}
-
-
-def test_determinant_matches_numpy_on_random():
-    rng = np.random.default_rng(11)
-    for n in (2, 4, 7, 12):
-        a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-        assert_allclose(determinant(a), np.linalg.det(a), rtol=1e-10)
-
-
-def test_determinant_extreme_magnitudes():
-    # 3^500 ~ 3.6e238 would overflow a naive running product of minors
-    # at larger sizes; the sum of logarithms must survive this one
-    d = determinant(np.diag(np.full(500, 3.0)))
-    assert_allclose(abs(d), np.exp(500 * np.log(3.0)), rtol=1e-9)
-    # the running pivot product overflows at 1e400 on the way to 1e100
-    assert_allclose(determinant(np.diag([1e200, 1e200, 1e-300])), 1e100, rtol=1e-12)
-    assert determinant(np.diag(np.full(1100, 2.0))).real == np.inf
-    # an overflowing real determinant stays real: -inf, not -inf + nan j
-    d = determinant(-np.diag(np.full(1101, 2.0)))
-    assert d.real == -np.inf and d.imag == 0
-    assert determinant(np.diag(np.full(1200, 0.5))) == 0j
 
 
 def test_solve_hand_value():
@@ -128,9 +71,8 @@ def test_solve_matrix_rhs_and_inverse_agree():
 
 
 def test_solve_singular_reports_pivot():
-    with pytest.raises(SingularMatrixError) as info:
+    with pytest.raises(SingularMatrixError, match="pivot"):
         solve(np.ones((3, 3)), np.ones(3))
-    assert info.value.smallest_pivot < 1e-14
 
 
 def test_solve_shape_mismatch():
@@ -239,6 +181,6 @@ def test_transfer_det_identity_both_sides():
     q = rng.standard_normal((6, 2))
     r = rng.standard_normal((2, 6))
     for t in np.linspace(-2.0, 2.0, 9):
-        big = determinant(np.eye(6) - t * (q @ r))
-        small = determinant(np.eye(2) - t * (r @ q))
+        big = np.linalg.det(np.eye(6) - t * (q @ r))
+        small = np.linalg.det(np.eye(2) - t * (r @ q))
         assert_allclose(big, small, rtol=1e-9, atol=1e-12)

@@ -28,7 +28,7 @@ from charspec import (
     kernel_vectors,
     point_functional,
 )
-from charspec import linop
+from charspec import linop, oracle
 from charspec.errors import ConvergenceError, DimensionError, UnsupportedKindError
 from charspec.oracle import sparse_eigenvalues
 
@@ -63,22 +63,23 @@ def test_boundary_rows_exact_on_cubics():
     # the one-sided endpoint stencils are third order, so they reproduce
     # derivatives of cubics exactly; anything less would pollute the global
     # h^2 convergence through the eliminated endpoint values
-    psi = (point_functional(0.0, 1), point_functional(1.0, 2))
-    d = fd_discretize(SecondDerivative(), psi, 64)
-    p = 0.3 + 1.7 * d.grid - 2.2 * d.grid**2 + 0.9 * d.grid**3
-    dp = 1.7 - 4.4 * d.grid + 2.7 * d.grid**2
-    ddp = -4.4 + 5.4 * d.grid
-    assert_allclose(d.boundary_rows[0] @ p, dp[0], rtol=1e-10)
-    assert_allclose(d.boundary_rows[1] @ p, ddp[-1], rtol=1e-9)
+    grid = np.linspace(0.0, 1.0, 65)
+    p = 0.3 + 1.7 * grid - 2.2 * grid**2 + 0.9 * grid**3
+    dp = 1.7 - 4.4 * grid + 2.7 * grid**2
+    ddp = -4.4 + 5.4 * grid
+    row = oracle._functional_row(point_functional(0.0, 1), 64, 1.0 / 64, grid)
+    assert_allclose(row @ p, dp[0], rtol=1e-10)
+    row = oracle._functional_row(point_functional(1.0, 2), 64, 1.0 / 64, grid)
+    assert_allclose(row @ p, ddp[-1], rtol=1e-9)
 
 
 def test_boundary_row_integral_term():
     # Simpson weights: exact on cubics as well
-    psi = (integral_functional(weight=2.0) + point_functional(0.0),)
-    d = fd_discretize(FirstDerivative(), psi, 64)
-    p = d.grid**3 - d.grid + 0.25
+    psi = integral_functional(weight=2.0) + point_functional(0.0)
+    grid = np.linspace(0.0, 1.0, 65)
+    p = grid**3 - grid + 0.25
     exact = 2.0 * (0.25 - 0.5 + 0.25) + p[0]
-    assert_allclose(d.boundary_rows[0] @ p, exact, rtol=1e-12)
+    assert_allclose(oracle._functional_row(psi, 64, 1.0 / 64, grid) @ p, exact, rtol=1e-12)
 
 
 def test_boundary_row_off_grid_point():
@@ -113,39 +114,49 @@ def test_discretize_singular_endpoint_subblock():
 
 
 def test_discretize_shapes():
-    d = fd_discretize(FirstDerivative(), PERIODIC, 128)
-    assert d.matrix.shape == (128, 128)
-    assert list(d.eliminated) == [0]
-    d = fd_discretize(SecondDerivative(), WENTZELL, 128)
-    assert d.matrix.shape == (127, 127)
-    assert sorted(d.eliminated.tolist()) == [0, 128]
+    assert fd_discretize(FirstDerivative(), PERIODIC, 128).shape == (128, 128)
+    m = fd_discretize(SecondDerivative(), WENTZELL, 128)
+    assert m.shape == (127, 127)
     # real problem data must produce a real matrix for the eigensolver
-    assert d.matrix.dtype == float
+    assert m.dtype == float
     # stored sparse: the band, plus two entries in each endpoint row from
     # the one-sided stencils the eliminated endpoint values carry in
-    assert scipy.sparse.issparse(d.matrix) and d.matrix.format == "csr"
-    assert d.matrix.nnz == 3 * 127 - 2 + 2 * 2
+    assert scipy.sparse.issparse(m) and m.format == "csr"
+    assert m.nnz == 3 * 127 - 2 + 2 * 2
 
 
 def test_matrix_applies_the_stencils():
     # M u is A_m, by plain differences, on the grid function whose kept
-    # values are u and whose endpoint values are transfer @ u
+    # values are u and whose eliminated endpoint values solve the boundary rows
     d1 = np.array([-11.0 / 6.0, 3.0, -1.5, 1.0 / 3.0])
     integral = integral_functional(weight=0.5)
     cases = (
+        (FirstDerivative(), PERIODIC),  # c_0 = c_n: the tie keeps endpoint 0
         (FirstDerivative(), (point_functional(0.0) - 0.3 * point_functional(1.0),)),
         (FirstDerivative(), (0.2 * point_functional(0.0) - point_functional(1.0) + integral,)),
         (SecondDerivative(), WENTZELL),
         (ConvectionDiffusion(c=0.7, k=-0.4), (point_functional(0.0) + integral,)),
     )
+    n, h = 128, 1.0 / 128
+    grid = np.linspace(0.0, 1.0, n + 1)
     rng = np.random.default_rng(8)
     for kind, psi in cases:
-        d = fd_discretize(kind, psi, 128)
-        n, h = d.n, 1.0 / d.n
-        u = rng.standard_normal(d.keep.size)
+        m = fd_discretize(kind, psi, n)
+        rows = np.array([oracle._functional_row(p, n, h, grid) for p in psi])
+        if isinstance(kind, FirstDerivative):
+            # the endpoint with the larger coefficient goes, endpoint 0 on a tie
+            eliminated = [0] if abs(rows[0, 0]) >= abs(rows[0, n]) else [n]
+        else:
+            eliminated = [0, n]
+        if isinstance(kind, ConvectionDiffusion):
+            domain = np.zeros(n + 1)
+            domain[-4:] = -d1[::-1] / h  # f'(1) = 0 from the operator domain
+            rows = np.vstack([domain, rows])
+        keep = np.setdiff1d(np.arange(n + 1), eliminated)
+        u = rng.standard_normal(keep.size)
         f = np.zeros(n + 1, dtype=complex)
-        f[d.keep] = u
-        f[d.eliminated] = d.transfer @ u
+        f[keep] = u
+        f[eliminated] = -np.linalg.solve(rows[:, eliminated], rows[:, keep]) @ u
         df = np.empty_like(f)
         df[1:-1] = (f[2:] - f[:-2]) / (2.0 * h)
         df[0] = d1 @ f[:4] / h
@@ -153,13 +164,13 @@ def test_matrix_applies_the_stencils():
         d2f = np.zeros_like(f)
         d2f[1:-1] = (f[2:] - 2.0 * f[1:-1] + f[:-2]) / h**2
         if isinstance(kind, FirstDerivative):
-            want = df[d.keep]
+            want = df[keep]
         elif isinstance(kind, SecondDerivative):
             want = d2f[1:-1]
         else:
             want = (d2f - 2.0 * kind.c * df + kind.k * f)[1:-1]
-        norm = np.max(np.sum(np.abs(d.matrix.toarray()), axis=1))
-        assert_allclose(d.matrix @ u, want, rtol=0.0, atol=1e-13 * norm * np.max(np.abs(u)))
+        norm = np.max(np.sum(np.abs(m.toarray()), axis=1))
+        assert_allclose(m @ u, want, rtol=0.0, atol=1e-13 * norm * np.max(np.abs(u)))
 
 
 # -- eigenvalue convergence ---------------------------------------------------
@@ -170,8 +181,8 @@ def test_periodic_eigenvalues_converge():
     window = Rectangle(-1.0 - 7.0j, 1.0 + 7.0j)
     errs = []
     for n in (128, 256, 512):
-        d = fd_discretize(FirstDerivative(), PERIODIC, n)
-        eigs = dense_eigenvalues(d.matrix, window=window)
+        m = fd_discretize(FirstDerivative(), PERIODIC, n)
+        eigs = dense_eigenvalues(m, window=window)
         errs.append(abs(nearest(eigs, target) - target))
         assert abs(nearest(eigs, 0.0)) < 1e-8
     assert errs[-1] < 5e-2
@@ -183,8 +194,8 @@ def test_wentzell_eigenvalues_converge():
     window = Rectangle(-11.0 - 1.0j, 2.0 + 1.0j)
     errs = []
     for n in (128, 256, 512):
-        d = fd_discretize(SecondDerivative(), WENTZELL, n)
-        eigs = dense_eigenvalues(d.matrix, window=window)
+        m = fd_discretize(SecondDerivative(), WENTZELL, n)
+        eigs = dense_eigenvalues(m, window=window)
         errs.append(abs(nearest(eigs, -math.pi**2) + math.pi**2))
         assert abs(nearest(eigs, 1.0) - 1.0) < 5e-2
     assert errs[-1] < 5e-2
@@ -199,8 +210,8 @@ def test_convection_diffusion_dirichlet_neumann():
     window = Rectangle(-30.0 - 1.0j, 1.0 + 1.0j)
     errs = []
     for n in (128, 256):
-        d = fd_discretize(ConvectionDiffusion(), (point_functional(0.0),), n)
-        eigs = dense_eigenvalues(d.matrix, window=window)
+        m = fd_discretize(ConvectionDiffusion(), (point_functional(0.0),), n)
+        eigs = dense_eigenvalues(m, window=window)
         errs.append(abs(nearest(eigs, target) - target))
     assert errs[-1] < 1e-3
     assert errs[0] / errs[1] >= 3.5
@@ -226,7 +237,7 @@ def test_dense_eigenvalues_window():
 
 def test_dense_eigenvalues_take_no_lu(monkeypatch):
     # the certificate uses LAPACK's own eigenvectors: no factorization
-    d = fd_discretize(FirstDerivative(), PERIODIC, 256)
+    m = fd_discretize(FirstDerivative(), PERIODIC, 256)
     calls = []
     factor = linop.lu_decompose
 
@@ -235,7 +246,7 @@ def test_dense_eigenvalues_take_no_lu(monkeypatch):
         return factor(m)
 
     monkeypatch.setattr(linop, "lu_decompose", counting)
-    eigs = dense_eigenvalues(d.matrix, window=Rectangle(-1.0 - 20.0j, 1.0 + 20.0j))
+    eigs = dense_eigenvalues(m, window=Rectangle(-1.0 - 20.0j, 1.0 + 20.0j))
     assert len(eigs) == 7
     assert calls == []
 
@@ -243,7 +254,7 @@ def test_dense_eigenvalues_take_no_lu(monkeypatch):
 def test_dense_eigenvalues_rejects_inaccurate_eigenvalues(monkeypatch):
     # the certificate, not the eigensolver, decides: a solver answer off by
     # 1e-3 leaves a residual far above 1e-8 ||M|| and must be refused
-    d = fd_discretize(FirstDerivative(), PERIODIC, 256)
+    m = fd_discretize(FirstDerivative(), PERIODIC, 256)
     exact = scipy.linalg.eig
 
     def shifted(a):
@@ -252,7 +263,7 @@ def test_dense_eigenvalues_rejects_inaccurate_eigenvalues(monkeypatch):
 
     monkeypatch.setattr(scipy.linalg, "eig", shifted)
     with pytest.raises(ConvergenceError, match="failed certification"):
-        dense_eigenvalues(d.matrix, window=Rectangle(-1.0 - 20.0j, 1.0 + 20.0j))
+        dense_eigenvalues(m, window=Rectangle(-1.0 - 20.0j, 1.0 + 20.0j))
 
 
 @pytest.mark.parametrize(
@@ -262,7 +273,7 @@ def test_dense_eigenvalues_rejects_inaccurate_eigenvalues(monkeypatch):
 )
 def test_dense_eigenvalues_refuse_unusable_vectors(monkeypatch, corrupt, message):
     # exact eigenvalues, wrong vectors: the certificate trusts only the pair
-    d = fd_discretize(FirstDerivative(), PERIODIC, 256)
+    m = fd_discretize(FirstDerivative(), PERIODIC, 256)
     exact = scipy.linalg.eig
 
     def corrupted(a):
@@ -274,7 +285,7 @@ def test_dense_eigenvalues_refuse_unusable_vectors(monkeypatch, corrupt, message
 
     monkeypatch.setattr(scipy.linalg, "eig", corrupted)
     with pytest.raises(ConvergenceError, match=message):
-        dense_eigenvalues(d.matrix, window=Rectangle(-1.0 - 20.0j, 1.0 + 20.0j))
+        dense_eigenvalues(m, window=Rectangle(-1.0 - 20.0j, 1.0 + 20.0j))
 
 
 # -- sparse eigenvalues -------------------------------------------------------
@@ -303,7 +314,7 @@ def test_sparse_eigenvalues_real_matrix_complex_shift(monkeypatch):
          Rectangle(-40.0 - 0.7j, 2.0 + 1.3j), 2),
     )
     for kind, psi, window, count in cases:
-        m = fd_discretize(kind, psi, 512).matrix
+        m = fd_discretize(kind, psi, 512)
         assert m.dtype == float and window.center.imag != 0.0
         dense = dense_eigenvalues(m, window=window)
         assert len(dense) == count
@@ -316,7 +327,7 @@ def test_sparse_eigenvalues_real_matrix_complex_shift(monkeypatch):
 def test_sparse_eigenvalues_shift_on_an_eigenvalue(monkeypatch):
     # a window symmetric about the exact eigenvalue 0 makes M - centre Id
     # exactly singular; the shift moves off it and the window stays complete
-    m = fd_discretize(FirstDerivative(), PERIODIC, 256).matrix
+    m = fd_discretize(FirstDerivative(), PERIODIC, 256)
     ks = spy_on_eigs(monkeypatch)
     eigs = sparse_eigenvalues(m, Rectangle(-1.0 - 7.0j, 1.0 + 7.0j))
     assert ks == [8]
@@ -327,7 +338,7 @@ def test_sparse_eigenvalues_shift_on_an_eigenvalue(monkeypatch):
 def test_sparse_eigenvalues_complete_by_distance(monkeypatch):
     # 33 eigenvalues in the window: k doubles from 8 until the farthest of
     # the k nearest eigenvalues lies outside the window's circle
-    m = fd_discretize(FirstDerivative(), PERIODIC, 512).matrix
+    m = fd_discretize(FirstDerivative(), PERIODIC, 512)
     window = Rectangle(-1.0 - 100.0j, 1.0 + 100.0j)
     ks = spy_on_eigs(monkeypatch)
     factors = []
@@ -352,7 +363,7 @@ def test_sparse_eigenvalues_complete_by_distance(monkeypatch):
 def periodic_512():
     """The periodic FD matrix at grid 512 and its dense eigenvalues with
     |Re| < 0.5 and |Im| < 100: 33 of them, on the imaginary axis to 1e-12."""
-    m = fd_discretize(FirstDerivative(), PERIODIC, 512).matrix
+    m = fd_discretize(FirstDerivative(), PERIODIC, 512)
     return m, dense_eigenvalues(m, window=Rectangle(-0.5 - 100.0j, 0.5 + 100.0j))
 
 
@@ -367,7 +378,7 @@ def test_sparse_eigenvalues_shift_near_an_eigenvalue(periodic_512, offset):
 
 
 def test_sparse_eigenvalues_rejects_inaccurate_eigenvalues(monkeypatch):
-    d = fd_discretize(FirstDerivative(), PERIODIC, 512)
+    m = fd_discretize(FirstDerivative(), PERIODIC, 512)
     exact = scipy.sparse.linalg.eigs
 
     def shifted(*a, **kw):
@@ -376,7 +387,7 @@ def test_sparse_eigenvalues_rejects_inaccurate_eigenvalues(monkeypatch):
 
     monkeypatch.setattr(scipy.sparse.linalg, "eigs", shifted)
     with pytest.raises(ConvergenceError, match="failed certification"):
-        sparse_eigenvalues(d.matrix, Rectangle(-1.0 - 100.0j, 1.0 + 100.0j))
+        sparse_eigenvalues(m, Rectangle(-1.0 - 100.0j, 1.0 + 100.0j))
 
 
 def test_sparse_eigenvalues_small_matrix_goes_dense(monkeypatch):
@@ -398,7 +409,7 @@ def test_sparse_eigenvalues_arpack_failure_is_typed(monkeypatch, error):
         raise error
 
     monkeypatch.setattr(scipy.sparse.linalg, "eigs", failing)
-    m = fd_discretize(FirstDerivative(), PERIODIC, 256).matrix
+    m = fd_discretize(FirstDerivative(), PERIODIC, 256)
     window = Rectangle(-1.0 - 7.0j, 1.0 + 7.0j)
     with pytest.raises(ConvergenceError, match=r"Rectangle\(.* at k = 8: ARPACK"):
         sparse_eigenvalues(m, window)
@@ -409,7 +420,7 @@ def test_sparse_eigenvalues_unfactorable_shift_is_typed(monkeypatch):
         raise RuntimeError("Factor is exactly singular")
 
     monkeypatch.setattr(scipy.sparse.linalg, "splu", singular)
-    m = fd_discretize(FirstDerivative(), PERIODIC, 256).matrix
+    m = fd_discretize(FirstDerivative(), PERIODIC, 256)
     with pytest.raises(ConvergenceError, match="could not factor shifted matrix"):
         sparse_eigenvalues(m, Rectangle(-1.0 - 7.0j, 1.0 + 7.0j))
 
