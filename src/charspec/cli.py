@@ -379,7 +379,8 @@ def _oracle_eigenvalues(cfg, notes):
     """Reference eigenvalues at two grid resolutions, or None if unsupported."""
     spec = cfg.spec
     kind = spec.kind
-    # dilated like a grazing scan's box, so that its roots find their match
+    # dilated like a scan's box whose count failed, so that its roots find
+    # their match
     window = spec.region.dilated(1.05)
     if isinstance(kind, QuadraticPencil):
         n = kind.dim
@@ -429,7 +430,8 @@ def run_job(cfg):
         notes.append("characteristic function is identically zero on the region")
         return JobResult(config=cfg, report=report, records=(), notes=tuple(notes))
     if report.region != spec.region:
-        # a grazing contour was dilated; the roots are those of the scanned box
+        # the region's count failed and was dilated; the roots are those of
+        # the scanned box
         box = report.region
         notes.append(f"contour dilated: scanned {box.lo}..{box.hi}")
         notes.extend(
@@ -467,13 +469,10 @@ def run_job(cfg):
                 # eigenvalues have no coarse grid, so the floor is their bound
                 bound = 1e4 * spec.root_tol
                 if oracle_half is not None:
-                    # measured-order bound: dist_fine <= 10 * C * h^2 with C
-                    # taken from the coarse grid
-                    _, dist_half = _nearest(oracle_half, root.location)
-                    h_fine = 1.0 / cfg.oracle_grid
-                    h_half = 1.0 / (cfg.oracle_grid // 2)
-                    c_hat = (dist_half or 0.0) / h_half**2
-                    bound = max(10.0 * c_hat * h_fine**2, bound)
+                    # a second-order scheme's fine eigenvalue is off by about
+                    # |lam_N - lam_{N/2}| / 3 (Richardson), whatever the root
+                    _, step = _nearest(oracle_half, near)
+                    bound = max(10.0 * (step or 0.0) / 3.0, bound)
                 if dist > bound:
                     ok = False
                     notes.append(

@@ -47,7 +47,7 @@ class ResolventUndefinedError(CharspecError, ArithmeticError):
 
 
 class BoundaryDegeneracyError(CharspecError, ArithmeticError):
-    """Contour repeatedly passes through (near-)zeros of the function."""
+    """No cut splits a box consistently."""
 
 
 class QuadratureFailureError(CharspecError, ArithmeticError):

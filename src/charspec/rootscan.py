@@ -15,24 +15,28 @@ Winding numbers and contour moments are contour integrals of g = F'/F.
 Each scan keeps one panel table: GL-12 panels on a dyadic grid of the
 scanned region, one row per exact panel key, each integrated once with its
 own error estimate (Kravanja & Van Barel, LNM 1727, ch. 1;
-segment-by-segment enclosure as in Johnson & Tucker, JCAM 228, 2009).  A
-box's count is the sum over the panels of its edges, so children reuse
-their parent's edges and the two sides of a cut share its panels; the same
-nodes give the box's scale, max |F| on its edges, and its moments.  One
-split routine cuts boxes at grid points, taking a whole subdivision level
-per call and counting all its boxes' children at one cut offset in one
-batch, until each leaf holds at most ten roots (_LEAF_ROOTS), about where
-the moments' Hankel pencil grows ill-conditioned (Kravanja, Sakurai & Van
-Barel, BIT 39, 1999).  The p-th moment of g around a box is the p-th
-power sum of the roots inside it (Delves & Lyness, Math. Comp. 21, 1967),
-and those roots are the eigenvalues of the Hankel pencil of the moments
-(Kravanja & Van Barel, ch. 1).  ``newton_refine`` polishes the
-eigenvalues of every box of a level in one batch, one (F, F') call per
-iteration over the iterates still running, and a box is a leaf when it
-finds as many distinct roots inside it as it counts.  Otherwise it is split,
-down to a box 64*tol across (or at the grid floor), where its k roots are
-one root of multiplicity k polished from their mean, in the same batch;
-the mean stands as the root when Newton fails there.
+segment-by-segment enclosure as in Johnson & Tucker, JCAM 228, 2009).
+That error control alone judges every count: a zero on or near a contour
+makes its integral non-finite or keeps it from settling, both
+QuadratureFailureError, and the scan then dilates the region or tries the
+next cut of a box.  A box's count is the sum over the panels of its edges,
+so children reuse their parent's edges and the two sides of a cut share
+its panels; the same nodes give the box's scale, max |F| on its edges, and
+its moments.  One split routine cuts boxes at grid points, taking a whole
+subdivision level per call and counting all its boxes' children at one cut
+offset in one batch, until each leaf holds at most ten roots
+(_LEAF_ROOTS), about where the moments' Hankel pencil grows
+ill-conditioned (Kravanja, Sakurai & Van Barel, BIT 39, 1999).  The p-th
+moment of g around a box is the p-th power sum of the roots inside it
+(Delves & Lyness, Math. Comp. 21, 1967), and those roots are the
+eigenvalues of the Hankel pencil of the moments (Kravanja & Van Barel,
+ch. 1).  ``newton_refine`` polishes the eigenvalues of every box of a
+level in one batch, one (F, F') call per iteration over the iterates
+still running, and a box is a leaf when it finds as many distinct roots
+inside it as it counts.  Otherwise it is split, down to a box 64*tol
+across (or at the grid floor), where its k roots are one root of
+multiplicity k polished from their mean, in the same batch; the mean
+stands as the root when Newton fails there.
 
 On a folded region the band symmetric about the real axis is counted on
 its upper half contour, as Im(integral of g)/pi, and the rest of the
@@ -73,7 +77,7 @@ __all__ = [
 
 TWO_PI_I = 2j * math.pi
 
-# Fallback dilation factors applied when the contour grazes a zero.
+# Dilation factors tried, in order, when the region's count fails.
 _DILATIONS = (1.013, 1.029, 1.041)
 # Grid units per side of the scanned region (per part of a folded frame);
 # every box and panel endpoint of a scan is an integer point of this grid.
@@ -94,7 +98,6 @@ _H, _V = 0, 1  # panel axis: along a horizontal or a vertical line
 # line code of a panel: axis * _LINE + fixed coordinate, which a folded
 # frame takes up to 2 * _GRID
 _LINE = 4 * _GRID
-_ZERO_GUARD = 1e-13
 # Newton iterations before newton_refine gives up.
 _NEWTON_MAX_ITER = 50
 
@@ -168,11 +171,11 @@ class _PanelCache:
     the frame (per side of each of its two parts when folded).  A panel is
     an aligned dyadic block [a, b] of a horizontal or vertical grid line.
     From one GL-12 rule over its nodes it holds the integral of g = F'/F
-    from a to b, min |F| and max |F| over the nodes, and the 12 nodes z
-    with their weighted values g w dz, in one row of five columns (the
-    last two 12 wide), appended as it is integrated; ``index`` maps the
-    panel's exact key to its row, and its size is the number of live rows
-    (the columns grow by doubling).  Every count of the scan reads this
+    from a to b, max |F| over the nodes, and the 12 nodes z with their
+    weighted values g w dz, in one row of four columns (the last two 12
+    wide), appended as it is integrated; ``index`` maps the panel's exact
+    key to its row, and its size is the number of live rows (the columns
+    grow by doubling).  Every count of the scan reads this
     table, so each panel is integrated once however many boxes share it,
     and ``panels`` keeps the rows that each settled box's count accepted,
     from which ``moments`` sums the box's contour moments.
@@ -209,10 +212,9 @@ class _PanelCache:
         self.lo = self.frame.lo
         # grid unit along x, along band rows and along rest rows
         self.unit = tuple(side / _GRID for side in (region.width, *heights))
-        # panel key (see _rows) -> row of the five columns below
+        # panel key (see _rows) -> row of the four columns below
         self.index = {}
         self.integral = np.empty(0, complex)
-        self.f_min = np.empty(0)
         self.f_max = np.empty(0)
         self.nodes = np.empty((0, _NODES.size), complex)
         self.weighted = np.empty((0, _NODES.size), complex)
@@ -278,9 +280,9 @@ class _PanelCache:
         return f"{lo}..{hi}"
 
     def _integrate(self, axis, fixed, a, b):
-        """Integral of g, min |F|, max |F|, the 12 nodes z and the weighted
-        values g w dz (which sum to the integral up to rounding) of each
-        panel [a, b] on the lines (axis, fixed), from one
+        """Integral of g, max |F|, the 12 nodes z and the weighted values
+        g w dz (which sum to the integral up to rounding) of each panel
+        [a, b] on the lines (axis, fixed), from one
         ``values_and_derivatives`` call at their nodes."""
         ux, lo = self.unit[0], self.lo
         t = a[:, None] + (b - a)[:, None] * _NODES
@@ -289,15 +291,13 @@ class _PanelCache:
         z.real = lo.real + ux * np.where(vertical, fixed[:, None], t)
         z.imag = self._imag(np.where(vertical, t, fixed[:, None]))
         fz, dfz = (v.reshape(z.shape) for v in self.f.values_and_derivatives(z.ravel()))
-        mags = np.abs(fz)
         with np.errstate(divide="ignore", invalid="ignore"):
             g = dfz / fz
         # z(b) - z(a) of each panel: its length, times i on a vertical line
         dz = np.where(vertical[:, 0], 1j * np.take(self.unit, 1 + (a >= _GRID)), ux) * (b - a)
         return (
             g @ _WEIGHTS * dz,
-            mags.min(axis=1),
-            mags.max(axis=1),
+            np.abs(fz).max(axis=1),
             z,
             g * _WEIGHTS * dz[:, None],
         )
@@ -319,7 +319,7 @@ class _PanelCache:
         if fresh:
             stop = len(self.index)
             start = stop - len(fresh)
-            columns = (self.integral, self.f_min, self.f_max, self.nodes, self.weighted)
+            columns = (self.integral, self.f_max, self.nodes, self.weighted)
             if stop > len(self.integral):
                 # the columns double, so that a row is copied O(1) times on average
                 capacity = max(stop, 2 * len(self.integral))
@@ -327,7 +327,7 @@ class _PanelCache:
                     np.concatenate([c[:start], np.empty((capacity - start, *c.shape[1:]), c.dtype)])
                     for c in columns
                 )
-                self.integral, self.f_min, self.f_max, self.nodes, self.weighted = columns
+                self.integral, self.f_max, self.nodes, self.weighted = columns
             new = self._integrate(axis[fresh], fixed[fresh], a[fresh], b[fresh])
             for column, part in zip(columns, new):
                 column[start:stop] = part
@@ -354,11 +354,11 @@ class _PanelCache:
         integral of g along them, and its panels' shares are of the
         perimeter of the box with its mirror image.
 
-        A box fails with BoundaryDegeneracyError when an edge grazes a zero
-        (an |F| sample below _ZERO_GUARD of that edge's maximum), and with
-        QuadratureFailureError when an integral is non-finite, an edge has
-        a one-unit block or its count does not settle within 1e-3 of a
-        nonnegative integer.
+        A box fails with QuadratureFailureError, and only so: when an
+        integral is non-finite, or its count does not settle, because an
+        edge has a one-unit block, a panel is still unaccepted after its
+        halvings or the sum is not within 1e-3 of a nonnegative integer.
+        A zero on or near an edge shows as one of these.
         """
         heads, blocks, starts, ends = [], [], [], []
         for k, box in enumerate(boxes):
@@ -370,15 +370,15 @@ class _PanelCache:
             edges = ((_H, j0, i0, i1, 1.0), (_V, i1, j0, j1, 1.0),
                      (_H, j1, i0, i1, -1.0), (_V, i0, j0, j1, -1.0))
             # a symmetric box is counted without its edge on the real axis
-            for e, (axis, fixed, a, b, sign) in enumerate(edges[symmetric:], symmetric):
+            for axis, fixed, a, b, sign in edges[symmetric:]:
                 unit = uy if axis == _V else ux
                 target = (b - a) / max(2, min(32, math.ceil((b - a) * unit)))
                 points = _dyadic_points(a, b, target)
                 starts += points[:-1]
                 ends += points[1:]
-                heads.append((4 * k + e, sign, axis, fixed, unit, perimeter))
+                heads.append((k, sign, axis, fixed, unit, perimeter))
                 blocks.append(len(points) - 1)
-        edge, sign, axis, fixed, unit, perimeter = (np.repeat(c, blocks) for c in zip(*heads))
+        box_of, sign, axis, fixed, unit, perimeter = (np.repeat(c, blocks) for c in zip(*heads))
         a, b = np.array(starts), np.array(ends)
         # accepted error of a block, per grid unit along it
         tol = 2.0 * math.pi * _PANEL_TOL * unit / perimeter
@@ -386,8 +386,7 @@ class _PanelCache:
         sums = np.zeros(len(boxes), complex)
         # per round: the box, left and right half rows and sign of each accepted block
         accepted = []
-        low = np.full(4 * len(boxes), math.inf)
-        high = np.zeros(4 * len(boxes))
+        high = np.zeros(len(boxes))
         out = [None] * len(boxes)
         failed = np.zeros(len(boxes), bool)
 
@@ -397,45 +396,41 @@ class _PanelCache:
             failed[box_of] = True
 
         # a one-unit block has no halves; a block under 4 units is never halved
-        fail(edge[b - a < 2] // 4, QuadratureFailureError, "winding count failed to settle")
-        live = ~failed[edge // 4]
-        edge, sign, axis, fixed, tol, a, b = (c[live] for c in (edge, sign, axis, fixed, tol, a, b))
-        while edge.size:
+        fail(box_of[b - a < 2], QuadratureFailureError, "winding count failed to settle")
+        live = ~failed[box_of]
+        box_of, sign, axis, fixed, tol, a, b = (
+            c[live] for c in (box_of, sign, axis, fixed, tol, a, b)
+        )
+        while box_of.size:
             mid = (a + b) // 2
             rows = self._rows(
                 np.tile(axis, 3), np.tile(fixed, 3),
                 np.concatenate([a, a, mid]), np.concatenate([b, mid, b]),
             )
             rw, rl, rr = np.split(rows, 3)
-            # NaN samples are left out of the graze test (fmin, fmax) and
-            # fail the count as non-finite below
-            for stat, reduce, acc in ((self.f_min, np.fmin, low), (self.f_max, np.fmax, high)):
-                reduce.at(acc, edge, reduce(stat[rw], reduce(stat[rl], stat[rr])))
+            # NaN samples are left out of the scale and fail the count below
+            np.fmax.at(high, box_of, np.fmax.reduce(self.f_max[rows].reshape(3, -1)))
             halves = self.integral[rl] + self.integral[rr]
             error = np.abs(self.integral[rw] - halves)
             finite = np.isfinite(error)
             done = error <= tol * (b - a)
-            box_of = edge // 4
             np.add.at(sums, box_of[done], sign[done] * halves[done])
             accepted.append((box_of[done], rl[done], rr[done], sign[done]))
             more = finite & ~done
-            # an edge of zeros grazes; one of NaNs fails as non-finite
-            grazing = (low <= _ZERO_GUARD * high).reshape(-1, 4).any(axis=1)
-            fail(np.flatnonzero(grazing), BoundaryDegeneracyError, "contour grazes a zero")
             fail(box_of[~finite], QuadratureFailureError, "non-finite winding integral")
             stuck = more & ((b - a < 4) | (depth == _MAX_HALVINGS))
             fail(box_of[stuck], QuadratureFailureError, "winding count failed to settle")
             # each unaccepted block of a live box gives way to its two halves
             more &= ~failed[box_of]
-            edge, sign, axis, fixed, tol = (
-                np.repeat(c[more], 2) for c in (edge, sign, axis, fixed, tol)
+            box_of, sign, axis, fixed, tol = (
+                np.repeat(c[more], 2) for c in (box_of, sign, axis, fixed, tol)
             )
             a, b = (
                 np.column_stack([a[more], mid[more]]).ravel(),
                 np.column_stack([mid[more], b[more]]).ravel(),
             )
             depth += 1
-        scales = high.reshape(-1, 4).max(axis=1).tolist()
+        scales = high.tolist()
         if accepted:
             owner, left, right, signs = (np.concatenate(c) for c in zip(*accepted))
             order = np.argsort(owner, kind="stable")
@@ -484,26 +479,24 @@ class _PanelCache:
 def _count_region(f, rect, fold=True, zero_test=False):
     """(cache, counted): the scan's panel cache, laid out by
     ``_PanelCache(f, box, fold)``, and the (count, scale) of each of its
-    top-level boxes, ``cache.tops``.  The box is ``rect`` itself, or a
-    dilated copy (``cache.region``) while a top's contour grazes a zero; a
-    top failing otherwise raises its error.  With ``zero_test``, a failure
-    on ``rect`` itself, a graze included, first asks
-    ``detect_identically_zero(f, rect)``, and None is returned when it
-    holds; the test is not repeated on a dilated copy."""
+    top-level boxes, ``cache.tops``.  The box is ``rect`` itself, or the
+    first dilated copy (``cache.region``) whose tops all count when a top
+    of ``rect`` fails; when every copy fails too, the first error on
+    ``rect`` is raised.  With ``zero_test``, a failure on ``rect`` first
+    asks ``detect_identically_zero(f, rect)``, and None is returned when
+    it holds; the test is not repeated on a dilated copy."""
+    first = None
     for factor in (1.0,) + _DILATIONS:
         cache = _PanelCache(f, rect if factor == 1.0 else rect.dilated(factor), fold)
         counted = cache.count(cache.tops)
         failed = [c for c in counted if isinstance(c, Exception)]
-        if failed and zero_test and factor == 1.0 and detect_identically_zero(f, rect):
-            return None
-        if any(isinstance(c, BoundaryDegeneracyError) for c in failed):
-            continue
-        if failed:
-            raise failed[0]
-        return cache, counted
-    raise BoundaryDegeneracyError(
-        f"contour keeps grazing zeros near {rect.lo}..{rect.hi} after dilation retries"
-    )
+        if not failed:
+            return cache, counted
+        if first is None:
+            if zero_test and detect_identically_zero(f, rect):
+                return None
+            first = failed[0]
+    raise first
 
 
 def winding_count(f, rect):
@@ -512,10 +505,11 @@ def winding_count(f, rect):
     The count is taken around the whole rectangle, whatever F's data, on a
     fresh panel cache by the same adaptive rule as every count of
     ``find_zeros`` (see ``_PanelCache.count``), and must sit within 1e-3 of
-    a nonnegative integer.  A contour grazing a zero (boundary sample with
-    |F| below 1e-13 of the edge maximum) triggers dilation retries; a count
-    that never settles raises QuadratureFailureError.  ``box`` is the
-    rectangle the count was taken on (the input or a dilated copy) and
+    a nonnegative integer.  A count that fails, as one with a zero on or
+    near an edge does, is retried on dilated copies of the rectangle, and
+    raises the rectangle's own QuadratureFailureError when every copy
+    fails too.  ``box`` is the rectangle the count was taken on (the input
+    or a dilated copy) and
     ``moment`` the first moment about its centre, so box.center +
     moment/count is the mean of the enclosed zeros.
     """
@@ -656,8 +650,8 @@ def _split(cache, parents):
 
     Candidate cuts are tried in the order of _CUT_STEPS, nearest the
     middle first, with one ``count`` call for the children of every parent
-    still pending; a parent stays pending when a child's count grazes a
-    zero, does not settle or the children do not add up.  Elongated boxes
+    still pending; a parent stays pending when a child's count fails or
+    the children do not add up.  Elongated boxes
     are halved across the long axis only; keeping the contour away from
     the other axis matters because spectra tend to hug a line, and a
     near-square box is the only safe place for a crossing cut.  Raises
@@ -809,8 +803,9 @@ def find_zeros(f, rect, tol=1e-10):
     region count fails on the region as given, ``detect_identically_zero``
     judges F on the region's edges before any dilation: if F vanishes
     there identically, the report has no roots and ``identically_zero``
-    set, and otherwise the count goes on (dilating a grazing contour) or
-    raises its error.
+    set; otherwise the region is dilated until its count succeeds
+    (``report.region`` is then the dilated box), or the count's own error
+    on the region as given is raised.
 
     When F has real data (``f.is_real``) and the region straddles the real
     axis, the scan runs on a folded frame (see ``_PanelCache``): the band
@@ -818,8 +813,8 @@ def find_zeros(f, rect, tol=1e-10):
     of a symmetric leaf within 64*tol of the axis is real (imaginary part
     exactly 0.0), every other root of the band is reported with its exact
     conjugate, and roots of a rest below the axis are located on its
-    mirror image and conjugated back.  A folded frame whose contour grazes
-    a zero is dilated as it is.  A ``tol`` that is not positive and finite
+    mirror image and conjugated back.  A folded frame whose count fails
+    is dilated as it is.  A ``tol`` that is not positive and finite
     raises DimensionError.
     """
     if not 0.0 < tol < math.inf:

@@ -34,6 +34,7 @@ from charspec import (
     point_functional,
 )
 from charspec import cli as cli_module
+from charspec import rootscan
 from charspec.cli import (
     CSV_HEADER,
     GRID_HEADER,
@@ -454,6 +455,32 @@ def test_pencil_oracle_bounds_the_match(monkeypatch):
     assert sum("oracle mismatch" in n for n in result.notes) == 6
 
 
+def test_difference_oracle_fails_a_displaced_root(monkeypatch):
+    # each root moved by 1e-3 * max(1, |z|) is far outside the difference
+    # oracle's own error estimate, |lam_N - lam_{N/2}| / 3 at grid N, so
+    # every record gets an oracle mismatch note
+    scan = cli_module.find_zeros
+
+    def displaced(*args, **kw):
+        report = scan(*args, **kw)
+        moved = tuple(
+            dataclasses.replace(r, location=r.location + 1e-3 * max(1.0, abs(r.location)))
+            for r in report.roots
+        )
+        return dataclasses.replace(report, roots=moved)
+
+    monkeypatch.setattr(cli_module, "find_zeros", displaced)
+    dirichlet = ProblemSpec(kind=SecondDerivative(),
+                            psi=(point_functional(0.0), point_functional(1.0)),
+                            region=Rectangle(-50.0 - 1.0j, -1.0 + 1.0j))
+    for cfg, n_roots in ((periodic_config(), 3), (JobConfig(spec=dirichlet), 2)):
+        result = run_job(dataclasses.replace(cfg, oracle_enabled=True, oracle_grid=256))
+        assert len(result.records) == n_roots
+        mismatched = [n for n in result.notes if n.startswith("oracle mismatch at ")]
+        assert len(mismatched) == len(result.records)
+        assert not any(r.passed for r in result.records)
+
+
 def test_oracle_without_a_nearby_eigenvalue_fails_each_record(monkeypatch):
     # lam^2 = 1 has two roots; an oracle that finds no eigenvalue leaves
     # each record without a match, failed, with a note naming its root
@@ -505,20 +532,23 @@ def test_fixed_pencils_refine_every_root_by_newton():
 
 
 def test_dilated_scan_notes_the_box_and_outside_roots():
-    # the grazing test dilates this heat-delay region by 1.3%, over a root
-    # at Im 20.275 that lies outside the requested Im <= 20.2
-    region = Rectangle(complex(-32.35, -18.08), complex(5.17, 20.2))
-    spec = ProblemSpec(kind=BoundaryDelayHeat(atoms=((-1.0, 1.5112),)), region=region)
+    # the roots +-2 pi i lie 1e-9 outside the top and bottom edges, so the
+    # region's count fails and the region is dilated by 1.3%, over both
+    top = 2.0 * math.pi - 1e-9
+    region = Rectangle(complex(-1.0, -top), complex(1.0, top))
+    spec = dataclasses.replace(periodic_config().spec, region=region)
     result = run_job(JobConfig(spec=spec))
     box = result.report.region
     assert box != region and box.contains(region.lo) and box.contains(region.hi)
     outside = [r.location for r in result.records if not region.contains(r.location)]
-    assert len(result.records) == 7 and len(outside) == 1
-    assert abs(outside[0] - (-2.5112 + 20.2751j)) < 1e-4
+    assert len(result.records) == 3 and len(outside) == 2
+    below, above = sorted(outside, key=lambda z: z.imag)
+    for z, want in ((below, -2j * math.pi), (above, 2j * math.pi)):
+        assert abs(z - want) < 1e-9
     assert result.passed
     assert result.notes == (
         f"contour dilated: scanned {box.lo}..{box.hi}",
-        f"root {outside[0]} lies outside the requested region",
+        *(f"root {z} lies outside the requested region" for z in outside),
     )
 
 
@@ -1018,8 +1048,10 @@ def test_main_failed_certification_exits_1(tmp_path, capsys):
     assert report["passed"] is False
 
 
-def test_main_scan_error_exits_2_with_trailer(tmp_path, capsys):
-    # a root dead on the region boundary is a scan failure, not a result
+def test_main_scan_error_exits_2_with_trailer(tmp_path, capsys, monkeypatch):
+    # a root dead on the region boundary fails the count; with no dilation
+    # to retry on, that is a scan failure, not a result
+    monkeypatch.setattr(rootscan, "_DILATIONS", ())
     doc = json.loads(PERIODIC_JOB)
     doc["problem"]["region"] = {"re": [0, 1], "im": [-1, 1]}
     cfg_path = tmp_path / "job.json"

@@ -7,7 +7,8 @@ such as the size of an F batch, a policy of two.  The imports that exist
 are listed below; the list may only shrink.  A public name that no source
 module uses is one that only tests read, and goes, unless it states an
 identity from the paper or is part of the interface; those are listed
-below with their reasons.
+below with their reasons.  A private module-level name, a constant or a
+def, is read by some source module, or it is a leftover and goes.
 """
 
 import ast
@@ -85,3 +86,29 @@ def test_every_public_name_is_used_by_the_package():
                 used |= {alias.name.rpartition(".")[2] for alias in node.names}
     assert exported - used - KEPT.keys() == set()
     assert KEPT.keys() <= exported - used
+
+
+def test_every_private_module_name_is_read():
+    # a read is a loaded name, an attribute or an import in any module;
+    # a definition or an assignment alone is none
+    defined, read = set(), set()
+    for path in PACKAGE.glob("*.py"):
+        tree = ast.parse(path.read_text())
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names = {node.name}
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = {n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)}
+            else:
+                names = set()
+            defined |= {(path.stem, name) for name in names
+                        if name.startswith("_") and not name.startswith("__")}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                read |= {alias.name for alias in node.names}
+    assert {f"{module}.{name}" for module, name in defined if name not in read} == set()

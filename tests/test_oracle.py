@@ -71,6 +71,13 @@ def test_boundary_rows_exact_on_cubics():
     assert_allclose(row @ p, dp[0], rtol=1e-10)
     row = oracle._functional_row(point_functional(1.0, 2), 64, 1.0 / 64, grid)
     assert_allclose(row @ p, ddp[-1], rtol=1e-9)
+    # at an interior point the centred stencils are second order: the first
+    # derivative is exact on quadratics, the second on cubics
+    q = 0.3 + 1.7 * grid - 2.2 * grid**2
+    row = oracle._functional_row(point_functional(0.25, 1), 64, 1.0 / 64, grid)
+    assert_allclose(row @ q, 1.7 - 4.4 * 0.25, rtol=1e-12)
+    row = oracle._functional_row(point_functional(0.75, 2), 64, 1.0 / 64, grid)
+    assert_allclose(row @ p, ddp[48], rtol=1e-10)
 
 
 def test_boundary_row_integral_term():

@@ -77,6 +77,7 @@ from charspec import (  # noqa: E402
     newton_refine,
     winding_count,
 )
+from charspec import rootscan  # noqa: E402
 from charspec.errors import DivergenceError  # noqa: E402
 from test_rootscan import BIG, VecFn, _conjugate_closed, planted, quadrants  # noqa: E402
 
@@ -311,3 +312,16 @@ def test_newton_batch_runs_each_start_as_newton_refine(others, at):
             if z is start:
                 assert (ending is None) == (not isinstance(got, DivergenceError))
                 assert ending is None or ending in str(got)
+
+
+@settings(max_examples=200)
+@given(st.integers(0, 1 << 40), st.integers(1, 1 << 12), st.integers(0, 64), st.floats(0.0, 1.0))
+def test_dyadic_points_tile_with_aligned_power_of_two_blocks(a, target, whole, part):
+    # a count's first panels: from a to b, each block a power of two no
+    # longer than target and aligned to its own length
+    b = a + whole * target + max(1, int(part * target))
+    points = rootscan._dyadic_points(a, b, target)
+    assert points[0] == a and points[-1] == b
+    for lo, hi in zip(points, points[1:]):
+        size = hi - lo
+        assert 0 < size <= target and size & (size - 1) == 0 and lo % size == 0

@@ -121,6 +121,11 @@ def test_rectangle_rejects_degenerate():
             Rectangle(-1.0 - 1.0j, corner)
 
 
+def test_dyadic_points_shrink_a_block_that_passes_the_aligned_run():
+    # from 1 the blocks rise 1, 2; the next 4 would pass 6, so it halves
+    assert rootscan._dyadic_points(1, 6, 8) == [1, 2, 4, 6]
+
+
 # -- winding counts -----------------------------------------------------------
 
 
@@ -146,24 +151,38 @@ def test_winding_additive_over_split():
 
 
 def test_winding_grazing_contour_dilates():
-    # a flat zero sitting on an edge puts boundary samples below the
-    # 1e-13 guard, which must trigger dilation retries rather than junk
+    # a flat zero sitting on an edge keeps the edge's panels from settling,
+    # which must trigger dilation retries rather than junk
     fn = planted([0.5 - 1.0j] * 8)
     assert winding_count(fn, Rectangle(0.0 - 1.0j, 1.0 + 1.0j))[0] == 8
 
 
 def test_winding_gives_up_after_dilations():
-    fn = planted([0.5 - 1.0j] * 12)
-    with pytest.raises(BoundaryDegeneracyError):
-        winding_count(fn, Rectangle(0.0 - 1.0j, 1.0 + 1.0j))
+    # a 12-fold zero on an edge is counted after one dilation
+    rect = Rectangle(0.0 - 1.0j, 1.0 + 1.0j)
+    count, box, _ = winding_count(planted([0.5 - 1.0j] * 12), rect)
+    assert (count, box) == (12, rect.dilated(rootscan._DILATIONS[0]))
+    # F = 0 gives F'/F = 0/0 on every dilated copy too: the count gives up
+    # with the error it met on the rectangle as given
+    zero = CountingFn(VecFn(np.zeros_like, np.zeros_like))
+    with pytest.raises(QuadratureFailureError,
+                       match=r"^non-finite winding integral on -1j\.\.\(1\+1j\)$"):
+        winding_count(zero, rect)
+    asked = np.concatenate([lams for _, lams in zero.calls])
+    assert asked.real.min() == rect.dilated(rootscan._DILATIONS[-1]).lo.real
 
 
-def test_winding_nonsettling_is_quadrature_failure():
-    # a simple zero dead on an edge midpoint never grazes a quadrature node,
-    # so the count hovers at the principal value 1/2 and must be reported
-    fn = periodic_fn()
-    with pytest.raises(QuadratureFailureError):
-        winding_count(fn, Rectangle(0.0 - 1.0j, 1.0 + 1.0j))
+def test_winding_nonsettling_is_quadrature_failure(monkeypatch):
+    # a simple zero dead on an edge midpoint is never a quadrature node, so
+    # the count hovers at the principal value 1/2: the rectangle is dilated
+    # and counted, and without dilations the failure is reported
+    fn, rect = periodic_fn(), Rectangle(0.0 - 1.0j, 1.0 + 1.0j)
+    count, box, _ = winding_count(fn, rect)
+    assert (count, box) == (1, rect.dilated(rootscan._DILATIONS[0]))
+    monkeypatch.setattr(rootscan, "_DILATIONS", ())
+    with pytest.raises(QuadratureFailureError,
+                       match=r"^winding count failed to settle on -1j\.\.\(1\+1j\)$"):
+        winding_count(fn, rect)
 
 
 class CountingFn:
@@ -225,7 +244,8 @@ def test_winding_pass_evaluates_f_once_per_node():
 def test_batched_count_fails_only_the_grazing_box():
     # one batch holds a box whose bottom edge runs through a flat zero and
     # two clean boxes: each clean box counts exactly as it does alone, and
-    # the grazing box's failure names that box and the stage
+    # the grazing box's count does not settle, an error naming that box and
+    # the stage
     fn = planted([0.5 - 1.0j] * 8 + [0.3 + 0.5j, 0.7 + 0.6j])
     region = Rectangle(0.0 - 1.0j, 1.0 + 1.0j)
     g = rootscan._GRID
@@ -236,8 +256,8 @@ def test_batched_count_fails_only_the_grazing_box():
     for box, outcome in zip((left, right), batch[::2]):
         assert outcome[0] == 1
         assert outcome == rootscan._PanelCache(fn, region).count([box])[0]
-    assert isinstance(batch[1], BoundaryDegeneracyError)
-    assert str(batch[1]) == f"contour grazes a zero on {cache.where(graze)}"
+    assert isinstance(batch[1], QuadratureFailureError)
+    assert str(batch[1]) == f"winding count failed to settle on {cache.where(graze)}"
     # in reverse order a fresh cache integrates its new panels in another
     # order: it asks for the same lambdas and gives every outcome bit for bit
     backward = CountingFn(fn)
@@ -345,23 +365,25 @@ def test_folded_scan_mirrors_the_rest_below_the_axis():
 
 
 def test_folded_frame_dilates_in_place():
-    # the heat-delay probe's top edge grazes the root at Im 20.275: the
-    # folded frame is dilated as it is, so no lambda below the real axis
-    # is asked for and every conjugate pair stays exact
-    heat = CharFunction(ProblemSpec(kind=BoundaryDelayHeat(atoms=((-1.0, 1.5112),))))
-    counter = CountingFn(heat)
-    region = Rectangle(-32.35 - 18.08j, 5.17 + 20.2j)
+    # the roots +-2 pi i lie 1e-9 outside the top and bottom edges, so the
+    # band's count fails: the folded frame is dilated as it is, so no
+    # lambda below the real axis is asked for and the conjugate pair is exact
+    counter = CountingFn(periodic_fn())
+    top = TWO_PI - 1e-9
+    region = Rectangle(complex(-1.0, -top), complex(1.0, top))
     report = find_zeros(counter, region)
-    assert report.region != region and report.region_count == 7
+    assert report.region == region.dilated(rootscan._DILATIONS[0])
+    assert report.region_count == 3
     pairs = np.concatenate([lams for kind, lams in counter.calls if kind == "pair"])
-    assert pairs.imag.min() >= 0.0 and pairs.size <= 20_000
+    assert pairs.imag.min() >= 0.0 and pairs.size <= 5_000
     assert _conjugate_closed(report)
 
 
-def test_folded_count_failure_names_the_whole_box():
+def test_folded_count_failure_names_the_whole_box(monkeypatch):
     # defect 5: the root at 0 lies on the left edge, so the symmetric band
-    # cannot settle; its error names the box with its mirror image, and the
-    # region is not rescanned whole
+    # cannot settle; without dilations its error names the box with its
+    # mirror image, and the region is not rescanned whole
+    monkeypatch.setattr(rootscan, "_DILATIONS", ())
     counter = CountingFn(periodic_fn())
     with pytest.raises(QuadratureFailureError, match=r" on -7j\.\.\(1\+7j\)$"):
         find_zeros(counter, Rectangle(0.0 - 7.0j, 1.0 + 7.0j))
@@ -771,8 +793,8 @@ def test_find_zeros_empty_region():
 
 
 def test_find_zeros_identically_zero_short_circuit():
-    # the count of a zero function grazes through every dilation; the
-    # verdict is then taken on the region as given, not a dilated copy
+    # the count of a zero function fails (F'/F = 0/0) on every dilation;
+    # the verdict is taken on the region as given, not a dilated copy
     degenerate = CharFunction(ProblemSpec(kind=FirstDerivative(), psi=(BoundaryFunctional(),)))
     cases = (
         (degenerate, BIG),
@@ -788,7 +810,7 @@ def test_find_zeros_identically_zero_short_circuit():
 
 
 def test_identically_zero_verdict_at_the_first_graze():
-    # a zero F grazes on the undilated frame, and is judged there: no
+    # a zero F fails the count on the undilated frame, and is judged there: no
     # dilated frame is counted.  The lambdas are the first round of the
     # frame's panels (648) and the test's 48 edge nodes, for F and for M
     degenerate = CharFunction(ProblemSpec(kind=FirstDerivative(), psi=(BoundaryFunctional(),)))
@@ -806,14 +828,16 @@ def test_counting_job_never_asks_for_m():
     assert report.region_count == 13
     assert not any(kind == "zero_scale" for kind, _ in counter.calls)
     # defect 5: the count fails to settle, F is judged once at the 48 edge
-    # nodes and found nonzero, and the count's own error is raised
+    # nodes and found nonzero, and the region is dilated and counted
     counter = CountingFn(periodic_fn())
-    settle = r"^winding count failed to settle on -7j\.\.\(1\+7j\)$"
-    with pytest.raises(QuadratureFailureError, match=settle):
-        find_zeros(counter, Rectangle(0.0 - 7.0j, 1.0 + 7.0j))
+    region = Rectangle(0.0 - 7.0j, 1.0 + 7.0j)
+    report = find_zeros(counter, region)
+    assert report.region == region.dilated(rootscan._DILATIONS[0])
+    assert report.region_count == 3
     (hook,) = [lams for kind, lams in counter.calls if kind == "zero_scale"]
-    (values,) = [lams for kind, lams in counter.calls if kind == "values"]
-    assert hook.size == 48 and np.array_equal(hook, values)
+    # the second values call takes |F| at the three records
+    values, at_roots = [lams for kind, lams in counter.calls if kind == "values"]
+    assert hook.size == 48 and np.array_equal(hook, values) and at_roots.size == 3
 
 
 def test_scanner_takes_no_scalar_value():
