@@ -9,7 +9,9 @@ lambdas, once per kind: ``CharFunction`` (F, F' and the zero-scale
 entries the scanner evaluates), ``char_matrix`` and ``kernel_vectors`` all
 take M from it; with user functionals it is
 ``catalog.functional_on_basis``, one pass over all rows and curves.
-``eigen_residual`` certifies an eigenpair on M and ``generator_terms``.
+``eigen_residual`` certifies an eigenpair on M and ``generator_terms``,
+sampling each eigenfunction at its own resolution: four points per radian
+of its basis' fastest exponent, 65 at least.
 ``delta_matrix`` builds Delta(lambda) = Phi L_lambda entry by entry through
 the generic functional machinery instead; it stays as the reference the
 tests hold the family to.
@@ -47,6 +49,7 @@ from .catalog import (
     resolvent_apply,
 )
 from .errors import (
+    CharspecError,
     DimensionError,
     NotARootError,
     ResolventUndefinedError,
@@ -293,10 +296,11 @@ _WRAP = np.array([0, 1, 2, 0, 1])
 # Most lambdas in one M(lambda) stack, which bounds the memory an F batch
 # takes (0.8 MB for a 3x3 pencil at 1,024 lambdas, twice that at 2,048).
 _CHUNK = 1024
-# points of the uniform grid on which eigen_residual samples a candidate
-_RESIDUAL_POINTS = 2001
-# candidates per basis jet in eigen_residual; bounds its memory (8 x 2001 points)
-_RESIDUAL_CHUNK = 8
+# Most samples in one basis jet of eigen_residual, which bounds its memory
+# (256 KB a column); a candidate sampled finer than that takes a jet alone.
+_RESIDUAL_SAMPLES = 16384
+# Most intervals of a candidate's sample: a faster eigenfunction is refused.
+_RESIDUAL_MAX_STEPS = 2**20
 
 
 def _char_jet(spec, lams, dlam):
@@ -406,37 +410,76 @@ def eigenfunction(spec, lam, coefficients):
     return CurveCombination(spec.kind, lam, np.asarray(coefficients).ravel())
 
 
+def _residual_steps(kind, lams):
+    """Intervals of each candidate's uniform sample on [0, 1]: the least power
+    of two >= max(64, 4 omega), with omega the largest |Im| among the
+    exponents of the kind's basis at the curve's lambda (lambda; +-sqrt
+    lambda; c +- sqrt(c^2 + lambda - k)).  |f| oscillates at rate 2 omega at
+    most, so four samples per radian keep the sampled sup within
+    1 - cos(1/8) < 0.8% of the true one.  Past _RESIDUAL_MAX_STEPS the sample
+    cannot resolve f: CharspecError, naming the lambda."""
+    if isinstance(kind, FirstDerivative):
+        omega = np.abs(lams.imag)
+    elif isinstance(kind, ConvectionDiffusion):
+        omega = abs(kind.c.imag) + np.abs(np.sqrt(kind.c * kind.c + lams - kind.k).imag)
+    else:
+        omega = np.abs(np.sqrt(lams).imag)
+    need = np.maximum(64.0, 4.0 * omega)
+    for lam, n in zip(lams.tolist(), need.tolist()):
+        if not n <= _RESIDUAL_MAX_STEPS:
+            raise CharspecError(
+                f"the certificate cannot resolve the eigenfunction at {lam}: it needs "
+                f"{n:.3g} intervals, over {_RESIDUAL_MAX_STEPS}"
+            )
+    # need = mantissa 2^exponent with mantissa in [0.5, 1): exact powers of two
+    mantissa, exponent = np.frexp(need)
+    return np.left_shift(1, exponent - (mantissa == 0.5))
+
+
+def _sampled_defects(kind, lams, own, x, steps):
+    """(sup |(lambda - A_m) f|, sup |f|) of each combination f = sum_j x_j f_j
+    at its own lambda, over one basis jet on 1 + ``steps`` uniform points."""
+    column = _basis_jet(kind, own[:, None], np.linspace(0.0, 1.0, steps + 1), False)
+    def combination(order):  # d^order/ds^order of sum_j x_j f_j
+        return sum(x[:, j, None] * column(j, order)[0] for j in range(x.shape[1]))
+    vals = combination(0)
+    # one derivative order alive at a time bounds the memory of a jet
+    a_f = sum(c * (vals if k == 0 else combination(k)) for k, c in generator_terms(kind))
+    return (np.max(np.abs(lams[:, None] * vals - a_f), axis=1).tolist(),
+            np.max(np.abs(vals), axis=1).tolist())
+
+
 def eigen_residual(kind, mats, lam, f):
     """Defect of a claimed eigenpair, after unit-sup normalization of f.
 
     ``mats`` is M at the curve f = L_mu x's own lambda mu, so that M x gives
     the boundary functionals on f (M_ij = psi_i(f_j)).  Returns (ode_residual,
-    bc_residual): the sup of (lambda - A_m) f on the sampling grid using f's
-    analytic derivatives, and max |M x|.  Over a 1-d array of lambdas, with a
-    stack ``mats`` and one curve each in ``f``, one basis jet per
-    _RESIDUAL_CHUNK of them gives the list.
+    bc_residual): the sup of (lambda - A_m) f using f's analytic derivatives,
+    and max |M x|.  Both sups are taken on a uniform sample of f's own
+    resolution (``_residual_steps``: 65 points for a slow f, 4 per radian of
+    its fastest exponent beyond).  Over a 1-d array of lambdas, with a stack
+    ``mats`` and one curve each in ``f``, the candidates are grouped by sample
+    size into basis jets of at most _RESIDUAL_SAMPLES samples (one candidate
+    at least) and the list comes back in input order.
     """
     lams = np.asarray(lam, dtype=complex)
     if lams.ndim == 0:
         return eigen_residual(kind, np.asarray(mats)[None], lams.reshape(1), (f,))[0]
-    if lams.size > _RESIDUAL_CHUNK:
-        cuts = [slice(at, at + _RESIDUAL_CHUNK) for at in range(0, lams.size, _RESIDUAL_CHUNK)]
-        return [out for c in cuts for out in eigen_residual(kind, mats[c], lams[c], f[c])]
-    s = np.linspace(0.0, 1.0, _RESIDUAL_POINTS)
     # every curve at its own lambda, which the residual's lambda may differ from
-    column = _basis_jet(kind, np.array([g.lam for g in f])[:, None], s, False)
+    own = np.array([g.lam for g in f], dtype=complex)
     x = np.array([g.coefficients for g in f], dtype=complex)
-    def combination(order):  # d^order/ds^order of sum_j x_j f_j
-        return sum(x[:, j, None] * column(j, order)[0] for j in range(x.shape[1]))
-    vals = combination(0)
-    # one derivative order alive at a time bounds the memory of a chunk
-    a_f = sum(c * (vals if k == 0 else combination(k)) for k, c in generator_terms(kind))
-    odes = np.max(np.abs(lams[:, None] * vals - a_f), axis=1).tolist()
-    out = []
-    for m, x_k, ode, scale in zip(mats, x, odes, np.max(np.abs(vals), axis=1).tolist()):
-        if scale == 0.0:
-            raise DimensionError("candidate eigenfunction vanishes identically on the grid")
-        out.append((ode / scale, float(np.max(np.abs(m @ x_k))) / scale))
+    steps = _residual_steps(kind, own)
+    out = [None] * lams.size
+    for n in np.unique(steps).tolist():
+        group = np.flatnonzero(steps == n)
+        per_jet = max(1, _RESIDUAL_SAMPLES // (n + 1))
+        for at in range(0, group.size, per_jet):
+            jet = group[at : at + per_jet]
+            odes, scales = _sampled_defects(kind, lams[jet], own[jet], x[jet], n)
+            for i, ode, scale in zip(jet.tolist(), odes, scales):
+                if scale == 0.0:
+                    raise DimensionError("candidate eigenfunction vanishes identically on the grid")
+                out[i] = (ode / scale, float(np.max(np.abs(mats[i] @ x[i]))) / scale)
     return out
 
 

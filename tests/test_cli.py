@@ -566,6 +566,14 @@ def test_run_reports_honest_failure():
 # -- chunked certification ----------------------------------------------------
 
 
+def _periodic_spec(height):
+    return ProblemSpec(
+        kind=FirstDerivative(),
+        psi=(point_functional(0.0) - point_functional(1.0),),
+        region=Rectangle(-1.0 - height * 1j, 1.0 + height * 1j),
+    )
+
+
 def _certified_specs():
     """One spec per certificate route, each with several roots in a chunk."""
     wentzell = tuple(
@@ -579,6 +587,8 @@ def _certified_specs():
             psi=(point_functional(0.0) - point_functional(1.0),),
             region=Rectangle(-1.0 - 14.0j, 1.0 + 14.0j),
         ),
+        # 2 pi i k for |k| <= 31: samples of 65 to 1,025 points, one jet per size
+        "first_derivative_fast": _periodic_spec(200.0),
         "wentzell": ProblemSpec(
             kind=SecondDerivative(), psi=wentzell, region=Rectangle(-110.0 - 1.0j, 2.0 + 1.0j)
         ),
@@ -662,17 +672,57 @@ def test_transport_roots_far_up_the_axis_certify():
 
 
 def test_chunks_of_roots_certify_as_roots_one_at_a_time(monkeypatch):
-    # 2 pi i k for |k| <= 8: chunks of 8, 8 and 1 roots
-    spec = ProblemSpec(
-        kind=FirstDerivative(),
-        psi=(point_functional(0.0) - point_functional(1.0),),
-        region=Rectangle(-1.0 - 52.0j, 1.0 + 52.0j),
-    )
+    # 2 pi i k for |k| <= 8: samples of 65, 129 and 257 points, one jet each;
+    # a budget of one sample leaves one root per jet
+    spec = _periodic_spec(52.0)
     chunked = run_job(JobConfig(spec=spec))
     assert len(chunked.records) == 17
-    monkeypatch.setattr(charspec.charfn, "_RESIDUAL_CHUNK", 1)
+    monkeypatch.setattr(charspec.charfn, "_RESIDUAL_SAMPLES", 1)
     single = run_job(JobConfig(spec=spec))
     assert chunked.records == single.records and chunked.notes == single.notes
+
+
+def test_a_jet_holds_at_most_the_sample_budget(monkeypatch):
+    # 2 pi i k for |k| <= 31 take samples of 65 to 1,025 points; under a
+    # budget of 600 a jet holds up to 4 roots of 129 points, and one of 1,025
+    spec = _periodic_spec(200.0)
+    want = run_job(JobConfig(spec=spec)).records
+    jet = charspec.charfn._basis_jet
+    sizes = []
+
+    def recorded(kind, lam, s, dlam):
+        sizes.append((np.size(lam), np.size(s)))
+        return jet(kind, lam, s, dlam)
+
+    monkeypatch.setattr(charspec.charfn, "_basis_jet", recorded)
+    monkeypatch.setattr(charspec.charfn, "_RESIDUAL_SAMPLES", 600)
+    assert run_job(JobConfig(spec=spec)).records == want
+    assert sum(rows for rows, _ in sizes) == len(want) == 63
+    assert {n for _, n in sizes} == {65, 129, 257, 513, 1025}
+    assert all(rows * n <= max(600, n) for rows, n in sizes)
+    assert (4, 129) in sizes and (1, 1025) in sizes
+
+
+def test_a_root_past_the_sample_cap_fails_alone(monkeypatch):
+    # with samples capped at 128 intervals, the roots 2 pi i k with |k| >= 6
+    # need 256: each fails its own record with a note naming it, and the
+    # other eleven certify as without the cap
+    spec = _periodic_spec(52.0)
+    want = run_job(JobConfig(spec=spec))
+    monkeypatch.setattr(charspec.charfn, "_RESIDUAL_MAX_STEPS", 128)
+    capped = run_job(JobConfig(spec=spec))
+
+    def k(r):
+        return round(abs(r.location.imag) / (2 * math.pi))
+
+    failed = [r for r in capped.records if not r.passed]
+    assert sorted(map(k, failed)) == [6, 6, 7, 7, 8, 8]
+    assert all(math.isinf(r.ode_residual) and math.isinf(r.bc_residual) for r in failed)
+    for r in failed:
+        (note,) = [n for n in capped.notes if str(r.location) in n]
+        assert "certification failed" in note and "cannot resolve" in note
+    kept = [r for r in capped.records if r.passed]
+    assert kept == [r for r in want.records if k(r) < 6]
 
 
 def test_a_non_root_fails_only_its_own_record(monkeypatch, tmp_path):

@@ -487,6 +487,23 @@ def test_residual_bc_is_the_functionals_applied_to_f():
             assert_allclose(bc, want, rtol=1e-10)
 
 
+@pytest.mark.parametrize("omega", [640.0, 1000.0, 2000.0, 3000.0])
+@pytest.mark.parametrize("phase", [0.0, 0.8, 1.6, 2.4])
+def test_residual_resolves_a_fast_eigenfunction(omega, phase):
+    # at lambda = -w^2 - c^2, f = e^{c(s-1)} (cos w(s-1) - (c/w) sin w(s-1)):
+    # |f| oscillates at rate 2w, so bc's sup|f| must come from a sample fine
+    # enough for w, within 1% of the sup on a dense grid
+    c, w = -30.0, omega + phase
+    spec = ProblemSpec(kind=ConvectionDiffusion(c=c, k=0.0), psi=(point_functional(0.0),))
+    lam = -w * w - c * c
+    mat = char_matrix(spec, lam)
+    f = eigenfunction(spec, lam, [1.0])
+    _, bc = eigen_residual(spec.kind, mat, lam, f)
+    dense = np.max(np.abs(f.evaluate(np.linspace(0.0, 1.0, 2**17 + 1))))
+    want = float(np.max(np.abs(mat @ [1.0]))) / dense
+    assert abs(bc / want - 1.0) < 0.01
+
+
 def test_residual_wentzell_reconstruction():
     lam = -math.pi**2
     spec = ProblemSpec(kind=SecondDerivative(), psi=WENTZELL)
