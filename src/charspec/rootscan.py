@@ -87,8 +87,9 @@ _GRID = 1 << 48
 # 2*pi*_PANEL_TOL * (panel length) / (perimeter of the box being counted),
 # so the estimated errors of one count sum to at most _PANEL_TOL.
 _PANEL_TOL = 1e-3
-# Halvings of a first-level panel before its count is declared unsettled.
-_MAX_HALVINGS = 16
+# Halvings of a first-level panel before its count is declared unsettled:
+# from first panels of at most half an edge, panels down to 2^-21 of it.
+_MAX_HALVINGS = 20
 # Most roots of a box whose roots are taken from its contour moments.
 _LEAF_ROOTS = 10
 # Cut offsets tried when subdividing, in steps of about 1/64 of the side.
@@ -144,20 +145,16 @@ class Rectangle:
         return Rectangle(c + (self.lo - c) * factor, c + (self.hi - c) * factor)
 
 
-def _dyadic_points(a, b, target):
-    """Ends of the maximal aligned power-of-two blocks no longer than
-    ``target`` units that tile [a, b], from a to b: rising blocks up to the
-    first multiple of the largest such power, equal blocks of that power,
-    falling blocks down to b."""
-    size = 1 << (max(1, int(target)).bit_length() - 1)
-    lo = min(b, -(-a // size) * size)
+def _dyadic_points(a, b):
+    """Ends of the maximal aligned power-of-two blocks no longer than half
+    of [a, b] (one unit when b - a < 4) that tile it, from a to b: rising
+    blocks up to the first multiple of the largest such power, equal
+    blocks of that power, falling blocks down to b."""
+    size = 1 << (max(1, (b - a) // 2).bit_length() - 1)
+    lo = -(-a // size) * size
     points = [a]
     while points[-1] < lo:
-        p = points[-1]
-        step = p & -p
-        while p + step > lo:
-            step >>= 1
-        points.append(p + step)
+        points.append(points[-1] + (points[-1] & -points[-1]))
     points.extend(range(lo + size, b // size * size + 1, size))
     while points[-1] < b:
         points.append(points[-1] + (1 << ((b - points[-1]).bit_length() - 1)))
@@ -342,7 +339,8 @@ class _PanelCache:
         from the same nodes.
 
         An edge's first panels are its maximal aligned dyadic blocks no
-        longer than 1/clip(ceil(length), 2, 32) of it.  A panel is accepted
+        longer than half of it, so that error control alone sets each
+        panel's length, whatever the units of lambda.  A panel is accepted
         when its GL-12 integral of g and the sum over its two halves differ
         by at most 2*pi*_PANEL_TOL times its share of the box perimeter;
         the halves' sum then enters the count, negated on the two edges the
@@ -372,8 +370,7 @@ class _PanelCache:
             # a symmetric box is counted without its edge on the real axis
             for axis, fixed, a, b, sign in edges[symmetric:]:
                 unit = uy if axis == _V else ux
-                target = (b - a) / max(2, min(32, math.ceil((b - a) * unit)))
-                points = _dyadic_points(a, b, target)
+                points = _dyadic_points(a, b)
                 starts += points[:-1]
                 ends += points[1:]
                 heads.append((k, sign, axis, fixed, unit, perimeter))
@@ -682,7 +679,7 @@ def _subdivide(f, cache, counted, tol):
 
     A box stops being split when its roots are found.  At the floor (a box
     under 64*tol across, or with a side under 256 grid units, where an
-    edge's first blocks can be one unit long) its k roots are one part of
+    edge's panels have few halvings left) its k roots are one part of
     multiplicity k, polished from the mean c + r s_1/k of ``moments``, or
     the mean itself with 0 iterations when Newton fails.  A box of at most
     _LEAF_ROOTS (ten) roots is a leaf when Newton from its ``_hankel_roots``

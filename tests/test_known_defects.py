@@ -167,6 +167,30 @@ def test_edge_adversary_counts_settle_near_an_edge():
             assert not isinstance(_adversary(trial)[1], QuadratureFailureError), trial
 
 
+def test_edge_adversary_counts_right_or_raises_on_wide_boxes():
+    # part (a) on boxes Im +-1 of half-width 1 to 1e3, log-uniform, with the
+    # distance from the edge log-uniform in 1e-12..1e-2: an edge's first
+    # panels are half its length, so a long edge meets the root at coarse
+    # panels first; each trial counts right or raises, and never miscounts
+    for trial in range(80):
+        rng = np.random.default_rng(1_000 + trial)
+        w, d = 10.0 ** rng.uniform(0.0, 3.0), 10.0 ** rng.uniform(-12.0, -2.0)
+        x, y, side = rng.uniform(-0.8 * w, 0.8 * w), rng.uniform(-0.8, 0.8), rng.choice([-1, 1])
+        roots = [complex(rng.uniform(-0.8 * w, 0.8 * w), rng.uniform(-0.8, 0.8))
+                 for _ in range(rng.integers(1, 5))]
+        roots.append([complex(w + side * d, y), complex(-w - side * d, y),
+                      complex(x, 1.0 + side * d), complex(x, -1.0 - side * d)][rng.integers(4)])
+        try:
+            report = find_zeros(planted(roots), Rectangle(complex(-w, -1.0), complex(w, 1.0)))
+        except CharspecError:
+            continue
+        inside = [z for z in roots if report.region.contains(z)]
+        assert report.region_count == len(inside), (trial, roots)
+        for z in inside:
+            gap = min(abs(r.location - z) for r in report.roots)
+            assert gap < 1e-8 * max(1.0, abs(z)), (trial, z)
+
+
 @pytest.mark.xfail(strict=True,
                    reason="edge adversary: a root near an edge dilates the region; item 6")
 def test_edge_adversary_keeps_the_region():

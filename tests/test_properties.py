@@ -315,13 +315,14 @@ def test_newton_batch_runs_each_start_as_newton_refine(others, at):
 
 
 @settings(max_examples=200)
-@given(st.integers(0, 1 << 40), st.integers(1, 1 << 12), st.integers(0, 64), st.floats(0.0, 1.0))
-def test_dyadic_points_tile_with_aligned_power_of_two_blocks(a, target, whole, part):
-    # a count's first panels: from a to b, each block a power of two no
-    # longer than target and aligned to its own length
-    b = a + whole * target + max(1, int(part * target))
-    points = rootscan._dyadic_points(a, b, target)
+@given(st.integers(0, 1 << 48), st.integers(1, 1 << 48))
+def test_dyadic_points_tile_with_aligned_power_of_two_blocks(a, length):
+    # an edge's first panels: from a to b, each block a power of two no
+    # longer than half the edge (one unit on an edge under two units) and
+    # aligned to its own length
+    b = a + length
+    points = rootscan._dyadic_points(a, b)
     assert points[0] == a and points[-1] == b
     for lo, hi in zip(points, points[1:]):
         size = hi - lo
-        assert 0 < size <= target and size & (size - 1) == 0 and lo % size == 0
+        assert 0 < size <= max(1, length / 2) and size & (size - 1) == 0 and lo % size == 0

@@ -10,6 +10,7 @@ from charspec import (
     BoundaryDelayHeat,
     BoundaryFunctional,
     CharFunction,
+    ConvectionDiffusion,
     FirstDerivative,
     ProblemSpec,
     Rectangle,
@@ -119,11 +120,6 @@ def test_rectangle_rejects_degenerate():
     for corner in (complex(math.inf, 1.0), complex(1.0, math.nan)):
         with pytest.raises(DimensionError):
             Rectangle(-1.0 - 1.0j, corner)
-
-
-def test_dyadic_points_shrink_a_block_that_passes_the_aligned_run():
-    # from 1 the blocks rise 1, 2; the next 4 would pass 6, so it halves
-    assert rootscan._dyadic_points(1, 6, 8) == [1, 2, 4, 6]
 
 
 # -- winding counts -----------------------------------------------------------
@@ -334,8 +330,8 @@ def test_scan_lambda_budget(monkeypatch):
 
     monkeypatch.setattr(rootscan._PanelCache, "count", recording)
     wide = Rectangle(-1.0 - 200.0j, 1.0 + 200.0j)
-    for wrapper, wide_budget, big_budget, count_budget in ((UnfoldedFn, 82_000, 4_146, 10),
-                                                           (CountingFn, 34_000, 1_200, 8)):
+    for wrapper, wide_budget, big_budget, count_budget in ((UnfoldedFn, 14_000, 320, 10),
+                                                           (CountingFn, 5_500, 240, 8)):
         counter = wrapper(periodic_fn())
         batches.clear()
         report = find_zeros(counter, wide)
@@ -346,6 +342,47 @@ def test_scan_lambda_budget(monkeypatch):
         counter = wrapper(periodic_fn())
         assert find_zeros(counter, BIG).region_count == 3
         assert sum(lams.size for _, lams in counter.calls) <= big_budget
+    # two large regions of the catalog, one with a double root, both folded
+    heat, convection = BoundaryDelayHeat(atoms=((-1.0, 1.0),)), ConvectionDiffusion(c=1.0)
+    for kind, region, roots, budget in (
+        (heat, Rectangle(-200.0 - 60.0j, 5.0 + 60.0j), 24, 30_500),
+        (convection, Rectangle(-100.0 - 40.0j, 5.0 + 40.0j), 15, 1_290),
+    ):
+        counter = CountingFn(CharFunction(ProblemSpec(kind=kind)))
+        report = find_zeros(counter, region)
+        assert (report.region, report.region_count) == (region, roots)
+        assert sum(lams.size for _, lams in counter.calls) <= budget
+
+
+class ScaledFn:
+    """F(lambda / s) for a power of two s: its zeros are s times F's, and
+    the scan of the region scaled by s sees F's own values, exactly."""
+
+    def __init__(self, fn, s):
+        self._fn, self.s = fn, s
+        self.is_real = fn.is_real
+
+    def values(self, lams):
+        return self._fn.values(np.asarray(lams) / self.s)
+
+    def values_and_derivatives(self, lams):
+        f, df = self._fn.values_and_derivatives(np.asarray(lams) / self.s)
+        return f, df / self.s
+
+
+def test_scan_cost_does_not_depend_on_units():
+    # lambda -> s lambda with tol * s: error control alone sets every panel,
+    # so the scan asks for the same number of lambdas at every s and finds
+    # the same roots, scaled
+    asked, located = set(), set()
+    for s in (2.0 ** e for e in range(-4, 7)):
+        counter = CountingFn(ScaledFn(periodic_fn(), s))
+        region = Rectangle(s * (-1.0 - 40.0j), s * (1.0 + 40.0j))
+        report = find_zeros(counter, region, tol=1e-10 * s)
+        assert report.region_count == 13
+        asked.add(sum(lams.size for _, lams in counter.calls))
+        located.add(tuple(r.location / s for r in report.roots))
+    assert len(asked) == 1 and len(located) == 1
 
 
 def test_folded_scan_mirrors_the_rest_below_the_axis():
@@ -475,8 +512,8 @@ def test_complex_data_take_the_whole_region():
     assert not fn.is_real
     report = find_zeros(fn, Rectangle(-1.0 - 3.0j, 1.0 + 10.0j))
     assert [(r.location, r.newton_iterations) for r in report.roots] == [
-        (-0.30000000000000016 + 5.883185307179587j, 1),
-        (-0.30000000000000004 - 0.39999999999999997j, 1),
+        (-0.3000000000000002 - 0.4j, 1),
+        (-0.30000000000000004 + 5.883185307179587j, 1),
     ]
 
 
