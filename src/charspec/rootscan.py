@@ -38,14 +38,14 @@ across (or at the grid floor), where its k roots are one root of
 multiplicity k polished from their mean, in the same batch; the mean
 stands as the root when Newton fails there.
 
-On a folded region the band symmetric about the real axis is counted on
-its upper half contour, as Im(integral of g)/pi, and the rest of the
-region, mirrored up when it lies below the axis, as a plain box on the
-same cache.  A band box off the axis stands for its mirror image too, so
-its roots are mirrored exactly instead of located twice.  A box on the
-axis has real moments; its roots within 64*tol of the axis are real,
-reported with imaginary part 0.0, and each other one stands for a
-conjugate pair.
+A folded region is scanned on the upper half of its symmetric hull, Re
+lo..hi x Im 0..max(-lo.imag, hi.imag), whose one top box is counted on its
+upper half contour, as Im(integral of g)/pi.  A box off the axis stands for
+its mirror image too, so its roots are mirrored exactly instead of located
+twice.  A box on the axis has real moments; its roots within 64*tol of the
+axis are real, reported with imaginary part 0.0, and each other one stands
+for a conjugate pair.  Of each pair, the root on the side of the hull's top
+is the region's, and the other one is when it lies in the region.
 """
 
 from __future__ import annotations
@@ -79,8 +79,8 @@ TWO_PI_I = 2j * math.pi
 
 # Dilation factors tried, in order, when the region's count fails.
 _DILATIONS = (1.013, 1.029, 1.041)
-# Grid units per side of the scanned region (per part of a folded frame);
-# every box and panel endpoint of a scan is an integer point of this grid.
+# Grid units per side of the scan frame; every box and panel endpoint of a
+# scan is an integer point of this grid.
 _GRID = 1 << 48
 # Per-panel error control: a panel is accepted when its GL-12 integral of
 # F'/F and the sum over its two halves differ by at most
@@ -96,9 +96,8 @@ _LEAF_ROOTS = 10
 _CUT_STEPS = (0, 1, -1, 2, -2, 3, -3)
 _NODES, _WEIGHTS = gauss_legendre(12)
 _H, _V = 0, 1  # panel axis: along a horizontal or a vertical line
-# line code of a panel: axis * _LINE + fixed coordinate, which a folded
-# frame takes up to 2 * _GRID
-_LINE = 4 * _GRID
+# line code of a panel: axis * _LINE + fixed coordinate, at most _GRID
+_LINE = 2 * _GRID
 # Newton iterations before newton_refine gives up.
 _NEWTON_MAX_ITER = 50
 
@@ -165,8 +164,8 @@ class _PanelCache:
     """Contour panels of one scan on a dyadic grid over its scan frame.
 
     A box is (i0, j0, i1, j1) in integer units, _GRID of them per side of
-    the frame (per side of each of its two parts when folded).  A panel is
-    an aligned dyadic block [a, b] of a horizontal or vertical grid line.
+    the frame.  A panel is an aligned dyadic block [a, b] of a horizontal
+    or vertical grid line.
     From one GL-12 rule over its nodes it holds the integral of g = F'/F
     from a to b, max |F| over the nodes, and the 12 nodes z with their
     weighted values g w dz, in one row of four columns (the last two 12
@@ -179,36 +178,24 @@ class _PanelCache:
 
     The frame is the region itself, unless ``fold`` is set, F has real
     data (``f.is_real``) and the region straddles the real axis.  Then
-    F(conj z) = conj F(z), and the frame is folded onto the upper half
-    plane: rows 0.._GRID map the band's upper half [0, m], m =
-    min(-lo.imag, hi.imag), and rows _GRID..2*_GRID the rest of the region
-    up to max(-lo.imag, hi.imag), mirrored up when it lies below the axis.
-    A box with j0 = 0 is then symmetric: it stands for the box together
-    with its mirror image, and is counted on its upper half contour.
-    Another band box is mirrored: each of its roots stands for its
-    conjugate too.  Rest boxes are plain.
+    F(conj z) = conj F(z), and the frame is the upper half of the region's
+    symmetric hull, Re lo..hi x Im 0..max(-lo.imag, hi.imag).  A box with
+    j0 = 0 is then symmetric: it stands for the box together with its
+    mirror image, and is counted on its upper half contour.  Every other
+    box is mirrored: each of its roots stands for its conjugate too.
     """
 
     def __init__(self, f, region, fold=True):
         lo, hi = region.lo, region.hi
         self.f = f
         self.region = region
-        self.folded = folded = fold and getattr(f, "is_real", False) and lo.imag < 0 < hi.imag
-        self.band, self.top = min(-lo.imag, hi.imag), max(-lo.imag, hi.imag)
-        # a folded frame has rows above the band unless the region is
-        # symmetric; they are mirrored up when the rest lies below the axis
-        self.rest = folded and self.top > self.band
-        self.flip = folded and -lo.imag > hi.imag
-        if folded:
-            self.frame = Rectangle(complex(lo.real, 0.0), complex(hi.real, self.top))
-            heights = (self.band, self.top - self.band)
-        else:
-            self.frame = region
-            heights = (region.height,) * 2
-        self.tops = [(0, 0, _GRID, _GRID)] + [(0, _GRID, _GRID, 2 * _GRID)] * self.rest
+        self.folded = fold and getattr(f, "is_real", False) and lo.imag < 0 < hi.imag
+        self.frame = (Rectangle(complex(lo.real, 0.0), complex(hi.real, max(-lo.imag, hi.imag)))
+                      if self.folded else region)
+        self.tops = [(0, 0, _GRID, _GRID)]
         self.lo = self.frame.lo
-        # grid unit along x, along band rows and along rest rows
-        self.unit = tuple(side / _GRID for side in (region.width, *heights))
+        # grid unit along x and along y
+        self.unit = (self.frame.width / _GRID, self.frame.height / _GRID)
         # panel key (see _rows) -> row of the four columns below
         self.index = {}
         self.integral = np.empty(0, complex)
@@ -218,23 +205,12 @@ class _PanelCache:
         # settled box -> (rows, signs) of the panels its count accepted
         self.panels = {}
 
-    def _imag(self, t):
-        """Imaginary parts of the frame at grid rows ``t``, an int or an
-        array; the row map is exact at rows 0, _GRID and 2*_GRID if folded."""
-        y = self.lo.imag + self.unit[1] * t
-        if not self.rest:
-            return y
-        s = t / _GRID - 1.0
-        rest = self.band * (1.0 - s) + self.top * s
-        if isinstance(t, int):
-            return rest if s > 0.0 else y
-        return np.where(s > 0.0, rest, y)
-
     def corners(self, box):
         """The box's lower-left and upper-right corners in the frame."""
-        ux, x = self.unit[0], self.lo.real
+        (ux, uy), lo = self.unit, self.lo
         i0, j0, i1, j1 = box
-        return complex(x + ux * i0, self._imag(j0)), complex(x + ux * i1, self._imag(j1))
+        return (complex(lo.real + ux * i0, lo.imag + uy * j0),
+                complex(lo.real + ux * i1, lo.imag + uy * j1))
 
     def rect(self, box):
         """The box's rectangle in the frame."""
@@ -247,7 +223,7 @@ class _PanelCache:
     def weight(self, box):
         """Roots in the plane per root counted in the box: 2 for a mirrored
         box, else 1."""
-        return 2 if self.folded and 0 < box[1] and box[3] <= _GRID else 1
+        return 2 if self.folded and box[1] > 0 else 1
 
     def centre_of(self, box):
         """The point a box's moment is taken about: its centre, on the real
@@ -256,24 +232,19 @@ class _PanelCache:
         c = 0.5 * (lo + hi)
         return complex(c.real, 0.0) if self.symmetric(box) else c
 
-    def images(self, box, z):
-        """The roots in the plane that a root ``z`` of the box stands for: z
-        and its conjugate for a mirrored box, or for a symmetric one unless
-        z is real (Im exactly 0.0), z mirrored back in a mirrored-up rest."""
-        if self.symmetric(box):
-            return (z,) if z.imag == 0.0 else (z, z.conjugate())
-        if self.weight(box) == 2:
-            return (z, z.conjugate())
-        return (z.conjugate(),) if self.flip and box[1] >= _GRID else (z,)
+    def images(self, z):
+        """The roots of the symmetric hull that a root ``z`` of a box stands
+        for: z and its conjugate on a folded frame unless z is real (Im
+        exactly 0.0), else z alone.  ``find_zeros`` keeps those in the
+        region."""
+        return (z, z.conjugate()) if self.folded and z.imag != 0.0 else (z,)
 
     def where(self, box):
         """The box's corners in the plane, for messages: a symmetric box's
-        with its mirror image."""
+        with its mirror image, so a folded top box names the hull."""
         lo, hi = self.corners(box)
         if self.symmetric(box):
             lo = complex(lo.real, -hi.imag)
-        elif self.flip and box[1] >= _GRID:
-            lo, hi = complex(lo.real, -hi.imag), complex(hi.real, -lo.imag)
         return f"{lo}..{hi}"
 
     def _integrate(self, axis, fixed, a, b):
@@ -281,17 +252,17 @@ class _PanelCache:
         g w dz (which sum to the integral up to rounding) of each panel
         [a, b] on the lines (axis, fixed), from one
         ``values_and_derivatives`` call at their nodes."""
-        ux, lo = self.unit[0], self.lo
+        (ux, uy), lo = self.unit, self.lo
         t = a[:, None] + (b - a)[:, None] * _NODES
         vertical = (axis == _V)[:, None]
         z = np.empty(t.shape, complex)
         z.real = lo.real + ux * np.where(vertical, fixed[:, None], t)
-        z.imag = self._imag(np.where(vertical, t, fixed[:, None]))
+        z.imag = lo.imag + uy * np.where(vertical, t, fixed[:, None])
         fz, dfz = (v.reshape(z.shape) for v in self.f.values_and_derivatives(z.ravel()))
         with np.errstate(divide="ignore", invalid="ignore"):
             g = dfz / fz
         # z(b) - z(a) of each panel: its length, times i on a vertical line
-        dz = np.where(vertical[:, 0], 1j * np.take(self.unit, 1 + (a >= _GRID)), ux) * (b - a)
+        dz = np.where(vertical[:, 0], 1j * uy, ux) * (b - a)
         return (
             g @ _WEIGHTS * dz,
             np.abs(fz).max(axis=1),
@@ -304,8 +275,8 @@ class _PanelCache:
         ones first as they appear, all in one batch."""
         size = b - a
         # the key of a panel holds its line and its block's index in the
-        # binary tree over [0, 2 * _GRID], both exact in a float64
-        key = (axis * _LINE + fixed) + 1j * (2 * _GRID // size + a // size)
+        # binary tree over [0, _GRID], both exact in a float64
+        key = (axis * _LINE + fixed) + 1j * (_GRID // size + a // size)
         rows, fresh = [], []
         for k, panel in enumerate(key.tolist()):
             row = self.index.get(panel)
@@ -359,9 +330,9 @@ class _PanelCache:
         A zero on or near an edge shows as one of these.
         """
         heads, blocks, starts, ends = [], [], [], []
+        ux, uy = self.unit
         for k, box in enumerate(boxes):
             i0, j0, i1, j1 = box
-            ux, uy = self.unit[0], self.unit[1 + (j0 >= _GRID)]
             symmetric = self.symmetric(box)
             # a symmetric box's perimeter is that of the box and its mirror image
             perimeter = 2.0 * ((i1 - i0) * ux + (j1 - j0) * uy * (1 + symmetric))
@@ -602,7 +573,9 @@ class RootRecord:
 
 @dataclass(frozen=True)
 class RootReport:
-    """find_zeros outcome: roots sorted by real part, then imaginary part."""
+    """find_zeros outcome: roots sorted by real part, then imaginary part,
+    each rounded to a multiple of 64*tol; ``region_count`` is the sum of
+    their multiplicities, the zeros in ``region``."""
 
     region: Rectangle
     region_count: int
@@ -624,8 +597,7 @@ def _snap(lo, hi, step_index):
 def _cut(cache, box, step_index):
     """A box's children cut at ``_snap`` offset ``step_index``, or None."""
     i0, j0, i1, j1 = box
-    width = (i1 - i0) * cache.unit[0]
-    height = (j1 - j0) * cache.unit[1 + (j0 >= _GRID)]
+    width, height = (i1 - i0) * cache.unit[0], (j1 - j0) * cache.unit[1]
     ic, jc = _snap(i0, i1, step_index), _snap(j0, j1, step_index)
     if width >= 2.0 * height:
         if i0 < ic < i1:
@@ -642,7 +614,7 @@ def _split(cache, parents):
     split of the integer box whose children all settle and account for its
     count, with each child's (count, scale) from the scan's panel cache.
     A mirrored child counts twice: a symmetric box cut across gives a
-    symmetric band and a mirrored box, whose roots stand for their
+    symmetric box and a mirrored one, whose roots stand for their
     conjugates too.
 
     Candidate cuts are tried in the order of _CUT_STEPS, nearest the
@@ -730,10 +702,10 @@ def _subdivide(f, cache, counted, tol):
                 root, iters = roots[0] if roots else (guesses[0], 0)
                 if cache.symmetric(box):
                     root = complex(root.real, 0.0)
-                parts += [(z, count, iters, scale) for z in cache.images(box, root)]
+                parts += [(z, count, iters, scale) for z in cache.images(root)]
             elif roots is not None and (roots := _leaf_roots(cache, box, count, roots, tol)):
                 parts += [(z, 1, iters, scale) for root, iters in roots
-                          for z in cache.images(box, root)]
+                          for z in cache.images(root)]
             else:
                 parents.append((box, count))
         level = [pair for split in _split(cache, parents) for pair in zip(*split)]
@@ -765,13 +737,13 @@ def _leaf_roots(cache, box, count, polished, tol):
 
     A symmetric box's root is real when |Im| <= 64*tol (Im set to 0.0) and
     stands for itself and its conjugate otherwise.  The roots are the box's
-    when their images in the plane, ``cache.images``, are ``weight(box) *
+    when their images in the hull, ``cache.images``, are ``weight(box) *
     count`` points pairwise more than 64*tol apart."""
     symmetric, roots, points = cache.symmetric(box), [], []
     for root, iters in polished:
         if symmetric and abs(root.imag) <= 64.0 * tol:
             root = complex(root.real, 0.0)
-        for z in cache.images(box, root):
+        for z in cache.images(root):
             if any(abs(z - p) <= 64.0 * tol for p in points):
                 return None
             points.append(z)
@@ -795,8 +767,8 @@ def find_zeros(f, rect, tol=1e-10):
     comes back as two simple records or one double record; when Newton
     fails there, the mean is the record's location, with 0 iterations.
     Every count reads the scan's one panel cache, and a leaf's scale is
-    max |F| over the nodes its count read.  The sum of
-    reported multiplicities always equals the region count.  When the
+    max |F| over the nodes its count read.  The multiplicities of the
+    located roots always sum to the scanned count.  When the
     region count fails on the region as given, ``detect_identically_zero``
     judges F on the region's edges before any dilation: if F vanishes
     there identically, the report has no roots and ``identically_zero``
@@ -805,14 +777,16 @@ def find_zeros(f, rect, tol=1e-10):
     on the region as given is raised.
 
     When F has real data (``f.is_real``) and the region straddles the real
-    axis, the scan runs on a folded frame (see ``_PanelCache``): the band
-    symmetric about the axis is counted on its upper half contour, a root
-    of a symmetric leaf within 64*tol of the axis is real (imaginary part
-    exactly 0.0), every other root of the band is reported with its exact
-    conjugate, and roots of a rest below the axis are located on its
-    mirror image and conjugated back.  A folded frame whose count fails
-    is dilated as it is.  A ``tol`` that is not positive and finite
-    raises DimensionError.
+    axis, the scan runs on a folded frame (see ``_PanelCache``), the upper
+    half of the region's symmetric hull, counted on its upper half contour.
+    A root of a symmetric leaf within 64*tol of the axis is real (imaginary
+    part exactly 0.0), and every other root stands for itself and its exact
+    conjugate.  Of the two, the one on the side of the hull's top is kept,
+    and the other one when |Im| <= min(-lo.imag, hi.imag) of the region:
+    the region's part of the hull is judged by the located roots, not by a
+    contour, and ``region_count`` is the kept multiplicities' sum.  A
+    folded frame whose count fails is dilated as it is.  A ``tol`` that is
+    not positive and finite raises DimensionError.
     """
     if not 0.0 < tol < math.inf:
         raise DimensionError("tolerances must be positive and finite")
@@ -821,22 +795,33 @@ def find_zeros(f, rect, tol=1e-10):
         return RootReport(region=rect, region_count=0, roots=(), identically_zero=True)
     cache, counted = scan
     total = sum(n for n, _ in counted)
-    refined = _subdivide(f, cache, counted, tol)
-    report = RootReport(region=cache.region, region_count=total,
-                        roots=tuple(_records(f, refined)), identically_zero=False)
-    if report.total_multiplicity() != total:
-        raise RootClusterError(
-            f"bookkeeping mismatch: {report.total_multiplicity()} attributed vs {total} counted"
-        )
-    return report
+    parts = _subdivide(f, cache, counted, tol)
+    found = sum(n for _, n, _, _ in parts)
+    if found != total:
+        raise RootClusterError(f"bookkeeping mismatch: {found} attributed vs {total} counted")
+    if cache.folded:
+        # a root on the side of the hull's top lies in the region; one on
+        # the other side does when that side reaches it
+        lo, hi = cache.region.lo.imag, cache.region.hi.imag
+        parts = [p for p in parts
+                 if abs(p[0].imag) <= min(-lo, hi) or p[0].imag * (lo + hi) >= 0.0]
+    return RootReport(region=cache.region, region_count=sum(n for _, n, _, _ in parts),
+                      roots=tuple(_records(f, parts, tol)), identically_zero=False)
 
 
-def _records(f, refined):
-    """One RootRecord per located part, sorted by real then imaginary part,
-    with |F| of every part from one ``f.values`` call."""
+def _records(f, refined, tol):
+    """One RootRecord per located part, with |F| of every part from one
+    ``f.values`` call, sorted by real then imaginary part rounded to a
+    multiple of 64*tol, the scan's distinctness scale, and by the exact
+    parts within a tie, so that a root moved by rounding keeps its place."""
     if not refined:
         return []
-    refined = sorted(refined, key=lambda r: (r[0].real, r[0].imag))
+    # x - remainder(x, s) is x rounded to the nearest multiple of s, without
+    # the overflow of round(x / s)
+    s = 64.0 * tol
+    refined = sorted(refined, key=lambda r: (
+        r[0].real - math.remainder(r[0].real, s), r[0].imag - math.remainder(r[0].imag, s),
+        r[0].real, r[0].imag))
     values = f.values(np.array([r[0] for r in refined])).tolist()
     # Python's abs (libm's hypot) on each value: numpy's abs can round differently
     return [

@@ -7,6 +7,7 @@ import pkgutil
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -870,6 +871,44 @@ def test_reports_are_byte_identical(tmp_path):
         emit_report(run_job(cfg), tmp_path / d)
     for name in ("spectrum.csv", "fgrid.csv", "report.json"):
         assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def test_report_order_survives_a_one_ulp_move(monkeypatch, tmp_path):
+    # the seed-5 catalog_mix pool holds conjugate pairs and roots on a
+    # line, whose parts agree up to rounding: when every root moves by one
+    # ulp (all up, all down, or each part its own way), find_zeros' records
+    # and report.json keep their order
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    _, pool, _ = importlib.import_module("workloads").generate("catalog_mix", 5)
+    rng = np.random.default_rng(5)
+    zeros = SimpleNamespace(values=lambda lams: np.zeros(len(lams)))
+    for job in pool:
+        cfg = dataclasses.replace(parse_config(job.config), grid=None, spectrum=False)
+        result = run_job(cfg)
+        located = [r.location for r in result.records]
+        shuffled = rng.permutation(len(located)).tolist()
+
+        def orders(roots):
+            # find_zeros' order of the parts handed over shuffled, each
+            # carrying its index as its iterations, and report.json's
+            parts = [(roots[k], 1, k, 0.0) for k in shuffled]
+            records = rootscan._records(zeros, parts, cfg.spec.root_tol)
+            moved = [dataclasses.replace(r, location=z) for r, z in zip(result.records, roots)]
+            emit_report(dataclasses.replace(result, records=tuple(moved)), tmp_path)
+            doc = json.loads((tmp_path / "report.json").read_text())
+            index = {(z.real, z.imag): k for k, z in enumerate(roots)}
+            return ([r.newton_iterations for r in records],
+                    [index[r["re"], r["im"]] for r in doc["records"]])
+
+        want, n = orders(located), len(located)
+        for signs in (np.ones((n, 2)), -np.ones((n, 2)), rng.choice([-1.0, 1.0], (n, 2))):
+            moved = [complex(np.nextafter(z.real, sx * math.inf),
+                             np.nextafter(z.imag, sy * math.inf))
+                     for z, (sx, sy) in zip(located, signs)]
+            assert orders(moved) == want, job.name
 
 
 # -- entry point --------------------------------------------------------------

@@ -199,3 +199,46 @@ def test_edge_adversary_keeps_the_region():
         if d < 1e-6:
             outcome = _adversary(trial)[1]
             assert not isinstance(outcome, CharspecError) and outcome.region == SQUARE, trial
+
+
+# -- mirrored-edge adversary ----------------------------------------------------
+
+
+def _mirror_adversary(trial):
+    """(region, roots, far, d) of one derandomized trial: a real polynomial
+    on Re +-1, Im -m..top or -top..m, whose roots are a conjugate pair at
+    |Im| = m (1 + d), d log-uniform in +-[1e-12, 1e-2], with up to two real
+    roots and two more conjugate pairs inside the symmetric hull; ``far`` is
+    the pair's root on the side that reaches only to m."""
+    rng = np.random.default_rng(3_000 + trial)
+    d = rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-12.0, -2.0)
+    m = rng.uniform(0.2, 0.8)
+    top = m * rng.uniform(1.5, 3.0)
+    upper = [complex(rng.uniform(-0.8, 0.8), m * (1.0 + d))]
+    upper += [complex(rng.uniform(-0.8, 0.8), rng.uniform(0.05, 0.9) * top)
+              for _ in range(rng.integers(0, 3))]
+    roots = list(rng.uniform(-0.8, 0.8, rng.integers(0, 3)).astype(complex))
+    roots += upper + [z.conjugate() for z in upper]
+    if rng.integers(2):
+        return Rectangle(complex(-1.0, -m), complex(1.0, top)), roots, upper[0].conjugate(), d
+    return Rectangle(complex(-1.0, -top), complex(1.0, m)), roots, upper[0], d
+
+
+def test_mirror_adversary_keeps_the_region_and_counts_by_location():
+    # a folded region's edge on the short side of the axis is no contour:
+    # a root beside it never keeps a count from settling or dilates the
+    # region, and whether the root is in is read from its located mirror
+    # image, so the count is exact unless the root lies within 1e-8 of
+    # that edge, relatively, where either count is right
+    for trial in range(200):
+        region, roots, far, d = _mirror_adversary(trial)
+        fn = planted(roots)
+        fn.is_real = True
+        report = find_zeros(fn, region)
+        assert report.region == region, trial
+        inside = [z for z in roots if region.contains(z) and z != far]
+        n = len(inside)
+        counts = {n + region.contains(far)} if abs(d) >= 1e-8 else {n, n + 1}
+        assert report.region_count in counts, (trial, d)
+        for z in inside:
+            assert min(abs(r.location - z) for r in report.roots) < 1e-8, (trial, z)

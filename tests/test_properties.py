@@ -49,13 +49,21 @@ iteration cap, a start outside the rectangle): every start gives what
 ``newton_refine`` gives from it alone in a batch of one, the same root and
 iteration count or the same DivergenceError.
 
+A ninth property scans real planted polynomials over regions that
+straddle the real axis unevenly, and counts boxes drawn anywhere on each
+folded frame: every panel a count reads is an aligned dyadic block of a
+grid line at 0.._GRID, and the panel table holds one row per distinct
+panel, so no two panels share a key.
+
 The derandomized profile in ``conftest.py`` draws the same examples on
-every run.  Time budget: the module runs in 4.5-7.5 s on a 2-core VM, of
+every run.  Time budget: the module runs in 5.5-8.5 s on a 2-core VM, of
 which the delay property takes 0.3-0.5 s, the cut-line property
 0.25-0.4 s, the scaled property 0.2-0.3 s, the close-pair property
-0.3-0.6 s, the moment-leaf property 0.3-0.7 s and the Newton batch
-property 0.6-0.7 s.
+0.3-0.6 s, the moment-leaf property 0.3-0.7 s, the Newton batch
+property 0.6-0.7 s and the folded-panel property 1.0-1.2 s.
 """
+
+from unittest import mock
 
 import pytest
 
@@ -326,3 +334,58 @@ def test_dyadic_points_tile_with_aligned_power_of_two_blocks(a, length):
     for lo, hi in zip(points, points[1:]):
         size = hi - lo
         assert 0 < size <= max(1, length / 2) and size & (size - 1) == 0 and lo % size == 0
+
+
+class _RecordingCache(rootscan._PanelCache):
+    """A panel cache that keeps every panel (axis, fixed, a, b) it reads."""
+
+    made = []
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.read = set()
+        self.made.append(self)
+
+    def _rows(self, axis, fixed, a, b):
+        self.read.update(zip(axis.tolist(), fixed.tolist(), a.tolist(), b.tolist()))
+        return super()._rows(axis, fixed, a, b)
+
+
+_grid_point = st.integers(0, rootscan._GRID)
+_box = st.tuples(_grid_point, _grid_point, _grid_point, _grid_point, st.booleans()).filter(
+    lambda t: t[0] != t[1] and t[2] != t[3]).map(
+    lambda t: (min(t[:2]), 0 if t[4] else min(t[2:4]), max(t[:2]), max(t[2:4])))
+
+
+@settings(max_examples=40)
+@given(st.floats(0.1, 8.0), st.floats(0.1, 8.0),
+       st.lists(st.builds(complex, st.floats(-0.9, 0.9), st.floats(0.0, 0.9)), max_size=3),
+       st.lists(_box, min_size=1, max_size=4))
+def test_folded_panels_lie_on_the_grid_with_distinct_keys(below, above, upper, boxes):
+    # every panel a folded scan's counts read, and those of boxes drawn
+    # anywhere on its frame, symmetric ones included, is an aligned dyadic
+    # block of a grid line at 0.._GRID, and its key is its own: the table
+    # holds one row per distinct panel
+    region = Rectangle(complex(-1.0, -below), complex(1.0, above))
+    top = max(below, above)
+    fn = planted([complex(z.real, z.imag * top) for z in upper]
+                 + [complex(z.real, -z.imag * top) for z in upper])
+    fn.is_real = True
+    _RecordingCache.made.clear()
+    with mock.patch.object(rootscan, "_PanelCache", _RecordingCache):
+        try:
+            find_zeros(fn, region)
+        except CharspecError:
+            pass
+    cache = _RecordingCache.made[-1]
+    cache.count(boxes)
+    g = rootscan._GRID
+    for cache in _RecordingCache.made:
+        assert cache.folded and cache.frame.lo.imag == 0.0
+        for axis, fixed, a, b in cache.read:
+            size = b - a
+            assert axis in (0, 1) and 0 <= fixed <= g and 0 <= a < b <= g
+            assert size & (size - 1) == 0 and a % size == 0
+        assert len(cache.index) == len(cache.read)
+        nodes = cache.nodes[: len(cache.index)]
+        assert np.all((nodes.imag >= 0.0) & (nodes.imag <= cache.frame.hi.imag))

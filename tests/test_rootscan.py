@@ -14,6 +14,7 @@ from charspec import (
     FirstDerivative,
     ProblemSpec,
     Rectangle,
+    SecondDerivative,
     find_zeros,
     newton_refine,
     point_functional,
@@ -342,13 +343,24 @@ def test_scan_lambda_budget(monkeypatch):
         counter = wrapper(periodic_fn())
         assert find_zeros(counter, BIG).region_count == 3
         assert sum(lams.size for _, lams in counter.calls) <= big_budget
-    # two large regions of the catalog, one with a double root, both folded
-    heat, convection = BoundaryDelayHeat(atoms=((-1.0, 1.0),)), ConvectionDiffusion(c=1.0)
-    for kind, region, roots, budget in (
+    # two large regions of the catalog, one with a double root, both folded,
+    # and three regions that reach further up than down or down than up,
+    # folded onto the upper half of their symmetric hulls
+    heat = ProblemSpec(kind=BoundaryDelayHeat(atoms=((-1.0, 1.0),)))
+    wentzell = ProblemSpec(kind=SecondDerivative(), psi=(
+        point_functional(0.0, 2) - point_functional(0.0, 1),
+        point_functional(1.0, 2) - point_functional(1.0, 1),
+    ))
+    for spec, region, roots, budget in (
         (heat, Rectangle(-200.0 - 60.0j, 5.0 + 60.0j), 24, 30_500),
-        (convection, Rectangle(-100.0 - 40.0j, 5.0 + 40.0j), 15, 1_290),
+        (ProblemSpec(kind=ConvectionDiffusion(c=1.0)), Rectangle(-100.0 - 40.0j, 5.0 + 40.0j),
+         15, 1_290),
+        (wentzell, Rectangle(-2000.0 - 0.6j, 2.0 + 1.4j), 16, 4_600),
+        (heat, Rectangle(-30.0 - 18.0j, 5.0 + 22.0j), 7, 300),
+        (ProblemSpec(kind=ConvectionDiffusion(0.5, -0.5)), Rectangle(-20.0 - 9.0j, 5.0 + 11.0j),
+         4, 295),
     ):
-        counter = CountingFn(CharFunction(ProblemSpec(kind=kind)))
+        counter = CountingFn(CharFunction(spec))
         report = find_zeros(counter, region)
         assert (report.region, report.region_count) == (region, roots)
         assert sum(lams.size for _, lams in counter.calls) <= budget
@@ -386,9 +398,10 @@ def test_scan_cost_does_not_depend_on_units():
 
 
 def test_folded_scan_mirrors_the_rest_below_the_axis():
-    # Im -210..180: the band [-180, 180] is counted on its upper half and
-    # the rest below it on its mirror image [180, 210]; the two share the
-    # line Im 180, and every root's Newton run stays inside the folded frame
+    # Im -210..180 is scanned on the upper half of its symmetric hull, Im
+    # 0..210: the roots below the axis are the mirror images of the hull's
+    # roots, those above it down to Im 180, and every root's Newton run
+    # stays inside the folded frame
     counter = CountingFn(periodic_fn())
     region = Rectangle(-1.0 - 210.0j, 1.0 + 180.0j)
     report = find_zeros(counter, region)
@@ -403,7 +416,7 @@ def test_folded_scan_mirrors_the_rest_below_the_axis():
 
 def test_folded_frame_dilates_in_place():
     # the roots +-2 pi i lie 1e-9 outside the top and bottom edges, so the
-    # band's count fails: the folded frame is dilated as it is, so no
+    # top box's count fails: the folded frame is dilated as it is, so no
     # lambda below the real axis is asked for and the conjugate pair is exact
     counter = CountingFn(periodic_fn())
     top = TWO_PI - 1e-9
@@ -417,8 +430,8 @@ def test_folded_frame_dilates_in_place():
 
 
 def test_folded_count_failure_names_the_whole_box(monkeypatch):
-    # defect 5: the root at 0 lies on the left edge, so the symmetric band
-    # cannot settle; without dilations its error names the box with its
+    # defect 5: the root at 0 lies on the left edge, so the symmetric top
+    # box cannot settle; without dilations its error names the box with its
     # mirror image, and the region is not rescanned whole
     monkeypatch.setattr(rootscan, "_DILATIONS", ())
     counter = CountingFn(periodic_fn())
@@ -431,18 +444,28 @@ def test_folded_count_failure_names_the_whole_box(monkeypatch):
     assert cache.where((0, 0, g // 2, g // 2)) == f"{-1.0 - 3.5j}..{3.5j}"
 
 
-def test_folded_row_map_is_exact_at_the_seams():
-    # Im -210..180 folds onto the band [0, 180] and the rest below the axis
-    # mirrored up to [180, 210]: the row map hits both seams and the top
-    # exactly, an int row maps as that row of an array does, and the rest's
-    # corners come back below the axis
+def test_folded_frame_is_the_upper_half_of_the_symmetric_hull():
+    # Im -210..180 folds onto Im 0..210, one top box whose corners are
+    # exact, and a failure of that box names the hull it was counted on
     g = rootscan._GRID
     cache = rootscan._PanelCache(periodic_fn(), Rectangle(-1.0 - 210.0j, 1.0 + 180.0j))
-    assert [cache.corners((0, j, g, j + g))[0].imag for j in (0, g)] == [0.0, 180.0]
-    assert cache.corners((0, g, g, 2 * g))[1].imag == 210.0
-    rows = [0, 1, g // 3, g - 1, g, g + 1, g + g // 7, 2 * g - 1, 2 * g]
-    assert [cache._imag(j) for j in rows] == cache._imag(np.array(rows)).tolist()
-    assert cache.where((0, g, g, 2 * g)) == f"{-1.0 - 210.0j}..{1.0 - 180.0j}"
+    assert cache.frame == Rectangle(-1.0, 1.0 + 210.0j)
+    assert cache.tops == [(0, 0, g, g)]
+    assert cache.corners((0, 0, g, g)) == (-1.0 + 0.0j, 1.0 + 210.0j)
+    assert cache.where((0, 0, g, g)) == f"{-1.0 - 210.0j}..{1.0 + 210.0j}"
+
+
+@pytest.mark.parametrize("d", [0.0, 1e-9, -1e-9, 1e-6, -1e-6, 1e-3])
+def test_folded_region_places_its_mirrored_edge_by_location(d):
+    # Im -(2 pi + d)..4 pi + 1 holds 0, 2 pi i and 4 pi i, and -2 pi i when
+    # d >= 0: no contour runs along the mirrored edge Im -(2 pi + d), so a
+    # root on or beside it keeps the region, and its located mirror image
+    # decides whether it is in
+    region = Rectangle(complex(-1.0, -(TWO_PI + d)), complex(1.0, 2.0 * TWO_PI + 1.0))
+    report = find_zeros(periodic_fn(), region)
+    assert report.region == region
+    assert report.region_count == len(report.roots) == (4 if d >= 0.0 else 3)
+    assert _conjugate_closed(report)
 
 
 def test_scan_builds_no_rectangle_per_box(monkeypatch):
@@ -659,7 +682,7 @@ def test_records_take_abs_f_once_per_part():
     # for every part in one batched call, and each record keeps its own |F|
     counter = CountingFn(planted([0.0, 0.0]))
     parts = [(complex(1e-12), 1, 4, 2.0), (complex(-2e-12), 1, 5, 1.0)]
-    records = _records(counter, parts)
+    records = _records(counter, parts, 1e-10)
     ((kind, lams),) = counter.calls
     assert kind == "values" and sorted(lams.real) == [-2e-12, 1e-12]
     assert [(r.location, r.multiplicity, r.newton_iterations, r.leaf_scale) for r in records] == [
@@ -780,9 +803,14 @@ def test_find_zeros_reads_leaf_scales_from_the_cache():
 
 
 def test_find_zeros_orders_roots():
+    # by real, then imaginary part, both rounded to a multiple of 64 * tol,
+    # and by the exact parts within a tie: the three roots' real parts are
+    # rounding noise about 0, so they come in order of imaginary part
     report = find_zeros(periodic_fn(), BIG, tol=1e-10)
-    keys = [(r.location.real, r.location.imag) for r in report.roots]
+    keys = [(round(z.real / 64e-10), round(z.imag / 64e-10), z.real, z.imag)
+            for z in (r.location for r in report.roots)]
     assert keys == sorted(keys)
+    assert np.allclose([r.location.imag for r in report.roots], [-TWO_PI, 0.0, TWO_PI])
 
 
 def test_find_zeros_double_root():
