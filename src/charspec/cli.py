@@ -521,7 +521,8 @@ def emit_report(result, outdir, error=None):
     """Write the spectrum CSV, optional F grid, and the structured twin.
 
     Each root's record is built once: report.json holds the records, and each
-    spectrum.csv row is read from its record.  Returns the list of files written.
+    spectrum.csv row is read from its record, both in ``result.records``'
+    order, which is ``find_zeros``' own.  Returns the list of files written.
     ``error`` serializes into the trailer when a job died before producing records.
     """
     outdir = Path(outdir)
@@ -529,19 +530,12 @@ def emit_report(result, outdir, error=None):
     written = []
     cfg = result.config
 
-    # by imaginary, then real part, both rounded to a multiple of the scan's
-    # distinctness scale 64*root_tol (x - remainder(x, s)), and by the exact
-    # parts within a tie, so that a root moved by rounding keeps its row
-    s = 64.0 * cfg.spec.root_tol
     rows = (
         {"re": r.location.real, "im": r.location.imag, "multiplicity": r.multiplicity,
          "abs_F": r.abs_f, "newton_iters": r.newton_iterations,
          "ode_residual": r.ode_residual, "bc_residual": r.bc_residual,
          "oracle": _json_out(r.oracle), "oracle_dist": r.oracle_dist, "passed": r.passed}
-        for r in sorted(result.records, key=lambda r: (
-            r.location.imag - math.remainder(r.location.imag, s),
-            r.location.real - math.remainder(r.location.real, s),
-            r.location.imag, r.location.real))
+        for r in result.records
     )
     # a non-finite number (a failed certification's inf) is null, an empty CSV field
     records = [{key: None if isinstance(v, float) and not math.isfinite(v) else v

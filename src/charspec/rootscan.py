@@ -36,7 +36,10 @@ still running, and a box is a leaf when it finds as many distinct roots
 inside it as it counts.  Otherwise it is split, down to a box 64*tol
 across (or at the grid floor), where its k roots are one root of
 multiplicity k polished from their mean, in the same batch; the mean
-stands as the root when Newton fails there.
+stands as the root when Newton fails there.  ``find_zeros`` alone orders
+the roots, by imaginary, then real part, each rounded to a multiple of
+64*tol, and counts them: ``region_count`` is the sum of their
+multiplicities.  The report files keep that order.
 
 A folded region is scanned on the upper half of its symmetric hull, Re
 lo..hi x Im 0..max(-lo.imag, hi.imag), whose one top box is counted on its
@@ -98,6 +101,8 @@ _NODES, _WEIGHTS = gauss_legendre(12)
 _H, _V = 0, 1  # panel axis: along a horizontal or a vertical line
 # line code of a panel: axis * _LINE + fixed coordinate, at most _GRID
 _LINE = 2 * _GRID
+# The scan's one top box: the whole frame.
+_TOP = (0, 0, _GRID, _GRID)
 # Newton iterations before newton_refine gives up.
 _NEWTON_MAX_ITER = 50
 
@@ -192,7 +197,6 @@ class _PanelCache:
         self.folded = fold and getattr(f, "is_real", False) and lo.imag < 0 < hi.imag
         self.frame = (Rectangle(complex(lo.real, 0.0), complex(hi.real, max(-lo.imag, hi.imag)))
                       if self.folded else region)
-        self.tops = [(0, 0, _GRID, _GRID)]
         self.lo = self.frame.lo
         # grid unit along x and along y
         self.unit = (self.frame.width / _GRID, self.frame.height / _GRID)
@@ -240,12 +244,15 @@ class _PanelCache:
         return (z, z.conjugate()) if self.folded and z.imag != 0.0 else (z,)
 
     def where(self, box):
-        """The box's corners in the plane, for messages: a symmetric box's
-        with its mirror image, so a folded top box names the hull."""
+        """The box's corners in the plane, for messages, low corner first: a
+        symmetric box's with its mirror image, so a folded top box names the
+        hull, and a mirrored box's followed by its mirror image's."""
         lo, hi = self.corners(box)
+        low = complex(lo.real, -hi.imag)  # the mirror image's low corner
         if self.symmetric(box):
-            lo = complex(lo.real, -hi.imag)
-        return f"{lo}..{hi}"
+            return f"{low}..{hi}"
+        mirror = f" and {low}..{complex(hi.real, -lo.imag)}" if self.folded else ""
+        return f"{lo}..{hi}{mirror}"
 
     def _integrate(self, axis, fixed, a, b):
         """Integral of g, max |F|, the 12 nodes z and the weighted values
@@ -445,25 +452,24 @@ class _PanelCache:
 
 
 def _count_region(f, rect, fold=True, zero_test=False):
-    """(cache, counted): the scan's panel cache, laid out by
-    ``_PanelCache(f, box, fold)``, and the (count, scale) of each of its
-    top-level boxes, ``cache.tops``.  The box is ``rect`` itself, or the
-    first dilated copy (``cache.region``) whose tops all count when a top
-    of ``rect`` fails; when every copy fails too, the first error on
-    ``rect`` is raised.  With ``zero_test``, a failure on ``rect`` first
-    asks ``detect_identically_zero(f, rect)``, and None is returned when
-    it holds; the test is not repeated on a dilated copy."""
+    """(cache, (count, scale)): the scan's panel cache, laid out by
+    ``_PanelCache(f, box, fold)``, and the count and scale of its top box,
+    _TOP.  The box is ``rect`` itself, or the first dilated copy
+    (``cache.region``) whose top counts when the top of ``rect`` fails;
+    when every copy fails too, the error on ``rect`` is raised.  With
+    ``zero_test``, a failure on ``rect`` first asks
+    ``detect_identically_zero(f, rect)``, and None is returned when it
+    holds; the test is not repeated on a dilated copy."""
     first = None
     for factor in (1.0,) + _DILATIONS:
         cache = _PanelCache(f, rect if factor == 1.0 else rect.dilated(factor), fold)
-        counted = cache.count(cache.tops)
-        failed = [c for c in counted if isinstance(c, Exception)]
-        if not failed:
+        (counted,) = cache.count([_TOP])
+        if not isinstance(counted, Exception):
             return cache, counted
         if first is None:
             if zero_test and detect_identically_zero(f, rect):
                 return None
-            first = failed[0]
+            first = counted
     raise first
 
 
@@ -481,8 +487,8 @@ def winding_count(f, rect):
     ``moment`` the first moment about its centre, so box.center +
     moment/count is the mean of the enclosed zeros.
     """
-    cache, ((count, _),) = _count_region(f, rect, fold=False)
-    _, r, s = cache.moments(cache.tops[0], 2)
+    cache, (count, _) = _count_region(f, rect, fold=False)
+    _, r, s = cache.moments(_TOP, 2)
     return count, cache.region, r * complex(s[1])
 
 
@@ -573,16 +579,15 @@ class RootRecord:
 
 @dataclass(frozen=True)
 class RootReport:
-    """find_zeros outcome: roots sorted by real part, then imaginary part,
-    each rounded to a multiple of 64*tol; ``region_count`` is the sum of
-    their multiplicities, the zeros in ``region``."""
+    """find_zeros outcome: the roots in ``region``, in ``_records``' order."""
 
     region: Rectangle
-    region_count: int
     roots: tuple
     identically_zero: bool
 
-    def total_multiplicity(self):
+    @property
+    def region_count(self):
+        """The zeros in ``region``: the sum of the roots' multiplicities."""
         return sum(r.multiplicity for r in self.roots)
 
 
@@ -646,7 +651,7 @@ def _split(cache, parents):
 
 def _subdivide(f, cache, counted, tol):
     """The located parts (root, multiplicity, Newton iterations, scale) of
-    the scan's top boxes, whose (count, scale) are ``counted``, split by
+    the scan's top box, _TOP, whose (count, scale) is ``counted``, split by
     ``_split`` level by level with one call per level.
 
     A box stops being split when its roots are found.  At the floor (a box
@@ -666,7 +671,7 @@ def _subdivide(f, cache, counted, tol):
     L/2 times, and 48 cuts take a 2^48-unit side under the floor: no box
     splits past level 94.
     """
-    level, parts = list(zip(cache.tops, counted)), []
+    level, parts = [(_TOP, counted)], []
     while level:
         tried, starts = [], []
         for box, (count, scale) in level:
@@ -755,26 +760,25 @@ def find_zeros(f, rect, tol=1e-10):
     """All zeros of F inside the rectangle, with multiplicities.
 
     Pipeline: total winding count, subdivision to leaves of at most ten
-    roots (_LEAF_ROOTS) with one Newton batch per level, deterministic
-    sort.  A box of N <= _LEAF_ROOTS roots starts Newton at the eigenvalues
-    of the Hankel pencil of its contour moments (see ``_hankel_roots``; for
-    N = 1 that is the first moment), and is a leaf when Newton finds N
-    distinct roots inside it (``_leaf_roots``), each a record of
-    multiplicity 1 with its own iterations.
-    Otherwise it is split, a one-root box whose Newton fails included.  A
-    box under 64*tol across, or at the grid floor, holding k roots gives
-    one record of multiplicity k, polished from their mean, so a close pair
-    comes back as two simple records or one double record; when Newton
-    fails there, the mean is the record's location, with 0 iterations.
-    Every count reads the scan's one panel cache, and a leaf's scale is
-    max |F| over the nodes its count read.  The multiplicities of the
-    located roots always sum to the scanned count.  When the
-    region count fails on the region as given, ``detect_identically_zero``
-    judges F on the region's edges before any dilation: if F vanishes
-    there identically, the report has no roots and ``identically_zero``
-    set; otherwise the region is dilated until its count succeeds
-    (``report.region`` is then the dilated box), or the count's own error
-    on the region as given is raised.
+    roots (_LEAF_ROOTS) with one Newton batch per level, the one sort
+    (``_records``).  A box of N <= _LEAF_ROOTS roots starts Newton at the
+    eigenvalues of the Hankel pencil of its contour moments (see
+    ``_hankel_roots``; for N = 1 that is the first moment), and is a leaf
+    when Newton finds N distinct roots inside it (``_leaf_roots``), each a
+    record of multiplicity 1 with its own iterations.  Otherwise it is
+    split, a one-root box whose Newton fails included.  A box under 64*tol
+    across, or at the grid floor, holding k roots gives one record of
+    multiplicity k, polished from their mean, so a close pair comes back as
+    two simple records or one double record; when Newton fails there, the
+    mean is the record's location, with 0 iterations.  Every count reads
+    the scan's one panel cache, and a leaf's scale is max |F| over the
+    nodes its count read.  The multiplicities of the located roots always
+    sum to the scanned count.  When the region count fails on the region
+    as given, ``detect_identically_zero`` judges F on the region's edges
+    before any dilation: if F vanishes there identically, the report has no
+    roots and ``identically_zero`` set; otherwise the region is dilated
+    until its count succeeds (``report.region`` is then the dilated box),
+    or the count's own error on the region as given is raised.
 
     When F has real data (``f.is_real``) and the region straddles the real
     axis, the scan runs on a folded frame (see ``_PanelCache``), the upper
@@ -792,10 +796,10 @@ def find_zeros(f, rect, tol=1e-10):
         raise DimensionError("tolerances must be positive and finite")
     scan = _count_region(f, rect, zero_test=True)
     if scan is None:
-        return RootReport(region=rect, region_count=0, roots=(), identically_zero=True)
+        return RootReport(region=rect, roots=(), identically_zero=True)
     cache, counted = scan
-    total = sum(n for n, _ in counted)
     parts = _subdivide(f, cache, counted, tol)
+    total = counted[0]
     found = sum(n for _, n, _, _ in parts)
     if found != total:
         raise RootClusterError(f"bookkeeping mismatch: {found} attributed vs {total} counted")
@@ -805,23 +809,23 @@ def find_zeros(f, rect, tol=1e-10):
         lo, hi = cache.region.lo.imag, cache.region.hi.imag
         parts = [p for p in parts
                  if abs(p[0].imag) <= min(-lo, hi) or p[0].imag * (lo + hi) >= 0.0]
-    return RootReport(region=cache.region, region_count=sum(n for _, n, _, _ in parts),
-                      roots=tuple(_records(f, parts, tol)), identically_zero=False)
+    return RootReport(region=cache.region, roots=tuple(_records(f, parts, tol)),
+                      identically_zero=False)
 
 
 def _records(f, refined, tol):
-    """One RootRecord per located part, with |F| of every part from one
-    ``f.values`` call, sorted by real then imaginary part rounded to a
-    multiple of 64*tol, the scan's distinctness scale, and by the exact
-    parts within a tie, so that a root moved by rounding keeps its place."""
+    """One RootRecord per located part, |F| of each from one ``f.values``
+    call, in the roots' one order: by imaginary, then real part rounded to
+    a multiple of 64*tol, the scan's distinctness scale, then by the exact
+    parts, so that a root moved by rounding keeps its place."""
     if not refined:
         return []
     # x - remainder(x, s) is x rounded to the nearest multiple of s, without
     # the overflow of round(x / s)
     s = 64.0 * tol
     refined = sorted(refined, key=lambda r: (
-        r[0].real - math.remainder(r[0].real, s), r[0].imag - math.remainder(r[0].imag, s),
-        r[0].real, r[0].imag))
+        r[0].imag - math.remainder(r[0].imag, s), r[0].real - math.remainder(r[0].real, s),
+        r[0].imag, r[0].real))
     values = f.values(np.array([r[0] for r in refined])).tolist()
     # Python's abs (libm's hypot) on each value: numpy's abs can round differently
     return [

@@ -744,9 +744,7 @@ def test_a_non_root_fails_only_its_own_record(monkeypatch, tmp_path):
 
     def with_a_stranger(f, rect, **kw):
         report = scan(f, rect, **kw)
-        return dataclasses.replace(
-            report, roots=report.roots + (stranger,), region_count=report.region_count + 1
-        )
+        return dataclasses.replace(report, roots=report.roots + (stranger,))
 
     stacks = []
     real_kernels = cli_module.kernel_vectors
@@ -876,39 +874,54 @@ def test_reports_are_byte_identical(tmp_path):
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
+def test_emit_report_writes_the_records_in_the_order_given(tmp_path):
+    # the roots' order is find_zeros' alone: emit_report writes the records
+    # as it is handed them, reversed ones too, in both files
+    result = run_job(periodic_config(grid=None))
+    for name, records in (("given", result.records), ("reversed", result.records[::-1])):
+        emit_report(dataclasses.replace(result, records=records), tmp_path / name)
+        want = [[r.location.real, r.location.imag] for r in records]
+        _, *rows = (tmp_path / name / "spectrum.csv").read_text().splitlines()
+        assert [[float(x) for x in row.split(",")[:2]] for row in rows] == want
+        doc = json.loads((tmp_path / name / "report.json").read_text())
+        assert [[r["re"], r["im"]] for r in doc["records"]] == want
+
+
 def test_report_order_survives_a_one_ulp_move(monkeypatch, tmp_path):
-    # the seed-5 catalog_mix pool holds conjugate pairs and roots on a
-    # line, whose parts agree up to rounding: when every root moves by one
-    # ulp (all up, all down, or each part its own way), find_zeros' records
-    # and report.json keep their order
+    # the catalog_mix pool holds conjugate pairs and roots on a line, whose
+    # parts agree up to rounding: when every root moves by one ulp (all up,
+    # all down, or each part its own way), _records keeps their order, and
+    # report.json lists the records in that order.  Three of the 30 cycles,
+    # the seed-5 pool's first 18 jobs, spare the other jobs' reference sweeps
     monkeypatch.syspath_prepend(str(PERFBENCH))
-    _, pool, _ = importlib.import_module("workloads").generate("catalog_mix", 5)
+    workloads = importlib.import_module("workloads")
+    wl = workloads.WORKLOADS["catalog_mix"]
+    monkeypatch.setitem(workloads.WORKLOADS, "catalog_mix", dataclasses.replace(wl, pool_cycles=3))
+    _, pool, _ = workloads.generate("catalog_mix", 5)
     rng = np.random.default_rng(5)
     zeros = SimpleNamespace(values=lambda lams: np.zeros(len(lams)))
     for job in pool:
         cfg = dataclasses.replace(parse_config(job.config), grid=None, spectrum=False)
         result = run_job(cfg)
+        emit_report(result, tmp_path)
+        doc = json.loads((tmp_path / "report.json").read_text())
         located = [r.location for r in result.records]
+        assert [complex(r["re"], r["im"]) for r in doc["records"]] == located, job.name
         shuffled = rng.permutation(len(located)).tolist()
 
-        def orders(roots):
-            # find_zeros' order of the parts handed over shuffled, each
-            # carrying its index as its iterations, and report.json's
+        def order(roots):
+            # _records' order of the parts handed over shuffled, each
+            # carrying its index as its iterations
             parts = [(roots[k], 1, k, 0.0) for k in shuffled]
-            records = rootscan._records(zeros, parts, cfg.spec.root_tol)
-            moved = [dataclasses.replace(r, location=z) for r, z in zip(result.records, roots)]
-            emit_report(dataclasses.replace(result, records=tuple(moved)), tmp_path)
-            doc = json.loads((tmp_path / "report.json").read_text())
-            index = {(z.real, z.imag): k for k, z in enumerate(roots)}
-            return ([r.newton_iterations for r in records],
-                    [index[r["re"], r["im"]] for r in doc["records"]])
+            return [r.newton_iterations for r in rootscan._records(zeros, parts, cfg.spec.root_tol)]
 
-        want, n = orders(located), len(located)
+        n = len(located)
+        assert order(located) == list(range(n)), job.name
         for signs in (np.ones((n, 2)), -np.ones((n, 2)), rng.choice([-1.0, 1.0], (n, 2))):
             moved = [complex(np.nextafter(z.real, sx * math.inf),
                              np.nextafter(z.imag, sy * math.inf))
                      for z, (sx, sy) in zip(located, signs)]
-            assert orders(moved) == want, job.name
+            assert order(moved) == list(range(n)), job.name
 
 
 # -- entry point --------------------------------------------------------------
